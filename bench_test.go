@@ -433,8 +433,8 @@ func shardBenchSnippet(tb *storage.Table, fn int, lo, hi float64) *query.Snippet
 // every Record serializes on a single writer lock, while with 4/16 shards
 // writers on different functions proceed in parallel — the acceptance bar
 // is ≥2× ops/sec at 4 shards vs 1 on a multicore machine. Each model sits
-// at its LRU cap, so the per-op maintenance work (eviction, reindex,
-// moment refresh over C_g entries) is constant across the run.
+// at its LRU cap, so the per-op maintenance work (LRU scan, slot
+// replacement, moment refresh over C_g entries) is constant across the run.
 func BenchmarkRecordSharded(b *testing.B) {
 	const nFuncs = 16
 	tb := shardBenchTable(b, 2000, nFuncs)
@@ -464,4 +464,65 @@ func BenchmarkRecordSharded(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
 		})
 	}
+}
+
+// BenchmarkSynopsisRecord measures one synopsis mutation plus the Infer
+// that republishes after it — what a serving request pays — for each kind
+// of mutation model.record distinguishes: a new snippet at the cap
+// (eviction), a repeat that teaches nothing, a repeat with a lower error,
+// and Lemma 3's append adjustment. kernel-calls/op is the number of
+// covariance integrals evaluated for synopsis maintenance (the probe's own
+// n per Infer are not counted): n for a new snippet, 0 for the rest.
+func BenchmarkSynopsisRecord(b *testing.B) {
+	tb := shardBenchTable(b, 2000, 1)
+	probe := shardBenchSnippet(tb, 0, 40, 45)
+	raw := query.ScalarEstimate{Value: 0, StdErr: 0.5}
+	id := probe.Func()
+	// setup fills a synopsis with n distinct snippets and publishes it.
+	setup := func(cap, n int) (*core.Verdict, []*query.Snippet) {
+		v := core.New(tb, core.Config{SynopsisCap: cap})
+		rng := randx.New(11)
+		held := make([]*query.Snippet, n)
+		for i := range held {
+			lo := rng.Uniform(0, 90)
+			held[i] = shardBenchSnippet(tb, 0, lo, lo+5)
+			v.Record(held[i], query.ScalarEstimate{Value: rng.Normal(0, 1), StdErr: 0.5})
+		}
+		v.Infer(probe, raw)
+		return v, held
+	}
+	kernelCalls := func(v *core.Verdict) (n int64) {
+		for _, c := range v.ShardCounters() {
+			n += c.GramKernelCalls
+		}
+		return n
+	}
+	run := func(name string, cap, n int, op func(v *core.Verdict, held []*query.Snippet, rng *randx.Source, i int)) {
+		b.Run(name, func(b *testing.B) {
+			v, held := setup(cap, n)
+			rng := randx.New(12)
+			before := kernelCalls(v)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op(v, held, rng, i)
+				v.Infer(probe, raw)
+			}
+			b.ReportMetric(float64(kernelCalls(v)-before)/float64(b.N), "kernel-calls/op")
+		})
+	}
+	evict := func(v *core.Verdict, _ []*query.Snippet, rng *randx.Source, _ int) {
+		lo := rng.Uniform(0, 90)
+		v.Record(shardBenchSnippet(tb, 0, lo, lo+5), query.ScalarEstimate{Value: rng.Normal(0, 1), StdErr: 0.5})
+	}
+	run("evict/cap=128", 128, 128, evict)
+	run("evict/cap=512", 512, 512, evict)
+	run("repeat-unchanged/n=48", 0, 48, func(v *core.Verdict, held []*query.Snippet, rng *randx.Source, i int) {
+		v.Record(held[i%len(held)], query.ScalarEstimate{Value: rng.Normal(0, 1), StdErr: 0.5})
+	})
+	run("repeat-improved/n=48", 0, 48, func(v *core.Verdict, held []*query.Snippet, rng *randx.Source, i int) {
+		v.Record(held[i%len(held)], query.ScalarEstimate{Value: rng.Normal(0, 1), StdErr: 0.5 / (1 + 1e-6*float64(i+1))})
+	})
+	run("append-adjust/n=81", 0, 81, func(v *core.Verdict, _ []*query.Snippet, _ *randx.Source, _ int) {
+		v.ApplyAppend(id, core.Drift{Mu: 1e-3, Eta2: 1e-8}, 1_000_000, 500)
+	})
 }

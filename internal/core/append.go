@@ -105,7 +105,10 @@ func bucketMeans(t *storage.Table, measure func(*storage.Table, int) float64, bu
 //	β²_i ← β²_i + (|r^a|·η_k/(|r|+|r^a|))²
 //
 // oldRows and appendedRows are |r| and |r^a|. The covariance factorization
-// is invalidated (β changed on the diagonal); the next inference rebuilds.
+// is invalidated (β changed on the diagonal); the next inference rebuilds
+// it from the cached Gram triangle — the pair covariances did not move, so
+// no kernel integral is re-evaluated unless the append also widened a
+// domain or grew a dictionary.
 func (v *Verdict) ApplyAppend(id query.FuncID, drift Drift, oldRows, appendedRows int) {
 	sh := v.shardFor(id)
 	sh.mu.Lock()

@@ -31,10 +31,23 @@
 //
 // What is immutable after publish: a model's published inferState (entries
 // slice, cloned parameters, Cholesky factor, prior mean) is frozen — every
-// mutator copies entries before any in-place edit (copy-on-write),
-// invalidates the snapshot, and the next publish rebuilds it. Any number
-// of goroutines may infer against a captured inferState without
-// synchronization. Results are invariant under NumShards: models are
+// mutator that changes what inference reads copies entries before any
+// in-place edit (copy-on-write), invalidates the snapshot, and the next
+// publish rebuilds it. A repeated snippet whose error did not improve
+// changes none of that: it bumps a recency stamp kept beside the entries
+// and the snapshot stays published. Any number of goroutines may infer
+// against a captured inferState without synchronization.
+//
+// # Synopsis maintenance
+//
+// Σ_n = σ²·K + diag(β²+nugget²). A model keeps K — the pair covariances at
+// σ² = 1 — as a cached Gram triangle in slot order, valid under a signature
+// of the length-scales, column domains and dictionary sizes, so kernel
+// integrals are evaluated only for a genuinely new snippet (n of them), or
+// in full after the signature moves. Entries sit in stable slots; LRU
+// recency is a per-slot stamp, and at the quota a new snippet replaces the
+// least recently used slot in place. See model.record and ARCHITECTURE.md
+// "Synopsis maintenance" for the cost of each case. Results are invariant under NumShards: models are
 // independent and Train assigns seeds in global creation order before
 // fanning out per-shard.
 package core

@@ -22,9 +22,9 @@ func (m *model) learn(seed int64) {
 	if m.paramsFixed || len(m.entries) < 3 {
 		return
 	}
-	// Use the most recent LearnCap snippets (likelihood evaluation is
-	// O(n³); inference still uses the full synopsis).
-	ents := m.entries
+	// Use the most recent LearnCap snippets, in recency order (likelihood
+	// evaluation is O(n³); inference still uses the full synopsis).
+	ents := m.byRecency()
 	if len(ents) > m.cfg.LearnCap {
 		ents = ents[len(ents)-m.cfg.LearnCap:]
 	}

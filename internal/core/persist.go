@@ -98,7 +98,8 @@ func (v *Verdict) Save(w io.Writer) error {
 		for _, col := range cols {
 			mj.Ells = append(mj.Ells, ellJSON{Column: schema.Col(col).Name, Value: m.params.Ells[col]})
 		}
-		for _, e := range m.entries {
+		// Oldest first, so Load's record order reproduces the LRU order.
+		for _, e := range m.byRecency() {
 			ej := entryJSON{Theta: e.theta, Beta: e.beta, Nugget: e.nugget}
 			num := e.sn.Region.NumConstraints()
 			if len(num) > 0 {
@@ -177,9 +178,10 @@ func Load(r io.Reader, table *storage.Table, cfg Config) (*Verdict, error) {
 		}
 		// The new Verdict is private to this call: shard placement needs no
 		// locking yet, only the same hash Record/Infer will use later.
-		m := newModel(id, v.cfg, params)
+		sh := v.shardFor(id)
+		m := newModel(id, v.cfg, params, &sh.ctr)
 		m.paramsFixed = mj.ParamsFixed
-		v.shardFor(id).models[id] = m
+		sh.models[id] = m
 		v.order = append(v.order, id)
 
 		for _, ej := range mj.Entries {

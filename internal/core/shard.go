@@ -32,11 +32,19 @@ type shard struct {
 	mu     sync.RWMutex
 	models map[query.FuncID]*model
 
-	// Lifetime counters, atomic so the metrics scrape never touches mu:
-	// records counts snippets recorded onto this shard, trains counts model
-	// train passes run on it.
-	records atomic.Int64
-	trains  atomic.Int64
+	// Lifetime counters, atomic so the metrics scrape never touches mu.
+	// Models hold a pointer to them and bump the maintenance ones.
+	ctr shardCounters
+}
+
+// shardCounters are the atomics behind ShardCounter.
+type shardCounters struct {
+	records          atomic.Int64
+	trains           atomic.Int64
+	refactorizations atomic.Int64
+	gramRebuilds     atomic.Int64
+	noopRepeats      atomic.Int64
+	kernelCalls      atomic.Int64
 }
 
 func newShard() *shard {
@@ -68,26 +76,56 @@ type ShardStat struct {
 	Snippets int `json:"snippets"`
 	// FootprintBytes approximates the shard's memory footprint (§8.5).
 	FootprintBytes int `json:"footprint_bytes"`
+	// ShardCounter is the shard's cumulative write activity.
+	ShardCounter
 }
 
 // NumShards returns the number of synopsis shards.
 func (v *Verdict) NumShards() int { return len(v.shards) }
 
-// ShardCounter is one shard's cumulative write activity: snippets recorded
-// and model train passes run. The counts are lifetime totals for this
-// Verdict instance (a synopsis reload swaps the Verdict and restarts them).
+// ShardCounter is one shard's cumulative write activity. The counts are
+// lifetime totals for this Verdict instance (a synopsis reload swaps the
+// Verdict and restarts them). Refactorizations, GramRebuilds and
+// NoopRepeats say which kind of synopsis maintenance the records caused:
+// on a workload of repeated queries over a synopsis that fits, the first
+// two stay flat while NoopRepeats tracks Records.
 type ShardCounter struct {
+	// Records counts snippets recorded; Trains counts model train passes.
 	Records int64 `json:"records"`
 	Trains  int64 `json:"trains"`
+	// Refactorizations counts from-scratch O(n³) Cholesky factorizations of
+	// a model's Σ_n (each also re-estimates σ²).
+	Refactorizations int64 `json:"refactorizations"`
+	// GramRebuilds counts Gram caches dropped because a length-scale, a
+	// column domain or a dictionary size moved; each costs n²/2 kernel
+	// integrals at the next factorization.
+	GramRebuilds int64 `json:"gram_rebuilds"`
+	// NoopRepeats counts records of an already-held snippet whose error
+	// did not improve: a recency bump, nothing republished.
+	NoopRepeats int64 `json:"noop_repeats"`
+	// GramKernelCalls counts the kernel integrals evaluated to maintain
+	// Gram caches: n per new snippet, n(n+1)/2 per full fill.
+	GramKernelCalls int64 `json:"gram_kernel_calls"`
 }
 
-// ShardCounters returns each shard's record/train totals, in shard order.
-// Lock-free: the counters are atomics, so a metrics scrape never waits
-// behind a training pass holding a shard's write lock.
+func (c *shardCounters) load() ShardCounter {
+	return ShardCounter{
+		Records:          c.records.Load(),
+		Trains:           c.trains.Load(),
+		Refactorizations: c.refactorizations.Load(),
+		GramRebuilds:     c.gramRebuilds.Load(),
+		NoopRepeats:      c.noopRepeats.Load(),
+		GramKernelCalls:  c.kernelCalls.Load(),
+	}
+}
+
+// ShardCounters returns each shard's write-activity totals, in shard
+// order. Lock-free: the counters are atomics, so a metrics scrape never
+// waits behind a training pass holding a shard's write lock.
 func (v *Verdict) ShardCounters() []ShardCounter {
 	out := make([]ShardCounter, len(v.shards))
 	for i, sh := range v.shards {
-		out[i] = ShardCounter{Records: sh.records.Load(), Trains: sh.trains.Load()}
+		out[i] = sh.ctr.load()
 	}
 	return out
 }
@@ -99,7 +137,7 @@ func (v *Verdict) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(v.shards))
 	for i, sh := range v.shards {
 		sh.mu.RLock()
-		st := ShardStat{Functions: len(sh.models)}
+		st := ShardStat{Functions: len(sh.models), ShardCounter: sh.ctr.load()}
 		for _, m := range sh.models {
 			st.Snippets += len(m.entries)
 			st.FootprintBytes += m.footprintBytes()

@@ -29,8 +29,10 @@ type snippetMemo struct {
 }
 
 // pairsFor sizes the per-entry caches to the current synopsis, keeping
-// existing slots. LRU reorder or eviction can leave a slot describing a
-// different entry; its signature check catches that and recomputes.
+// existing slots. Synopsis slots are stable (a repeat never moves an
+// entry), so memo i keeps describing entry i; only a new snippet taking
+// over an evicted slot leaves a memo describing a different entry, and its
+// signature check catches that and recomputes.
 func (m *snippetMemo) pairsFor(n int) []kernel.PairMemo {
 	if len(m.pairs) < n {
 		m.pairs = append(m.pairs, make([]kernel.PairMemo, n-len(m.pairs))...)

@@ -71,7 +71,7 @@ func (v *Verdict) modelForLocked(sh *shard, sn *query.Snippet) *model {
 	id := sn.Func()
 	m, ok := sh.models[id]
 	if !ok {
-		m = newModel(id, v.cfg, kernel.DefaultParams(v.table))
+		m = newModel(id, v.cfg, kernel.DefaultParams(v.table), &sh.ctr)
 		sh.models[id] = m
 		v.register(id)
 	}
@@ -115,16 +115,17 @@ func (v *Verdict) Infer(sn *query.Snippet, raw query.ScalarEstimate) Improved {
 }
 
 // Record inserts (q, θ, β) into the query synopsis (Algorithm 2 line 6),
-// maintaining the per-function LRU quota and extending the covariance
-// factorization incrementally. Record is the per-shard single-writer path:
-// concurrent calls for functions on the same shard serialize on that
-// shard's write lock; calls landing on different shards run in parallel.
+// maintaining the per-function LRU quota; see model.record for what each
+// kind of record (unchanged repeat, improved repeat, new snippet) costs.
+// Record is the per-shard single-writer path: concurrent calls for
+// functions on the same shard serialize on that shard's write lock; calls
+// landing on different shards run in parallel.
 func (v *Verdict) Record(sn *query.Snippet, raw query.ScalarEstimate) {
 	sh := v.shardFor(sn.Func())
 	sh.mu.Lock()
 	v.modelForLocked(sh, sn).record(sn, raw)
 	sh.mu.Unlock()
-	sh.records.Add(1)
+	sh.ctr.records.Add(1)
 }
 
 // Train runs the offline process of Algorithm 1 for every aggregate
@@ -147,7 +148,7 @@ func (v *Verdict) Train() error {
 		m.learn(seeds[i])
 		m.mutated()
 		errs[i] = m.rebuild()
-		v.shardFor(id).trains.Add(1)
+		v.shardFor(id).ctr.trains.Add(1)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -166,7 +167,7 @@ func (v *Verdict) SetParams(id query.FuncID, p kernel.Params) {
 	defer sh.mu.Unlock()
 	m, ok := sh.models[id]
 	if !ok {
-		m = newModel(id, v.cfg, p)
+		m = newModel(id, v.cfg, p, &sh.ctr)
 		sh.models[id] = m
 		v.register(id)
 	}

@@ -86,8 +86,19 @@ func (p Params) Validate() error {
 // snippets of the same aggregate function, per Eq. 10 extended with
 // Eq. 16's categorical factors. Both snippets must be bound to the same
 // base relation.
+//
+// σ² is a common factor and is multiplied last: the result is exactly
+// p.Sigma2 * UnitCovariance(a, b, p.Ells), so a stored unit value scaled by
+// the current σ² is bit-equal to a fresh call.
 func Covariance(a, b *query.Snippet, p Params) float64 {
 	return CovarianceMemo(a, b, p, nil)
+}
+
+// UnitCovariance is Covariance at σ² = 1: the part of a pair's covariance
+// that depends only on the two regions, the length-scales and the table's
+// domains and dictionary sizes.
+func UnitCovariance(a, b *query.Snippet, ells map[int]float64) float64 {
+	return unit(a, b, ells, nil)
 }
 
 // Variance is Covariance(s, s, p): the prior variance κ̄² of one snippet's

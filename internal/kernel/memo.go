@@ -8,8 +8,8 @@
 //
 // Bit-identity is by construction, not by tolerance: the memo caches the
 // *individual dimension factors*, never the finished product, and
-// CovarianceMemo replays the exact left-to-right multiply sequence of
-// Covariance. A cached factor is only reused when all five inputs compare
+// CovarianceMemo runs the one multiply sequence Covariance itself runs
+// (unit: factors left to right, σ² last). A cached factor is only reused when all five inputs compare
 // equal (==), in which case a recomputation would return the same bits —
 // SqExp*Integral is deterministic. The signature check is the entire
 // correctness argument; no invalidation bookkeeping exists to get wrong:
@@ -44,18 +44,29 @@ type PairMemo struct {
 // degrades to the uncached computation. The result is bit-identical to
 // Covariance(a, b, p) in all cases.
 func CovarianceMemo(a, b *query.Snippet, p Params, m *PairMemo) float64 {
+	return p.Sigma2 * unit(a, b, p.Ells, m)
+}
+
+// unit is the one definition of the covariance product: the σ²=1
+// covariance of two snippets' exact answers, dimension factors multiplied
+// left to right in schema order. Besides the snippets it reads the
+// length-scales, each numeric dimension's table domain (unconstrained
+// ranges and missing length-scales resolve to it) and each categorical
+// dimension's dictionary size — the inputs a cached unit value must be
+// keyed by.
+func unit(a, b *query.Snippet, ells map[int]float64, m *PairMemo) float64 {
 	t := a.Table
 	dims := t.Schema().DimensionCols()
 	if m != nil && len(m.dims) != len(dims) {
 		m.dims = make([]dimFactor, len(dims))
 	}
-	cov := p.Sigma2
+	cov := 1.0
 	for di, col := range dims {
 		def := t.Schema().Col(col)
 		if def.Kind == storage.Numeric {
 			ra := a.Region.NumRangeOf(col, t)
 			rb := b.Region.NumRangeOf(col, t)
-			ell, ok := p.Ells[col]
+			ell, ok := ells[col]
 			if !ok || ell <= 0 {
 				lo, hi := t.Domain(col)
 				ell = math.Max(hi-lo, 1)

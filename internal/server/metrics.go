@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/aqp"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -121,13 +122,29 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	// Per-shard synopsis write counters, read straight off the shards'
 	// atomics at scrape time. Caveat: /load swaps the Verdict, restarting
 	// these from zero — a scrape-side reset, like any process restart.
-	shardLabels := []string{"shard"}
-	reg.CounterFuncVec("verdict_synopsis_shard_records_total",
-		"Snippets recorded into the synopsis, by shard.", shardLabels,
-		func() []obs.Sample { return shardSamples(s, func(c int64, _ int64) int64 { return c }) })
-	reg.CounterFuncVec("verdict_synopsis_shard_trains_total",
-		"Model train passes run, by shard.", shardLabels,
-		func() []obs.Sample { return shardSamples(s, func(_ int64, t int64) int64 { return t }) })
+	// Which kind of maintenance the records caused shows in the last three:
+	// on repeated queries over a synopsis that fits, refactorizations and
+	// gram_rebuilds stay flat and noop_repeats tracks records; a climbing
+	// refactorizations is O(n³) work per record.
+	for _, c := range []struct {
+		name, help string
+		pick       func(core.ShardCounter) int64
+	}{
+		{"verdict_synopsis_shard_records_total", "Snippets recorded into the synopsis, by shard.",
+			func(c core.ShardCounter) int64 { return c.Records }},
+		{"verdict_synopsis_shard_trains_total", "Model train passes run, by shard.",
+			func(c core.ShardCounter) int64 { return c.Trains }},
+		{"verdict_synopsis_refactorizations_total", "From-scratch Cholesky factorizations of a model's covariance matrix (O(n^3) each; sigma2 re-estimated), by shard.",
+			func(c core.ShardCounter) int64 { return c.Refactorizations }},
+		{"verdict_synopsis_gram_rebuilds_total", "Gram caches dropped because a length-scale, column domain or dictionary size moved (n^2/2 kernel integrals each), by shard.",
+			func(c core.ShardCounter) int64 { return c.GramRebuilds }},
+		{"verdict_synopsis_noop_repeats_total", "Records of an already-held snippet whose error did not improve (recency bump only), by shard.",
+			func(c core.ShardCounter) int64 { return c.NoopRepeats }},
+	} {
+		pick := c.pick
+		reg.CounterFuncVec(c.name, c.help, []string{"shard"},
+			func() []obs.Sample { return shardSamples(s, pick) })
+	}
 	return m
 }
 
@@ -140,11 +157,11 @@ func partitionSamples(s *Server, pick func(aqp.PartitionStat) float64) []obs.Sam
 	return out
 }
 
-func shardSamples(s *Server, pick func(records, trains int64) int64) []obs.Sample {
+func shardSamples(s *Server, pick func(core.ShardCounter) int64) []obs.Sample {
 	counters := s.sys.Verdict().ShardCounters()
 	out := make([]obs.Sample, len(counters))
 	for i, c := range counters {
-		out[i] = obs.Sample{Labels: []string{strconv.Itoa(i)}, Value: float64(pick(c.Records, c.Trains))}
+		out[i] = obs.Sample{Labels: []string{strconv.Itoa(i)}, Value: float64(pick(c))}
 	}
 	return out
 }

@@ -159,21 +159,24 @@ func TestMetricsExposition(t *testing.T) {
 	values, types := scrape(t, ts.URL)
 
 	wantTypes := map[string]string{
-		"verdict_query_stage_duration_seconds":   "histogram",
-		"verdict_http_request_duration_seconds":  "histogram",
-		"verdict_stream_increment_lag_seconds":   "histogram",
-		"verdict_rebuild_duration_seconds":       "histogram",
-		"verdict_http_requests_total":            "counter",
-		"verdict_http_shed_total":                "counter",
-		"verdict_stream_resumes_total":           "counter",
-		"verdict_stream_behind_horizon_total":    "counter",
-		"verdict_synopsis_shard_records_total":   "counter",
-		"verdict_http_in_flight":                 "gauge",
-		"verdict_streams_active":                 "gauge",
-		"verdict_replay_horizon_age_generations": "gauge",
-		"verdict_pending_rows":                   "gauge",
-		"verdict_retained_generations":           "gauge",
-		"verdict_uptime_seconds":                 "gauge",
+		"verdict_query_stage_duration_seconds":    "histogram",
+		"verdict_http_request_duration_seconds":   "histogram",
+		"verdict_stream_increment_lag_seconds":    "histogram",
+		"verdict_rebuild_duration_seconds":        "histogram",
+		"verdict_http_requests_total":             "counter",
+		"verdict_http_shed_total":                 "counter",
+		"verdict_stream_resumes_total":            "counter",
+		"verdict_stream_behind_horizon_total":     "counter",
+		"verdict_synopsis_shard_records_total":    "counter",
+		"verdict_synopsis_refactorizations_total": "counter",
+		"verdict_synopsis_gram_rebuilds_total":    "counter",
+		"verdict_synopsis_noop_repeats_total":     "counter",
+		"verdict_http_in_flight":                  "gauge",
+		"verdict_streams_active":                  "gauge",
+		"verdict_replay_horizon_age_generations":  "gauge",
+		"verdict_pending_rows":                    "gauge",
+		"verdict_retained_generations":            "gauge",
+		"verdict_uptime_seconds":                  "gauge",
 	}
 	for name, want := range wantTypes {
 		if got := types[name]; got != want {
@@ -223,6 +226,53 @@ func TestMetricsExposition(t *testing.T) {
 				t.Errorf("%s went backwards: %g -> %g", k, v, values2[k])
 			}
 		}
+	}
+
+	// The synopsis maintenance counters tell the three kinds of Record
+	// apart. The traffic so far recorded new snippets, then an append moved
+	// every β (a refactorization each). One more pass of the first query
+	// settles its entry on the post-append sample's error; from then on
+	// repeating it is a recency bump: no factorization, no Gram rebuild.
+	if n := sumMatching(values, "verdict_synopsis_refactorizations_total"); n == 0 {
+		t.Error("no refactorizations counted after new snippets and an append")
+	}
+	repeat := QueryRequest{SQL: "SELECT AVG(revenue) FROM sales WHERE week BETWEEN 10 AND 20"}
+	if code := post(t, ts.URL+"/query", repeat, &qr); code != 200 {
+		t.Fatalf("repeat query status %d", code)
+	}
+	settled, _ := scrape(t, ts.URL)
+	for i := 0; i < 3; i++ {
+		if code := post(t, ts.URL+"/query", repeat, &qr); code != 200 {
+			t.Fatalf("repeat query status %d", code)
+		}
+	}
+	repeated, _ := scrape(t, ts.URL)
+	for _, flat := range []string{"verdict_synopsis_refactorizations_total", "verdict_synopsis_gram_rebuilds_total"} {
+		if a, b := sumMatching(settled, flat), sumMatching(repeated, flat); a != b {
+			t.Errorf("%s moved %g -> %g under repeats that teach nothing", flat, a, b)
+		}
+	}
+	if a, b := sumMatching(settled, "verdict_synopsis_noop_repeats_total"), sumMatching(repeated, "verdict_synopsis_noop_repeats_total"); b < a+3 {
+		t.Errorf("noop repeats %g -> %g after 3 repeated queries", a, b)
+	}
+	// /stats carries the same counters in its shard block.
+	var st StatsResponse
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	var noops, refacts int64
+	for _, sh := range st.Synopsis.Shards {
+		noops += sh.NoopRepeats
+		refacts += sh.Refactorizations
+	}
+	if float64(noops) != sumMatching(repeated, "verdict_synopsis_noop_repeats_total") ||
+		float64(refacts) != sumMatching(repeated, "verdict_synopsis_refactorizations_total") {
+		t.Errorf("/stats shard counters (noops %d, refactorizations %d) disagree with /metrics", noops, refacts)
 	}
 }
 

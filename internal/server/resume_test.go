@@ -16,9 +16,30 @@ import (
 	"repro/internal/core"
 )
 
-// postStreamPartial POSTs a StreamRequest, reads exactly k chunks, then
-// drops the connection — the client-side half of a mid-stream disconnect.
-func postStreamPartial(t *testing.T, url string, req StreamRequest, k int) []StreamChunk {
+// awaitHandlers blocks until every admitted handler has returned — the
+// completion edge Drain waits on, without draining. A handler's deferred
+// work (slot and pin release, Progressive/Resumed accounting, closing its
+// subscription) all precedes its handlers.Done, so after this returns the
+// effects of a killed stream or a dropped subscriber are fully visible.
+// Callers must not be starting requests concurrently.
+func awaitHandlers(t *testing.T, srv *Server) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		srv.handlers.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("handlers still running (%d in flight)", srv.InFlight())
+	}
+}
+
+// postStreamPartial POSTs a StreamRequest, reads exactly k chunks, drops
+// the connection — the client-side half of a mid-stream disconnect — and
+// waits for the killed stream's handler to finish unwinding.
+func postStreamPartial(t *testing.T, srv *Server, url string, req StreamRequest, k int) []StreamChunk {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -28,6 +49,7 @@ func postStreamPartial(t *testing.T, url string, req StreamRequest, k int) []Str
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer awaitHandlers(t, srv)
 	defer r.Body.Close()
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("stream status %d", r.StatusCode)
@@ -81,7 +103,7 @@ func TestStreamResumeBitIdentical(t *testing.T) {
 	}
 
 	for _, cut := range []int{1, 2, len(want) - 1} {
-		_, sysB, tsB := fixture(t, 20000, Config{})
+		srvB, sysB, tsB := fixture(t, 20000, Config{})
 		// Pace the doomed stream so closing the connection interrupts the
 		// server mid-stream (the disconnect cancels the request context
 		// during the pace sleep): an unpaced server would finish — and
@@ -90,7 +112,7 @@ func TestStreamResumeBitIdentical(t *testing.T) {
 		// fingerprint, so the chunks are unaffected.
 		killedReq := req
 		killedReq.PaceMS = 100
-		killed := postStreamPartial(t, tsB.URL, killedReq, cut)
+		killed := postStreamPartial(t, srvB, tsB.URL, killedReq, cut)
 		// Age server B past the stream's snapshot before resuming.
 		if code := post(t, tsB.URL+"/append", AppendRequest{Generate: 1500}, nil); code != 200 {
 			t.Fatal("append failed")
@@ -194,9 +216,9 @@ func horizonFixture(t *testing.T, rows, maxGens int) (*Server, *core.System, *ht
 func TestStreamBehindHorizon410(t *testing.T) {
 	sql := "SELECT AVG(revenue) FROM sales WHERE week BETWEEN 10 AND 30"
 	req := StreamRequest{SQL: sql, MinRows: 256}
-	_, sys, ts := horizonFixture(t, 20000, 1)
+	srv, sys, ts := horizonFixture(t, 20000, 1)
 
-	killed := postStreamPartial(t, ts.URL, req, 2)
+	killed := postStreamPartial(t, srv, ts.URL, req, 2)
 	cursor := killed[1].Cursor
 	if cursor.SampleGen != 0 {
 		t.Fatalf("first stream served generation %d", cursor.SampleGen)
@@ -245,7 +267,7 @@ func TestStreamBehindHorizon410(t *testing.T) {
 	}
 
 	// A fresh stream on the live generation still resumes fine.
-	killed = postStreamPartial(t, ts.URL, req, 1)
+	killed = postStreamPartial(t, srv, ts.URL, req, 1)
 	resumeReq.Cursor = killed[0].Cursor
 	resumed := postStream(t, ts.URL, resumeReq)
 	if len(resumed) == 0 || !resumed[len(resumed)-1].Final {
@@ -258,7 +280,7 @@ func TestStreamBehindHorizon410(t *testing.T) {
 // when the stream completes.
 func TestStreamPinHoldsHorizonOpen(t *testing.T) {
 	sql := "SELECT AVG(revenue) FROM sales WHERE week BETWEEN 10 AND 30"
-	_, sys, ts := horizonFixture(t, 20000, 1)
+	srv, sys, ts := horizonFixture(t, 20000, 1)
 
 	body, _ := json.Marshal(StreamRequest{SQL: sql, MinRows: 64, PaceMS: 50})
 	resp, err := http.Post(ts.URL+"/query/stream", "application/json", bytes.NewReader(body))
@@ -286,12 +308,9 @@ func TestStreamPinHoldsHorizonOpen(t *testing.T) {
 			break
 		}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for sys.Engine().ReplayHorizon() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("horizon still %d after the stream completed", sys.Engine().ReplayHorizon())
-		}
-		time.Sleep(5 * time.Millisecond)
+	awaitHandlers(t, srv)
+	if h := sys.Engine().ReplayHorizon(); h == 0 {
+		t.Fatalf("horizon still %d after the stream completed", h)
 	}
 	if got := sys.Engine().RetainedGens(); got != 1 {
 		t.Fatalf("retained %d generations after release, want 1", got)
@@ -374,8 +393,8 @@ func TestStreamMidStreamErrorChunk(t *testing.T) {
 func TestStreamResumeReplay(t *testing.T) {
 	sql := "SELECT COUNT(*) FROM sales WHERE region = 'east'"
 	req := StreamRequest{SQL: sql, MinRows: 256}
-	_, sys, ts := fixture(t, 20000, Config{})
-	killed := postStreamPartial(t, ts.URL, req, 2)
+	srv, sys, ts := fixture(t, 20000, Config{})
+	killed := postStreamPartial(t, srv, ts.URL, req, 2)
 	resumeReq := req
 	resumeReq.Cursor = killed[1].Cursor
 	resumed := postStream(t, ts.URL, resumeReq)

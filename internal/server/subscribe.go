@@ -82,16 +82,18 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.shed(w, r, codeDraining, fmt.Errorf("server draining: not accepting new subscriptions"))
 		return
 	}
+	// Registered with the drain WaitGroup (not the worker pool) so Drain
+	// waits for the terminal stop_reason chunk to flush before returning.
+	// Deferred first so it runs last: once handlers is at rest, the
+	// subscriber count and the subscription are released too.
+	s.handlers.Add(1)
+	defer s.handlers.Done()
 	if s.subscribers.Add(1) > int64(s.cfg.MaxSubscriptions) {
 		s.subscribers.Add(-1)
 		s.shed(w, r, codeSaturated, fmt.Errorf("subscription cap reached: %d open", s.cfg.MaxSubscriptions))
 		return
 	}
 	defer s.subscribers.Add(-1)
-	// Registered with the drain WaitGroup (not the worker pool) so Drain
-	// waits for the terminal stop_reason chunk to flush before returning.
-	s.handlers.Add(1)
-	defer s.handlers.Done()
 
 	sess := s.sessions.get(req.Session, s.now())
 	sess.touch(s.now())

@@ -197,13 +197,7 @@ func TestServerSubscribeStorm(t *testing.T) {
 		streams[i].body.Close()
 	}
 	readers.Wait()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if sys.ActiveSubscriptions() == 0 && srv.InFlight() == 0 && srv.subscribers.Load() == 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	awaitHandlers(t, srv)
 	if n := sys.ActiveSubscriptions(); n != 0 {
 		t.Fatalf("ActiveSubscriptions=%d after all clients left", n)
 	}
@@ -467,13 +461,7 @@ func TestServerSubscribeStormGrouped(t *testing.T) {
 		streams[i].body.Close()
 	}
 	readers.Wait()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if sys.ActiveSubscriptions() == 0 && srv.InFlight() == 0 && srv.subscribers.Load() == 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	awaitHandlers(t, srv)
 	if n := sys.ActiveSubscriptions(); n != 0 {
 		t.Fatalf("ActiveSubscriptions=%d after all clients left", n)
 	}
