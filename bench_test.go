@@ -15,6 +15,7 @@ package repro
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -525,4 +526,67 @@ func BenchmarkSynopsisRecord(b *testing.B) {
 	run("append-adjust/n=81", 0, 81, func(v *core.Verdict, _ []*query.Snippet, _ *randx.Source, _ int) {
 		v.ApplyAppend(id, core.Drift{Mu: 1e-3, Eta2: 1e-8}, 1_000_000, 500)
 	})
+}
+
+// BenchmarkRepeatedQuery measures what the scan memo buys a recorded
+// one-shot query, for a flat and a GROUP BY statement: asked again on an
+// unchanged sample (nothing is scanned), asked again after a 500-row append
+// (only the partial tail batch is folded, at most one BatchSize plus the
+// batch's sampled rows), and never asked before (the full sample). The
+// rows-scanned/op metric is read off SystemStats.ScanMemoRows and is the
+// number to compare against the engine's 10 000-row sample and 500-row
+// batches; ns/op also carries parse, plan, inference and record.
+func BenchmarkRepeatedQuery(b *testing.B) {
+	batches := make([]*storage.Table, 8)
+	for i := range batches {
+		var err error
+		if batches[i], err = workload.GenerateCustomer1(500, int64(100+i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	shapes := []struct{ name, repeat, unique string }{
+		{"ungrouped",
+			"SELECT AVG(amount) FROM events WHERE event_date BETWEEN 30 AND 90",
+			"SELECT AVG(amount) FROM events WHERE event_date BETWEEN %d AND %d.5"},
+		{"grouped",
+			"SELECT channel, COUNT(*), AVG(amount) FROM events WHERE event_date BETWEEN 30 AND 90 GROUP BY channel",
+			"SELECT channel, COUNT(*), AVG(amount) FROM events WHERE event_date BETWEEN %d AND %d.5 GROUP BY channel"},
+	}
+	for _, shape := range shapes {
+		for _, mode := range []string{"same-view", "after-append", "unique"} {
+			b.Run(shape.name+"/"+mode, func(b *testing.B) {
+				tb, err := workload.GenerateCustomer1(50000, 5)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sample, err := aqp.BuildSample(tb, 0.2, 0, 6)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sys := core.NewSystem(aqp.NewEngine(tb, sample, aqp.CachedCost), core.Config{SynopsisCap: 64})
+				if _, err := sys.Execute(shape.repeat); err != nil {
+					b.Fatal(err)
+				}
+				before := sys.StatsSnapshot().ScanMemoRows
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sql := shape.repeat
+					switch mode {
+					case "after-append":
+						b.StopTimer()
+						if _, err := sys.Append(batches[i%len(batches)]); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					case "unique":
+						sql = fmt.Sprintf(shape.unique, i%60, 61+i/60)
+					}
+					if _, err := sys.Execute(sql); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(sys.StatsSnapshot().ScanMemoRows-before)/float64(b.N), "rows-scanned/op")
+			})
+		}
+	}
 }

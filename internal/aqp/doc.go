@@ -43,6 +43,12 @@
 // flat snippet lists, GroupedStandingScan for GROUP BY discovery folds —
 // carry accumulator state across appends and extend it by folding only
 // newly landed batches, reproducing the one-shot merge tree bit for bit;
-// they refuse (and the caller rebinds) whenever the generation, scan mode,
-// batch size or grouped-spec fingerprint drifts.
+// they refuse whenever the generation, scan mode, batch size or
+// grouped-spec fingerprint drifts. CarriedFold (carried.go) is the one
+// owner of what to do then — return the last answer for the same snapshot,
+// extend, rebind with one full fold, or serve a view behind the carried
+// prefix from the reference scan — for both shapes and both of its users:
+// standing subscriptions across notify batches and internal/core's scan
+// memo across repeated one-shot queries. It is single-goroutine state; its
+// users hold their own lock around Run.
 package aqp

@@ -49,6 +49,7 @@ type invarianceRecord struct {
 	gStand   [][]query.ScalarEstimate
 	rebuilt  []query.ScalarEstimate
 	replayed []query.ScalarEstimate
+	carried  [][]query.ScalarEstimate // memo-style repeats: flat then grouped, per view
 }
 
 func estimatesOf(upd BatchUpdate) []query.ScalarEstimate {
@@ -72,8 +73,8 @@ func requireEstimatesEqual(t *testing.T, label string, got, want []query.ScalarE
 // count through every execution mode: one-shot, one-pass grouped,
 // progressive increments (each also checked against its own serial
 // EvalPrefix replay), standing refreshes across streamed appends (scalar
-// and grouped), a partitioned rebuild, and a ViewAtGen replay of the
-// pre-rebuild generation. Everything recorded is a pure function of the
+// and grouped), the scan memo's carried repeats on the same views, a
+// partitioned rebuild, and a ViewAtGen replay of the pre-rebuild generation. Everything recorded is a pure function of the
 // deterministic inputs, so records must match bit-for-bit across counts.
 func runPartitioned(t *testing.T, parts int) *invarianceRecord {
 	t.Helper()
@@ -129,12 +130,33 @@ func runPartitioned(t *testing.T, parts int) *invarianceRecord {
 		}
 		rec.gStand = append(rec.gStand, estimatesOf(ggr.Update))
 	}
+	// The scan memo's repeat: a CarriedFold asked the same plan twice per
+	// view answers the second time without scanning, and both answers are
+	// the standing (hence one-shot) bits.
+	cf, gcf := NewCarriedFold(false), NewCarriedFold(false)
+	repeat := func(v *View, first FoldOutcome) {
+		for i, want := range []FoldOutcome{first, FoldReused} {
+			fr, gr := cf.Run(v, snips, nil, 0), gcf.Run(v, nil, spec, 0)
+			if fr.Outcome != want || gr.Outcome != want {
+				t.Fatalf("parts=%d: carried repeat %d ran %v/%v, want %v", parts, i, fr.Outcome, gr.Outcome, want)
+			}
+			rec.carried = append(rec.carried, estimatesOf(fr.Update), estimatesOf(gr.Update))
+		}
+	}
 	refresh(view)
+	repeat(view, FoldFull)
 	for i := 0; i < 2; i++ {
 		if _, err := e.Append(driftedBatch(t, 1500, 80, 100, int64(40+i)), int64(90+i)); err != nil {
 			t.Fatal(err)
 		}
 		refresh(e.Acquire())
+		repeat(e.Acquire(), FoldExtended)
+	}
+	for i := range rec.standing {
+		for j := 0; j < 2; j++ {
+			requireEstimatesEqual(t, "parts="+itoa(parts)+" carried flat repeat", rec.carried[4*i+2*j], rec.standing[i])
+			requireEstimatesEqual(t, "parts="+itoa(parts)+" carried grouped repeat", rec.carried[4*i+2*j+1], rec.gStand[i])
+		}
 	}
 
 	// A rebuild under the same layout: per-stratum generation swaps under
@@ -146,6 +168,8 @@ func runPartitioned(t *testing.T, parts int) *invarianceRecord {
 		t.Fatal(err)
 	}
 	rec.rebuilt = estimatesOf(e.Acquire().RunToCompletion(snips))
+	repeat(e.Acquire(), FoldFull)
+	requireEstimatesEqual(t, "parts="+itoa(parts)+" carried after rebuild", rec.carried[len(rec.carried)-2], rec.rebuilt)
 
 	// Serial replay across the generation swap: both the pre-rebuild
 	// grown state and the original boot view must reproduce exactly.
@@ -202,6 +226,9 @@ func TestPartitionCountInvariance(t *testing.T) {
 		for i := range want.standing {
 			requireEstimatesEqual(t, label+" standing refresh "+itoa(i), got.standing[i], want.standing[i])
 			requireEstimatesEqual(t, label+" grouped standing refresh "+itoa(i), got.gStand[i], want.gStand[i])
+		}
+		for i := range want.carried {
+			requireEstimatesEqual(t, label+" carried repeat "+itoa(i), got.carried[i], want.carried[i])
 		}
 		requireEstimatesEqual(t, label+" rebuilt", got.rebuilt, want.rebuilt)
 		requireEstimatesEqual(t, label+" replayed", got.replayed, want.replayed)

@@ -766,6 +766,11 @@ func (v *View) GroupedRunToCompletion(spec *query.GroupedSpec, nmax int) *Groupe
 	if v.stages != nil {
 		defer v.observeScan(obs.ModeOneShot, true, time.Now())
 	}
+	return v.groupedFoldAll(spec, nmax)
+}
+
+// groupedFoldAll is GroupedRunToCompletion without the stage observation.
+func (v *View) groupedFoldAll(spec *query.GroupedSpec, nmax int) *GroupedResult {
 	if nmax <= 0 {
 		nmax = query.DefaultNmax
 	}

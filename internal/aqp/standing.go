@@ -70,8 +70,7 @@ func (s *StandingScan) Bound() bool { return s.bound }
 func (s *StandingScan) Refresh(v *View) (upd BatchUpdate, ok bool) {
 	if !s.bound {
 		s.bind(v)
-	} else if v.SampleGen != s.gen || v.mode != s.mode ||
-		v.Sample.BatchSize != s.batch || v.SampleRows < s.folded {
+	} else if !s.extends(v) {
 		return BatchUpdate{}, false
 	}
 	// baseRows feeds only estimate() (the PopErr term), never the fold, so
@@ -109,6 +108,29 @@ func (s *StandingScan) Refresh(v *View) (upd BatchUpdate, ok bool) {
 		upd.Estimates[i], upd.Valid[i] = a.estimate()
 	}
 	return upd, true
+}
+
+// extends reports whether v can extend the carried fold: same sample
+// generation, scan mode and batch size, and at least the folded prefix.
+func (s *StandingScan) extends(v *View) bool {
+	return v.SampleGen == s.gen && v.mode == s.mode &&
+		v.Sample.BatchSize == s.batch && v.SampleRows >= s.folded
+}
+
+// lend points the carried accumulators at snips, the caller's current
+// instances of the bound snippets (equal keys, so the fold's arithmetic is
+// bit-identical); nil takes them back. A Snippet references the frozen base
+// table it was planned against, so a fold that kept the snippets of its
+// first bind would keep that snapshot — and the column arrays the live
+// table has since outgrown — reachable for as long as it is carried.
+func (s *StandingScan) lend(snips []*query.Snippet) {
+	s.snips = snips
+	for i, a := range s.accs {
+		a.sn = nil
+		if snips != nil {
+			a.sn = snips[i]
+		}
+	}
 }
 
 func (s *StandingScan) bind(v *View) {

@@ -73,6 +73,13 @@ func groupedSpecKey(spec *query.GroupedSpec) string {
 	return sb.String()
 }
 
+// extends reports whether (v, a spec fingerprinted key) can extend the
+// carried fold.
+func (s *GroupedStandingScan) extends(v *View, key string) bool {
+	return v.SampleGen == s.gen && v.mode == s.mode && v.Sample.BatchSize == s.batch &&
+		v.SampleRows >= s.folded && key == s.specKey
+}
+
 // Refresh extends the fold to cover v's full sample and returns the
 // grouped result — bit-identical to v.GroupedRunToCompletion(spec, nmax).
 // ok=false means v or spec is incompatible with the carried state
@@ -90,8 +97,7 @@ func (s *GroupedStandingScan) Refresh(v *View, spec *query.GroupedSpec, nmax int
 		s.specKey = key
 		s.fold = newGroupedFold()
 		s.gs = newDiscoverScan(spec)
-	} else if v.SampleGen != s.gen || v.mode != s.mode || v.Sample.BatchSize != s.batch ||
-		v.SampleRows < s.folded || key != s.specKey {
+	} else if !s.extends(v, key) {
 		return nil, false
 	} else {
 		// Recompile against the refreshed spec: the fingerprint pinned the

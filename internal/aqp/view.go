@@ -111,6 +111,11 @@ func (v *View) RunToCompletion(snips []*query.Snippet) BatchUpdate {
 	if v.stages != nil {
 		defer v.observeScan(obs.ModeOneShot, false, time.Now())
 	}
+	return v.foldAll(snips)
+}
+
+// foldAll is RunToCompletion without the stage observation.
+func (v *View) foldAll(snips []*query.Snippet) BatchUpdate {
 	var last BatchUpdate
 	v.OnlineAggregate(snips, func(u BatchUpdate) bool {
 		last = u

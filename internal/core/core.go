@@ -28,6 +28,10 @@
 //     StatsSnapshot), the live Verdict pointer with vmu (swapped by
 //     LoadSynopsis), and serializes Append/RebuildSample end-to-end with
 //     appendMu.
+//   - The scan memo (scanmemo.go) has a map lock for lookup and eviction
+//     and one lock per entry around the entry's carried fold: two queries
+//     wait for each other only when they ask the same statement. The two
+//     are never held together, and neither is held with any lock above.
 //
 // What is immutable after publish: a model's published inferState (entries
 // slice, cloned parameters, Cholesky factor, prior mean) is frozen — every
@@ -37,6 +41,18 @@
 // changes none of that: it bumps a recency stamp kept beside the entries
 // and the snapshot stays published. Any number of goroutines may infer
 // against a captured inferState without synchronization.
+//
+// # Scan memo
+//
+// Every recorded one-shot query runs its scan stage through the carried
+// fold its statement's last execution left behind (aqp.CarriedFold, keyed
+// by trimmed SQL, at most scanMemoCap statements, least recently asked
+// evicted): nothing is scanned when the sample has not changed, only the
+// appended rows when it has grown, everything after a rebuild or when a
+// domain-clipped bound moved. The answer is bit-identical to the reference
+// scan in every case; replays, time-bound queries and progressive streams
+// bypass the memo, so ExecuteView audits it independently. See
+// ARCHITECTURE.md "Scan memo".
 //
 // # Synopsis maintenance
 //

@@ -11,21 +11,19 @@ import (
 	"repro/internal/aqp"
 	"repro/internal/notify"
 	"repro/internal/obs"
-	"repro/internal/query"
 )
 
 // Continuous queries: a subscriber registers a SQL statement once and is
 // pushed a fresh model-improved estimate whenever an append, a sample
 // rebuild or a training pass changes the answer materially. The economics
 // are shared-scan: standing plans are deduplicated by their (trimmed) SQL
-// text, every notify batch runs ONE incremental pass per unique plan — an
-// ungrouped plan carries a StandingScan, a GROUP BY plan a
-// GroupedStandingScan whose per-group master accumulators and incremental
-// group discovery extend across appends — and the result fans out through
-// a notify.Hub to any number of subscribers, each behind a bounded
-// coalescing queue with its own push threshold and debounce. Threshold
-// gating is per-(group, cell): a group appearing or disappearing, or the
-// truncation flag flipping, always pushes (the per-cell comparison is
+// text, every notify batch runs ONE incremental pass per unique plan — the
+// plan's aqp.CarriedFold, whose accumulators (per snippet, or per group with
+// incremental group discovery) extend across appends — and the result fans
+// out through a notify.Hub to any number of subscribers, each behind a
+// bounded coalescing queue with its own push threshold and debounce.
+// Threshold gating is per-(group, cell): a group appearing or disappearing,
+// or the truncation flag flipping, always pushes (the per-cell comparison is
 // meaningless across different row sets).
 //
 // Every pushed Result is auditable: its raw and improved cells are
@@ -34,12 +32,11 @@ import (
 //	sys.ExecuteView(engine.ViewAtGen(SampleGen, BaseRows, SampleRows), sql)
 //
 // because the carried fold replays the exact batch merge tree of the
-// one-shot execution (see aqp.StandingScan / aqp.GroupedStandingScan) and
-// inference runs against the same published model states the replay will
-// read — notify passes run after the mutation's model updates publish and
-// record nothing themselves, and the plan's carried covariance memo
-// (planInfer) is signature-guarded to be bit-identical to the fresh
-// inference the replay performs.
+// one-shot execution (see aqp.CarriedFold) and inference runs against the
+// same published model states the replay will read — notify passes run
+// after the mutation's model updates publish and record nothing themselves,
+// and the plan's carried covariance memo (planInfer) is signature-guarded to
+// be bit-identical to the fresh inference the replay performs.
 
 // Push reasons carried on every update.
 const (
@@ -120,16 +117,15 @@ func (sub *Subscription) Close() { sub.sys.Unsubscribe(sub) }
 
 // standingPlan is one deduplicated standing query: its pinned view (the
 // generation is held against eviction between notify batches), the carried
-// incremental scan — scan for ungrouped plans, gscan for GROUP BY plans;
-// exactly one is non-nil — the carried inference memo, and the subscribers
+// fold — the type the scan memo carries for one-shot queries, here silent
+// on the stage timer — the carried inference memo, and the subscribers
 // sharing it.
 type standingPlan struct {
 	sql     string
 	view    *aqp.View
 	release func()
 	pl      *queryPlan
-	scan    *aqp.StandingScan
-	gscan   *aqp.GroupedStandingScan
+	fold    *aqp.CarriedFold
 	infer   planInfer
 	lastUpd aqp.BatchUpdate
 	lastRes *Result
@@ -272,15 +268,15 @@ func (s *System) newStandingPlanLocked(sql string) (*standingPlan, error) {
 		release()
 		return nil, fmt.Errorf("core: unsupported query cannot stand: %s", strings.Join(res.Reasons, "; "))
 	}
-	p := &standingPlan{sql: sql, view: view, release: release}
-	upd, err := s.refreshScanLocked(p, view, pl)
+	p := &standingPlan{sql: sql, view: view, release: release, fold: aqp.NewCarriedFold(false)}
+	fr, err := pl.scanCarried(p.fold, s.nmax())
 	if err != nil {
 		release()
 		return nil, err
 	}
 	s.bumpStats(func(ss *SystemStats) { ss.NotifyScans++ })
-	p.pl, p.lastUpd = pl, upd
-	if p.lastRes, err = s.composeStanding(p, upd); err != nil {
+	p.pl, p.lastUpd = pl, fr.Update
+	if p.lastRes, err = s.composeStanding(p, fr.Update); err != nil {
 		release()
 		return nil, err
 	}
@@ -321,9 +317,11 @@ func (s *System) notifyStanding(reason string) {
 
 // refreshPlanLocked advances one standing plan to the engine's current
 // state: re-pin, re-plan (region bindings can shift as domains grow),
-// extend the carried fold — or rebind with one full fold when the sample
-// generation swapped or the plan shape changed — and recompose the
-// result. Exactly one scan pass either way. Caller holds standing.mu.
+// extend the carried fold — which rebinds with one full fold when the
+// sample generation swapped or the plan shape changed — and recompose the
+// result. On the grouped path pl is materialized from the fold's discovered
+// groups, so its snippet list and truncation flag match what a one-shot
+// execution of the same view would plan. Caller holds standing.mu.
 func (s *System) refreshPlanLocked(p *standingPlan) error {
 	view, release := s.engine.AcquirePinned()
 	pl, _, err := s.plan(view, p.sql, obs.ModeOneShot, false, true)
@@ -334,58 +332,16 @@ func (s *System) refreshPlanLocked(p *standingPlan) error {
 		}
 		return err
 	}
-	upd, err := s.refreshScanLocked(p, view, pl)
+	fr, err := pl.scanCarried(p.fold, s.nmax())
 	if err != nil {
 		release()
 		return err
 	}
 	s.bumpStats(func(ss *SystemStats) { ss.NotifyScans++ })
 	p.release()
-	p.view, p.release, p.pl, p.lastUpd = view, release, pl, upd
-	p.lastRes, err = s.composeStanding(p, upd)
+	p.view, p.release, p.pl, p.lastUpd = view, release, pl, fr.Update
+	p.lastRes, err = s.composeStanding(p, fr.Update)
 	return err
-}
-
-// refreshScanLocked runs the plan's single incremental pass against
-// (view, pl): the grouped discovery fold when the statement factored into
-// a grouped spec, the per-snippet fold otherwise. Carried state extends
-// when the binding holds (same generation, mode, batch size and — grouped
-// — spec fingerprint; ungrouped — snippet keys) and rebinds with one full
-// fold when it does not. On the grouped path pl is materialized from the
-// fold's discovered groups, so its snippet list and truncation flag match
-// what a one-shot execution of the same view would plan. Caller holds
-// standing.mu.
-func (s *System) refreshScanLocked(p *standingPlan, view *aqp.View, pl *queryPlan) (aqp.BatchUpdate, error) {
-	if pl.spec != nil {
-		g := p.gscan
-		var gr *aqp.GroupedResult
-		ok := false
-		if g != nil {
-			gr, ok = g.Refresh(view, pl.spec, s.nmax())
-		}
-		if !ok {
-			g = aqp.NewGroupedStandingScan()
-			if gr, ok = g.Refresh(view, pl.spec, s.nmax()); !ok { // unreachable: a first Refresh always binds
-				return aqp.BatchUpdate{}, fmt.Errorf("core: grouped standing scan failed to bind")
-			}
-		}
-		if err := pl.materialize(gr, s.nmax()); err != nil {
-			return aqp.BatchUpdate{}, err
-		}
-		p.gscan, p.scan = g, nil
-		return gr.Update, nil
-	}
-	scan := p.scan
-	if scan == nil || !sameSnippets(p.pl.snips, pl.snips) {
-		scan = aqp.NewStandingScan(pl.snips)
-	}
-	upd, ok := scan.Refresh(view)
-	if !ok {
-		scan = aqp.NewStandingScan(pl.snips)
-		upd, _ = scan.Refresh(view)
-	}
-	p.scan, p.gscan = scan, nil
-	return upd, nil
 }
 
 // composeStanding turns a plan's final BatchUpdate into a full Result —
@@ -529,16 +485,4 @@ func flattenCells(res *Result, alpha float64) []pushedCell {
 		}
 	}
 	return out
-}
-
-func sameSnippets(a, b []*query.Snippet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Key() != b[i].Key() {
-			return false
-		}
-	}
-	return true
 }

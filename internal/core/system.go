@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"time"
 
@@ -45,6 +46,10 @@ type System struct {
 	// deduplicated standing plans and their carried scans (see standing.go).
 	// Lock order is appendMu → standing.mu → engine/verdict internals.
 	standing standingState
+
+	// memo carries each repeated one-shot statement's fold from one
+	// execution to the next (see scanmemo.go).
+	memo scanMemo
 }
 
 // SystemStats counts processed queries by classification.
@@ -74,6 +79,18 @@ type SystemStats struct {
 	NotifyPushes    int // updates pushed to subscribers (threshold passed)
 	NotifyCoalesced int // pushes coalesced into a full subscriber queue
 	NotifyDebounced int // pushes suppressed by a subscriber's min push interval
+
+	// Scan-memo outcomes, one per recorded one-shot query (scanmemo.go):
+	// Reused scanned nothing (same snapshot as the statement's last
+	// execution), Extended folded only the rows appended since, Folded paid
+	// a full fold (first sight, a rebuild, moved bounds, or a view behind the
+	// carried prefix). ScanMemoRows is the sample rows those queries folded
+	// in total; ScanMemoEntries is the current entry count, not a counter.
+	ScanMemoReused   int
+	ScanMemoExtended int
+	ScanMemoFolded   int
+	ScanMemoRows     int
+	ScanMemoEntries  int
 }
 
 // NewSystem builds a System over an engine with the given configuration.
@@ -165,9 +182,12 @@ func (s *System) Engine() *aqp.Engine { return s.engine }
 // StatsSnapshot returns a consistent copy of the workload counters; the
 // serving layer's /stats endpoint reads it while queries are in flight.
 func (s *System) StatsSnapshot() SystemStats {
+	entries := s.memo.len()
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
-	return s.Stats
+	st := s.Stats
+	st.ScanMemoEntries = entries
+	return st
 }
 
 func (s *System) bumpStats(f func(*SystemStats)) {
@@ -383,6 +403,18 @@ func (pl *queryPlan) materialize(gr *aqp.GroupedResult, nmax int) error {
 	return nil
 }
 
+// scanCarried drives the plan's full-sample scan through a carried fold —
+// bit-identical to the reference one-shot scan of pl.view — and, for a
+// deferred grouped plan, materializes the decompositions from the groups the
+// fold discovered.
+func (pl *queryPlan) scanCarried(f *aqp.CarriedFold, nmax int) (aqp.FoldResult, error) {
+	fr := f.Run(pl.view, pl.snips, pl.spec, nmax)
+	if fr.Grouped == nil {
+		return fr, nil
+	}
+	return fr, pl.materialize(fr.Grouped, nmax)
+}
+
 // plan parses, checks and decomposes sql against the view, bumping the
 // workload counters when record is set. On success the returned Result is
 // the pre-filled header (provenance, support verdict); a nil plan with a
@@ -532,9 +564,21 @@ func (s *System) execute(view *aqp.View, sql string, budget time.Duration, recor
 		return res, err
 	}
 
+	grouped := pl.spec != nil
 	var upd aqp.BatchUpdate
 	switch {
-	case pl.spec != nil:
+	case budget > 0:
+		upd = view.TimeBound(pl.snips, budget)
+	case record:
+		// A recorded one-shot query extends the fold the statement's last
+		// execution left in the scan memo; replays below keep to the
+		// reference scans, so the audit never reads what it audits.
+		fr, err := s.scanMemoized(strings.TrimSpace(sql), pl)
+		if err != nil {
+			return nil, err
+		}
+		upd = fr.Update
+	case grouped:
 		// One-pass grouped execution: the scan discovered the groups and
 		// produced their estimates; materialize the matching decompositions
 		// so inference and recomposition proceed unchanged.
@@ -542,14 +586,12 @@ func (s *System) execute(view *aqp.View, sql string, budget time.Duration, recor
 		if err := pl.materialize(gr, s.nmax()); err != nil {
 			return nil, err
 		}
-		if record {
-			s.bumpStats(func(st *SystemStats) { st.Snippets += len(pl.snips) })
-		}
 		upd = gr.Update
-	case budget > 0:
-		upd = view.TimeBound(pl.snips, budget)
 	default:
 		upd = view.RunToCompletion(pl.snips)
+	}
+	if record && grouped {
+		s.bumpStats(func(st *SystemStats) { st.Snippets += len(pl.snips) })
 	}
 	res.SimTime = upd.SimTime
 	res.GroupsTruncated = pl.truncated

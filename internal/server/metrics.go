@@ -101,6 +101,25 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		"Incremental shared scans run for standing plans (one per unique plan per notify batch, not one per subscriber).",
 		func() float64 { return float64(s.sys.StatsSnapshot().NotifyScans) })
 
+	// Scan-memo outcomes: how the raw half of each recorded one-shot query
+	// was obtained. On repeated statements reused (or, under appends,
+	// extended) should dominate; a climbing folded means statements are
+	// unique, bounds keep moving, or the memo is thrashing at its cap.
+	reg.CounterFuncVec("verdict_scan_memo_total",
+		"Recorded one-shot queries by how the scan memo served their scan: reused (same snapshot, nothing scanned), extended (only appended rows folded), folded (full fold).",
+		[]string{"outcome"},
+		func() []obs.Sample {
+			st := s.sys.StatsSnapshot()
+			return []obs.Sample{
+				{Labels: []string{aqp.FoldReused.String()}, Value: float64(st.ScanMemoReused)},
+				{Labels: []string{aqp.FoldExtended.String()}, Value: float64(st.ScanMemoExtended)},
+				{Labels: []string{aqp.FoldFull.String()}, Value: float64(st.ScanMemoFolded)},
+			}
+		})
+	reg.GaugeFunc("verdict_scan_memo_entries",
+		"Statements currently holding a carried fold in the scan memo.",
+		func() float64 { return float64(s.sys.StatsSnapshot().ScanMemoEntries) })
+
 	// Per-partition sample gauges, read off the live sample's partition
 	// index at scrape time; the label set follows the layout (empty for a
 	// flat sample, resized by a /rebuild that changes the partition count).

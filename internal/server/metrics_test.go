@@ -171,6 +171,8 @@ func TestMetricsExposition(t *testing.T) {
 		"verdict_synopsis_refactorizations_total": "counter",
 		"verdict_synopsis_gram_rebuilds_total":    "counter",
 		"verdict_synopsis_noop_repeats_total":     "counter",
+		"verdict_scan_memo_total":                 "counter",
+		"verdict_scan_memo_entries":               "gauge",
 		"verdict_http_in_flight":                  "gauge",
 		"verdict_streams_active":                  "gauge",
 		"verdict_replay_horizon_age_generations":  "gauge",
@@ -255,7 +257,28 @@ func TestMetricsExposition(t *testing.T) {
 	if a, b := sumMatching(settled, "verdict_synopsis_noop_repeats_total"), sumMatching(repeated, "verdict_synopsis_noop_repeats_total"); b < a+3 {
 		t.Errorf("noop repeats %g -> %g after 3 repeated queries", a, b)
 	}
-	// /stats carries the same counters in its shard block.
+	// The scan memo saw the same repeats: each reused the fold the settling
+	// pass left behind, none folded the sample again, and the entry count
+	// did not move.
+	memo := func(v map[string]float64, outcome string) float64 {
+		return sumMatching(v, "verdict_scan_memo_total", fmt.Sprintf("outcome=%q", outcome))
+	}
+	if a, b := memo(settled, "reused"), memo(repeated, "reused"); b != a+3 {
+		t.Errorf("scan memo reused %g -> %g after 3 repeated queries", a, b)
+	}
+	for _, outcome := range []string{"folded", "extended"} {
+		if a, b := memo(settled, outcome), memo(repeated, outcome); a != b {
+			t.Errorf("scan memo %s moved %g -> %g under repeats on an unchanged sample", outcome, a, b)
+		}
+	}
+	if memo(repeated, "folded") == 0 {
+		t.Error("scan memo counted no full fold for the first sight of each statement")
+	}
+	if a, b := settled["verdict_scan_memo_entries"], repeated["verdict_scan_memo_entries"]; a != 2 || b != 2 {
+		t.Errorf("scan memo entries %g -> %g, want the 2 /query statements", a, b)
+	}
+	// /stats carries the same counters: the memo's in the system block, the
+	// synopsis ones in the shard block.
 	var st StatsResponse
 	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
@@ -273,6 +296,11 @@ func TestMetricsExposition(t *testing.T) {
 	if float64(noops) != sumMatching(repeated, "verdict_synopsis_noop_repeats_total") ||
 		float64(refacts) != sumMatching(repeated, "verdict_synopsis_refactorizations_total") {
 		t.Errorf("/stats shard counters (noops %d, refactorizations %d) disagree with /metrics", noops, refacts)
+	}
+	if float64(st.System.ScanMemoReused) != memo(repeated, "reused") ||
+		float64(st.System.ScanMemoFolded) != memo(repeated, "folded") || st.System.ScanMemoEntries != 2 {
+		t.Errorf("/stats scan memo (reused %d, folded %d, entries %d) disagrees with /metrics",
+			st.System.ScanMemoReused, st.System.ScanMemoFolded, st.System.ScanMemoEntries)
 	}
 }
 

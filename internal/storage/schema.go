@@ -60,6 +60,9 @@ type ColumnDef struct {
 type Schema struct {
 	cols  []ColumnDef
 	index map[string]int
+	// dims and measures are the column positions by role, computed once: a
+	// Schema is immutable after NewSchema, and the kernel asks per covariance.
+	dims, measures []int
 }
 
 // ErrUnknownColumn is returned when a name does not resolve.
@@ -85,6 +88,11 @@ func NewSchema(cols []ColumnDef) (*Schema, error) {
 			return nil, fmt.Errorf("storage: categorical measure %s not allowed", c.Name)
 		}
 		s.index[c.Name] = i
+		if c.Role == Dimension {
+			s.dims = append(s.dims, i)
+		} else {
+			s.measures = append(s.measures, i)
+		}
 	}
 	return s, nil
 }
@@ -121,23 +129,9 @@ func (s *Schema) Names() []string {
 }
 
 // DimensionCols returns positions of dimension attributes in schema order.
-func (s *Schema) DimensionCols() []int {
-	var out []int
-	for i, c := range s.cols {
-		if c.Role == Dimension {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+// The slice is shared by every caller: read-only.
+func (s *Schema) DimensionCols() []int { return s.dims }
 
-// MeasureCols returns positions of measure attributes in schema order.
-func (s *Schema) MeasureCols() []int {
-	var out []int
-	for i, c := range s.cols {
-		if c.Role == Measure {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+// MeasureCols returns positions of measure attributes in schema order. The
+// slice is shared by every caller: read-only.
+func (s *Schema) MeasureCols() []int { return s.measures }
