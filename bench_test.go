@@ -474,6 +474,11 @@ func BenchmarkRecordSharded(b *testing.B) {
 // and Lemma 3's append adjustment. kernel-calls/op is the number of
 // covariance integrals evaluated for synopsis maintenance (the probe's own
 // n per Infer are not counted): n for a new snippet, 0 for the rest.
+// refactorizations/op counts from-scratch O(n³) factorizations: an evict or
+// an improved repeat edits the factor in O(n²) instead, so at the cap it is
+// one per n records (the σ² refresh), and the append adjustment is the one
+// case still at 1. evict/cap=2000 runs at the default cap; its setup
+// records 2000 snippets and factorizes once.
 func BenchmarkSynopsisRecord(b *testing.B) {
 	tb := shardBenchTable(b, 2000, 1)
 	probe := shardBenchSnippet(tb, 0, 40, 45)
@@ -492,23 +497,26 @@ func BenchmarkSynopsisRecord(b *testing.B) {
 		v.Infer(probe, raw)
 		return v, held
 	}
-	kernelCalls := func(v *core.Verdict) (n int64) {
+	counters := func(v *core.Verdict) (kernelCalls, refactorizations int64) {
 		for _, c := range v.ShardCounters() {
-			n += c.GramKernelCalls
+			kernelCalls += c.GramKernelCalls
+			refactorizations += c.Refactorizations
 		}
-		return n
+		return kernelCalls, refactorizations
 	}
 	run := func(name string, cap, n int, op func(v *core.Verdict, held []*query.Snippet, rng *randx.Source, i int)) {
 		b.Run(name, func(b *testing.B) {
 			v, held := setup(cap, n)
 			rng := randx.New(12)
-			before := kernelCalls(v)
+			calls0, refacts0 := counters(v)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				op(v, held, rng, i)
 				v.Infer(probe, raw)
 			}
-			b.ReportMetric(float64(kernelCalls(v)-before)/float64(b.N), "kernel-calls/op")
+			calls, refacts := counters(v)
+			b.ReportMetric(float64(calls-calls0)/float64(b.N), "kernel-calls/op")
+			b.ReportMetric(float64(refacts-refacts0)/float64(b.N), "refactorizations/op")
 		})
 	}
 	evict := func(v *core.Verdict, _ []*query.Snippet, rng *randx.Source, _ int) {
@@ -517,6 +525,7 @@ func BenchmarkSynopsisRecord(b *testing.B) {
 	}
 	run("evict/cap=128", 128, 128, evict)
 	run("evict/cap=512", 512, 512, evict)
+	run("evict/cap=2000", 2000, 2000, evict)
 	run("repeat-unchanged/n=48", 0, 48, func(v *core.Verdict, held []*query.Snippet, rng *randx.Source, i int) {
 		v.Record(held[i%len(held)], query.ScalarEstimate{Value: rng.Normal(0, 1), StdErr: 0.5})
 	})

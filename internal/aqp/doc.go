@@ -37,9 +37,10 @@
 //     generation pinned by a live stream (PinGen/AcquirePinned
 //     refcounts); behind-horizon access fails with ErrGenEvicted.
 //
-// Determinism: scans fan out across workers but merge per-worker
-// accumulators in fixed order, so a replay of the same view is
-// float-identical to the original run. Standing scans — StandingScan for
+// Determinism: scans fan out across workers — a fold schedules the work
+// units of every batch it covers together (View.fold) — but merge per-unit
+// accumulators in fixed (batch, span, unit) order, so a replay of the same
+// view is float-identical to the original run. Standing scans — StandingScan for
 // flat snippet lists, GroupedStandingScan for GROUP BY discovery folds —
 // carry accumulator state across appends and extend it by folding only
 // newly landed batches, reproducing the one-shot merge tree bit for bit;

@@ -62,16 +62,72 @@ func (v *View) sampleSpans(g0, g1 int) []scanSpan {
 	return spans
 }
 
-// scan feeds the global sample range [start, end) into the accumulators:
-// one direct sequential fold per span, in span order, using the view's scan
-// mode. This is the batch-family fold shape (RunToCompletion, standing
-// scans): spans extend the carried accumulators in place, exactly like the
-// single-table per-batch scan did, so the K=1 merge tree is the degenerate
-// one-span case of the same sequence.
-func (v *View) scan(accs []*accumulator, start, end int) {
-	for _, sp := range v.sampleSpans(start, end) {
-		v.scanTable(sp.tbl, accs, sp.lo, sp.hi)
+// batchSpans appends the spans of the sample batches that cover the global
+// range [from, to) — batch by batch, each batch's spans in stratum order —
+// cutting batches at from + k·batch. That is the sequence of scan ranges a
+// batch-by-batch fold visits: RunToCompletion's for from = 0, a standing
+// scan's newly completed batches for from = its folded prefix.
+func (v *View) batchSpans(spans []scanSpan, from, to, batch int) []scanSpan {
+	for start := from; start < to; start += batch {
+		spans = append(spans, v.sampleSpans(start, min(start+batch, to))...)
 	}
+	return spans
+}
+
+// spanUnits cuts every span into its work units, in span order, and reports
+// how many units the first split spans produced.
+func spanUnits(spans []scanSpan, split int) (units []unit, cut int) {
+	for i, sp := range spans {
+		if i == split {
+			cut = len(units)
+		}
+		units = appendUnits(units, sp.tbl, sp.lo, sp.hi)
+	}
+	if split >= len(spans) {
+		cut = len(units)
+	}
+	return units, cut
+}
+
+// fold feeds spans into accs in order — bit-identical to one scanTable call
+// per span — except that the spans from split on fold into a clone of accs
+// taken after the others; it returns the accumulators that saw every span
+// (the clone, or accs when split ≥ len(spans)). Standing scans pass their
+// partial tail batch that way.
+//
+// A batch of a few thousand rows is a single work unit, so folding batch by
+// batch would run on one core. The vectorized modes instead compute the
+// units of every span at once across the workers, then merge them span by
+// span, unit by unit: the merge sequence, hence every bit of the result, is
+// the batch-by-batch one. Row-at-a-time has no units and folds in place.
+func (v *View) fold(accs []*accumulator, spans []scanSpan, split int) []*accumulator {
+	if v.mode == ScanRowAtATime {
+		out := accs
+		for i, sp := range spans {
+			if i == split {
+				out = cloneAccs(accs)
+			}
+			scanRows(sp.tbl, out, sp.lo, sp.hi)
+		}
+		return out
+	}
+	var gs *groupedScan
+	if v.mode == ScanVectorized {
+		gs = factorAccs(accs)
+	}
+	units, cut := spanUnits(spans, split)
+	parts := scanUnits(metaOf(accs), gs, units, 0)
+	for _, p := range parts[:cut] {
+		merge(accs, p)
+	}
+	if split >= len(spans) {
+		return accs
+	}
+	out := cloneAccs(accs)
+	for _, p := range parts[cut:] {
+		merge(out, p)
+	}
+	return out
 }
 
 // scanPrefix feeds the sample prefix [0, rows) into the accumulators with

@@ -169,7 +169,7 @@ func (p *ProgressiveScan) stepBank(b *stratumScan, target int) []*accumulator {
 	fullUnits := target / unitRows
 	doneUnits := b.folded / unitRows
 	if fullUnits > doneUnits {
-		for _, part := range scanUnits(b.tbl, p.metas, p.gs, doneUnits, fullUnits, 0, target, p.workers) {
+		for _, part := range scanUnits(p.metas, p.gs, appendUnits(nil, b.tbl, 0, target)[doneUnits:fullUnits], p.workers) {
 			merge(b.accs, part)
 		}
 		b.folded = fullUnits * unitRows
@@ -180,7 +180,7 @@ func (p *ProgressiveScan) stepBank(b *stratumScan, target int) []*accumulator {
 	var sc blockScanner
 	blo := b.folded / storage.BlockSize
 	bhi := (target-1)/storage.BlockSize + 1
-	tail := sc.scanUnit(b.tbl, p.metas, p.gs, blo, bhi, 0, target)
+	tail := sc.scanUnit(p.metas, p.gs, unit{tbl: b.tbl, b0: blo, b1: bhi, start: 0, end: target})
 	cur := cloneAccs(b.accs)
 	merge(cur, tail)
 	return cur
@@ -224,7 +224,7 @@ func (v *View) ProgressiveFrom(snips []*query.Snippet, rows, seq, workers int) *
 					scanRows(b.tbl, b.accs, 0, target)
 					b.folded = target
 				} else if fullUnits := target / unitRows; fullUnits > 0 {
-					for _, part := range scanUnits(b.tbl, ps.metas, ps.gs, 0, fullUnits, 0, target, ps.workers) {
+					for _, part := range scanUnits(ps.metas, ps.gs, appendUnits(nil, b.tbl, 0, target)[:fullUnits], ps.workers) {
 						merge(b.accs, part)
 					}
 					b.folded = fullUnits * unitRows
@@ -242,7 +242,7 @@ func (v *View) ProgressiveFrom(snips []*query.Snippet, rows, seq, workers int) *
 				// unit-aligned and the (at most one-unit) cursor tail is
 				// re-covered by the next Step, exactly as an uninterrupted
 				// scan's carry state would have it.
-				for _, part := range scanUnits(data, ps.metas, ps.gs, 0, fullUnits, 0, rows, ps.workers) {
+				for _, part := range scanUnits(ps.metas, ps.gs, appendUnits(nil, data, 0, rows)[:fullUnits], ps.workers) {
 					merge(ps.accs, part)
 				}
 				ps.folded = fullUnits * unitRows
@@ -308,7 +308,7 @@ func (p *ProgressiveScan) Step(rows int) Increment {
 		fullUnits := rows / unitRows
 		doneUnits := p.folded / unitRows
 		if fullUnits > doneUnits {
-			for _, part := range scanUnits(data, p.metas, p.gs, doneUnits, fullUnits, 0, rows, p.workers) {
+			for _, part := range scanUnits(p.metas, p.gs, appendUnits(nil, data, 0, rows)[doneUnits:fullUnits], p.workers) {
 				merge(p.accs, part)
 			}
 			p.folded = fullUnits * unitRows
@@ -320,7 +320,7 @@ func (p *ProgressiveScan) Step(rows int) Increment {
 			var sc blockScanner
 			blo := p.folded / storage.BlockSize
 			bhi := (rows-1)/storage.BlockSize + 1
-			tail := sc.scanUnit(data, p.metas, p.gs, blo, bhi, 0, rows)
+			tail := sc.scanUnit(p.metas, p.gs, unit{tbl: data, b0: blo, b1: bhi, start: 0, end: rows})
 			emit = cloneAccs(p.accs)
 			merge(emit, tail)
 		}

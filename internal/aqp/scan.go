@@ -92,65 +92,69 @@ func scanVectorized(data *storage.Table, accs []*accumulator, start, end int, gr
 	if end <= start || len(accs) == 0 {
 		return
 	}
-	metas := metaOf(accs)
 	var gs *groupedScan
 	if grouped {
 		gs = factorAccs(accs)
 	}
-	b0 := start / storage.BlockSize
-	b1 := (end - 1) / storage.BlockSize // inclusive
-	nblocks := b1 - b0 + 1
-	units := (nblocks + unitBlocks - 1) / unitBlocks
-	parts := scanUnits(data, metas, gs, 0, units, start, end, 0)
 	// Merge per-unit partials in unit order: the merge tree depends only on
 	// the scanned range, not on scheduling or core count.
-	for _, p := range parts {
+	for _, p := range scanUnits(metaOf(accs), gs, appendUnits(nil, data, start, end), 0) {
 		merge(accs, p)
 	}
 }
 
-// scanUnits computes the per-unit partials for work units [u0, u1) of the
-// scan of rows [start, end), fanning out across at most maxWorkers workers
-// (0 = GOMAXPROCS). Unit u covers blocks [b0+u·unitBlocks, b0+(u+1)·unitBlocks)
-// with b0 = start/BlockSize — a fixed partition of the scanned range, so the
-// returned partials are independent of the worker count and of scheduling.
-// ProgressiveScan resumes a scan by asking for later unit ranges of the same
-// (start, end-extended) partition. A non-nil gs routes each unit through the
-// grouped accumulator-bank kernel, whose expanded partials are bit-identical
-// to the per-snippet ones.
-func scanUnits(data *storage.Table, metas []snipMeta, gs *groupedScan, u0, u1, start, end, maxWorkers int) [][]partial {
-	if u1 <= u0 {
-		return nil
+// unit is one work unit of a scan: blocks [b0, b1) of tbl, clipped to the
+// rows [start, end) of the range the unit was cut from.
+type unit struct {
+	tbl                *storage.Table
+	b0, b1, start, end int
+}
+
+// appendUnits appends the unit partition of rows [start, end) of tbl: unit
+// u covers blocks [b0+u·unitBlocks, b0+(u+1)·unitBlocks) with
+// b0 = start/BlockSize, the last one clipped to the range. The partition is
+// a function of the range alone — never of the worker count — so the
+// partials and their merge tree are the same on any machine. ProgressiveScan
+// resumes a scan by folding later units of the same (start, end-extended)
+// partition.
+func appendUnits(units []unit, tbl *storage.Table, start, end int) []unit {
+	if end <= start {
+		return units
 	}
 	b0 := start / storage.BlockSize
-	b1 := (end - 1) / storage.BlockSize // inclusive
-	parts := make([][]partial, u1-u0)
-	unitRange := func(u int) (int, int) {
-		blo := b0 + u*unitBlocks
-		bhi := blo + unitBlocks
-		if bhi > b1+1 {
-			bhi = b1 + 1
-		}
-		return blo, bhi
+	b1 := (end-1)/storage.BlockSize + 1
+	for blo := b0; blo < b1; blo += unitBlocks {
+		units = append(units, unit{tbl: tbl, b0: blo, b1: min(blo+unitBlocks, b1), start: start, end: end})
 	}
-	units := u1 - u0
+	return units
+}
+
+// rows is the number of rows the unit covers.
+func (u unit) rows() int {
+	return min(u.b1*storage.BlockSize, u.end) - max(u.b0*storage.BlockSize, u.start)
+}
+
+// runUnits calls fn for every unit, fanning the units out across at most
+// maxWorkers workers (0 = GOMAXPROCS), and at most one worker per
+// minRowsPerWorker rows. Workers steal the next unit from a shared counter
+// and each owns one blockScanner; fn stores its result at the unit's index,
+// so what a caller merges afterwards is independent of the schedule.
+func runUnits(units []unit, maxWorkers int, fn func(sc *blockScanner, i int, u unit)) {
+	rows := 0
+	for _, u := range units {
+		rows += u.rows()
+	}
 	workers := maxWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > units {
-		workers = units
-	}
-	if maxW := (end - start + minRowsPerWorker - 1) / minRowsPerWorker; workers > maxW {
-		workers = maxW
-	}
+	workers = min(workers, len(units), (rows+minRowsPerWorker-1)/minRowsPerWorker)
 	if workers <= 1 {
 		var sc blockScanner
-		for u := u0; u < u1; u++ {
-			blo, bhi := unitRange(u)
-			parts[u-u0] = sc.scanUnit(data, metas, gs, blo, bhi, start, end)
+		for i, u := range units {
+			fn(&sc, i, u)
 		}
-		return parts
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -160,26 +164,35 @@ func scanUnits(data *storage.Table, metas []snipMeta, gs *groupedScan, u0, u1, s
 			defer wg.Done()
 			var sc blockScanner
 			for {
-				u := u0 + int(next.Add(1)) - 1
-				if u >= u1 {
+				i := int(next.Add(1)) - 1
+				if i >= len(units) {
 					return
 				}
-				blo, bhi := unitRange(u)
-				parts[u-u0] = sc.scanUnit(data, metas, gs, blo, bhi, start, end)
+				fn(&sc, i, units[i])
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// scanUnits computes the per-snippet partials of every unit, in unit order.
+// A non-nil gs routes each unit through the grouped accumulator-bank kernel,
+// whose expanded partials are bit-identical to the per-snippet ones.
+func scanUnits(metas []snipMeta, gs *groupedScan, units []unit, maxWorkers int) [][]partial {
+	parts := make([][]partial, len(units))
+	runUnits(units, maxWorkers, func(sc *blockScanner, i int, u unit) {
+		parts[i] = sc.scanUnit(metas, gs, u)
+	})
 	return parts
 }
 
 // scanUnit dispatches one work unit to the grouped bank kernel or the
 // per-snippet reference kernel.
-func (s *blockScanner) scanUnit(data *storage.Table, metas []snipMeta, gs *groupedScan, b0, b1, start, end int) []partial {
+func (s *blockScanner) scanUnit(metas []snipMeta, gs *groupedScan, u unit) []partial {
 	if gs != nil {
-		return s.scanRangeGrouped(data, gs, b0, b1, start, end)
+		return s.scanRangeGrouped(u.tbl, gs, u.b0, u.b1, u.start, u.end)
 	}
-	return s.scanRange(data, metas, b0, b1, start, end)
+	return s.scanRange(u.tbl, metas, u.b0, u.b1, u.start, u.end)
 }
 
 func merge(accs []*accumulator, parts []partial) {

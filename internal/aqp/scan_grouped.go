@@ -1,11 +1,8 @@
 package aqp
 
 import (
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/mathx"
@@ -24,7 +21,7 @@ import (
 // share the kernel:
 //
 //   - the static driver (scanRangeGrouped) serves an already-decomposed
-//     snippet list through the unchanged scanUnits/merge pipeline: each work
+//     snippet list through the same scanUnits/merge pipeline: each work
 //     unit expands its banks back into the per-snippet []partial layout, so
 //     unit ordering, progressive resumption and inference are untouched;
 //   - the discovery driver (scanRangeDiscover / GroupedRunToCompletion)
@@ -164,8 +161,11 @@ type groupedScratch struct {
 }
 
 // ensureGrouped lazily builds the worker's scratch for gs against data. A
-// blockScanner serves exactly one scan call, so the layout never changes
-// between units.
+// blockScanner serves one fold, whose units may come from several tables —
+// the strata and the tail of a partitioned sample. They share dictionaries,
+// so the bank layout holds across them; only the code columns are re-read
+// per unit, and the discovery code map grows if a later table's dictionary
+// has gained codes since the first.
 func (s *blockScanner) ensureGrouped(gs *groupedScan, data *storage.Table) *groupedScratch {
 	sc := s.g
 	if sc == nil {
@@ -191,6 +191,11 @@ func (s *blockScanner) ensureGrouped(gs *groupedScan, data *storage.Table) *grou
 			for k := range sc.avg {
 				sc.avg[k] = make([]mathx.Moments, n)
 			}
+		}
+	}
+	if sc.dense != nil {
+		for size := data.DictOf(gs.groupCols[0]).Size(); len(sc.dense) < size; {
+			sc.dense = append(sc.dense, -1)
 		}
 	}
 	sc.cols = sc.cols[:0]
@@ -480,8 +485,8 @@ type groupedUnit struct {
 
 // scanRangeDiscover runs the discovery kernel over one work unit, copying the
 // touched banks out before the scratch resets.
-func (s *blockScanner) scanRangeDiscover(data *storage.Table, gs *groupedScan, b0, b1, start, end int) groupedUnit {
-	scanned := s.runGroupedUnit(data, gs, b0, b1, start, end)
+func (s *blockScanner) scanRangeDiscover(gs *groupedScan, un unit) groupedUnit {
+	scanned := s.runGroupedUnit(un.tbl, gs, un.b0, un.b1, un.start, un.end)
 	sc := s.g
 	u := groupedUnit{scanned: scanned, groups: make([]groupedPartial, len(sc.active))}
 	for i, slot := range sc.active {
@@ -499,62 +504,13 @@ func (s *blockScanner) scanRangeDiscover(data *storage.Table, gs *groupedScan, b
 	return u
 }
 
-// discoverUnits fans the discovery kernel out over work units [u0, u1) of the
-// scan of rows [start, end) — the same fixed unit partition, work-stealing
-// schedule and worker bounds as scanUnits, so per-unit results are
-// independent of the worker count.
-func discoverUnits(data *storage.Table, gs *groupedScan, u0, u1, start, end, maxWorkers int) []groupedUnit {
-	if u1 <= u0 {
-		return nil
-	}
-	b0 := start / storage.BlockSize
-	b1 := (end - 1) / storage.BlockSize // inclusive
-	parts := make([]groupedUnit, u1-u0)
-	unitRange := func(u int) (int, int) {
-		blo := b0 + u*unitBlocks
-		bhi := blo + unitBlocks
-		if bhi > b1+1 {
-			bhi = b1 + 1
-		}
-		return blo, bhi
-	}
-	units := u1 - u0
-	workers := maxWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > units {
-		workers = units
-	}
-	if maxW := (end - start + minRowsPerWorker - 1) / minRowsPerWorker; workers > maxW {
-		workers = maxW
-	}
-	if workers <= 1 {
-		var sc blockScanner
-		for u := u0; u < u1; u++ {
-			blo, bhi := unitRange(u)
-			parts[u-u0] = sc.scanRangeDiscover(data, gs, blo, bhi, start, end)
-		}
-		return parts
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sc blockScanner
-			for {
-				u := u0 + int(next.Add(1)) - 1
-				if u >= u1 {
-					return
-				}
-				blo, bhi := unitRange(u)
-				parts[u-u0] = sc.scanRangeDiscover(data, gs, blo, bhi, start, end)
-			}
-		}()
-	}
-	wg.Wait()
+// discoverUnits runs the discovery kernel over every unit, fanned out like
+// scanUnits; results come back in unit order.
+func discoverUnits(gs *groupedScan, units []unit) []groupedUnit {
+	parts := make([]groupedUnit, len(units))
+	runUnits(units, 0, func(sc *blockScanner, i int, u unit) {
+		parts[i] = sc.scanRangeDiscover(gs, u)
+	})
 	return parts
 }
 
@@ -583,21 +539,13 @@ type GroupedResult struct {
 	Update BatchUpdate
 }
 
-// GroupedRunToCompletion executes a grouped query in one pass over the
-// sample: the discovery kernel aggregates and discovers groups block by
-// block, and per-unit bank results fold into master accumulators in unit
-// order — the same deterministic merge tree as the per-snippet scan, so the
-// estimates are bit-identical to decomposing after a GroupRows pass. The
-// scan walks the sample batch by batch exactly like RunToCompletion, so
-// unit boundaries (and hence the float merge shape) match the legacy
-// execution's final batch state.
 // groupedFold is the carried cross-unit master state of a discovery scan:
 // the per-group master accumulators, the code-key lookup, and the running
 // unit/row counters the first-sight and absent-group backfills depend on.
 // GroupedRunToCompletion drives a fresh fold over every batch; a
 // GroupedStandingScan carries one across appends and folds only new
-// batches. Both produce bit-identical results because foldRange executes
-// the exact statement sequence of the original single-shot loop.
+// batches. Both produce bit-identical results because both merge the same
+// unit results in the same (batch, span, unit) order.
 type groupedFold struct {
 	masters []*groupMaster
 	lookup  map[uint64]int
@@ -609,16 +557,13 @@ func newGroupedFold() *groupedFold {
 	return &groupedFold{lookup: make(map[uint64]int)}
 }
 
-// foldRange folds one batch's scan range [start, end) into the masters:
-// discovery units in unit order, first-sight AddZeros backfill for newly
-// discovered groups, absent-group AddZeros backfill per finished unit —
-// the deterministic merge tree shared with the per-snippet scan.
-func (f *groupedFold) foldRange(data *storage.Table, gs *groupedScan, start, end int) {
-	b0 := start / storage.BlockSize
-	b1 := (end - 1) / storage.BlockSize
-	nblocks := b1 - b0 + 1
-	units := (nblocks + unitBlocks - 1) / unitBlocks
-	parts := discoverUnits(data, gs, 0, units, start, end, 0)
+// merge folds discovery-kernel unit results into the masters in the order
+// given: first-sight AddZeros backfill for newly discovered groups,
+// absent-group AddZeros backfill per finished unit — the deterministic
+// merge tree shared with the per-snippet scan. Nothing here depends on
+// which scan range a unit was cut from, so the units of many ranges may be
+// computed together and merged in one call.
+func (f *groupedFold) merge(gs *groupedScan, parts []groupedUnit) {
 	for _, u := range parts {
 		f.unitNo++
 		for gi := range u.groups {
@@ -759,9 +704,9 @@ func (f *groupedFold) result(v *View, gs *groupedScan, spec *query.GroupedSpec, 
 // block, and per-unit bank results fold into master accumulators in unit
 // order — the same deterministic merge tree as the per-snippet scan, so the
 // estimates are bit-identical to decomposing after a GroupRows pass. The
-// scan walks the sample batch by batch exactly like RunToCompletion, so
-// unit boundaries (and hence the float merge shape) match the legacy
-// execution's final batch state.
+// scan cuts the sample batch by batch exactly like RunToCompletion, so unit
+// boundaries (and hence the float merge shape) match the legacy execution's
+// final batch state.
 func (v *View) GroupedRunToCompletion(spec *query.GroupedSpec, nmax int) *GroupedResult {
 	if v.stages != nil {
 		defer v.observeScan(obs.ModeOneShot, true, time.Now())
@@ -776,16 +721,7 @@ func (v *View) groupedFoldAll(spec *query.GroupedSpec, nmax int) *GroupedResult 
 	}
 	gs := newDiscoverScan(spec)
 	f := newGroupedFold()
-	lastBatch := 0
-	for b := 0; b < v.Sample.Batches(); b++ {
-		lastBatch = b
-		start, end := v.Sample.BatchBounds(b)
-		if end <= start {
-			continue
-		}
-		for _, sp := range v.sampleSpans(start, end) {
-			f.foldRange(sp.tbl, gs, sp.lo, sp.hi)
-		}
-	}
-	return f.result(v, gs, spec, nmax, lastBatch)
+	units, _ := spanUnits(v.batchSpans(nil, 0, v.SampleRows, v.Sample.BatchSize), 0)
+	f.merge(gs, discoverUnits(gs, units))
+	return f.result(v, gs, spec, nmax, max(v.Sample.Batches()-1, 0))
 }

@@ -9,8 +9,8 @@ import "repro/internal/query"
 // their auditability on.
 //
 // The identity is a merge-tree argument, like ProgressiveScan's but at
-// batch granularity. RunToCompletion folds the sample batch by batch: one
-// v.scan call per BatchBounds range, in batch order (view.OnlineAggregate).
+// batch granularity. RunToCompletion folds the sample batch by batch: the
+// spans of each BatchBounds range, in batch order (View.fold).
 // Each such call is itself deterministic — the vectorized scan partitions
 // the range into work units anchored at its own start block and merges
 // per-unit partials in unit order, independent of worker count — so the
@@ -80,34 +80,16 @@ func (s *StandingScan) Refresh(v *View) (upd BatchUpdate, ok bool) {
 		a.baseRows = v.Sample.BaseRows
 	}
 
+	// The newly completed batches fold into the carried accumulators. The
+	// trailing partial batch folds into a clone: its bounds will grow with
+	// the next append, and the vectorized fold of the grown range is not
+	// the fold of the old range plus the delta.
 	n := v.SampleRows
 	complete := n - n%s.batch
-	for start := s.folded; start < complete; start += s.batch {
-		end := start + s.batch
-		v.scan(s.accs, start, end)
-	}
+	spans := v.batchSpans(nil, s.folded, complete, s.batch)
+	emit := v.fold(s.accs, v.batchSpans(spans, complete, n, s.batch), len(spans))
 	s.folded = complete
-
-	emit := s.accs
-	if n > complete {
-		// The trailing partial batch folds into a clone: its bounds will
-		// grow with the next append, and the vectorized fold of the grown
-		// range is not the fold of the old range plus the delta.
-		emit = cloneAccs(s.accs)
-		v.scan(emit, complete, n)
-	}
-
-	upd = BatchUpdate{
-		Estimates:   make([]query.ScalarEstimate, len(emit)),
-		Valid:       make([]bool, len(emit)),
-		RowsScanned: n,
-		SimTime:     v.cost.QueryTime(n),
-		Batch:       v.Sample.Batches() - 1,
-	}
-	for i, a := range emit {
-		upd.Estimates[i], upd.Valid[i] = a.estimate()
-	}
-	return upd, true
+	return v.finalUpdate(emit), true
 }
 
 // extends reports whether v can extend the carried fold: same sample

@@ -106,13 +106,15 @@ func (s *GroupedStandingScan) Refresh(v *View, spec *query.GroupedSpec, nmax int
 		s.gs = newDiscoverScan(spec)
 	}
 
+	// The newly completed batches and the partial tail are cut into units
+	// and scanned together (see View.fold); the completed ones merge into
+	// the carried masters, in order.
 	n := v.SampleRows
 	complete := n - n%s.batch
-	for start := s.folded; start < complete; start += s.batch {
-		for _, sp := range v.sampleSpans(start, start+s.batch) {
-			s.fold.foldRange(sp.tbl, s.gs, sp.lo, sp.hi)
-		}
-	}
+	spans := v.batchSpans(nil, s.folded, complete, s.batch)
+	units, cut := spanUnits(v.batchSpans(spans, complete, n, s.batch), len(spans))
+	parts := discoverUnits(s.gs, units)
+	s.fold.merge(s.gs, parts[:cut])
 	s.folded = complete
 
 	emit := s.fold
@@ -121,9 +123,7 @@ func (s *GroupedStandingScan) Refresh(v *View, spec *query.GroupedSpec, nmax int
 		// with the next append, and the vectorized fold of the grown range
 		// is not the fold of the old range plus the delta.
 		emit = s.fold.clone()
-		for _, sp := range v.sampleSpans(complete, n) {
-			emit.foldRange(sp.tbl, s.gs, sp.lo, sp.hi)
-		}
+		emit.merge(s.gs, parts[cut:])
 	}
 
 	lastBatch := v.Sample.Batches() - 1

@@ -89,7 +89,8 @@ func (v *View) OnlineAggregate(snips []*query.Snippet, yield func(BatchUpdate) b
 	}
 	for b := 0; b < v.Sample.Batches(); b++ {
 		start, end := v.Sample.BatchBounds(b)
-		v.scan(accs, start, end)
+		spans := v.sampleSpans(start, end)
+		v.fold(accs, spans, len(spans))
 		upd := BatchUpdate{
 			Estimates:   make([]query.ScalarEstimate, len(accs)),
 			Valid:       make([]bool, len(accs)),
@@ -114,14 +115,34 @@ func (v *View) RunToCompletion(snips []*query.Snippet) BatchUpdate {
 	return v.foldAll(snips)
 }
 
-// foldAll is RunToCompletion without the stage observation.
+// foldAll is RunToCompletion without the stage observation: the final
+// update OnlineAggregate would yield, folded across every batch at once.
 func (v *View) foldAll(snips []*query.Snippet) BatchUpdate {
-	var last BatchUpdate
-	v.OnlineAggregate(snips, func(u BatchUpdate) bool {
-		last = u
-		return true
-	})
-	return last
+	if v.Sample.Batches() == 0 {
+		return BatchUpdate{}
+	}
+	accs := make([]*accumulator, len(snips))
+	for i, sn := range snips {
+		accs[i] = &accumulator{sn: sn, baseRows: v.Sample.BaseRows}
+	}
+	spans := v.batchSpans(nil, 0, v.SampleRows, v.Sample.BatchSize)
+	return v.finalUpdate(v.fold(accs, spans, len(spans)))
+}
+
+// finalUpdate estimates accumulators that have folded the whole sample.
+func (v *View) finalUpdate(accs []*accumulator) BatchUpdate {
+	n := v.SampleRows
+	upd := BatchUpdate{
+		Estimates:   make([]query.ScalarEstimate, len(accs)),
+		Valid:       make([]bool, len(accs)),
+		RowsScanned: n,
+		SimTime:     v.cost.QueryTime(n),
+		Batch:       v.Sample.Batches() - 1,
+	}
+	for i, a := range accs {
+		upd.Estimates[i], upd.Valid[i] = a.estimate()
+	}
+	return upd
 }
 
 // TimeBound evaluates the snippets within a simulated time budget,

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -92,12 +93,25 @@ func TestConcurrentSessionsWithStreamingAppends(t *testing.T) {
 	const queriesPerSession = 12
 	results := make([][]served, sessions)
 
+	// Interleaving is a precondition, not a race the appender usually wins:
+	// the appender lands its first batch only after some query has been
+	// served on the boot epoch, and session query k waits until k batches
+	// have landed, so every query k ≥ 1 is served on a later epoch.
 	var sessionsWG, appenderWG sync.WaitGroup
 	stop := make(chan struct{})
+	appenderDone := make(chan struct{})
+	firstServed := make(chan struct{})
+	var firstOnce sync.Once
 	appendErr := make(chan error, 1)
 	appenderWG.Add(1)
 	go func() { // streaming appender
 		defer appenderWG.Done()
+		defer close(appenderDone)
+		select {
+		case <-firstServed:
+		case <-stop:
+			return
+		}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -119,6 +133,15 @@ func TestConcurrentSessionsWithStreamingAppends(t *testing.T) {
 		go func(s int) {
 			defer sessionsWG.Done()
 			for k := 0; k < queriesPerSession; k++ {
+				for sys.StatsSnapshot().Appends < k {
+					select {
+					case <-appenderDone:
+						queryErr <- fmt.Errorf("session %d: appender stopped before batch %d", s, k)
+						return
+					default:
+						runtime.Gosched()
+					}
+				}
 				sql := concurrentQueries[(s+k)%len(concurrentQueries)]
 				res, err := sys.Execute(sql)
 				if err != nil {
@@ -126,6 +149,7 @@ func TestConcurrentSessionsWithStreamingAppends(t *testing.T) {
 					return
 				}
 				results[s] = append(results[s], served{sql: sql, res: res})
+				firstOnce.Do(func() { close(firstServed) })
 			}
 		}(s)
 	}

@@ -34,7 +34,8 @@
 //     are never held together, and neither is held with any lock above.
 //
 // What is immutable after publish: a model's published inferState (entries
-// slice, cloned parameters, Cholesky factor, prior mean) is frozen — every
+// slice, cloned parameters, Cholesky factor and its row order, the cached
+// residual solve, prior mean) is frozen — every
 // mutator that changes what inference reads copies entries before any
 // in-place edit (copy-on-write), invalidates the snapshot, and the next
 // publish rebuilds it. A repeated snippet whose error did not improve
@@ -62,8 +63,10 @@
 // integrals are evaluated only for a genuinely new snippet (n of them), or
 // in full after the signature moves. Entries sit in stable slots; LRU
 // recency is a per-slot stamp, and at the quota a new snippet replaces the
-// least recently used slot in place. See model.record and ARCHITECTURE.md
-// "Synopsis maintenance" for the cost of each case. Results are invariant under NumShards: models are
+// least recently used slot in place. The Cholesky factor of Σ_n is edited in
+// O(n²) per record (its rows in a factor order of their own) and rebuilt
+// from scratch, re-estimating σ², once per builtAt edits. See model.record
+// and ARCHITECTURE.md "Synopsis maintenance" for the cost of each case. Results are invariant under NumShards: models are
 // independent and Train assigns seeds in global creation order before
 // fanning out per-shard.
 package core

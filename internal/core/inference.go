@@ -37,7 +37,10 @@ type Improved struct {
 //	θ̈  = (β²·θ' + γ²·θ_raw) / (β² + γ²)
 //	β̈² = β²·γ² / (β² + γ²)
 //
-// followed by Appendix B's model validation. Both steps cost O(n²).
+// followed by Appendix B's model validation. With Σ_n = L·Lᵀ and the
+// snapshot's r = L⁻¹(θ_n − μ_n), one forward substitution z = L⁻¹k gives
+// kᵀΣ_n⁻¹k = z·z and kᵀΣ_n⁻¹(θ_n − μ_n) = z·r: O(n²) per snippet. k is
+// assembled in the factor's row order, which need not be slot order.
 //
 // It reads only the immutable published inferState, so any number of
 // sessions can infer concurrently while the single writer records into the
@@ -63,41 +66,36 @@ func inferOnMemo(st *inferState, sn *query.Snippet, raw query.ScalarEstimate, cf
 	if st == nil || len(st.entries) == 0 {
 		return out // empty synopsis: Theorem 1's equality case
 	}
-	if st.chol == nil || st.chol.Size() != len(st.entries) {
+	if st.chol == nil {
 		return out // factorization unavailable (degenerate Σ): raw passthrough
 	}
 
-	n := len(st.entries)
-	k := make([]float64, n)
-	resid := make([]float64, n)
-	mu := st.mu
+	z := make([]float64, len(st.order))
 	var pairs []kernel.PairMemo
 	var self *kernel.PairMemo
 	if mem != nil {
-		pairs, self = mem.pairsFor(n), &mem.self
+		pairs, self = mem.pairsFor(len(st.entries)), &mem.self
 	}
-	for i := range st.entries {
-		e := &st.entries[i]
+	for row, slot := range st.order {
+		e := &st.entries[slot]
 		if pairs != nil {
-			k[i] = kernel.CovarianceMemo(e.sn, sn, st.params, &pairs[i])
+			z[row] = kernel.CovarianceMemo(e.sn, sn, st.params, &pairs[slot])
 		} else {
-			k[i] = kernel.Covariance(e.sn, sn, st.params)
+			z[row] = kernel.Covariance(e.sn, sn, st.params)
 		}
-		resid[i] = e.theta - kernel.PriorMean(e.sn, mu)
 	}
 	// Prior variance of θ̄_{n+1}: kernel self-covariance plus the
 	// finite-population nugget the engine reported for this snippet.
 	kappa2 := kernel.CovarianceMemo(sn, sn, st.params, self) + raw.PopErr*raw.PopErr
 
-	w, err := st.chol.Solve(k)
-	if err != nil {
+	if err := st.chol.ForwardInPlace(z); err != nil {
 		return out
 	}
-	gamma2 := kappa2 - linalg.Dot(k, w)
+	gamma2 := kappa2 - linalg.Dot(z, z)
 	if gamma2 < 0 {
 		gamma2 = 0 // numerical floor; Σ_n ⪰ exact-answer covariance
 	}
-	prior := kernel.PriorMean(sn, mu) + linalg.Dot(w, resid)
+	prior := kernel.PriorMean(sn, st.mu) + linalg.Dot(z, st.r)
 	out.PriorPrediction = prior
 	out.Gamma2 = gamma2
 

@@ -40,13 +40,19 @@ type entry struct {
 // after a fill are the n of a genuinely new snippet; see ARCHITECTURE.md
 // "Synopsis maintenance" for the cost of each kind of mutation.
 //
+// The factor has an order of its own. Row r of chol is slot order[r]: a
+// rebuild factors in slot order (order is the identity), and every edit —
+// Extend for a new slot, Replace for a slot whose row changed — takes that
+// slot's row out wherever it sits and appends the new one last, in O(n²).
+//
 // Concurrency discipline: all mutators run under the owning shard's write
 // lock and are copy-on-write with respect to anything reachable from a
 // published inferState — entries are recopied before any in-place edit, the
-// Cholesky factor is persistent (record's Extend and rebuild both produce
-// fresh factors), and params handed to readers are cloned. stamps and gram
-// are never reachable from an inferState and are edited in place. Readers
-// never touch the model; they work from an inferState captured via publish.
+// Cholesky factor is persistent (Extend, Replace and rebuild all produce
+// fresh factors), order is replaced rather than edited, and params handed to
+// readers are cloned. stamps and gram are never reachable from an inferState
+// and are edited in place. Readers never touch the model; they work from an
+// inferState captured via publish.
 type model struct {
 	id      query.FuncID
 	cfg     Config
@@ -67,12 +73,16 @@ type model struct {
 	gramSig []float64
 
 	// Trained state: chol factors Σ_n (cov of raw answers: exact-answer
-	// covariances plus β² on the diagonal, Eq. 6). nil whenever a mutation
+	// covariances plus β² on the diagonal, Eq. 6) with its rows in factor
+	// order (order maps factor row → slot). chol is nil whenever a mutation
 	// left it stale; publish rebuilds it. builtAt is the slot count at the
 	// last from-scratch factorization — the only place σ² is re-estimated —
-	// and bounds how long record may keep extending instead.
+	// and edits counts the factor edits since: once they reach builtAt the
+	// next publish rebuilds instead.
 	chol    *linalg.Cholesky
+	order   []int
 	builtAt int
+	edits   int
 	// obsMoments tracks the running mean/variance of observations, used
 	// for the prior mean μ and the analytic σ² (Appendix F.3).
 	obsMoments mathx.Moments
@@ -92,7 +102,30 @@ type inferState struct {
 	entries []entry
 	params  kernel.Params
 	chol    *linalg.Cholesky
+	order   []int     // factor row → slot
+	r       []float64 // L⁻¹(θ − μ), in factor order
 	mu      float64
+}
+
+// newInferState freezes one snapshot. The residual half of Eq. 11,
+// r = L⁻¹(θ_n − μ_n), is the same for every snippet inferred against it, so
+// it is solved once here; each inference then needs one forward substitution
+// (see inferOn). A nil chol publishes raw passthrough.
+func newInferState(entries []entry, params kernel.Params, chol *linalg.Cholesky, order []int, mu float64) *inferState {
+	st := &inferState{entries: entries, params: params, mu: mu}
+	if chol == nil {
+		return st
+	}
+	r := make([]float64, len(order))
+	for row, slot := range order {
+		e := &entries[slot]
+		r[row] = e.theta - kernel.PriorMean(e.sn, mu)
+	}
+	if chol.ForwardInPlace(r) != nil {
+		return st // order and factor disagree: raw passthrough
+	}
+	st.chol, st.order, st.r = chol, order, r
+	return st
 }
 
 // publish returns the current immutable inference snapshot, rebuilding the
@@ -105,12 +138,7 @@ func (m *model) publish() *inferState {
 	// A failed rebuild (degenerate Σ) publishes with a nil factor: readers
 	// fall back to raw answers, matching the single-threaded behaviour.
 	_ = m.ensureTrained()
-	st := &inferState{
-		entries: m.entries,
-		params:  m.params.Clone(),
-		chol:    m.chol,
-		mu:      m.mu(),
-	}
+	st := newInferState(m.entries, m.params.Clone(), m.chol, m.order, m.mu())
 	m.published = st
 	return st
 }
@@ -120,8 +148,7 @@ func (m *model) mutated() { m.published = nil }
 
 // detachEntries gives the model a private copy of its entries slice so
 // in-place edits cannot reach a published inferState. O(n) with n ≤ C_g;
-// every caller goes on to invalidate the factor, so an O(n²)-or-worse
-// rebuild follows anyway.
+// every caller goes on to edit or drop the factor, O(n²) or worse.
 func (m *model) detachEntries() {
 	m.entries = append([]entry(nil), m.entries...)
 }
@@ -198,13 +225,15 @@ func sigma2From(entries []entry, mu float64, selfUnit func(i int) float64) float
 //   - a repeat whose error did not improve bumps the slot's recency stamp
 //     and returns — nothing inference reads changed, so the published
 //     snapshot and the factor stay;
-//   - a repeat that improved changes one diagonal term of Σ_n: the factor
-//     is invalidated, the Gram triangle is untouched;
+//   - a repeat that improved changes one diagonal term of Σ_n: the Gram
+//     triangle is untouched and the slot's row is replaced in the factor;
 //   - a new snippet evaluates its n unit covariances once. Below the quota
-//     they become a new Gram row and, scaled by σ², the O(n²) Cholesky
-//     extension of Lemma 2; at the quota the snippet takes the least
-//     recently used slot, that one Gram row/column is overwritten and the
-//     factor is invalidated.
+//     they become a new Gram row and extend the factor; at the quota the
+//     snippet takes the least recently used slot, that one Gram row/column
+//     is overwritten and the slot's row is replaced in the factor.
+//
+// Either factor edit is O(n²) (Lemma 2); see editFactor for when the factor
+// is dropped for a from-scratch rebuild instead.
 func (m *model) record(sn *query.Snippet, est query.ScalarEstimate) {
 	m.clock++
 	key := sn.Key()
@@ -221,8 +250,9 @@ func (m *model) record(sn *query.Snippet, est query.ScalarEstimate) {
 		e := &m.entries[i]
 		e.theta, e.beta, e.nugget = est.Value, est.StdErr, est.PopErr
 		e.obs = kernel.Observation(sn, est.Value)
-		m.chol = nil
 		m.refreshMoments()
+		m.checkGram(sn.Table)
+		m.editFactor(i)
 		return
 	}
 
@@ -243,8 +273,8 @@ func (m *model) record(sn *query.Snippet, est query.ScalarEstimate) {
 		if m.gram != nil {
 			m.fillGramSlot(v)
 		}
-		m.chol = nil
 		m.refreshMoments()
+		m.editFactor(v)
 		return
 	}
 
@@ -256,28 +286,60 @@ func (m *model) record(sn *query.Snippet, est query.ScalarEstimate) {
 		m.gram = append(m.gram, make([]float64, n+1)...)
 		m.fillGramSlot(n)
 	}
-	// Incremental extension keeps per-query maintenance O(n²) (Lemma 2),
-	// but it never re-estimates σ²: once the synopsis has doubled since
-	// the last from-scratch factorization, let the next publish rebuild.
-	// Amortised over the records in between that is still O(n²) each.
-	if m.gram == nil || m.chol == nil || n+1 <= minExtendSlots || n+1 >= 2*m.builtAt {
+	m.editFactor(n)
+}
+
+// editFactor brings the factor up to date after slot's row and column of Σ_n
+// changed — a new slot, a new snippet in an evicted slot, or a new diagonal
+// term — with one O(n²) edit read off the Gram triangle: Extend when the
+// slot has no factor row yet, Replace otherwise. Either way the slot's row
+// moves to the end of the factor order.
+//
+// Edits never re-estimate σ², so they are counted: once the edits since the
+// last from-scratch factorization reach builtAt, the factor is dropped and
+// the next publish rebuilds it (for a synopsis that only grows, that is a
+// rebuild at every doubling). Amortised over the edits in between that is
+// still O(n²) per record. The factor is also dropped when there is none to
+// edit, at minExtendSlots or fewer slots, and when the edit fails.
+func (m *model) editFactor(slot int) {
+	m.edits++
+	n := len(m.entries)
+	if m.chol == nil || m.gram == nil || n <= minExtendSlots || m.edits >= m.builtAt {
 		m.chol = nil
 		return
 	}
-	row := m.gram[tri(n, 0) : tri(n, 0)+n+1]
-	b := make([]float64, n)
-	for j := range b {
-		b[j] = m.params.Sigma2 * row[j]
+	order := make([]int, 0, n)
+	p := -1
+	for row, s := range m.order {
+		if s == slot {
+			p = row
+		} else {
+			order = append(order, s)
+		}
 	}
-	diag := m.params.Sigma2*row[n] + e.nugget*e.nugget + e.beta*e.beta
-	if ext, err := m.chol.Extend(b, diag); err == nil {
-		m.chol = ext
+	order = append(order, slot)
+	b := make([]float64, n-1)
+	for row, s := range order[:n-1] {
+		b[row] = m.params.Sigma2 * m.gram[triSym(s, slot)]
+	}
+	e := &m.entries[slot]
+	diag := m.params.Sigma2*m.gram[tri(slot, slot)] + e.nugget*e.nugget + e.beta*e.beta
+	var c *linalg.Cholesky
+	var err error
+	if p < 0 {
+		c, err = m.chol.Extend(b, diag)
 	} else {
-		m.chol = nil
+		c, err = m.chol.Replace(p, b, diag)
 	}
+	if err != nil {
+		m.chol = nil
+		return
+	}
+	m.chol, m.order = c, order
+	m.ctr.factorEdits.Add(1)
 }
 
-// minExtendSlots is the synopsis size up to which record never extends the
+// minExtendSlots is the synopsis size up to which record never edits the
 // factor: with a handful of snippets the moment-matched σ² moves by orders
 // of magnitude from one record to the next (one or two snippets give the
 // degenerate fallback), and a from-scratch factorization costs nothing.
@@ -320,6 +382,14 @@ func (m *model) refreshMoments() {
 
 // tri indexes the packed lower triangle: element (i, j), j ≤ i.
 func tri(i, j int) int { return i*(i+1)/2 + j }
+
+// triSym indexes the packed triangle of a symmetric matrix in either order.
+func triSym(i, j int) int {
+	if j > i {
+		i, j = j, i
+	}
+	return tri(i, j)
+}
 
 // gramSignature lists, in schema order, everything kernel.UnitCovariance
 // reads besides the two snippets: per numeric dimension the length-scale
@@ -394,7 +464,7 @@ func (m *model) ensureGram() {
 // triangle in O(n²), factorize. An empty synopsis clears the factor.
 func (m *model) rebuild() error {
 	n := len(m.entries)
-	m.chol, m.builtAt = nil, n
+	m.chol, m.order, m.builtAt, m.edits = nil, nil, n, 0
 	if n == 0 {
 		return nil
 	}
@@ -420,7 +490,10 @@ func (m *model) rebuild() error {
 	if err != nil {
 		return err
 	}
-	m.chol = c
+	m.chol, m.order = c, make([]int, n)
+	for i := range m.order {
+		m.order[i] = i
+	}
 	return nil
 }
 

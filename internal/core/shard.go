@@ -42,6 +42,7 @@ type shardCounters struct {
 	records          atomic.Int64
 	trains           atomic.Int64
 	refactorizations atomic.Int64
+	factorEdits      atomic.Int64
 	gramRebuilds     atomic.Int64
 	noopRepeats      atomic.Int64
 	kernelCalls      atomic.Int64
@@ -85,10 +86,12 @@ func (v *Verdict) NumShards() int { return len(v.shards) }
 
 // ShardCounter is one shard's cumulative write activity. The counts are
 // lifetime totals for this Verdict instance (a synopsis reload swaps the
-// Verdict and restarts them). Refactorizations, GramRebuilds and
-// NoopRepeats say which kind of synopsis maintenance the records caused:
-// on a workload of repeated queries over a synopsis that fits, the first
-// two stay flat while NoopRepeats tracks Records.
+// Verdict and restarts them). Refactorizations, FactorEdits, GramRebuilds
+// and NoopRepeats say which kind of synopsis maintenance the records caused:
+// on a workload of repeated queries over a synopsis that fits,
+// Refactorizations and GramRebuilds stay flat while NoopRepeats tracks
+// Records; on unique queries at the cap, FactorEdits tracks Records and
+// Refactorizations grows by one per builtAt edits.
 type ShardCounter struct {
 	// Records counts snippets recorded; Trains counts model train passes.
 	Records int64 `json:"records"`
@@ -96,6 +99,9 @@ type ShardCounter struct {
 	// Refactorizations counts from-scratch O(n³) Cholesky factorizations of
 	// a model's Σ_n (each also re-estimates σ²).
 	Refactorizations int64 `json:"refactorizations"`
+	// FactorEdits counts O(n²) factor edits: an Extend for a new slot, a
+	// Replace for an evicted or improved one.
+	FactorEdits int64 `json:"factor_edits"`
 	// GramRebuilds counts Gram caches dropped because a length-scale, a
 	// column domain or a dictionary size moved; each costs n²/2 kernel
 	// integrals at the next factorization.
@@ -113,6 +119,7 @@ func (c *shardCounters) load() ShardCounter {
 		Records:          c.records.Load(),
 		Trains:           c.trains.Load(),
 		Refactorizations: c.refactorizations.Load(),
+		FactorEdits:      c.factorEdits.Load(),
 		GramRebuilds:     c.gramRebuilds.Load(),
 		NoopRepeats:      c.noopRepeats.Load(),
 		GramKernelCalls:  c.kernelCalls.Load(),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -117,9 +118,9 @@ func oracleSnippet(tb *storage.Table, rng *randx.Source) *query.Snippet {
 	}
 }
 
-// oracleFactor is the from-scratch reference: every pair through
-// kernel.Covariance, then linalg.NewCholesky.
-func oracleFactor(entries []entry, p kernel.Params) (*linalg.Cholesky, error) {
+// oracleSigma is the from-scratch Σ_n in slot order: every pair through
+// kernel.Covariance, plus β² + nugget² on the diagonal.
+func oracleSigma(entries []entry, p kernel.Params) *linalg.Matrix {
 	n := len(entries)
 	s := linalg.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
@@ -132,7 +133,50 @@ func oracleFactor(entries []entry, p kernel.Params) (*linalg.Cholesky, error) {
 			s.Set(j, i, c)
 		}
 	}
-	return linalg.NewCholesky(s)
+	return s
+}
+
+// oracleFactor is the from-scratch reference factor, in slot order.
+func oracleFactor(entries []entry, p kernel.Params) (*linalg.Cholesky, error) {
+	return linalg.NewCholesky(oracleSigma(entries, p))
+}
+
+func identityOrder(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
+
+// factorReproduces checks that chol, with its rows in factor order, factors
+// sigma: (P·L·Lᵀ·Pᵀ)[order[r]][order[c]] within rel of sigma's largest
+// diagonal entry (plus any jitter the factor took on).
+func factorReproduces(chol *linalg.Cholesky, order []int, sigma *linalg.Matrix, rel float64) error {
+	n := chol.Size()
+	if len(order) != n || sigma.Rows() != n {
+		return fmt.Errorf("factor size %d, order %d, Σ %d", n, len(order), sigma.Rows())
+	}
+	seen := make([]bool, n)
+	for _, slot := range order {
+		if slot < 0 || slot >= n || seen[slot] {
+			return fmt.Errorf("order %v is not a permutation", order)
+		}
+		seen[slot] = true
+	}
+	tol := rel*sigma.MaxAbsDiag() + chol.Jitter()
+	for r := 0; r < n; r++ {
+		for c := 0; c <= r; c++ {
+			got := 0.0
+			for k := 0; k <= c; k++ {
+				got += chol.LAt(r, k) * chol.LAt(c, k)
+			}
+			if want := sigma.At(order[r], order[c]); !(math.Abs(got-want) <= tol) {
+				return fmt.Errorf("(LLᵀ)[%d][%d] = %v, Σ[%d][%d] = %v", r, c, got, order[r], order[c], want)
+			}
+		}
+	}
+	return nil
 }
 
 func sameFactorBits(a, b *linalg.Cholesky) error {
@@ -155,28 +199,45 @@ func sameFactorBits(a, b *linalg.Cholesky) error {
 	return nil
 }
 
+// oracleKinds counts the factor-maintenance outcomes the sequences reached,
+// so the suite can require that every one of them was exercised.
+type oracleKinds struct {
+	extend, editAtCap, editOnRepeat, refresh int
+}
+
 // TestSynopsisMaintainedEqualsOracle drives seeded random sequences of
-// every kind of synopsis mutation and, after each step, requires the
-// maintained model — Gram cache, slot-stable entries, incremental factor —
-// to be bit-identical to a reference rebuilt from the same entries in the
-// same slot order with no cache at all. Concurrent readers infer against
-// the published snapshots throughout, so -race checks that no in-place edit
-// (stamps, Gram rows, slot replacement) reaches published state.
+// every kind of synopsis mutation and, after each step, compares the
+// maintained model — Gram cache, slot-stable entries, edited factor — with a
+// reference rebuilt from the same entries in slot order with no cache at
+// all. σ², the Gram triangle, the keys and the LRU order must be
+// bit-identical. The factor is bit-identical to the reference right after a
+// from-scratch rebuild; after O(n²) edits its rows are in factor order, and
+// P·L·Lᵀ·Pᵀ must reproduce the reference Σ_n (relative 1e-9), and inference
+// the reference's answers (relative 1e-8). Which maintenance each step did —
+// extend, edit at the cap, edit on an improved repeat, or the σ² refresh
+// after builtAt edits — is predicted from the model state and asserted on
+// the counters. Concurrent readers infer against the published snapshots
+// throughout, so -race checks that no in-place edit (stamps, Gram rows,
+// slot replacement) reaches published state.
 func TestSynopsisMaintainedEqualsOracle(t *testing.T) {
 	sequences := 210
 	if testing.Short() {
 		sequences = 30
 	}
+	var kinds oracleKinds
 	for seq := 0; seq < sequences; seq++ {
 		seq := seq
 		quota := []int{4, 16, 64}[seq%3]
 		t.Run(fmt.Sprintf("seq=%d/cap=%d", seq, quota), func(t *testing.T) {
-			runOracleSequence(t, int64(1000+seq), quota, seq%4 == 3)
+			runOracleSequence(t, int64(1000+seq), quota, seq%4 == 3, &kinds)
 		})
+	}
+	if kinds.extend == 0 || kinds.editAtCap == 0 || kinds.editOnRepeat == 0 || kinds.refresh == 0 {
+		t.Fatalf("maintenance kinds not all exercised: %+v", kinds)
 	}
 }
 
-func runOracleSequence(t *testing.T, seed int64, quota int, withSetParams bool) {
+func runOracleSequence(t *testing.T, seed int64, quota int, withSetParams bool, kinds *oracleKinds) {
 	rng := randx.New(seed)
 	tb := oracleTable(t, seed)
 	cfg := Config{SynopsisCap: quota, LearnCap: 8, MultiStarts: -1}
@@ -236,10 +297,13 @@ func runOracleSequence(t *testing.T, seed int64, quota int, withSetParams bool) 
 	for step := 0; step < steps; step++ {
 		m := v.modelOf(id)
 		before := ctr()
-		prevChol, prevPub, prevN := m.chol, m.published, len(m.entries)
+		prevChol, prevPub := m.chol, m.published
 		prevSig2 := m.params.Sigma2
-		var newSn *query.Snippet // set when the step recorded a new snippet
-		var newEst query.ScalarEstimate
+		// What an edit-kind record will do: read off the state before it, and
+		// off whether the record kept the Gram cache.
+		canEdit := func(nAfter int) bool { return prevChol != nil && m.gram != nil && nAfter > minExtendSlots }
+		refreshDue := m.edits+1 >= m.builtAt
+		editOp, editKind := false, (*int)(nil)
 		unchanged, paramsSet := false, false
 
 		for i := 0; i < cap(kick); i++ {
@@ -260,6 +324,7 @@ func runOracleSequence(t *testing.T, seed int64, quota int, withSetParams bool) 
 			}
 			est := query.ScalarEstimate{Value: rng.Normal(5, 2), StdErr: rng.Uniform(0.3, 0.9), PopErr: rng.Uniform(0, 0.1)}
 			key := sn.Key()
+			editKind = &kinds.extend
 			if len(slots) >= quota {
 				victim := lru[0]
 				lru = lru[1:]
@@ -269,13 +334,14 @@ func runOracleSequence(t *testing.T, seed int64, quota int, withSetParams bool) 
 						slots[i] = key
 					}
 				}
+				editKind = &kinds.editAtCap
 			} else {
 				slots = append(slots, key)
 			}
 			held[key] = sn
 			touch(key)
 			v.Record(sn, est)
-			newSn, newEst = sn, est
+			editOp = true
 		case op < 13: // repeat that teaches nothing
 			key := lru[rng.Intn(len(lru))]
 			beta := m.entries[m.byKey[key]].beta
@@ -287,6 +353,7 @@ func runOracleSequence(t *testing.T, seed int64, quota int, withSetParams bool) 
 			beta := m.entries[m.byKey[key]].beta
 			touch(key)
 			v.Record(held[key], query.ScalarEstimate{Value: rng.Normal(5, 2), StdErr: beta * 0.8, PopErr: 0.02})
+			editOp, editKind = true, &kinds.editOnRepeat
 		case op < 16: // Lemma 3 adjustment alone
 			v.ApplyAppend(id, Drift{Mu: rng.Normal(0, 0.2), Eta2: 0.01}, tb.Rows(), 10)
 		case op < 17: // append that widens x's domain
@@ -314,6 +381,7 @@ func runOracleSequence(t *testing.T, seed int64, quota int, withSetParams bool) 
 		m = v.modelOf(id)
 		after := ctr()
 		refactored := after.Refactorizations > before.Refactorizations
+		edited := after.FactorEdits - before.FactorEdits
 
 		// Slots, eviction order.
 		if len(m.entries) != len(slots) {
@@ -333,10 +401,32 @@ func runOracleSequence(t *testing.T, seed int64, quota int, withSetParams bool) 
 
 		// An unchanged repeat is a pure recency bump.
 		if unchanged {
-			if m.published != prevPub || m.chol != prevChol || refactored || after.NoopRepeats != before.NoopRepeats+1 {
-				t.Fatalf("step %d: unchanged repeat republished (pub same=%v, chol same=%v, refactored=%v, noops %d→%d)",
-					step, m.published == prevPub, m.chol == prevChol, refactored, before.NoopRepeats, after.NoopRepeats)
+			if m.published != prevPub || m.chol != prevChol || refactored || edited != 0 || after.NoopRepeats != before.NoopRepeats+1 {
+				t.Fatalf("step %d: unchanged repeat republished (pub same=%v, chol same=%v, refactored=%v, edits %d, noops %d→%d)",
+					step, m.published == prevPub, m.chol == prevChol, refactored, edited, before.NoopRepeats, after.NoopRepeats)
 			}
+		}
+
+		// The maintenance the step did: an edit-kind record edits the factor
+		// in O(n²) unless there is nothing to edit (no factor, ≤ 8 slots) or
+		// the σ² refresh is due; everything else edits nothing.
+		switch {
+		case editOp && canEdit(len(m.entries)) && !refreshDue:
+			if edited != 1 || refactored || m.chol == prevChol {
+				t.Fatalf("step %d: expected one factor edit (n=%d, edits %d, builtAt %d): edits %d, refactored %v",
+					step, len(m.entries), m.edits, m.builtAt, edited, refactored)
+			}
+			*editKind++
+		case editOp:
+			if edited != 0 || !refactored {
+				t.Fatalf("step %d: expected a from-scratch rebuild (n=%d, refresh due %v): edits %d, refactored %v",
+					step, len(m.entries), refreshDue, edited, refactored)
+			}
+			if canEdit(len(m.entries)) {
+				kinds.refresh++
+			}
+		case edited != 0:
+			t.Fatalf("step %d: %d factor edits on a step that records nothing new", step, edited)
 		}
 
 		// σ²: re-estimated exactly when the factor was rebuilt from scratch.
@@ -348,45 +438,59 @@ func runOracleSequence(t *testing.T, seed int64, quota int, withSetParams bool) 
 			t.Fatalf("step %d (refactored=%v): sigma2 %v, oracle %v", step, refactored, m.params.Sigma2, wantSig2)
 		}
 
-		// The factor: from scratch when the model says it refactorized, the
-		// reference Extend of the previous factor when it extended, the
-		// previous factor itself otherwise.
-		var wantChol *linalg.Cholesky
-		switch {
-		case refactored:
-			c, err := oracleFactor(m.entries, m.params)
-			if err == nil {
-				wantChol = c
+		// The Gram triangle, bit for bit, in slot order.
+		if m.gram != nil {
+			for i := range m.entries {
+				for j := 0; j <= i; j++ {
+					want := kernel.UnitCovariance(m.entries[j].sn, m.entries[i].sn, m.params.Ells)
+					if math.Float64bits(m.gram[tri(i, j)]) != math.Float64bits(want) {
+						t.Fatalf("step %d: gram[%d][%d] = %v, fresh %v", step, i, j, m.gram[tri(i, j)], want)
+					}
+				}
 			}
-		case newSn != nil && len(m.entries) == prevN+1 && prevN > 0:
-			b := make([]float64, prevN)
-			for i := range b {
-				b[i] = kernel.Covariance(m.entries[i].sn, newSn, m.params)
-			}
-			diag := kernel.Variance(newSn, m.params) + newEst.PopErr*newEst.PopErr + newEst.StdErr*newEst.StdErr
-			c, err := prevChol.Extend(b, diag)
-			if err != nil {
-				t.Fatalf("step %d: reference Extend failed but the model did not refactorize: %v", step, err)
-			}
-			wantChol = c
-		default:
-			wantChol = prevChol
-		}
-		if err := sameFactorBits(m.chol, wantChol); err != nil {
-			t.Fatalf("step %d (refactored=%v, n=%d): %v", step, refactored, len(m.entries), err)
 		}
 
-		// Inference on the probes against an oracle state.
+		// The factor: bit-identical to the reference after a rebuild, the
+		// reference Σ_n in factor order after edits, the previous factor
+		// itself when the step changed nothing inference reads.
+		wantChol, oerr := oracleFactor(m.entries, m.params)
+		switch {
+		case m.chol == nil:
+			if !refactored || oerr == nil {
+				t.Fatalf("step %d: no factor (refactored=%v), yet the reference factorizes (err %v)", step, refactored, oerr)
+			}
+		case refactored:
+			if err := sameFactorBits(m.chol, wantChol); err != nil {
+				t.Fatalf("step %d (rebuilt, n=%d): %v", step, len(m.entries), err)
+			}
+			if !slices.Equal(m.order, identityOrder(len(m.entries))) {
+				t.Fatalf("step %d: rebuilt factor order %v is not slot order", step, m.order)
+			}
+		case edited == 0 && m.chol != prevChol:
+			t.Fatalf("step %d: factor replaced without an edit or a rebuild", step)
+		default:
+			if err := factorReproduces(m.chol, m.order, oracleSigma(m.entries, m.params), 1e-9); err != nil {
+				t.Fatalf("step %d (n=%d, edits %d): %v", step, len(m.entries), m.edits, err)
+			}
+		}
+
+		// Inference on the probes against the reference state: the
+		// from-scratch factor at the same σ², in slot order.
 		var mm mathx.Moments
 		for _, e := range m.entries {
 			mm.Add(e.obs)
 		}
-		oracle := &inferState{entries: m.entries, params: m.params, chol: wantChol, mu: mm.Mean()}
+		if oerr != nil {
+			wantChol = nil
+		}
+		oracle := newInferState(m.entries, m.params, wantChol, identityOrder(len(m.entries)), mm.Mean())
 		for i, p := range probes {
 			want := inferOn(oracle, p, probeRaw, cfg)
-			if math.Float64bits(got[i].Answer) != math.Float64bits(want.Answer) ||
-				math.Float64bits(got[i].Err) != math.Float64bits(want.Err) {
-				t.Fatalf("step %d probe %d: maintained %v ± %v, oracle %v ± %v", step, i, got[i].Answer, got[i].Err, want.Answer, want.Err)
+			exact := m.chol == nil || refactored
+			if exact && (math.Float64bits(got[i].Answer) != math.Float64bits(want.Answer) ||
+				math.Float64bits(got[i].Err) != math.Float64bits(want.Err)) ||
+				!exact && (!closeRel(got[i].Answer, want.Answer, 1e-8) || !closeRel(got[i].Err, want.Err, 1e-8)) {
+				t.Fatalf("step %d probe %d (exact=%v): maintained %v ± %v, oracle %v ± %v", step, i, exact, got[i].Answer, got[i].Err, want.Answer, want.Err)
 			}
 			if got[i].Err > probeRaw.StdErr*(1+1e-12) {
 				t.Fatalf("step %d probe %d: Theorem 1 violated: %v > %v", step, i, got[i].Err, probeRaw.StdErr)
@@ -422,3 +526,6 @@ func runOracleSequence(t *testing.T, seed int64, quota int, withSetParams bool) 
 		}
 	}
 }
+
+// closeRel reports |a − b| ≤ rel·|b|.
+func closeRel(a, b, rel float64) bool { return math.Abs(a-b) <= rel*math.Abs(b) }

@@ -90,15 +90,7 @@ func (c *Cholesky) SolveInPlace(b []float64) error {
 		return ErrShape
 	}
 	n := c.n
-	// Forward: L·y = b.
-	for i := 0; i < n; i++ {
-		s := b[i]
-		row := c.l[i*n : i*n+i]
-		for k, v := range row {
-			s -= v * b[k]
-		}
-		b[i] = s / c.l[i*n+i]
-	}
+	forward(c.l, n, b) // L·y = b
 	// Backward: Lᵀ·x = y.
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
@@ -127,17 +119,9 @@ func (c *Cholesky) QuadForm(b []float64) (float64, error) {
 	if len(b) != c.n {
 		return 0, ErrShape
 	}
-	n := c.n
-	y := make([]float64, n)
+	y := make([]float64, c.n)
 	copy(y, b)
-	for i := 0; i < n; i++ {
-		s := y[i]
-		row := c.l[i*n : i*n+i]
-		for k, v := range row {
-			s -= v * y[k]
-		}
-		y[i] = s / c.l[i*n+i]
-	}
+	forward(c.l, c.n, y)
 	return Dot(y, y), nil
 }
 
@@ -173,36 +157,121 @@ func (c *Cholesky) Extend(b []float64, diag float64) (*Cholesky, error) {
 		return nil, ErrShape
 	}
 	n := c.n
-	// l = L⁻¹·b via forward substitution.
-	l := make([]float64, n)
-	copy(l, b)
-	for i := 0; i < n; i++ {
-		s := l[i]
-		row := c.l[i*n : i*n+i]
-		for k, v := range row {
-			s -= v * l[k]
-		}
-		l[i] = s / c.l[i*n+i]
-	}
-	rem := diag - Dot(l, l)
-	jitter := 0.0
-	if rem <= 0 {
-		jitter = math.Abs(diag)*1e-12 + 1e-300
-		for round := 0; round <= maxJitterRounds && rem+jitter <= 0; round++ {
-			jitter *= 10
-		}
-		if rem+jitter <= 0 {
-			return nil, ErrNotSPD
-		}
-		rem += jitter
-	}
-	out := &Cholesky{n: n + 1, l: make([]float64, (n+1)*(n+1)), jitter: c.jitter + jitter}
+	out := &Cholesky{n: n + 1, l: make([]float64, (n+1)*(n+1)), jitter: c.jitter}
 	for i := 0; i < n; i++ {
 		copy(out.l[i*(n+1):i*(n+1)+i+1], c.l[i*n:i*n+i+1])
 	}
-	copy(out.l[n*(n+1):n*(n+1)+n], l)
-	out.l[n*(n+1)+n] = math.Sqrt(rem)
+	if err := out.setLastRow(b, diag); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// Replace edits one row/column of the factored matrix in O(n²): given the
+// factor of an n×n matrix A, it returns the factor of A with row and column p
+// removed and a new row/column appended last, [[A₋ₚ, b],[bᵀ, diag]], where b
+// lists the new column against A₋ₚ's rows in their order. The synopsis uses
+// it to swap an evicted snippet for its successor, and to re-enter a snippet
+// whose diagonal term changed.
+//
+// Removing p needs no downdate. With L = [[L₁₁,0,0],[l₂₁ᵀ,λ,0],[L₃₁,l₃₂,L₃₃]],
+// the rows above p keep their factor, and the trailing block of A₋ₚ is
+// L₃₁L₃₁ᵀ + (L₃₃L₃₃ᵀ + l₃₂l₃₂ᵀ): its factor is the rank-one *update* of L₃₃
+// by l₃₂, whose Givens rotations only ever grow a pivot, so the removal
+// cannot lose definiteness. The append is Extend's, jitter fallback and
+// ErrNotSPD included. c is not modified; the result is one fresh factor.
+func (c *Cholesky) Replace(p int, b []float64, diag float64) (*Cholesky, error) {
+	n := c.n
+	if p < 0 || p >= n || len(b) != n-1 {
+		return nil, ErrShape
+	}
+	out := &Cholesky{n: n, l: make([]float64, n*n), jitter: c.jitter}
+	for i := 0; i < n; i++ {
+		src := c.l[i*n : i*n+i+1]
+		switch {
+		case i < p:
+			copy(out.l[i*n:], src)
+		case i > p:
+			dst := out.l[(i-1)*n:]
+			copy(dst[:p], src[:p])
+			copy(dst[p:i], src[p+1:])
+		}
+	}
+	// Rank-one update of the trailing block (new rows and columns p … n−2) by
+	// x = l₃₂, row by row: row d applies the rotations of the pivots before
+	// it to its own entries and its element of x, then defines the rotation
+	// of pivot d. rot holds each pivot's (cos, sin).
+	m := n - 1 - p
+	rot := make([]float64, 2*m)
+	for k := 0; k < m; k++ {
+		d := p + k
+		row := out.l[d*n : d*n+d+1]
+		x := c.l[(d+1)*n+p]
+		for j := 0; j < k; j++ {
+			cs, sn := rot[2*j], rot[2*j+1]
+			e := (row[p+j] + sn*x) / cs
+			x = cs*x - sn*e
+			row[p+j] = e
+		}
+		r := math.Hypot(row[d], x)
+		rot[2*k], rot[2*k+1] = r/row[d], x/row[d]
+		row[d] = r
+	}
+	if err := out.setLastRow(b, diag); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// setLastRow completes a factor whose leading (n−1)×(n−1) block is in place
+// with the row of a new last column b and diagonal diag: l = L⁻¹·b, pivot
+// √(diag − l·l). A pivot that is not positive gets jitter on this diagonal
+// entry only, escalated like NewCholesky's; beyond that, and for non-finite
+// input, it returns ErrNotSPD.
+func (c *Cholesky) setLastRow(b []float64, diag float64) error {
+	n := c.n - 1
+	row := c.l[n*c.n : n*c.n+n]
+	copy(row, b)
+	forward(c.l, c.n, row)
+	rem := diag - Dot(row, row)
+	jitter := 0.0
+	if !(rem > 0) {
+		jitter = math.Abs(diag)*1e-12 + 1e-300
+		for round := 0; round <= maxJitterRounds && !(rem+jitter > 0); round++ {
+			jitter *= 10
+		}
+	}
+	pivot := rem + jitter
+	if !(pivot > 0) || math.IsInf(pivot, 1) {
+		return ErrNotSPD
+	}
+	c.l[n*c.n+n] = math.Sqrt(pivot)
+	c.jitter += jitter
+	return nil
+}
+
+// ForwardInPlace overwrites b with L⁻¹·b. With z = L⁻¹·k and r = L⁻¹·y, the
+// forms kᵀA⁻¹k and kᵀA⁻¹y are z·z and z·r: one substitution per right-hand
+// side where Solve needs two.
+func (c *Cholesky) ForwardInPlace(b []float64) error {
+	if len(b) != c.n {
+		return ErrShape
+	}
+	forward(c.l, c.n, b)
+	return nil
+}
+
+// forward solves L·y = b in place for the leading len(b) rows of a factor
+// stored row-major with the given row stride.
+func forward(l []float64, stride int, b []float64) {
+	for i := range b {
+		s := b[i]
+		row := l[i*stride : i*stride+i]
+		for k, v := range row {
+			s -= v * b[k]
+		}
+		b[i] = s / l[i*stride+i]
+	}
 }
 
 // Inverse materializes A⁻¹. Algorithm 1 stores Σ⁻¹ in the query synopsis;

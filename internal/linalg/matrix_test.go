@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -396,5 +397,145 @@ func TestCholeskyExtendShapeAndSPDErrors(t *testing.T) {
 	}
 	if ext.Size() != 3 {
 		t.Fatalf("size=%d", ext.Size())
+	}
+}
+
+// TestCholeskyReplaceMatchesFullFactorization: for random SPD matrices and
+// every removed row p, Replace must agree with NewCholesky of the matrix it
+// describes — A without row/column p, the new row appended last.
+func TestCholeskyReplaceMatchesFullFactorization(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	for _, n := range []int{1, 2, 3, 17, 128} {
+		// One extra row supplies the appended column, so the reordered
+		// matrix is a principal submatrix of an SPD matrix.
+		a := randomSPD(r, n+1)
+		c, err := NewCholesky(a.Submatrix(n, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := append([]float64(nil), c.l...)
+		for p := 0; p < n; p++ {
+			idx := make([]int, 0, n)
+			for i := 0; i < n; i++ {
+				if i != p {
+					idx = append(idx, i)
+				}
+			}
+			idx = append(idx, n)
+			want := NewMatrix(n, n)
+			for i, ai := range idx {
+				for j, aj := range idx {
+					want.Set(i, j, a.At(ai, aj))
+				}
+			}
+			b := make([]float64, n-1)
+			for i := range b {
+				b[i] = a.At(idx[i], n)
+			}
+			got, err := c.Replace(p, b, a.At(n, n))
+			if err != nil {
+				t.Fatalf("n=%d p=%d: %v", n, p, err)
+			}
+			full, err := NewCholesky(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scale := math.Sqrt(want.MaxAbsDiag())
+			for i := 0; i < n; i++ {
+				for j := 0; j <= i; j++ {
+					if d := math.Abs(got.LAt(i, j) - full.LAt(i, j)); !(d <= 1e-9*scale) {
+						t.Fatalf("n=%d p=%d: L[%d][%d] = %v, NewCholesky %v", n, p, i, j, got.LAt(i, j), full.LAt(i, j))
+					}
+				}
+			}
+		}
+		for i, v := range before {
+			if c.l[i] != v {
+				t.Fatalf("n=%d: Replace modified its receiver", n)
+			}
+		}
+	}
+}
+
+// TestCholeskyReplaceNearSingular: an appended row that makes the matrix
+// singular or indefinite, or non-finite input, yields ErrNotSPD or a finite
+// factor — never NaN.
+func TestCholeskyReplaceNearSingular(t *testing.T) {
+	r := rand.New(rand.NewSource(28))
+	const n = 17
+	a := randomSPD(r, n)
+	c, err := NewCholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := 5
+	// b duplicates row 0 of A₋ₚ, so diag = A[0][0] makes the new matrix
+	// exactly singular and anything below it indefinite.
+	b := make([]float64, 0, n-1)
+	for i := 0; i < n; i++ {
+		if i != p {
+			b = append(b, a.At(0, i))
+		}
+	}
+	for _, diag := range []float64{a.At(0, 0), a.At(0, 0) * (1 - 1e-13), a.At(0, 0) - 1, -1, math.NaN(), math.Inf(1)} {
+		got, err := c.Replace(p, b, diag)
+		if err != nil {
+			if !errors.Is(err, ErrNotSPD) {
+				t.Fatalf("diag %v: error %v, want ErrNotSPD", diag, err)
+			}
+			continue
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j <= i; j++ {
+				if v := got.LAt(i, j); math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("diag %v: L[%d][%d] = %v", diag, i, j, v)
+				}
+			}
+		}
+	}
+	if _, err := c.Replace(p, b, -1); !errors.Is(err, ErrNotSPD) {
+		t.Fatalf("indefinite replacement: %v, want ErrNotSPD", err)
+	}
+	if _, err := c.Replace(n, b, 1); !errors.Is(err, ErrShape) {
+		t.Fatalf("out-of-range p: %v, want ErrShape", err)
+	}
+	if _, err := c.Replace(p, b[1:], 1); !errors.Is(err, ErrShape) {
+		t.Fatalf("short b: %v, want ErrShape", err)
+	}
+}
+
+// TestCholeskyForwardInPlaceMatchesSolve: z = L⁻¹k and r = L⁻¹y give the
+// forms Solve gives, z·z = kᵀA⁻¹k and z·r = kᵀA⁻¹y.
+func TestCholeskyForwardInPlaceMatchesSolve(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	n := 12
+	a := randomSPD(r, n)
+	c, err := NewCholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, y := make([]float64, n), make([]float64, n)
+	for i := range k {
+		k[i], y[i] = r.NormFloat64(), r.NormFloat64()
+	}
+	w, err := c.Solve(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, ry := append([]float64(nil), k...), append([]float64(nil), y...)
+	if err := c.ForwardInPlace(z); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ForwardInPlace(ry); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := Dot(z, z), Dot(k, w); math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
+		t.Fatalf("z·z = %v, kᵀA⁻¹k = %v", got, want)
+	}
+	if got, want := Dot(z, ry), Dot(y, w); math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
+		t.Fatalf("z·r = %v, yᵀA⁻¹k = %v", got, want)
+	}
+	if err := c.ForwardInPlace(k[1:]); !errors.Is(err, ErrShape) {
+		t.Fatalf("short vector: %v, want ErrShape", err)
 	}
 }

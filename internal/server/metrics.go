@@ -141,10 +141,12 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	// Per-shard synopsis write counters, read straight off the shards'
 	// atomics at scrape time. Caveat: /load swaps the Verdict, restarting
 	// these from zero — a scrape-side reset, like any process restart.
-	// Which kind of maintenance the records caused shows in the last three:
+	// Which kind of maintenance the records caused shows in the last four:
 	// on repeated queries over a synopsis that fits, refactorizations and
-	// gram_rebuilds stay flat and noop_repeats tracks records; a climbing
-	// refactorizations is O(n³) work per record.
+	// gram_rebuilds stay flat and noop_repeats tracks records; on unique
+	// queries at the cap factor_edits tracks records (O(n²) each) and
+	// refactorizations grows by one per builtAt edits. A refactorizations
+	// count that tracks records is O(n³) work per record.
 	for _, c := range []struct {
 		name, help string
 		pick       func(core.ShardCounter) int64
@@ -155,6 +157,8 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 			func(c core.ShardCounter) int64 { return c.Trains }},
 		{"verdict_synopsis_refactorizations_total", "From-scratch Cholesky factorizations of a model's covariance matrix (O(n^3) each; sigma2 re-estimated), by shard.",
 			func(c core.ShardCounter) int64 { return c.Refactorizations }},
+		{"verdict_synopsis_factor_edits_total", "O(n^2) edits of a model's Cholesky factor: one row extended, or replaced for an evicted or improved snippet, by shard.",
+			func(c core.ShardCounter) int64 { return c.FactorEdits }},
 		{"verdict_synopsis_gram_rebuilds_total", "Gram caches dropped because a length-scale, column domain or dictionary size moved (n^2/2 kernel integrals each), by shard.",
 			func(c core.ShardCounter) int64 { return c.GramRebuilds }},
 		{"verdict_synopsis_noop_repeats_total", "Records of an already-held snippet whose error did not improve (recency bump only), by shard.",

@@ -23,6 +23,12 @@ import (
 // and the structured logger runs (into io.Discard) so the log path is
 // exercised under every test including the -race storm.
 func metricsFixture(t *testing.T, rows int, cfg Config) (*Server, *httptest.Server, *obs.Registry) {
+	return metricsFixtureCore(t, rows, cfg, core.Config{})
+}
+
+// metricsFixtureCore is metricsFixture with a core configuration; its Stages
+// is set to the shared registry's.
+func metricsFixtureCore(t *testing.T, rows int, cfg Config, ccfg core.Config) (*Server, *httptest.Server, *obs.Registry) {
 	t.Helper()
 	tb := salesTable(t, rows, 42)
 	sample, err := aqp.BuildSample(tb, 0.2, 0, 7)
@@ -30,8 +36,8 @@ func metricsFixture(t *testing.T, rows int, cfg Config) (*Server, *httptest.Serv
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	sys := core.NewSystem(aqp.NewEngine(tb, sample, aqp.CachedCost),
-		core.Config{Stages: obs.NewQueryStages(reg)})
+	ccfg.Stages = obs.NewQueryStages(reg)
+	sys := core.NewSystem(aqp.NewEngine(tb, sample, aqp.CachedCost), ccfg)
 	logger, err := obs.NewLogger(io.Discard, "json", "info")
 	if err != nil {
 		t.Fatal(err)
@@ -169,6 +175,7 @@ func TestMetricsExposition(t *testing.T) {
 		"verdict_stream_behind_horizon_total":     "counter",
 		"verdict_synopsis_shard_records_total":    "counter",
 		"verdict_synopsis_refactorizations_total": "counter",
+		"verdict_synopsis_factor_edits_total":     "counter",
 		"verdict_synopsis_gram_rebuilds_total":    "counter",
 		"verdict_synopsis_noop_repeats_total":     "counter",
 		"verdict_scan_memo_total":                 "counter",
@@ -288,19 +295,48 @@ func TestMetricsExposition(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	var noops, refacts int64
+	var noops, refacts, edits int64
 	for _, sh := range st.Synopsis.Shards {
 		noops += sh.NoopRepeats
 		refacts += sh.Refactorizations
+		edits += sh.FactorEdits
 	}
 	if float64(noops) != sumMatching(repeated, "verdict_synopsis_noop_repeats_total") ||
-		float64(refacts) != sumMatching(repeated, "verdict_synopsis_refactorizations_total") {
-		t.Errorf("/stats shard counters (noops %d, refactorizations %d) disagree with /metrics", noops, refacts)
+		float64(refacts) != sumMatching(repeated, "verdict_synopsis_refactorizations_total") ||
+		float64(edits) != sumMatching(repeated, "verdict_synopsis_factor_edits_total") {
+		t.Errorf("/stats shard counters (noops %d, refactorizations %d, factor edits %d) disagree with /metrics", noops, refacts, edits)
 	}
 	if float64(st.System.ScanMemoReused) != memo(repeated, "reused") ||
 		float64(st.System.ScanMemoFolded) != memo(repeated, "folded") || st.System.ScanMemoEntries != 2 {
 		t.Errorf("/stats scan memo (reused %d, folded %d, entries %d) disagrees with /metrics",
 			st.System.ScanMemoReused, st.System.ScanMemoFolded, st.System.ScanMemoEntries)
+	}
+
+	// Under evictions — a synopsis capped at 16, asked only statements it
+	// has never seen — every record at the cap edits the factor in O(n²),
+	// and a from-scratch refactorization (the σ² refresh) comes at most once
+	// per builtAt = 16 edits instead of once per record.
+	const synopsisCap = 16
+	_, evTS, _ := metricsFixtureCore(t, 6000, Config{}, core.Config{SynopsisCap: synopsisCap})
+	ask := func(i int) {
+		sql := fmt.Sprintf("SELECT AVG(revenue) FROM sales WHERE week BETWEEN %d AND %d", i%30, i%30+3+i/30)
+		if code := post(t, evTS.URL+"/query", QueryRequest{SQL: sql}, nil); code != 200 {
+			t.Fatalf("unique query %d status %d", i, code)
+		}
+	}
+	for i := 0; i < 2*synopsisCap; i++ {
+		ask(i)
+	}
+	full, _ := scrape(t, evTS.URL)
+	for i := 2 * synopsisCap; i < 6*synopsisCap; i++ {
+		ask(i)
+	}
+	evicted, _ := scrape(t, evTS.URL)
+	dEdits := sumMatching(evicted, "verdict_synopsis_factor_edits_total") - sumMatching(full, "verdict_synopsis_factor_edits_total")
+	dRefacts := sumMatching(evicted, "verdict_synopsis_refactorizations_total") - sumMatching(full, "verdict_synopsis_refactorizations_total")
+	if dEdits < 3*synopsisCap || dRefacts > 1+dEdits/(synopsisCap-1) {
+		t.Errorf("%d unique queries at the cap: %g factor edits, %g refactorizations; want ≥ %d edits and ≤ 1 refactorization per %d edits",
+			4*synopsisCap, dEdits, dRefacts, 3*synopsisCap, synopsisCap)
 	}
 }
 
