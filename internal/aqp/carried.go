@@ -94,7 +94,7 @@ func NewCarriedFold(timed bool) *CarriedFold { return &CarriedFold{timed: timed}
 // as the type comment describes.
 func (c *CarriedFold) Run(v *View, snips []*query.Snippet, spec *query.GroupedSpec, nmax int) FoldResult {
 	if c.timed && v.stages != nil {
-		defer v.observeScan(obs.ModeOneShot, spec != nil, time.Now())
+		defer v.ObserveScan(obs.ModeOneShot, spec != nil, time.Now())
 	}
 	if nmax <= 0 {
 		nmax = query.DefaultNmax

@@ -88,6 +88,7 @@ type ProgressiveScan struct {
 	workers int            // worker cap for unit folds; 0 = GOMAXPROCS
 	folded  int            // rows folded into accs (unit-aligned when vectorized)
 	emitted int            // last emitted prefix
+	scanned int            // sample rows read so far, re-covered tails included
 	seq     int
 
 	// banks is the partitioned-sample carry state: one accumulator bank per
@@ -159,6 +160,9 @@ func (p *ProgressiveScan) bankTarget(bi, rows int) int {
 // with the partial tail unit folded in. The fold sequence per bank is
 // identical to the single-table progressive fold of the same prefix.
 func (p *ProgressiveScan) stepBank(b *stratumScan, target int) []*accumulator {
+	if target > b.folded {
+		p.scanned += target - b.folded
+	}
 	if p.view.mode == ScanRowAtATime {
 		if target > b.folded {
 			scanRows(b.tbl, b.accs, b.folded, target)
@@ -248,6 +252,10 @@ func (v *View) ProgressiveFrom(snips []*query.Snippet, rows, seq, workers int) *
 				ps.folded = fullUnits * unitRows
 			}
 		}
+		ps.scanned = ps.folded
+		for _, b := range ps.banks {
+			ps.scanned += b.folded
+		}
 		ps.emitted = rows
 	}
 	if seq >= 0 {
@@ -264,6 +272,11 @@ func (p *ProgressiveScan) SetWorkers(n int) { p.workers = n }
 // Total is the pinned sample size: the prefix at which Step turns Final.
 func (p *ProgressiveScan) Total() int { return p.view.SampleRows }
 
+// Scanned is the number of sample rows the scan has read so far: the
+// ProgressiveFrom entry fold, then per Step the newly completed units and
+// the partial tail it re-covers (summed over strata on a partitioned view).
+func (p *ProgressiveScan) Scanned() int { return p.scanned }
+
 // Done reports whether a Final increment has been emitted.
 func (p *ProgressiveScan) Done() bool { return p.seq > 0 && p.emitted >= p.view.SampleRows }
 
@@ -276,7 +289,7 @@ func (p *ProgressiveScan) Done() bool { return p.seq > 0 && p.emitted >= p.view.
 // O(Total + steps·unitRows).
 func (p *ProgressiveScan) Step(rows int) Increment {
 	if p.view.stages != nil {
-		defer p.view.observeScan(obs.ModeProgressive, p.gs != nil, time.Now())
+		defer p.view.ObserveScan(obs.ModeProgressive, p.gs != nil, time.Now())
 	}
 	total := p.view.SampleRows
 	if rows > total {
@@ -284,6 +297,11 @@ func (p *ProgressiveScan) Step(rows int) Increment {
 	}
 	if rows < p.emitted {
 		rows = p.emitted
+	}
+	if p.banks == nil && rows > p.folded {
+		// Newly completed units plus the re-covered tail (stepBank counts
+		// each stratum's own).
+		p.scanned += rows - p.folded
 	}
 	emit := p.accs
 	if p.banks != nil {

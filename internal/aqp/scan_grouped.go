@@ -709,7 +709,7 @@ func (f *groupedFold) result(v *View, gs *groupedScan, spec *query.GroupedSpec, 
 // final batch state.
 func (v *View) GroupedRunToCompletion(spec *query.GroupedSpec, nmax int) *GroupedResult {
 	if v.stages != nil {
-		defer v.observeScan(obs.ModeOneShot, true, time.Now())
+		defer v.ObserveScan(obs.ModeOneShot, true, time.Now())
 	}
 	return v.groupedFoldAll(spec, nmax)
 }

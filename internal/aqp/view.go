@@ -53,12 +53,19 @@ type View struct {
 	stages obs.StageTimer
 }
 
-// observeScan reports one scan-stage duration; a nil timer costs one branch.
-func (v *View) observeScan(mode string, grouped bool, start time.Time) {
+// ObserveScan reports one scan-stage duration to the view's stage timer; a
+// nil timer (every replay view) costs one branch. The scans here report
+// themselves; callers outside the package use it for a scan stage they
+// served without scanning (a memoized progressive increment).
+func (v *View) ObserveScan(mode string, grouped bool, start time.Time) {
 	if v.stages != nil {
 		v.stages.ObserveStage(obs.Stage{Name: obs.StageScan, Mode: mode, Grouped: grouped}, time.Since(start))
 	}
 }
+
+// QueryTime is the simulated AQP latency of scanning a sample prefix of the
+// given rows under the view's cost model — an Increment's SimTime.
+func (v *View) QueryTime(rows int) time.Duration { return v.cost.QueryTime(rows) }
 
 // scanTable feeds rows [start, end) of one physical table into the
 // accumulators using the view's scan mode. Global sample ranges go through
@@ -110,7 +117,7 @@ func (v *View) OnlineAggregate(snips []*query.Snippet, yield func(BatchUpdate) b
 // RunToCompletion consumes the whole sample and returns the final update.
 func (v *View) RunToCompletion(snips []*query.Snippet) BatchUpdate {
 	if v.stages != nil {
-		defer v.observeScan(obs.ModeOneShot, false, time.Now())
+		defer v.ObserveScan(obs.ModeOneShot, false, time.Now())
 	}
 	return v.foldAll(snips)
 }
@@ -150,7 +157,7 @@ func (v *View) finalUpdate(accs []*accumulator) BatchUpdate {
 // deployment scenario 2, and Appendix C.2's NoLearn).
 func (v *View) TimeBound(snips []*query.Snippet, budget time.Duration) BatchUpdate {
 	if v.stages != nil {
-		defer v.observeScan(obs.ModeOneShot, false, time.Now())
+		defer v.ObserveScan(obs.ModeOneShot, false, time.Now())
 	}
 	inc := v.EvalPrefix(snips, v.cost.RowsWithin(budget))
 	return BatchUpdate{

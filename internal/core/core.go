@@ -28,10 +28,12 @@
 //     StatsSnapshot), the live Verdict pointer with vmu (swapped by
 //     LoadSynopsis), and serializes Append/RebuildSample end-to-end with
 //     appendMu.
-//   - The scan memo (scanmemo.go) has a map lock for lookup and eviction
-//     and one lock per entry around the entry's carried fold: two queries
-//     wait for each other only when they ask the same statement. The two
-//     are never held together, and neither is held with any lock above.
+//   - The scan memo (scanmemo.go) has a map lock for lookup and eviction,
+//     one lock per entry around the entry's carried fold — two queries
+//     wait for each other only when they ask the same statement — and one
+//     per entry around a lookup or a store of its stream increments, never
+//     held across a scan. No two are held together, and none is held with
+//     any lock above.
 //
 // What is immutable after publish: a model's published inferState (entries
 // slice, cloned parameters, Cholesky factor and its row order, the cached
@@ -50,10 +52,12 @@
 // by trimmed SQL, at most scanMemoCap statements, least recently asked
 // evicted): nothing is scanned when the sample has not changed, only the
 // appended rows when it has grown, everything after a rebuild or when a
-// domain-clipped bound moved. The answer is bit-identical to the reference
-// scan in every case; replays, time-bound queries and progressive streams
-// bypass the memo, so ExecuteView audits it independently. See
-// ARCHITECTURE.md "Scan memo".
+// domain-clipped bound moved. A progressive stream looks up the same entry
+// and re-emits the raw increments an earlier stream stored for the same
+// snapshot and snippet keys, scanning only the prefixes not stored. The
+// answer is bit-identical to the reference scan in every case; replays and
+// time-bound queries bypass the memo, so ExecuteView and ExecuteViewPrefix
+// audit it independently. See ARCHITECTURE.md "Scan memo".
 //
 // # Synopsis maintenance
 //

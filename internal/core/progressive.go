@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"repro/internal/aqp"
@@ -158,6 +159,20 @@ func (s *System) runProgressive(ctx context.Context, sql string, opts Progressiv
 		}
 		sched = sched[startSeq+1:]
 	}
+	// The raw half of each increment comes from the statement's scan-memo
+	// entry when an earlier stream on this snapshot stored that prefix, and
+	// from a ProgressiveScan otherwise — created at the first miss, at the
+	// position the stream has reached, so a stream that hits throughout
+	// scans nothing. Step(P) equals a fresh EvalPrefix(P) whatever steps
+	// came before, so the two sources interleave freely.
+	memo := s.memo.entry(strings.TrimSpace(sql))
+	keys := make([]string, len(pl.snips))
+	for i, sn := range pl.snips {
+		keys[i] = sn.Key()
+	}
+	grouped := len(pl.stmt.GroupBy) > 0
+	var ps *aqp.ProgressiveScan
+	pos, seq, missed := startRows, startSeq, false // pos, seq: the last emitted increment's
 	emitted := 0
 	defer func() {
 		s.bumpStats(func(st *SystemStats) {
@@ -168,25 +183,55 @@ func (s *System) runProgressive(ctx context.Context, sql string, opts Progressiv
 			}
 			st.Increments += emitted
 		})
+		// One memo outcome per stream: reused only if no increment scanned.
+		outcome, scanned := aqp.FoldReused, 0
+		if missed {
+			outcome = aqp.FoldFull
+		}
+		if ps != nil {
+			scanned = ps.Scanned()
+		}
+		s.countScanMemo(outcome, scanned)
 	}()
 
 	snap := verdict.SnapshotFor(pl.snips)
-	// The workers cap goes in up front so the resume entry fold — the one
-	// O(startRows) scan — honors it too, not just later Steps.
-	ps := view.ProgressiveFrom(pl.snips, startRows, startSeq, opts.Workers)
-
 	var inferNS int64
 	var last *Result
 	for _, prefix := range sched {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		inc := ps.Step(prefix)
+		// ProgressiveScan.Step's clamp: never past the sample, never back.
+		rows := max(min(prefix, view.SampleRows), pos)
+		var inc aqp.Increment
+		tScan := time.Now()
+		if est, valid, ok := memo.streamLookup(view, keys, rows); ok {
+			inc = aqp.Increment{
+				Estimates: est, Valid: valid,
+				Rows: rows, Total: view.SampleRows,
+				SimTime: view.QueryTime(rows),
+				Seq:     seq + 1, Final: rows >= view.SampleRows,
+			}
+			// The lookup is this increment's scan stage, as a reused one-shot
+			// fold's is.
+			view.ObserveScan(obs.ModeProgressive, grouped, tScan)
+		} else {
+			if ps == nil {
+				// The workers cap goes in up front so the entry fold — the
+				// O(rows) scan a resume or a late miss pays — honors it too.
+				ps = view.ProgressiveFrom(pl.snips, pos, seq, opts.Workers)
+			}
+			inc = ps.Step(rows)
+			inc.Seq = seq + 1 // ps skipped the increments served from the memo
+			memo.streamStore(view, keys, inc)
+			missed = true
+		}
+		pos, seq = inc.Rows, inc.Seq
 		t0 := time.Now()
 		improved, usedModel, improvedCount := inferAll(snap, pl.snips, inc.Estimates)
 		inferNS += time.Since(t0).Nanoseconds()
 		if s.cfg.Stages != nil {
-			s.observeStage(obs.StageInfer, obs.ModeProgressive, len(pl.stmt.GroupBy) > 0, t0)
+			s.observeStage(obs.StageInfer, obs.ModeProgressive, grouped, t0)
 		}
 		r := &Result{
 			SQL: sql, Supported: true,

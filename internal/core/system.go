@@ -48,7 +48,8 @@ type System struct {
 	standing standingState
 
 	// memo carries each repeated one-shot statement's fold from one
-	// execution to the next (see scanmemo.go).
+	// execution to the next, and a streamed statement's raw increments from
+	// one stream to the next (see scanmemo.go).
 	memo scanMemo
 }
 
@@ -80,12 +81,15 @@ type SystemStats struct {
 	NotifyCoalesced int // pushes coalesced into a full subscriber queue
 	NotifyDebounced int // pushes suppressed by a subscriber's min push interval
 
-	// Scan-memo outcomes, one per recorded one-shot query (scanmemo.go):
-	// Reused scanned nothing (same snapshot as the statement's last
-	// execution), Extended folded only the rows appended since, Folded paid
-	// a full fold (first sight, a rebuild, moved bounds, or a view behind the
-	// carried prefix). ScanMemoRows is the sample rows those queries folded
-	// in total; ScanMemoEntries is the current entry count, not a counter.
+	// Scan-memo outcomes, one per recorded one-shot query and one per
+	// progressive stream, resumed or not (scanmemo.go): Reused scanned
+	// nothing (a query on the same snapshot as the statement's last
+	// execution; a stream whose every increment was stored), Extended folded
+	// only the rows appended since (one-shot only), Folded scanned from the
+	// start (first sight, a rebuild, moved bounds, a view behind the carried
+	// prefix; a stream with any increment not stored). ScanMemoRows is the
+	// sample rows those queries and streams folded in total; ScanMemoEntries
+	// is the current entry count, not a counter.
 	ScanMemoReused   int
 	ScanMemoExtended int
 	ScanMemoFolded   int

@@ -102,11 +102,12 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		func() float64 { return float64(s.sys.StatsSnapshot().NotifyScans) })
 
 	// Scan-memo outcomes: how the raw half of each recorded one-shot query
-	// was obtained. On repeated statements reused (or, under appends,
-	// extended) should dominate; a climbing folded means statements are
-	// unique, bounds keep moving, or the memo is thrashing at its cap.
+	// and each progressive stream was obtained. On repeated statements
+	// reused (or, under appends, extended) should dominate; a climbing
+	// folded means statements are unique, bounds keep moving, or the memo
+	// is thrashing at its cap.
 	reg.CounterFuncVec("verdict_scan_memo_total",
-		"Recorded one-shot queries by how the scan memo served their scan: reused (same snapshot, nothing scanned), extended (only appended rows folded), folded (full fold).",
+		"Recorded one-shot queries and progressive streams by how the scan memo served their scan: reused (same snapshot, nothing scanned), extended (only appended rows folded; one-shot only), folded (scanned from the start, or a stream with any increment not stored).",
 		[]string{"outcome"},
 		func() []obs.Sample {
 			st := s.sys.StatsSnapshot()
@@ -117,7 +118,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 			}
 		})
 	reg.GaugeFunc("verdict_scan_memo_entries",
-		"Statements currently holding a carried fold in the scan memo.",
+		"Statements currently holding a scan-memo entry (a carried fold, stored stream increments, or both).",
 		func() float64 { return float64(s.sys.StatsSnapshot().ScanMemoEntries) })
 
 	// Per-partition sample gauges, read off the live sample's partition

@@ -281,8 +281,28 @@ func TestMetricsExposition(t *testing.T) {
 	if memo(repeated, "folded") == 0 {
 		t.Error("scan memo counted no full fold for the first sight of each statement")
 	}
-	if a, b := settled["verdict_scan_memo_entries"], repeated["verdict_scan_memo_entries"]; a != 2 || b != 2 {
-		t.Errorf("scan memo entries %g -> %g, want the 2 /query statements", a, b)
+	if a, b := settled["verdict_scan_memo_entries"], repeated["verdict_scan_memo_entries"]; a != 3 || b != 3 {
+		t.Errorf("scan memo entries %g -> %g, want the 2 /query statements and the streamed one", a, b)
+	}
+	// A stream on the default schedule is one memo outcome too: its first
+	// run on this snapshot scans and stores every increment, and the same
+	// stream again re-emits them all — reused, nothing folded, no new entry.
+	stream := StreamRequest{SQL: "SELECT AVG(revenue) FROM sales WHERE week >= 5"}
+	postStream(t, ts.URL, stream)
+	streamed, _ := scrape(t, ts.URL)
+	again := postStream(t, ts.URL, stream)
+	checkStream(t, "repeated stream", again)
+	repeated, _ = scrape(t, ts.URL)
+	if a, b := memo(streamed, "reused"), memo(repeated, "reused"); b != a+1 {
+		t.Errorf("scan memo reused %g -> %g after a repeated stream", a, b)
+	}
+	for _, outcome := range []string{"folded", "extended"} {
+		if a, b := memo(streamed, outcome), memo(repeated, outcome); a != b {
+			t.Errorf("scan memo %s moved %g -> %g under a repeated stream", outcome, a, b)
+		}
+	}
+	if n := repeated["verdict_scan_memo_entries"]; n != 3 {
+		t.Errorf("scan memo entries %g after a repeated stream, want 3", n)
 	}
 	// /stats carries the same counters: the memo's in the system block, the
 	// synopsis ones in the shard block.
@@ -307,7 +327,7 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("/stats shard counters (noops %d, refactorizations %d, factor edits %d) disagree with /metrics", noops, refacts, edits)
 	}
 	if float64(st.System.ScanMemoReused) != memo(repeated, "reused") ||
-		float64(st.System.ScanMemoFolded) != memo(repeated, "folded") || st.System.ScanMemoEntries != 2 {
+		float64(st.System.ScanMemoFolded) != memo(repeated, "folded") || st.System.ScanMemoEntries != 3 {
 		t.Errorf("/stats scan memo (reused %d, folded %d, entries %d) disagrees with /metrics",
 			st.System.ScanMemoReused, st.System.ScanMemoFolded, st.System.ScanMemoEntries)
 	}

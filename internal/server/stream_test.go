@@ -178,25 +178,30 @@ func TestQueryStreamStorm(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	var aux sync.WaitGroup
+	appended := make(chan struct{}) // closed once the first append has returned
+	signal := sync.OnceFunc(func() { close(appended) })
 	aux.Add(1)
 	go func() { // appends racing the streams
 		defer aux.Done()
+		defer signal() // however the loop ends, the rebuild never waits forever
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if code := post(t, ts.URL+"/append", AppendRequest{Session: "appender", Generate: 400, Seed: int64(9000 + i)}, nil); code != 200 {
+			code := post(t, ts.URL+"/append", AppendRequest{Session: "appender", Generate: 400, Seed: int64(9000 + i)}, nil)
+			signal()
+			if code != 200 {
 				t.Errorf("append status %d", code)
 				return
 			}
 		}
 	}()
 	aux.Add(1)
-	go func() { // a mid-storm epoch swap
+	go func() { // a mid-storm epoch swap, on the storm's first append
 		defer aux.Done()
-		time.Sleep(20 * time.Millisecond)
+		<-appended
 		if code := post(t, ts.URL+"/rebuild", struct{}{}, nil); code != 200 {
 			t.Errorf("rebuild status %d", code)
 		}
@@ -293,14 +298,12 @@ func TestStreamClientDisconnectFreesSlot(t *testing.T) {
 	if got := srv.InFlight(); got != 1 {
 		t.Fatalf("in-flight %d with a live stream", got)
 	}
-	// Walk away mid-stream.
+	// Walk away mid-stream. The handler returns at its next increment (the
+	// pace wait watches the context), and it frees its slot before that.
 	cancel()
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.InFlight() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("disconnected stream still holds a slot (in-flight %d)", srv.InFlight())
-		}
-		time.Sleep(5 * time.Millisecond)
+	awaitHandlers(t, srv)
+	if got := srv.InFlight(); got != 0 {
+		t.Fatalf("disconnected stream still holds a slot (in-flight %d)", got)
 	}
 	// /stats agrees, and the freed slot admits new work immediately.
 	var st StatsResponse
