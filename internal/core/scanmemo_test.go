@@ -96,6 +96,13 @@ func requireReplayEqual(t *testing.T, sys *System, label, sql string, res *Resul
 		t.Errorf("%s: provenance (%d,%d,%d), replay (%d,%d,%d)", label,
 			res.SampleGen, res.BaseRows, res.SampleRows, want.SampleGen, want.BaseRows, want.SampleRows)
 	}
+	requireRawEqual(t, label, res, want)
+}
+
+// requireRawEqual reports where res's raw cells, group order or truncation
+// flag differ from the reference want's, comparing cells bit for bit.
+func requireRawEqual(t *testing.T, label string, res, want *Result) {
+	t.Helper()
 	if res.GroupsTruncated != want.GroupsTruncated || len(res.Rows) != len(want.Rows) {
 		t.Errorf("%s: %d rows truncated=%v, replay %d rows truncated=%v", label,
 			len(res.Rows), res.GroupsTruncated, len(want.Rows), want.GroupsTruncated)

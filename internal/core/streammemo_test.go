@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -71,22 +70,8 @@ func requireStreamReplayEqual(t *testing.T, sys *System, label, sql string, firs
 		if res.SimTime != want.SimTime || p.SimTime != want.SimTime {
 			t.Fatalf("%s: sim time %v/%v, replay %v", where, res.SimTime, p.SimTime, want.SimTime)
 		}
-		if res.GroupsTruncated != want.GroupsTruncated || len(res.Rows) != len(want.Rows) {
-			t.Fatalf("%s: %d rows truncated=%v, replay %d rows truncated=%v", where,
-				len(res.Rows), res.GroupsTruncated, len(want.Rows), want.GroupsTruncated)
-		}
-		for r, row := range res.Rows {
-			if fmt.Sprint(row.Group) != fmt.Sprint(want.Rows[r].Group) || len(row.Cells) != len(want.Rows[r].Cells) {
-				t.Fatalf("%s: row %d is group %v, replay %v", where, r, row.Group, want.Rows[r].Group)
-			}
-			for c, cell := range row.Cells {
-				w := want.Rows[r].Cells[c].Raw
-				if math.Float64bits(cell.Raw.Value) != math.Float64bits(w.Value) ||
-					math.Float64bits(cell.Raw.StdErr) != math.Float64bits(w.StdErr) ||
-					math.Float64bits(cell.Raw.PopErr) != math.Float64bits(w.PopErr) {
-					t.Fatalf("%s: row %d cell %d raw %+v, replay %+v", where, r, c, cell.Raw, w)
-				}
-			}
+		if requireRawEqual(t, where, res, want); t.Failed() {
+			t.FailNow()
 		}
 	}
 }
