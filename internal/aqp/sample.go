@@ -78,23 +78,26 @@ func (s *Sample) Rows() int {
 	return n
 }
 
-// DriftSource returns the sample rows as one contiguous table for the
-// serving layer's drift estimator. Unpartitioned samples return Data
-// directly; partitioned samples are materialized (strata in stratum order,
-// then the tail) sharing dictionaries, so the concatenation is cheap
-// relative to the covariance pass that consumes it.
-func (s *Sample) DriftSource() *storage.Table {
-	return s.materialize()
+// Pieces returns the sample's physical tables in materialize order: the
+// strata of a partitioned sample one after another, then the tail (just
+// Data when unpartitioned). This is not the interleaved scan order. Within
+// a generation the strata never change and only the tail grows, so every
+// prefix of the sequence survives later appends row for row.
+func (s *Sample) Pieces() []*storage.Table {
+	if s.Parts == nil {
+		return []*storage.Table{s.Data}
+	}
+	return append(s.Parts.StrataTables(), s.Data)
 }
 
-// materialize flattens the sample into one table in stratum-then-tail
-// order, sharing dictionaries by reference. For an unpartitioned sample it
-// returns Data itself.
+// materialize flattens the sample into one table in Pieces order, sharing
+// dictionaries by reference. For an unpartitioned sample it returns Data
+// itself.
 func (s *Sample) materialize() *storage.Table {
 	if s.Parts == nil {
 		return s.Data
 	}
-	return storage.Concat(s.Data.Name(), append(s.Parts.StrataTables(), s.Data))
+	return storage.Concat(s.Data.Name(), s.Pieces())
 }
 
 // Batches returns the number of batches in the sample.

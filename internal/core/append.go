@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 
+	"repro/internal/aqp"
 	"repro/internal/kernel"
 	"repro/internal/query"
 	"repro/internal/randx"
@@ -17,6 +19,10 @@ type Drift struct {
 	Eta2 float64 // Var(s_k)
 }
 
+// driftBuckets is how many query regions the serving path's drift
+// estimate compares.
+const driftBuckets = 20
+
 // EstimateDrift estimates (μ_k, η²_k) for one measure function by
 // comparing bucketed means of the old and appended relations — the "small
 // samples of r and r^a" Appendix D prescribes. Buckets follow the first
@@ -25,14 +31,48 @@ type Drift struct {
 // drifts *across query regions* — the dispersion that makes Lemma 3's
 // inflated error bounds valid in Figure 12's experiment.
 func EstimateDrift(old, appended *storage.Table, measure func(*storage.Table, int) float64, buckets int, seed int64) Drift {
+	d, _, _ := estimateDrift([]*storage.Table{old}, 0, nil, appended, measure, buckets, seed)
+	return d
+}
+
+// estimateDrift is EstimateDrift with the old relation given as pieces (in
+// order) of sample generation gen. When carry — the old-side moments a
+// previous call returned — still describes a prefix of those pieces, only
+// the rows past it are bucketed; the fold is the same left fold in row
+// order either way, so the estimate carries the same bits as a fresh pass.
+// It returns the drift, the moments to hand the next call (nil on the
+// random-assignment path, which has nothing to carry), and how many old
+// rows it bucketed.
+func estimateDrift(old []*storage.Table, gen uint64, carry *driftMoments, appended *storage.Table,
+	measure func(*storage.Table, int) float64, buckets int, seed int64) (Drift, *driftMoments, int) {
 	if buckets < 2 {
 		buckets = 2
 	}
 	rng := randx.New(seed)
-	oldMeans := bucketMeans(old, measure, buckets, rng)
-	newMeans := bucketMeans(appended, measure, buckets, rng)
+	m := newDriftMoments(old, buckets)
+	m.gen = gen
+	if carry.continues(m, old) {
+		m = carry
+	}
+	before := m.rows
+	m.fold(old, measure, rng)
+	oldMeans := m.means()
+	batch := []*storage.Table{appended}
+	app := newDriftMoments(batch, buckets)
+	app.fold(batch, measure, rng)
+	bucketed := m.rows - before
+	if m.dimCol < 0 {
+		m = nil
+	}
+	return driftBetween(oldMeans, app.means()), m, bucketed
+}
+
+// driftBetween turns per-bucket means of r and r^a into (μ_k, η²_k): the
+// mean and sample variance of the bucket-wise differences, over buckets
+// both sides populate.
+func driftBetween(oldMeans, newMeans []float64) Drift {
 	var diffs []float64
-	for i := 0; i < buckets && i < len(oldMeans) && i < len(newMeans); i++ {
+	for i := range oldMeans {
 		if !math.IsNaN(oldMeans[i]) && !math.IsNaN(newMeans[i]) {
 			diffs = append(diffs, newMeans[i]-oldMeans[i])
 		}
@@ -55,44 +95,101 @@ func EstimateDrift(old, appended *storage.Table, measure func(*storage.Table, in
 	return Drift{Mu: mean, Eta2: variance}
 }
 
-func bucketMeans(t *storage.Table, measure func(*storage.Table, int) float64, buckets int, rng *randx.Source) []float64 {
-	// Prefer bucketing along the first numeric dimension: the drift that
-	// threatens Verdict's bounds is the one that varies with the selection
-	// regions queries actually use.
-	dimCol, lo, hi := -1, 0.0, 0.0
-	for _, col := range t.Schema().DimensionCols() {
-		if t.Schema().Col(col).Kind == storage.Numeric {
-			l, h := t.Domain(col)
-			if h > l {
-				dimCol, lo, hi = col, l, h
+// driftMoments is one side's bucketing pass: per-bucket measure sums and
+// counts over the first rows rows of a sequence of tables. Along a numeric
+// dimension the pass is a left fold in row order, so moments over rows
+// [0, k) extended by rows [k, n) hold the same bits as a fresh pass over
+// [0, n). That is what lets an AVG model carry its old-sample moments from
+// one append to the next: within a sample generation the sample only grows
+// at its tail.
+type driftMoments struct {
+	gen    uint64 // sample generation of the folded rows
+	dimCol int    // bucketing column; -1 → random assignment
+	lo, hi float64
+	sums   []float64
+	counts []int
+	rows   int // rows folded, counted across the tables in order
+}
+
+// newDriftMoments starts an empty pass over parts. It prefers bucketing
+// along the first numeric dimension whose domain over all of parts is not
+// degenerate: the drift that threatens Verdict's bounds is the one that
+// varies with the selection regions queries actually use.
+func newDriftMoments(parts []*storage.Table, buckets int) *driftMoments {
+	m := &driftMoments{dimCol: -1, sums: make([]float64, buckets), counts: make([]int, buckets)}
+	schema := parts[0].Schema()
+	for _, col := range schema.DimensionCols() {
+		if schema.Col(col).Kind == storage.Numeric {
+			if l, h, _ := storage.ConcatDomain(parts, col); h > l {
+				m.dimCol, m.lo, m.hi = col, l, h
 				break
 			}
 		}
 	}
-	sums := make([]float64, buckets)
-	counts := make([]int, buckets)
-	for row := 0; row < t.Rows(); row++ {
-		var b int
-		if dimCol >= 0 {
-			b = int((t.NumAt(row, dimCol) - lo) / (hi - lo) * float64(buckets))
-			if b < 0 {
-				b = 0
-			}
-			if b >= buckets {
-				b = buckets - 1
-			}
-		} else {
-			b = rng.Intn(buckets)
-		}
-		sums[b] += measure(t, row)
-		counts[b]++
+	return m
+}
+
+// continues reports whether carried moments c may be extended over parts in
+// place of the fresh pass m: same generation, dimension, domain and bucket
+// count, and no more rows folded than parts hold. Anything else — a
+// rebuild, a domain an append widened, a restored synopsis with no carry —
+// starts over, and starting over is the full pass.
+func (c *driftMoments) continues(m *driftMoments, parts []*storage.Table) bool {
+	if c == nil || c.gen != m.gen || c.dimCol != m.dimCol || c.lo != m.lo || c.hi != m.hi || len(c.sums) != len(m.sums) {
+		return false
 	}
-	out := make([]float64, buckets)
+	rows := 0
+	for _, p := range parts {
+		rows += p.Rows()
+	}
+	return c.rows <= rows
+}
+
+// fold buckets every row of parts past the m.rows already folded: by the
+// dimension's value, or — with no dimension — by draws from rng, one per
+// row.
+func (m *driftMoments) fold(parts []*storage.Table, measure func(*storage.Table, int) float64, rng *randx.Source) {
+	buckets := len(m.sums)
+	skip := m.rows
+	for _, t := range parts {
+		n := t.Rows()
+		if skip >= n {
+			skip -= n
+			continue
+		}
+		var xs []float64
+		if m.dimCol >= 0 {
+			xs = t.NumericCol(m.dimCol)
+		}
+		for row := skip; row < n; row++ {
+			var b int
+			if xs != nil {
+				b = int((xs[row] - m.lo) / (m.hi - m.lo) * float64(buckets))
+				if b < 0 {
+					b = 0
+				}
+				if b >= buckets {
+					b = buckets - 1
+				}
+			} else {
+				b = rng.Intn(buckets)
+			}
+			m.sums[b] += measure(t, row)
+			m.counts[b]++
+		}
+		m.rows += n - skip
+		skip = 0
+	}
+}
+
+// means returns each bucket's mean, NaN for an empty bucket.
+func (m *driftMoments) means() []float64 {
+	out := make([]float64, len(m.sums))
 	for i := range out {
-		if counts[i] == 0 {
+		if m.counts[i] == 0 {
 			out[i] = math.NaN()
 		} else {
-			out[i] = sums[i] / float64(counts[i])
+			out[i] = m.sums[i] / float64(m.counts[i])
 		}
 	}
 	return out
@@ -122,6 +219,7 @@ func (v *Verdict) ApplyAppend(id query.FuncID, drift Drift, oldRows, appendedRow
 // owning shard's write lock.
 func (m *model) applyAppend(drift Drift, oldRows, appendedRows int) {
 	m.mutated()
+	m.appendDrift = drift
 	m.detachEntries() // copy-on-write: published snapshots keep the old θ, β
 	ratio := float64(appendedRows) / float64(oldRows+appendedRows)
 	eta := math.Sqrt(math.Max(drift.Eta2, 0))
@@ -140,28 +238,47 @@ func (m *model) applyAppend(drift Drift, oldRows, appendedRows int) {
 // adjustment. FREQ models receive only the cardinality-driven adjustment
 // (μ=0) unless the caller supplies explicit drift via ApplyAppend.
 func (v *Verdict) OnAppend(old, appended *storage.Table, seed int64) {
-	v.OnAppendSampled(old, appended, old.Rows(), appended.Rows(), seed)
+	v.onAppend(old.Rows(), appended.Rows(), func(_ *model, measure func(*storage.Table, int) float64) Drift {
+		return EstimateDrift(old, appended, measure, driftBuckets, seed)
+	})
 }
 
-// OnAppendSampled is OnAppend for callers whose old/appended tables are
-// merely samples of r and r^a: drift is estimated from the samples, while
-// Lemma 3's cardinality ratio uses the true |r| and |r^a|. The serving
-// layer uses the pre-append AQP sample as the sample of r.
+// OnAppendSampled is OnAppend for the serving path, where the old side is
+// the pre-append AQP sample: drift is estimated from that sample and the
+// appended batch, while Lemma 3's cardinality ratio uses the true |r|
+// (old.BaseRows) and |r^a|. Each AVG model carries its old-sample bucket
+// moments from one call to the next (see estimateDrift), so a call buckets
+// only the sample rows that landed since the last one — with the same
+// result, bit for bit, as re-bucketing the whole sample. It returns how many
+// sample rows were bucketed, summed over AVG models.
 //
 // Drift estimation and adjustment run in parallel across shards (each
 // model's drift is estimated independently from the same sample pair and
 // seed, so the result is deterministic and invariant under NumShards).
-func (v *Verdict) OnAppendSampled(oldSample, appendedSample *storage.Table, oldRows, appendedRows int, seed int64) {
-	ids := v.FuncIDs()
-	v.forEachModelParallel(ids, func(_ int, id query.FuncID, m *model) {
+func (v *Verdict) OnAppendSampled(old *aqp.Sample, appended *storage.Table, seed int64) (driftRows int) {
+	pieces := old.Pieces()
+	var rows atomic.Int64
+	v.onAppend(old.BaseRows, appended.Rows(), func(m *model, measure func(*storage.Table, int) float64) Drift {
+		d, carry, n := estimateDrift(pieces, old.Gen, m.driftCarry, appended, measure, driftBuckets, seed)
+		m.driftCarry = carry
+		rows.Add(int64(n))
+		return d
+	})
+	return int(rows.Load())
+}
+
+// onAppend applies Lemma 3's adjustment to every model holding entries,
+// with drift estimated by estimate for AVG models (under the model's shard
+// lock) and zero for FREQ ones.
+func (v *Verdict) onAppend(oldRows, appendedRows int, estimate func(m *model, measure func(*storage.Table, int) float64) Drift) {
+	v.forEachModelParallel(v.FuncIDs(), func(_ int, id query.FuncID, m *model) {
 		if len(m.entries) == 0 {
 			return
 		}
 		var d Drift
 		if id.Kind == query.AvgAgg {
-			measure := m.entries[0].sn.Measure
-			if measure != nil {
-				d = EstimateDrift(oldSample, appendedSample, measure, 20, seed)
+			if measure := m.entries[0].sn.Measure; measure != nil {
+				d = estimate(m, measure)
 			}
 		}
 		m.applyAppend(d, oldRows, appendedRows)

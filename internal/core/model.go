@@ -87,6 +87,13 @@ type model struct {
 	// for the prior mean μ and the analytic σ² (Appendix F.3).
 	obsMoments mathx.Moments
 
+	// driftCarry is the AVG model's old-sample drift moments, carried from
+	// one OnAppendSampled to the next so an append buckets only the sample
+	// rows new since the last; appendDrift is the estimate behind the last
+	// Lemma 3 adjustment.
+	driftCarry  *driftMoments
+	appendDrift Drift
+
 	// published is the immutable snapshot concurrent Infer calls read;
 	// every mutator that changes what inference reads nils it and publish
 	// rebuilds it lazily (preserving the lazy-retrain behaviour

@@ -62,6 +62,7 @@ type SystemStats struct {
 	Snippets    int
 	Appends     int   // streaming append batches applied
 	AppendRows  int   // rows landed by streaming appends
+	DriftRows   int   // pre-append sample rows the drift estimate bucketed, summed over AVG models
 	Rebuilds    int   // sample rebuild epochs (RebuildSample calls)
 	Progressive int   // queries served through ExecuteProgressive
 	Resumed     int   // cursor resumptions served through ExecuteProgressiveFrom
@@ -218,10 +219,11 @@ func (s *System) Append(batch *storage.Table) (sampled int, err error) {
 	}
 	// Drift is estimated from the pre-append sample (the "small sample of
 	// r"); Lemma 3's ratio uses the true relation cardinalities.
-	s.Verdict().OnAppendSampled(oldView.Sample.DriftSource(), batch, oldView.BaseRows, batch.Rows(), seed)
+	driftRows := s.Verdict().OnAppendSampled(oldView.Sample, batch, seed)
 	s.bumpStats(func(st *SystemStats) {
 		st.Appends++
 		st.AppendRows += batch.Rows()
+		st.DriftRows += driftRows
 	})
 	// Standing subscriptions see the append after the drift adjustment has
 	// published, so a pushed update and its later replay infer against the

@@ -100,6 +100,9 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	reg.CounterFunc("verdict_notify_scans_total",
 		"Incremental shared scans run for standing plans (one per unique plan per notify batch, not one per subscriber).",
 		func() float64 { return float64(s.sys.StatsSnapshot().NotifyScans) })
+	reg.CounterFunc("verdict_append_drift_rows_total",
+		"Pre-append sample rows the append drift estimate bucketed, summed over AVG models (only the rows sampled since the previous append, unless a rebuild, a widened domain or a restart made it start over).",
+		func() float64 { return float64(s.sys.StatsSnapshot().DriftRows) })
 
 	// Scan-memo outcomes: how the raw half of each recorded one-shot query
 	// and each progressive stream was obtained. On repeated statements

@@ -15,6 +15,7 @@ import (
 	"repro/internal/aqp"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/storage"
 )
 
@@ -134,7 +135,7 @@ func checkHistogramsConsistent(t *testing.T, values map[string]float64) {
 // (grouped and ungrouped), a progressive stream, appends, a rebuild — and
 // asserts the scrape carries each promised family with sane values.
 func TestMetricsExposition(t *testing.T) {
-	_, ts, _ := metricsFixture(t, 6000, Config{})
+	srv, ts, _ := metricsFixture(t, 6000, Config{})
 
 	var qr QueryResponse
 	if code := post(t, ts.URL+"/query", QueryRequest{
@@ -179,6 +180,7 @@ func TestMetricsExposition(t *testing.T) {
 		"verdict_synopsis_gram_rebuilds_total":    "counter",
 		"verdict_synopsis_noop_repeats_total":     "counter",
 		"verdict_scan_memo_total":                 "counter",
+		"verdict_append_drift_rows_total":         "counter",
 		"verdict_scan_memo_entries":               "gauge",
 		"verdict_http_in_flight":                  "gauge",
 		"verdict_streams_active":                  "gauge",
@@ -304,8 +306,36 @@ func TestMetricsExposition(t *testing.T) {
 	if n := repeated["verdict_scan_memo_entries"]; n != 3 {
 		t.Errorf("scan memo entries %g after a repeated stream, want 3", n)
 	}
-	// /stats carries the same counters: the memo's in the system block, the
-	// synopsis ones in the shard block.
+	// Two more appends: the second buckets only the rows the first sampled,
+	// once per AVG model, since each model carries its old-sample drift
+	// moments. Neither runs a query, so no other counter below moves.
+	var ar AppendResponse
+	if code := post(t, ts.URL+"/append", AppendRequest{Generate: 500, Seed: 3}, &ar); code != 200 {
+		t.Fatalf("append status %d", code)
+	}
+	afterFirst, _ := scrape(t, ts.URL)
+	if code := post(t, ts.URL+"/append", AppendRequest{Rows: [][]any{
+		{25.0, "east", 100.0},
+	}}, nil); code != 200 {
+		t.Fatalf("append status %d", code)
+	}
+	afterSecond, _ := scrape(t, ts.URL)
+	avgModels := 0
+	for _, id := range srv.sys.Verdict().FuncIDs() {
+		if id.Kind == query.AvgAgg {
+			avgModels++
+		}
+	}
+	const driftRows = "verdict_append_drift_rows_total"
+	if avgModels == 0 || ar.Sampled == 0 {
+		t.Fatalf("%d AVG models, first append sampled %d rows: nothing for the drift carry to show", avgModels, ar.Sampled)
+	}
+	if d := afterSecond[driftRows] - afterFirst[driftRows]; d != float64(ar.Sampled*avgModels) {
+		t.Errorf("second append bucketed %g sample rows for drift, want the first append's %d sampled × %d AVG models",
+			d, ar.Sampled, avgModels)
+	}
+	// /stats carries the same counters: the memo's and the drift rows in
+	// the system block, the synopsis ones in the shard block.
 	var st StatsResponse
 	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
@@ -325,6 +355,9 @@ func TestMetricsExposition(t *testing.T) {
 		float64(refacts) != sumMatching(repeated, "verdict_synopsis_refactorizations_total") ||
 		float64(edits) != sumMatching(repeated, "verdict_synopsis_factor_edits_total") {
 		t.Errorf("/stats shard counters (noops %d, refactorizations %d, factor edits %d) disagree with /metrics", noops, refacts, edits)
+	}
+	if float64(st.System.DriftRows) != afterSecond[driftRows] {
+		t.Errorf("/stats drift rows %d disagree with /metrics %g", st.System.DriftRows, afterSecond[driftRows])
 	}
 	if float64(st.System.ScanMemoReused) != memo(repeated, "reused") ||
 		float64(st.System.ScanMemoFolded) != memo(repeated, "folded") || st.System.ScanMemoEntries != 3 {
@@ -644,11 +677,18 @@ func TestMetricsStorm(t *testing.T) {
 	const iters = 3
 	var work sync.WaitGroup
 	stop := make(chan struct{})
+	// Every completed worker append paces one scrape; the first also fires
+	// the mid-storm rebuild. A worker that gives up early still fires it,
+	// so the rebuild never waits forever.
+	appended := make(chan struct{}, workers*iters)
+	first := make(chan struct{})
+	signal := sync.OnceFunc(func() { close(first) })
 
 	for w := 0; w < workers; w++ {
 		work.Add(1)
 		go func(w int) {
 			defer work.Done()
+			defer signal()
 			session := fmt.Sprintf("storm-%d", w)
 			for i := 0; i < iters; i++ {
 				sql := "SELECT AVG(revenue) FROM sales WHERE week <= 40"
@@ -672,17 +712,20 @@ func TestMetricsStorm(t *testing.T) {
 					t.Errorf("worker %d append status %d", w, code)
 					return
 				}
+				signal()
+				appended <- struct{}{}
 			}
 		}(w)
 	}
 
-	// One rebuild mid-storm: pinned generations keep in-flight streams
-	// coherent; here we only care that its duration lands in the histogram
-	// without tripping the race detector.
+	// One rebuild mid-storm, on the storm's first append: pinned
+	// generations keep in-flight streams coherent; here we only care that
+	// its duration lands in the histogram without tripping the race
+	// detector.
 	work.Add(1)
 	go func() {
 		defer work.Done()
-		time.Sleep(10 * time.Millisecond)
+		<-first
 		if code := post(t, ts.URL+"/rebuild", struct{}{}, nil); code != 200 {
 			t.Errorf("mid-storm rebuild status %d", code)
 		}
@@ -700,7 +743,7 @@ func TestMetricsStorm(t *testing.T) {
 			select {
 			case <-stop:
 				return
-			default:
+			case <-appended:
 			}
 			values, types := scrape(t, ts.URL)
 			for k, v := range values {
@@ -721,7 +764,6 @@ func TestMetricsStorm(t *testing.T) {
 					prev[k] = v
 				}
 			}
-			time.Sleep(2 * time.Millisecond)
 		}
 	}()
 

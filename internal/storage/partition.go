@@ -260,7 +260,7 @@ func (ps *PartitionedSample) ZoneSelectivity(p int) float64 {
 // Concat materializes the given tables (identical schema object required)
 // into one table in order, sharing dictionaries by reference exactly like
 // SelectRows. It is how a partitioned sample is flattened back into a single
-// relation for re-stratification and drift estimation.
+// relation for re-stratification.
 func Concat(name string, parts []*Table) *Table {
 	if len(parts) == 0 {
 		panic("storage: Concat of zero tables")
@@ -294,17 +294,36 @@ func Concat(name string, parts []*Table) *Table {
 		}
 	}
 	out.rows = rows
-	copy(out.mins, first.mins)
-	copy(out.maxs, first.maxs)
-	copy(out.domainSet, first.domainSet)
-	for _, p := range parts[1:] {
-		for i := 0; i < first.schema.Len(); i++ {
-			if first.schema.Col(i).Kind == Numeric && p.domainSet[i] {
-				out.observe(i, p.mins[i])
-				out.observe(i, p.maxs[i])
-			}
+	for i := 0; i < first.schema.Len(); i++ {
+		if first.schema.Col(i).Kind == Numeric {
+			out.mins[i], out.maxs[i], out.domainSet[i] = ConcatDomain(parts, i)
 		}
 	}
 	out.extendZones(0)
 	return out
+}
+
+// ConcatDomain returns numeric column col's domain over parts laid end to
+// end — the Domain of Concat(name, parts) — without copying a row: the
+// union of the parts' domains, skipping parts with none. set reports
+// whether any part had one.
+func ConcatDomain(parts []*Table, col int) (lo, hi float64, set bool) {
+	for _, p := range parts {
+		p.mu.RLock()
+		pl, ph, ok := p.mins[col], p.maxs[col], p.domainSet[col]
+		p.mu.RUnlock()
+		switch {
+		case !ok:
+		case !set:
+			lo, hi, set = pl, ph, true
+		default:
+			if pl < lo {
+				lo = pl
+			}
+			if ph > hi {
+				hi = ph
+			}
+		}
+	}
+	return lo, hi, set
 }
