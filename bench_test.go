@@ -685,3 +685,64 @@ func BenchmarkAppend(b *testing.B) {
 	}
 	b.ReportMetric(float64(sys.StatsSnapshot().DriftRows-before)/float64(b.N), "drift-rows/op")
 }
+
+// BenchmarkAppendRequest posts a 500-row customer1 /append body, shaped
+// like the serving benchmark's live batches (positional rows, shortest
+// round-trip floats, quoted categories), through server.Handler: body read,
+// decode into the batch table, System.Append and the response. The system
+// holds no models, so no Lemma 3 adjustment or notify hides the request
+// path, of which the decode is the largest part.
+func BenchmarkAppendRequest(b *testing.B) {
+	tb, err := workload.GenerateCustomer1(50000, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sample, err := aqp.BuildSample(tb, 0.2, 0, 6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := server.New(core.NewSystem(aqp.NewEngine(tb, sample, aqp.CachedCost), core.Config{}), server.Config{})
+	defer srv.Close()
+	h := srv.Handler()
+	bodies := make([][]byte, 8)
+	for i := range bodies {
+		batch, err := workload.GenerateCustomer1(500, int64(100+i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = appendJSON(batch)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/append", bytes.NewReader(bodies[i%len(bodies)])))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
+// appendJSON renders t as an explicit /append body.
+func appendJSON(t *storage.Table) []byte {
+	schema := t.Schema()
+	buf := []byte(`{"rows":[`)
+	for r := 0; r < t.Rows(); r++ {
+		if r > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, '[')
+		for c := 0; c < schema.Len(); c++ {
+			if c > 0 {
+				buf = append(buf, ',')
+			}
+			if schema.Col(c).Kind == storage.Numeric {
+				buf = strconv.AppendFloat(buf, t.NumAt(r, c), 'g', -1, 64)
+			} else {
+				buf = strconv.AppendQuote(buf, t.StrAt(r, c))
+			}
+		}
+		buf = append(buf, ']')
+	}
+	return append(buf, "]}"...)
+}

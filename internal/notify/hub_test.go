@@ -84,19 +84,34 @@ func TestHubCoalesceCounts(t *testing.T) {
 	}
 }
 
+// parkCtx is a context whose Done closes parked on its first call. Next
+// evaluates ctx.Done() only in the select where it parks, so a receive on
+// parked means the reader found its buffer empty and is about to block.
+type parkCtx struct {
+	context.Context
+	once   sync.Once
+	parked chan struct{}
+}
+
+func (c *parkCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.parked) })
+	return c.Context.Done()
+}
+
 // TestHubNextBlocksAndWakes: Next parks until a Push lands, and a
 // cancelled context unblocks it with ok=false.
 func TestHubNextBlocksAndWakes(t *testing.T) {
 	h := NewHub[string]()
 	s := h.Subscribe(0)
 	got := make(chan string, 1)
+	pc := &parkCtx{Context: context.Background(), parked: make(chan struct{})}
 	go func() {
-		v, ok := s.Next(context.Background())
+		v, ok := s.Next(pc)
 		if ok {
 			got <- v
 		}
 	}()
-	time.Sleep(10 * time.Millisecond) // let the reader park
+	<-pc.parked
 	h.Broadcast("wake")
 	select {
 	case v := <-got:

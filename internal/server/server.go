@@ -501,6 +501,9 @@ func (s *Server) jsonRows(res *core.Result) []Row {
 
 // ---- /append ----
 
+// AppendRequest is the /append body as clients encode it. The server does
+// not decode into it: decodeAppendBody reads the same wire format in one
+// pass, straight into the batch table.
 type AppendRequest struct {
 	Session string `json:"session,omitempty"`
 	// Rows are positional cell values in schema order: JSON numbers for
@@ -521,21 +524,31 @@ type AppendResponse struct {
 	Epoch      uint64 `json:"epoch"`
 }
 
+// handleAppend decodes the body in one pass (decodeAppendBody), so a batch
+// over MaxBatchRows or MaxBodyBytes is refused before anything lands.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	var req AppendRequest
-	if !s.readJSON(w, r, &req) {
+	if r.Method != http.MethodPost {
+		writeErr(w, r, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
+		return
+	}
+	data, err := readBody(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		return
+	}
+	base := s.sys.Engine().Base()
+	req, err := decodeAppendBody(data, base.Schema(), base.Name()+"_batch", s.cfg.MaxBatchRows)
+	if err != nil {
+		writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
 	sess := s.sessions.get(req.Session, s.now())
 	sess.touch(s.now())
 	noteSession(r, sess.ID)
 
-	var (
-		batch *storage.Table
-		err   error
-	)
+	batch := req.Batch
 	switch {
-	case req.Generate > 0 && len(req.Rows) > 0:
+	case req.Generate > 0 && batch != nil:
 		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("pass rows or generate, not both"))
 		return
 	case req.Generate > 0:
@@ -556,16 +569,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, r, http.StatusBadRequest, err)
 			return
 		}
-	case len(req.Rows) > 0:
-		if len(req.Rows) > s.cfg.MaxBatchRows {
-			writeErr(w, r, http.StatusBadRequest, fmt.Errorf("batch of %d rows exceeds cap %d", len(req.Rows), s.cfg.MaxBatchRows))
-			return
-		}
-		batch, err = s.decodeBatch(req.Rows)
-		if err != nil {
-			writeErr(w, r, http.StatusBadRequest, err)
-			return
-		}
+	case batch != nil:
 	default:
 		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("missing rows or generate"))
 		return
@@ -689,40 +693,6 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 		Epoch:      s.sys.Engine().Acquire().Epoch,
 		Partitions: parts,
 	})
-}
-
-// decodeBatch builds a batch table (against the base schema) from
-// positional JSON rows.
-func (s *Server) decodeBatch(rows [][]any) (*storage.Table, error) {
-	schema := s.sys.Engine().Base().Schema()
-	batch := storage.NewTable(s.sys.Engine().Base().Name()+"_batch", schema)
-	vals := make([]storage.Value, schema.Len())
-	for ri, row := range rows {
-		if len(row) != schema.Len() {
-			return nil, fmt.Errorf("row %d has %d cells, schema has %d", ri, len(row), schema.Len())
-		}
-		for ci, cell := range row {
-			def := schema.Col(ci)
-			switch def.Kind {
-			case storage.Numeric:
-				f, ok := cell.(float64)
-				if !ok {
-					return nil, fmt.Errorf("row %d col %s: want number, got %T", ri, def.Name, cell)
-				}
-				vals[ci] = storage.Num(f)
-			default:
-				str, ok := cell.(string)
-				if !ok {
-					return nil, fmt.Errorf("row %d col %s: want string, got %T", ri, def.Name, cell)
-				}
-				vals[ci] = storage.Str(str)
-			}
-		}
-		if err := batch.AppendRow(vals); err != nil {
-			return nil, err
-		}
-	}
-	return batch, nil
 }
 
 // ---- /train ----
