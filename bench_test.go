@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -464,6 +465,87 @@ func BenchmarkRecordSharded(b *testing.B) {
 				}
 			})
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
+		})
+	}
+}
+
+// BenchmarkTrain measures Verdict.Train — Appendix A's likelihood fit and
+// the factorization after it — for one AVG model holding n = 150 past
+// snippets (the default LearnCap, so the whole synopsis is the learning
+// set), over d = 1 numeric dimension and over customer1's d = 3 numeric
+// and 4 categorical dimensions. Like the serving benchmark's queries, the
+// customer1 snippets always constrain event_date and only now and then
+// hour, latency_bucket, channel or status. Each likelihood candidate
+// reads the learning set's kernel.Factors, so it pays for the integrals of
+// the dimensions whose length-scale it moved and one O(n³) factorization,
+// not n(n+1)/2 pair covariances.
+func BenchmarkTrain(b *testing.B) {
+	const n = 150
+	one := shardBenchTable(b, 2000, 1)
+	events, err := workload.GenerateCustomer1(20000, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	col := func(name string) int {
+		c, ok := events.Schema().Lookup(name)
+		if !ok {
+			b.Fatalf("customer1 has no column %s", name)
+		}
+		return c
+	}
+	date, hour, latency := col("event_date"), col("hour"), col("latency_bucket")
+	channel, status, amount := col("channel"), col("status"), col("amount")
+	cases := []struct {
+		name  string
+		tb    *storage.Table
+		snip  func(rng *randx.Source) *query.Snippet
+		trend func(sn *query.Snippet) float64
+	}{
+		{"d=1", one, func(rng *randx.Source) *query.Snippet {
+			lo := rng.Uniform(0, 90)
+			return shardBenchSnippet(one, 0, lo, lo+rng.Uniform(2, 10))
+		}, func(sn *query.Snippet) float64 { return math.Sin(sn.Region.NumRangeOf(0, one).Lo / 15) }},
+		{"d=3", events, func(rng *randx.Source) *query.Snippet {
+			g := query.NewRegion(events.Schema())
+			lo := float64(rng.Intn(330))
+			g.ConstrainNum(date, query.NumRange{Lo: lo, Hi: lo + float64(10+rng.Intn(60))})
+			if rng.Intn(5) == 0 {
+				h := float64(rng.Intn(20))
+				g.ConstrainNum(hour, query.NumRange{Lo: h, Hi: h + 4})
+			}
+			if rng.Intn(5) == 0 {
+				l := float64(10 * rng.Intn(8))
+				g.ConstrainNum(latency, query.NumRange{Lo: l, Hi: l + 20})
+			}
+			if rng.Intn(3) == 0 {
+				g.ConstrainCat(channel, query.CatSet{Codes: []int32{int32(rng.Intn(events.DictOf(channel).Size()))}})
+			}
+			if rng.Intn(4) == 0 {
+				g.ConstrainCat(status, query.CatSet{Codes: []int32{int32(rng.Intn(events.DictOf(status).Size()))}})
+			}
+			return &query.Snippet{
+				Kind:       query.AvgAgg,
+				MeasureKey: "amount",
+				Measure:    func(t *storage.Table, row int) float64 { return t.NumAt(row, amount) },
+				Region:     g,
+				Table:      events,
+			}
+		}, func(sn *query.Snippet) float64 { return math.Sin(sn.Region.NumRangeOf(date, events).Lo / 60) }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			v := core.New(c.tb, core.Config{})
+			rng := randx.New(4)
+			for i := 0; i < n; i++ {
+				sn := c.snip(rng)
+				v.Record(sn, query.ScalarEstimate{Value: c.trend(sn) + rng.Normal(0, 0.2), StdErr: 0.2})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := v.Train(); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

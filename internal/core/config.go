@@ -27,8 +27,10 @@ type Config struct {
 	// inference. Default 150 (the O(n³)-per-evaluation likelihood makes
 	// unbounded learning impractical; the paper likewise trains offline).
 	LearnCap int
-	// MultiStarts is the number of extra random restarts the learner adds
-	// to the paper's deterministic l=(max−min) starting point (default 3).
+	// MultiStarts > 0 makes the learner polish the coordinate-descent
+	// optimum with one Nelder–Mead pass started from it (default 3; a
+	// negative value turns the polish off). Only the sign matters: no
+	// random restarts are run, so 1 and 3 learn identical parameters.
 	MultiStarts int
 	// DisableValidation turns off Appendix B's model validation — ONLY for
 	// the ablation of Figure 9, which demonstrates why validation matters.

@@ -341,3 +341,106 @@ func TestStandingCovarianceMemoBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// factorsTable builds a relation with an observed-domain numeric dimension
+// u, a declared-domain one w and a categorical one r holding the given
+// categories; rows spreads u over [0, span].
+func factorsTable(t *testing.T, rows int, span float64, cats []string) *storage.Table {
+	t.Helper()
+	schema := storage.MustSchema([]storage.ColumnDef{
+		{Name: "u", Kind: storage.Numeric, Role: storage.Dimension},
+		{Name: "w", Kind: storage.Numeric, Role: storage.Dimension, Min: 0, Max: 100},
+		{Name: "r", Kind: storage.Categorical, Role: storage.Dimension},
+		{Name: "m", Kind: storage.Numeric, Role: storage.Measure},
+	})
+	tb := storage.NewTable("f", schema)
+	for i := 0; i < rows; i++ {
+		u := span * float64(i) / float64(rows-1)
+		row := []storage.Value{storage.Num(u), storage.Num(50), storage.Str(cats[i%len(cats)]), storage.Num(1)}
+		if err := tb.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tb
+}
+
+// TestFactorsEqualUnit: every value Factors.Gram writes must carry the
+// bits of UnitCovariance for that pair, across a sequence of length-scale
+// changes (a repeat, one dimension moved, a missing and a non-positive ℓ
+// falling back to the domain), for AVG and FREQ lists over tables with
+// different domains and dictionaries — one with no rows at all, whose
+// categorical dimension drops out and whose ℓ fallback is 1 — with
+// unconstrained, repeated, degenerate and empty regions.
+func TestFactorsEqualUnit(t *testing.T) {
+	tables := []*storage.Table{
+		factorsTable(t, 40, 100, []string{"a", "b", "c"}),
+		factorsTable(t, 40, 160, []string{"a", "b", "c", "d", "e"}),
+	}
+	empty := storage.NewTable("empty", tables[0].Schema())
+	tables = append(tables, empty)
+	ellSeq := []map[int]float64{
+		{0: 12, 1: 30},
+		{0: 12, 1: 30},
+		{0: 4, 1: 30},
+		{1: 30},
+		{0: -1, 1: 1e9},
+		{0: 12, 1: 30},
+	}
+	f := func(seed int64) bool {
+		r := randx.New(seed)
+		kind := query.AvgAgg
+		if r.Bool(0.4) {
+			kind = query.FreqAgg
+		}
+		n := 2 + r.Intn(30)
+		snips := make([]*query.Snippet, n)
+		for i := range snips {
+			tb := tables[r.Intn(len(tables))]
+			if r.Bool(0.3) {
+				tb = tables[0] // most snippets on one table
+			}
+			g := query.NewRegion(tb.Schema())
+			for col := 0; col < 2; col++ {
+				switch r.Intn(4) {
+				case 0: // unconstrained: the table's domain
+				case 1:
+					lo := float64(r.Intn(4)) * 20
+					g.ConstrainNum(col, query.NumRange{Lo: lo, Hi: lo + 15})
+				case 2:
+					v := float64(r.Intn(3)) * 30
+					g.ConstrainNum(col, query.NumRange{Lo: v, Hi: v})
+				default:
+					lo := r.Uniform(0, 90)
+					g.ConstrainNum(col, query.NumRange{Lo: lo, Hi: lo + r.Uniform(0, 20)})
+				}
+			}
+			switch r.Intn(4) {
+			case 0:
+				g.ConstrainCat(2, query.CatSet{Codes: []int32{}})
+			case 1:
+				g.ConstrainCat(2, query.CatSet{Codes: []int32{int32(r.Intn(3))}})
+			case 2:
+				g.ConstrainCat(2, query.CatSet{Codes: []int32{0, 2}})
+			}
+			snips[i] = &query.Snippet{Kind: kind, Region: g, Table: tb}
+		}
+		fac := NewFactors(snips)
+		gram := make([]float64, n*(n+1)/2)
+		for step, ells := range ellSeq {
+			fac.Gram(ells, gram)
+			for p, i := 0, 0; i < n; i++ {
+				for j := 0; j <= i; j, p = j+1, p+1 {
+					want := UnitCovariance(snips[j], snips[i], ells)
+					if math.Float64bits(gram[p]) != math.Float64bits(want) {
+						t.Logf("seed %d step %d pair (%d,%d): factors %v, unit %v", seed, step, j, i, gram[p], want)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
