@@ -386,10 +386,10 @@ func BenchmarkServerThroughput(b *testing.B) {
 	}
 }
 
-// shardBenchTable builds a relation with one dimension column and nFuncs
+// funcBenchTable builds a relation with one dimension column and nFuncs
 // measure columns, so Record traffic spreads across nFuncs aggregate
-// functions (each its own model, hashing to its own synopsis shard).
-func shardBenchTable(b *testing.B, rows, nFuncs int) *storage.Table {
+// functions (each its own model).
+func funcBenchTable(b *testing.B, rows, nFuncs int) *storage.Table {
 	b.Helper()
 	defs := []storage.ColumnDef{
 		{Name: "x", Kind: storage.Numeric, Role: storage.Dimension, Min: 0, Max: 100},
@@ -400,7 +400,7 @@ func shardBenchTable(b *testing.B, rows, nFuncs int) *storage.Table {
 		})
 	}
 	schema := storage.MustSchema(defs)
-	tb := storage.NewTable("shardbench", schema)
+	tb := storage.NewTable("funcbench", schema)
 	rng := randx.New(3)
 	vals := make([]storage.Value, len(defs))
 	for r := 0; r < rows; r++ {
@@ -415,7 +415,7 @@ func shardBenchTable(b *testing.B, rows, nFuncs int) *storage.Table {
 	return tb
 }
 
-func shardBenchSnippet(tb *storage.Table, fn int, lo, hi float64) *query.Snippet {
+func funcBenchSnippet(tb *storage.Table, fn int, lo, hi float64) *query.Snippet {
 	g := query.NewRegion(tb.Schema())
 	xcol, _ := tb.Schema().Lookup("x")
 	g.ConstrainNum(xcol, query.NumRange{Lo: lo, Hi: hi})
@@ -430,43 +430,38 @@ func shardBenchSnippet(tb *storage.Table, fn int, lo, hi float64) *query.Snippet
 	}
 }
 
-// BenchmarkRecordSharded measures concurrent Record throughput against the
-// sharded synopsis at 1, 4 and 16 shards. Goroutines hammer 16 distinct
-// aggregate functions (the multi-tenant serving pattern); with one shard
-// every Record serializes on a single writer lock, while with 4/16 shards
-// writers on different functions proceed in parallel — the acceptance bar
-// is ≥2× ops/sec at 4 shards vs 1 on a multicore machine. Each model sits
-// at its LRU cap, so the per-op maintenance work (LRU scan, slot
-// replacement, moment refresh over C_g entries) is constant across the run.
-func BenchmarkRecordSharded(b *testing.B) {
+// BenchmarkRecordParallel measures concurrent Record throughput.
+// Goroutines hammer 16 distinct aggregate functions (the multi-tenant
+// serving pattern); each model is its own writer domain, so writers on
+// different functions proceed in parallel and records/s scales with cores.
+// Each model sits at its LRU cap, so the per-op maintenance work (LRU scan,
+// slot replacement, moment refresh over C_g entries) is constant across the
+// run.
+func BenchmarkRecordParallel(b *testing.B) {
 	const nFuncs = 16
-	tb := shardBenchTable(b, 2000, nFuncs)
-	for _, shards := range []int{1, 4, 16} {
-		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
-			v := core.New(tb, core.Config{NumShards: shards, SynopsisCap: 192})
-			// Warm every model past its cap so the steady state is uniform.
-			warm := randx.New(9)
-			for k := 0; k < 224; k++ {
-				for fn := 0; fn < nFuncs; fn++ {
-					lo := warm.Uniform(0, 90)
-					v.Record(shardBenchSnippet(tb, fn, lo, lo+5),
-						query.ScalarEstimate{Value: warm.Normal(0, 1), StdErr: 0.5})
-				}
-			}
-			var next atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				fn := int(next.Add(1)-1) % nFuncs
-				rng := randx.New(int64(1000 + fn))
-				for pb.Next() {
-					lo := rng.Uniform(0, 90)
-					v.Record(shardBenchSnippet(tb, fn, lo, lo+5),
-						query.ScalarEstimate{Value: rng.Normal(0, 1), StdErr: 0.5})
-				}
-			})
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
+	tb := funcBenchTable(b, 2000, nFuncs)
+	v := core.New(tb, core.Config{SynopsisCap: 192})
+	// Warm every model past its cap so the steady state is uniform.
+	warm := randx.New(9)
+	for k := 0; k < 224; k++ {
+		for fn := 0; fn < nFuncs; fn++ {
+			lo := warm.Uniform(0, 90)
+			v.Record(funcBenchSnippet(tb, fn, lo, lo+5),
+				query.ScalarEstimate{Value: warm.Normal(0, 1), StdErr: 0.5})
+		}
 	}
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		fn := int(next.Add(1)-1) % nFuncs
+		rng := randx.New(int64(1000 + fn))
+		for pb.Next() {
+			lo := rng.Uniform(0, 90)
+			v.Record(funcBenchSnippet(tb, fn, lo, lo+5),
+				query.ScalarEstimate{Value: rng.Normal(0, 1), StdErr: 0.5})
+		}
+	})
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkTrain measures Verdict.Train — Appendix A's likelihood fit and
@@ -481,7 +476,7 @@ func BenchmarkRecordSharded(b *testing.B) {
 // not n(n+1)/2 pair covariances.
 func BenchmarkTrain(b *testing.B) {
 	const n = 150
-	one := shardBenchTable(b, 2000, 1)
+	one := funcBenchTable(b, 2000, 1)
 	events, err := workload.GenerateCustomer1(20000, 5)
 	if err != nil {
 		b.Fatal(err)
@@ -503,7 +498,7 @@ func BenchmarkTrain(b *testing.B) {
 	}{
 		{"d=1", one, func(rng *randx.Source) *query.Snippet {
 			lo := rng.Uniform(0, 90)
-			return shardBenchSnippet(one, 0, lo, lo+rng.Uniform(2, 10))
+			return funcBenchSnippet(one, 0, lo, lo+rng.Uniform(2, 10))
 		}, func(sn *query.Snippet) float64 { return math.Sin(sn.Region.NumRangeOf(0, one).Lo / 15) }},
 		{"d=3", events, func(rng *randx.Source) *query.Snippet {
 			g := query.NewRegion(events.Schema())
@@ -563,8 +558,8 @@ func BenchmarkTrain(b *testing.B) {
 // case still at 1. evict/cap=2000 runs at the default cap; its setup
 // records 2000 snippets and factorizes once.
 func BenchmarkSynopsisRecord(b *testing.B) {
-	tb := shardBenchTable(b, 2000, 1)
-	probe := shardBenchSnippet(tb, 0, 40, 45)
+	tb := funcBenchTable(b, 2000, 1)
+	probe := funcBenchSnippet(tb, 0, 40, 45)
 	raw := query.ScalarEstimate{Value: 0, StdErr: 0.5}
 	id := probe.Func()
 	// setup fills a synopsis with n distinct snippets and publishes it.
@@ -574,18 +569,15 @@ func BenchmarkSynopsisRecord(b *testing.B) {
 		held := make([]*query.Snippet, n)
 		for i := range held {
 			lo := rng.Uniform(0, 90)
-			held[i] = shardBenchSnippet(tb, 0, lo, lo+5)
+			held[i] = funcBenchSnippet(tb, 0, lo, lo+5)
 			v.Record(held[i], query.ScalarEstimate{Value: rng.Normal(0, 1), StdErr: 0.5})
 		}
 		v.Infer(probe, raw)
 		return v, held
 	}
 	counters := func(v *core.Verdict) (kernelCalls, refactorizations int64) {
-		for _, c := range v.ShardCounters() {
-			kernelCalls += c.GramKernelCalls
-			refactorizations += c.Refactorizations
-		}
-		return kernelCalls, refactorizations
+		c := v.Counters()
+		return c.GramKernelCalls, c.Refactorizations
 	}
 	run := func(name string, cap, n int, op func(v *core.Verdict, held []*query.Snippet, rng *randx.Source, i int)) {
 		b.Run(name, func(b *testing.B) {
@@ -604,7 +596,7 @@ func BenchmarkSynopsisRecord(b *testing.B) {
 	}
 	evict := func(v *core.Verdict, _ []*query.Snippet, rng *randx.Source, _ int) {
 		lo := rng.Uniform(0, 90)
-		v.Record(shardBenchSnippet(tb, 0, lo, lo+5), query.ScalarEstimate{Value: rng.Normal(0, 1), StdErr: 0.5})
+		v.Record(funcBenchSnippet(tb, 0, lo, lo+5), query.ScalarEstimate{Value: rng.Normal(0, 1), StdErr: 0.5})
 	}
 	run("evict/cap=128", 128, 128, evict)
 	run("evict/cap=512", 512, 512, evict)

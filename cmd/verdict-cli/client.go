@@ -347,7 +347,7 @@ func printServerStats(st server.StatsResponse) {
 		st.System.Total, st.System.Aggregate, st.System.Supported, st.System.Snippets, st.System.Improved)
 	fmt.Printf("appends: %d batches, %d rows\n", st.System.Appends, st.System.AppendRows)
 	fmt.Printf("synopsis: %d snippets across %d functions, ~%.1f KB\n",
-		st.Synopsis.Snippets, st.Synopsis.Functions, float64(st.Synopsis.Footprint)/1024)
+		st.Synopsis.Snippets, st.Synopsis.Functions, float64(st.Synopsis.FootprintBytes)/1024)
 	fmt.Printf("server: %d sessions, %d served, %d shed, up %.0fs\n",
 		st.Server.Sessions, st.Server.Served, st.Server.Rejected, float64(st.Server.UptimeMS)/1000)
 	if m := st.Metrics; m != nil {

@@ -7,7 +7,7 @@
 //
 //	verdict-server -addr :8765 -dataset customer1 -rows 100000
 //	verdict-server -dataset tpch -rows 200000 -fraction 0.1 -max-inflight 32
-//	verdict-server -shards 16 -rebuild-after-rows 50000 -rebuild-quiet 5s
+//	verdict-server -rebuild-after-rows 50000 -rebuild-quiet 5s
 //	verdict-server -log-format json -log-level debug -pprof-addr localhost:6060
 //
 // Endpoints (JSON over HTTP):
@@ -26,7 +26,7 @@
 //	POST /rebuild      {}                         (re-shuffle the sample; epoch swap; optional
 //	                   {"partitions": 4, "stratum_column": "week"} re-lays-out into stratified
 //	                   partitions — invalid columns get a structured 400, code "invalid_column")
-//	GET  /stats                                   (incl. per-shard synopsis + metrics_summary digest)
+//	GET  /stats                                   (incl. synopsis counters + metrics_summary digest)
 //	GET  /metrics                                 (Prometheus text format: stage latencies, HTTP, streams, synopsis)
 //	POST /save         {"path": "synopsis.json"}  (file name inside -snapshot-dir)
 //	POST /load         {"path": "synopsis.json"}
@@ -73,7 +73,6 @@ func main() {
 		inflight  = flag.Int("max-inflight", 16, "bounded worker pool size (admission control)")
 		queueWait = flag.Duration("queue-wait", 2*time.Second, "max wait for a worker slot before 503")
 		snapDir   = flag.String("snapshot-dir", "", "directory for /save and /load synopsis snapshots (empty disables them)")
-		shards    = flag.Int("shards", 0, "synopsis shards (0 = default 8); writer throughput scales with shards on multi-function workloads")
 		rebRows   = flag.Int("rebuild-after-rows", 0, "auto-rebuild the sample after this many appended rows land (0 disables auto-rebuild)")
 		rebQuiet  = flag.Duration("rebuild-quiet", 2*time.Second, "idle period required before an armed auto-rebuild fires")
 		maxSubs   = flag.Int("max-subscriptions", 0, "cap on concurrent /subscribe streams (0 = default 256); excess subscribers are shed with 503")
@@ -128,7 +127,6 @@ func main() {
 
 	reg := obs.NewRegistry()
 	sys := core.NewSystem(aqp.NewEngine(table, sample, aqp.CachedCost), core.Config{
-		NumShards:       *shards,
 		MaxRetainedGens: *maxGens,
 		NumPartitions:   *parts,
 		StratumColumn:   *stratCol,
@@ -156,7 +154,6 @@ func main() {
 		slog.Int("rows", table.Rows()),
 		slog.Float64("sample_fraction", *fraction),
 		slog.Int("worker_slots", *inflight),
-		slog.Int("synopsis_shards", sys.Verdict().NumShards()),
 		slog.String("columns", strings.Join(table.Schema().Names(), ", ")),
 	)
 	if *rebRows > 0 {

@@ -9,9 +9,8 @@ import "repro/internal/storage"
 // merges per-span moment state with the parallel-Welford operator. The scan
 // granule is the stratum, never the partition, so the floating-point merge
 // tree is a pure function of the layout and the scanned range: answers are
-// bit-identical for every partition count K (partition-count invariance,
-// the partitioned counterpart of the synopsis layer's shard-count
-// invariance) and for serial replays of the same prefix.
+// bit-identical for every partition count K (partition-count invariance)
+// and for serial replays of the same prefix.
 
 // scanSpan is one contiguous per-table row range of a global scan range.
 type scanSpan struct {

@@ -207,16 +207,15 @@ func (m *driftMoments) means() []float64 {
 // no kernel integral is re-evaluated unless the append also widened a
 // domain or grew a dictionary.
 func (v *Verdict) ApplyAppend(id query.FuncID, drift Drift, oldRows, appendedRows int) {
-	sh := v.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if m, ok := sh.models[id]; ok {
+	if m := v.modelOf(id); m != nil {
+		m.mu.Lock()
 		m.applyAppend(drift, oldRows, appendedRows)
+		m.mu.Unlock()
 	}
 }
 
-// applyAppend performs Lemma 3's adjustment on one model. Caller holds the
-// owning shard's write lock.
+// applyAppend performs Lemma 3's adjustment on one model. Caller holds
+// m.mu.
 func (m *model) applyAppend(drift Drift, oldRows, appendedRows int) {
 	m.mutated()
 	m.appendDrift = drift
@@ -252,9 +251,9 @@ func (v *Verdict) OnAppend(old, appended *storage.Table, seed int64) {
 // result, bit for bit, as re-bucketing the whole sample. It returns how many
 // sample rows were bucketed, summed over AVG models.
 //
-// Drift estimation and adjustment run in parallel across shards (each
+// Drift estimation and adjustment run in parallel across models (each
 // model's drift is estimated independently from the same sample pair and
-// seed, so the result is deterministic and invariant under NumShards).
+// seed, so the result is deterministic).
 func (v *Verdict) OnAppendSampled(old *aqp.Sample, appended *storage.Table, seed int64) (driftRows int) {
 	pieces := old.Pieces()
 	var rows atomic.Int64
@@ -268,15 +267,15 @@ func (v *Verdict) OnAppendSampled(old *aqp.Sample, appended *storage.Table, seed
 }
 
 // onAppend applies Lemma 3's adjustment to every model holding entries,
-// with drift estimated by estimate for AVG models (under the model's shard
-// lock) and zero for FREQ ones.
+// with drift estimated by estimate for AVG models (under the model's mu)
+// and zero for FREQ ones.
 func (v *Verdict) onAppend(oldRows, appendedRows int, estimate func(m *model, measure func(*storage.Table, int) float64) Drift) {
-	v.forEachModelParallel(v.FuncIDs(), func(_ int, id query.FuncID, m *model) {
+	forEachModelParallel(v.modelsInOrder(), func(_ int, m *model) {
 		if len(m.entries) == 0 {
 			return
 		}
 		var d Drift
-		if id.Kind == query.AvgAgg {
+		if m.id.Kind == query.AvgAgg {
 			if measure := m.entries[0].sn.Measure; measure != nil {
 				d = estimate(m, measure)
 			}

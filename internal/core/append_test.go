@@ -140,16 +140,16 @@ func runDriftSequence(t *testing.T, sys *System, queries []string, steps []drift
 
 		// The oracle's inputs: the pre-append sample flattened exactly as
 		// the drift source used to be, the seed Append will use, and each
-		// AVG model as it stands (a shallow copy; applyAppend detaches the
+		// AVG model's entries as they stand (applyAppend detaches the
 		// entries it edits).
 		batch := st.batch(t)
 		old := sys.Engine().Acquire()
 		whole := storage.Concat("whole", old.Sample.Pieces())
 		seed := sys.appendSeed + 1
-		before := map[query.FuncID]model{}
+		before := map[query.FuncID]*model{}
 		for _, id := range sys.Verdict().FuncIDs() {
 			if m := sys.Verdict().modelOf(id); id.Kind == query.AvgAgg && len(m.entries) > 0 {
-				before[id] = *m
+				before[id] = &model{id: id, entries: m.entries}
 			}
 		}
 		if len(before) < 2 {

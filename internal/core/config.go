@@ -48,12 +48,6 @@ type Config struct {
 	// results are float-identical either way; production configurations
 	// leave it false. Ignored when RowAtATimeScan is set.
 	PerSnippetGroupScan bool
-	// NumShards is the number of synopsis shards (default 8). Models hash
-	// by aggregate function onto shards, each an independent single-writer
-	// domain, so Record/Train/append-adjustment throughput scales with
-	// cores on multi-function workloads. Purely a throughput knob: all
-	// results are invariant under the shard count (see shard.go).
-	NumShards int
 	// MaxRetainedGens bounds how many retired sample generations the
 	// engine keeps for replay and stream resumption (aqp.Engine.
 	// SetMaxRetainedGens). 0 — the default — retains every generation
@@ -100,7 +94,6 @@ const (
 	DefaultValidationConfidence = 0.99
 	DefaultLearnCap             = 150
 	DefaultMultiStarts          = 3
-	DefaultNumShards            = 8
 )
 
 func (c Config) withDefaults() Config {
@@ -123,9 +116,6 @@ func (c Config) withDefaults() Config {
 		c.MultiStarts = 0
 	} else if c.MultiStarts == 0 {
 		c.MultiStarts = DefaultMultiStarts
-	}
-	if c.NumShards <= 0 {
-		c.NumShards = DefaultNumShards
 	}
 	if c.MaxRetainedGens < 0 {
 		c.MaxRetainedGens = 0

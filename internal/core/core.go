@@ -11,19 +11,19 @@
 //
 // # Concurrency invariants
 //
-// The synopsis is sharded by aggregate function: FuncID hashes
-// (process-stable FNV-1a) onto one of Config.NumShards shards, each an
-// independent single-writer domain guarded by its own RWMutex (shard.go).
-// Who locks what:
+// Per-function models are independent — no inference or maintenance ever
+// reads across FuncID boundaries — so each model is its own single-writer
+// domain. Who locks what:
 //
 //   - Mutators of one function's model — Record, Train, SetParams,
-//     ApplyAppend, OnAppend(Sampled) — hold that function's shard write
-//     lock. Writers on different shards never contend.
-//   - Infer holds a shard read lock only to fetch the model's published
-//     *inferState; the O(n²) inference itself is lock-free.
-//   - The cross-shard registry (global creation order of functions plus the
-//     learning-seed counter) has its own mutex, regMu. Lock order is
-//     shard.mu → regMu, never the reverse.
+//     ApplyAppend, OnAppend(Sampled) — and its lazy publish hold that
+//     model's mu. Writers of different functions never contend.
+//   - Infer and SnapshotFor load the model's published *inferState
+//     atomically, taking its mu only when nothing is published; the O(n²)
+//     inference itself is lock-free.
+//   - The registry (functions to models, their global creation order and
+//     the learning-seed counter) has its own mutex, Verdict.mu, held only
+//     to look up or insert a model — never together with a model's mu.
 //   - System guards its workload counters with statsMu (read via
 //     StatsSnapshot), the live Verdict pointer with vmu (swapped by
 //     LoadSynopsis), and serializes Append/RebuildSample end-to-end with
@@ -70,7 +70,8 @@
 // least recently used slot in place. The Cholesky factor of Σ_n is edited in
 // O(n²) per record (its rows in a factor order of their own) and rebuilt
 // from scratch, re-estimating σ², once per builtAt edits. See model.record
-// and ARCHITECTURE.md "Synopsis maintenance" for the cost of each case. Results are invariant under NumShards: models are
-// independent and Train assigns seeds in global creation order before
-// fanning out per-shard.
+// and ARCHITECTURE.md "Synopsis maintenance" for the cost of each case.
+// Results do not depend on how writers of different functions interleave:
+// models are independent and Train assigns seeds in global creation order
+// before fanning out across models.
 package core

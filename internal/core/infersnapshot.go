@@ -28,21 +28,7 @@ func (v *Verdict) SnapshotFor(snips []*query.Snippet) *InferSnapshot {
 		if _, ok := states[id]; ok {
 			continue
 		}
-		sh := v.shardFor(id)
-		sh.mu.RLock()
-		m := sh.models[id]
-		var st *inferState
-		if m != nil {
-			st = m.published
-		}
-		sh.mu.RUnlock()
-		if st == nil {
-			sh.mu.Lock()
-			m = v.modelForLocked(sh, sn)
-			st = m.publish()
-			sh.mu.Unlock()
-		}
-		states[id] = st
+		states[id] = v.snapshotOf(sn)
 	}
 	return &InferSnapshot{cfg: v.cfg, states: states}
 }

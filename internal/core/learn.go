@@ -39,7 +39,7 @@ func (m *model) learn(seed int64) {
 		return
 	}
 
-	mu := m.mu()
+	mu := m.priorMean()
 	lik := newLikelihood(ents, mu)
 
 	widths := make([]float64, len(cols))
@@ -192,7 +192,7 @@ func (m *model) logLikelihood(p kernel.Params) float64 {
 	if len(m.entries) == 0 {
 		return 0
 	}
-	lik := newLikelihood(m.entries, m.mu())
+	lik := newLikelihood(m.entries, m.priorMean())
 	lik.setElls(p.Ells)
 	return -lik.negLog(p.Sigma2)
 }

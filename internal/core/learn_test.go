@@ -33,7 +33,7 @@ func learnPerPair(m *model, seed int64) {
 		return
 	}
 
-	mu := m.mu()
+	mu := m.priorMean()
 
 	resid := make([]float64, len(ents))
 	for i, e := range ents {
@@ -236,7 +236,7 @@ func TestLearnCacheEqualsPerPair(t *testing.T) {
 			}
 
 			ents := m.byRecency()
-			lik := newLikelihood(ents, m.mu())
+			lik := newLikelihood(ents, m.priorMean())
 			lik.setElls(got.Ells)
 			for i := range ents {
 				for j := 0; j <= i; j++ {

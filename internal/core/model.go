@@ -4,6 +4,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/kernel"
 	"repro/internal/linalg"
@@ -45,8 +47,8 @@ type entry struct {
 // Extend for a new slot, Replace for a slot whose row changed — takes that
 // slot's row out wherever it sits and appends the new one last, in O(n²).
 //
-// Concurrency discipline: all mutators run under the owning shard's write
-// lock and are copy-on-write with respect to anything reachable from a
+// Concurrency discipline: all mutators run under the model's mu and are
+// copy-on-write with respect to anything reachable from a
 // published inferState — entries are recopied before any in-place edit, the
 // Cholesky factor is persistent (Extend, Replace and rebuild all produce
 // fresh factors), order is replaced rather than edited, and params handed to
@@ -54,13 +56,17 @@ type entry struct {
 // and are edited in place. Readers never touch the model; they work from an
 // inferState captured via publish.
 type model struct {
+	// mu serializes the model's mutators and the lazy publish; readers
+	// load published without it.
+	mu sync.Mutex
+
 	id      query.FuncID
 	cfg     Config
 	entries []entry        // slot order
 	stamps  []uint64       // stamps[i]: clock value when slot i was last recorded
 	clock   uint64         // per-model recency clock, bumped by every record
 	byKey   map[string]int // snippet key -> slot
-	ctr     *shardCounters // the owning shard's lifetime counters
+	ctr     *counters      // the owning Verdict's lifetime counters
 
 	params      kernel.Params
 	paramsFixed bool // set by SetParams: learning must not overwrite
@@ -94,11 +100,11 @@ type model struct {
 	driftCarry  *driftMoments
 	appendDrift Drift
 
-	// published is the immutable snapshot concurrent Infer calls read;
-	// every mutator that changes what inference reads nils it and publish
-	// rebuilds it lazily (preserving the lazy-retrain behaviour
+	// published is the immutable snapshot concurrent Infer calls load
+	// without mu; every mutator that changes what inference reads nils it
+	// and publish rebuilds it lazily (preserving the lazy-retrain behaviour
 	// record-heavy offline loops rely on).
-	published *inferState
+	published atomic.Pointer[inferState]
 }
 
 // inferState is everything one inference reads, frozen at publication. The
@@ -137,21 +143,21 @@ func newInferState(entries []entry, params kernel.Params, chol *linalg.Cholesky,
 
 // publish returns the current immutable inference snapshot, rebuilding the
 // factorization first if a mutation invalidated it (Algorithm 1's lazy
-// retrain). Caller holds the Verdict write lock.
+// retrain). Caller holds m.mu.
 func (m *model) publish() *inferState {
-	if m.published != nil {
-		return m.published
+	if st := m.published.Load(); st != nil {
+		return st
 	}
 	// A failed rebuild (degenerate Σ) publishes with a nil factor: readers
 	// fall back to raw answers, matching the single-threaded behaviour.
 	_ = m.ensureTrained()
-	st := newInferState(m.entries, m.params.Clone(), m.chol, m.order, m.mu())
-	m.published = st
+	st := newInferState(m.entries, m.params.Clone(), m.chol, m.order, m.priorMean())
+	m.published.Store(st)
 	return st
 }
 
 // mutated invalidates the published snapshot after any state change.
-func (m *model) mutated() { m.published = nil }
+func (m *model) mutated() { m.published.Store(nil) }
 
 // detachEntries gives the model a private copy of its entries slice so
 // in-place edits cannot reach a published inferState. O(n) with n ≤ C_g;
@@ -160,7 +166,7 @@ func (m *model) detachEntries() {
 	m.entries = append([]entry(nil), m.entries...)
 }
 
-func newModel(id query.FuncID, cfg Config, params kernel.Params, ctr *shardCounters) *model {
+func newModel(id query.FuncID, cfg Config, params kernel.Params, ctr *counters) *model {
 	return &model{
 		id:     id,
 		cfg:    cfg,
@@ -170,9 +176,9 @@ func newModel(id query.FuncID, cfg Config, params kernel.Params, ctr *shardCount
 	}
 }
 
-// mu returns the prior mean statistic (mean of observations; zero when the
-// synopsis is empty).
-func (m *model) mu() float64 { return m.obsMoments.Mean() }
+// priorMean returns the prior mean statistic (mean of observations; zero
+// when the synopsis is empty).
+func (m *model) priorMean() float64 { return m.obsMoments.Mean() }
 
 // sigma2Analytic estimates σ²_g by moment matching: Appendix F.3 equates
 // σ²_g with the variance of ν_g, estimated from the spread of past
@@ -184,7 +190,7 @@ func (m *model) mu() float64 { return m.obsMoments.Mean() }
 // residuals: σ² = Σ((θ_i−m_i)² − β_i²)⁺ / Σ s_i. The residuals subtract
 // the sampling noise β² so σ² reflects the underlying spread only.
 func (m *model) sigma2Analytic(p kernel.Params) float64 {
-	return sigma2For(m.entries, m.mu(), p)
+	return sigma2For(m.entries, m.priorMean(), p)
 }
 
 func sigma2For(entries []entry, mu float64, p kernel.Params) float64 {
@@ -477,7 +483,7 @@ func (m *model) rebuild() error {
 	}
 	m.ensureGram()
 	if !m.paramsFixed {
-		m.params.Sigma2 = sigma2From(m.entries, m.mu(), func(i int) float64 { return m.gram[tri(i, i)] })
+		m.params.Sigma2 = sigma2From(m.entries, m.priorMean(), func(i int) float64 { return m.gram[tri(i, i)] })
 	}
 	// NewCholesky reads the lower triangle only.
 	s := linalg.NewMatrix(n, n)

@@ -26,12 +26,8 @@ const snapshotVersion = 1
 type snapshotJSON struct {
 	Version int    `json:"version"`
 	Table   string `json:"table"`
-	// Shards records the shard count of the saving process. It is
-	// informational: models are keyed by function, the FuncID hash is
-	// process-stable, and Load distributes onto the *loading* config's
-	// shards — a snapshot saved at 16 shards loads fine at 1, and vice
-	// versa. Absent (0) in pre-sharding snapshots.
-	Shards int         `json:"shards,omitempty"`
+	// Snapshots written before models became their own lock domains also
+	// carry an informational "shards" count; decoding ignores it.
 	Models []modelJSON `json:"models"`
 }
 
@@ -68,22 +64,16 @@ type rangeJSON struct {
 // factorizations are not stored; Load rebuilds them (Algorithm 1's offline
 // precomputation is cheap relative to reacquiring a query history).
 //
-// Models are written in global creation order regardless of which shard
-// they live on, so the byte output is invariant under NumShards. Shards
-// are read-locked one at a time: each model is internally consistent (its
-// mutators are atomic under the shard lock), which is the only coherence a
-// snapshot needs — models never reference each other.
+// Models are written in global creation order and locked one at a time:
+// each model is internally consistent (its mutators are atomic under its
+// mu), which is the only coherence a snapshot needs — models never
+// reference each other.
 func (v *Verdict) Save(w io.Writer) error {
-	snap := snapshotJSON{Version: snapshotVersion, Table: v.table.Name(), Shards: len(v.shards)}
+	snap := snapshotJSON{Version: snapshotVersion, Table: v.table.Name()}
 	schema := v.table.Schema()
-	for _, id := range v.FuncIDs() {
-		sh := v.shardFor(id)
-		sh.mu.RLock()
-		m, ok := sh.models[id]
-		if !ok {
-			sh.mu.RUnlock()
-			continue
-		}
+	for _, m := range v.modelsInOrder() {
+		id := m.id
+		m.mu.Lock()
 		mj := modelJSON{
 			Kind:        id.Kind.String(),
 			MeasureKey:  id.MeasureKey,
@@ -121,7 +111,7 @@ func (v *Verdict) Save(w io.Writer) error {
 			}
 			mj.Entries = append(mj.Entries, ej)
 		}
-		sh.mu.RUnlock()
+		m.mu.Unlock()
 		snap.Models = append(snap.Models, mj)
 	}
 	enc := json.NewEncoder(w)
@@ -176,13 +166,10 @@ func Load(r io.Reader, table *storage.Table, cfg Config) (*Verdict, error) {
 			}
 			params.Ells[col] = e.Value
 		}
-		// The new Verdict is private to this call: shard placement needs no
-		// locking yet, only the same hash Record/Infer will use later.
-		sh := v.shardFor(id)
-		m := newModel(id, v.cfg, params, &sh.ctr)
+		// The new Verdict is private to this call: nothing else can reach
+		// the model while it is filled.
+		m := v.modelFor(id, func() kernel.Params { return params })
 		m.paramsFixed = mj.ParamsFixed
-		sh.models[id] = m
-		v.order = append(v.order, id)
 
 		for _, ej := range mj.Entries {
 			region := query.NewRegion(schema)
@@ -218,9 +205,9 @@ func Load(r io.Reader, table *storage.Table, cfg Config) (*Verdict, error) {
 		}
 	}
 	// Restore factorizations (Algorithm 1's precomputation).
-	for _, id := range v.order {
-		if err := v.shardFor(id).models[id].rebuild(); err != nil {
-			return nil, fmt.Errorf("core: rebuilding %s: %w", id, err)
+	for _, m := range v.modelsInOrder() {
+		if err := m.rebuild(); err != nil {
+			return nil, fmt.Errorf("core: rebuilding %s: %w", m.id, err)
 		}
 	}
 	return v, nil

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"math"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -181,4 +183,76 @@ func TestSaveLoadPinnedParams(t *testing.T) {
 
 func kernelParamsForTest(xcol int) kernel.Params {
 	return kernel.Params{Sigma2: 2, Ells: map[int]float64{xcol: 42}}
+}
+
+// fixtureVerdict rebuilds the workload behind testdata/synopsis_shards8.json:
+// six AVG functions and one FREQ function, recorded and trained.
+func fixtureVerdict(t *testing.T) (*Verdict, *storage.Table) {
+	tb := multiMeasureTable(t, 4000, 6)
+	v := New(tb, Config{})
+	recordWorkload(t, v, tb, 6, 8)
+	rng := randx.New(29)
+	for k := 0; k < 8; k++ {
+		lo := rng.Uniform(0, 90)
+		w := rng.Uniform(3, 8)
+		v.Record(freqSnippet(tb, lo, lo+w), query.ScalarEstimate{Value: w / 100 * (1 + rng.Normal(0, 0.05)), StdErr: 0.002})
+	}
+	if err := v.Train(); err != nil {
+		t.Fatal(err)
+	}
+	return v, tb
+}
+
+// A snapshot written when the synopsis was split into shards carries a
+// "shards" count. It must still load, infer bit for bit like the workload
+// it was saved from, and re-save as the same bytes without that line.
+func TestLoadShardedSnapshot(t *testing.T) {
+	fixture, err := os.ReadFile("testdata/synopsis_shards8.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, tb := fixtureVerdict(t)
+	loaded, err := Load(bytes.NewReader(fixture), tb, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := loaded.FuncIDs(), built.FuncIDs(); !slices.Equal(got, want) {
+		t.Fatalf("functions %v, want %v", got, want)
+	}
+	for _, id := range built.FuncIDs() {
+		bp, _ := built.Params(id)
+		lp, _ := loaded.Params(id)
+		if !sameParams(bp, lp) {
+			t.Fatalf("%v: loaded params %+v, built %+v", id, lp, bp)
+		}
+	}
+	probes := []struct {
+		sn  *query.Snippet
+		raw query.ScalarEstimate
+	}{{freqSnippet(tb, 40, 46), query.ScalarEstimate{Value: 0.07, StdErr: 0.01}}}
+	for i := 0; i < 6; i++ {
+		probes = append(probes, struct {
+			sn  *query.Snippet
+			raw query.ScalarEstimate
+		}{measureSnippet(tb, i, 40, 46), query.ScalarEstimate{Value: float64(i+1)*10 + 52, StdErr: 0.8}})
+	}
+	for _, p := range probes {
+		if li, bi := loaded.Infer(p.sn, p.raw), built.Infer(p.sn, p.raw); !sameImproved(li, bi) {
+			t.Fatalf("%v: loaded infers %+v, built %+v", p.sn.Func(), li, bi)
+		}
+	}
+
+	want := bytes.Replace(fixture, []byte(" \"shards\": 8,\n"), nil, 1)
+	if bytes.Equal(want, fixture) {
+		t.Fatal("fixture carries no shards line")
+	}
+	for name, v := range map[string]*Verdict{"loaded": loaded, "built": built} {
+		var buf bytes.Buffer
+		if err := v.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%s re-save differs from the fixture minus its shards line", name)
+		}
+	}
 }

@@ -147,7 +147,11 @@ func TestConcurrentQueriesAcrossRebuilds(t *testing.T) {
 		qWG.Add(1)
 		go func(s int) {
 			defer qWG.Done()
-			for k := 0; k < queriesPerSession; k++ {
+			// Past its quota a session keeps querying until a rebuild has
+			// landed: memo-served queries can all finish before the
+			// rebuilder is first scheduled, and the storm must overlap an
+			// epoch swap however the goroutines are scheduled.
+			for k := 0; k < queriesPerSession || sys.StatsSnapshot().Rebuilds == 0; k++ {
 				sql := concurrentQueries[(s+k)%len(concurrentQueries)]
 				res, err := sys.Execute(sql)
 				if err != nil {

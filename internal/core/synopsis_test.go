@@ -61,7 +61,7 @@ func TestSynopsisSigma2RefreshOnDoubling(t *testing.T) {
 		t.Fatalf("pinned sigma2 moved to %v", p.Sigma2)
 	}
 	// 64 records: rebuilds at 1…8, 16, 32, 64 and Extend everywhere else.
-	if c := v.ShardCounters()[shardIndex(id, v.NumShards())]; c.Refactorizations != 11 {
+	if c := v.Counters(); c.Refactorizations != 11 {
 		t.Fatalf("refactorizations = %d, want 11 (every record up to %d slots, then one per doubling)", c.Refactorizations, minExtendSlots)
 	}
 }
@@ -250,7 +250,7 @@ func runOracleSequence(t *testing.T, seed int64, quota int, withSetParams bool, 
 	}
 	probeRaw := query.ScalarEstimate{Value: 5, StdErr: 0.8, PopErr: 0.05}
 	id := probes[0].Func()
-	ctr := func() ShardCounter { return v.ShardCounters()[shardIndex(id, v.NumShards())] }
+	ctr := v.Counters
 
 	// Readers: kicked just before every mutation, so their inferences —
 	// and the publish a reader may win — overlap the writer's edits.
@@ -297,7 +297,7 @@ func runOracleSequence(t *testing.T, seed int64, quota int, withSetParams bool, 
 	for step := 0; step < steps; step++ {
 		m := v.modelOf(id)
 		before := ctr()
-		prevChol, prevPub := m.chol, m.published
+		prevChol, prevPub := m.chol, m.published.Load()
 		prevSig2 := m.params.Sigma2
 		// What an edit-kind record will do: read off the state before it, and
 		// off whether the record kept the Gram cache.
@@ -401,9 +401,9 @@ func runOracleSequence(t *testing.T, seed int64, quota int, withSetParams bool, 
 
 		// An unchanged repeat is a pure recency bump.
 		if unchanged {
-			if m.published != prevPub || m.chol != prevChol || refactored || edited != 0 || after.NoopRepeats != before.NoopRepeats+1 {
+			if m.published.Load() != prevPub || m.chol != prevChol || refactored || edited != 0 || after.NoopRepeats != before.NoopRepeats+1 {
 				t.Fatalf("step %d: unchanged repeat republished (pub same=%v, chol same=%v, refactored=%v, edits %d, noops %d→%d)",
-					step, m.published == prevPub, m.chol == prevChol, refactored, edited, before.NoopRepeats, after.NoopRepeats)
+					step, m.published.Load() == prevPub, m.chol == prevChol, refactored, edited, before.NoopRepeats, after.NoopRepeats)
 			}
 		}
 

@@ -250,7 +250,7 @@ func (s *System) Train() error {
 }
 
 // SaveSynopsis serializes the synopsis while holding the append lock, so
-// the snapshot can never interleave with an in-flight Append's per-shard
+// the snapshot can never interleave with an in-flight Append's per-model
 // Lemma 3 drift adjustments (some models adjusted, others not). The
 // serving layer's /save uses this; Verdict.Save alone is only as coherent
 // as each individual model.

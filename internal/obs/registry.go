@@ -402,9 +402,9 @@ func (r *Registry) GaugeFuncVec(name, help string, labelNames []string, collect 
 }
 
 // CounterFuncVec registers a labeled counter family collected at scrape
-// time: collect returns one Sample per label-value combination (the
-// per-shard synopsis counters use this — the shards already count with
-// their own atomics).
+// time: collect returns one Sample per label-value combination (the scan
+// memo's per-outcome counters use this — the memo already counts with its
+// own atomics).
 func (r *Registry) CounterFuncVec(name, help string, labelNames []string, collect func() []Sample) {
 	f := r.family(name, help, typeCounter, labelNames, nil)
 	f.mu.Lock()

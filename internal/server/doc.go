@@ -14,7 +14,7 @@
 //
 // The Server itself holds no query state and takes no locks on the
 // request path; all shared-state discipline lives in core.System and
-// below (snapshot-isolated views, sharded copy-on-write synopsis). What
+// below (snapshot-isolated views, per-model copy-on-write synopsis). What
 // the server adds:
 //
 //   - Admission control: a buffered-channel semaphore of MaxInFlight

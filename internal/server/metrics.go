@@ -14,10 +14,11 @@ import (
 // Serving-layer metrics. The registry is shared with the binary (which
 // also wires the query-stage histogram into core via obs.NewQueryStages on
 // the same registry), and registration is get-or-create, so any number of
-// layers can name the same family without conflict. Scrape-time collectors
-// (GaugeFunc / CounterFuncVec) read state the server already tracks with
-// atomics — sessions, pending rows, retention, per-shard synopsis counters
-// — so a scrape never takes a lock a query path cares about.
+// layers can name the same family without conflict. Scrape-time
+// collectors (GaugeFunc / CounterFunc / CounterFuncVec) read state the
+// server already tracks with atomics — sessions, pending rows, retention,
+// synopsis write counters — so a scrape never takes a lock a query path
+// cares about.
 
 type serverMetrics struct {
 	reg *obs.Registry
@@ -142,35 +143,34 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		"Partition count of the sample layout (0 = flat unpartitioned sample).",
 		func() float64 { return float64(len(s.sys.Engine().PartitionStats())) })
 
-	// Per-shard synopsis write counters, read straight off the shards'
-	// atomics at scrape time. Caveat: /load swaps the Verdict, restarting
-	// these from zero — a scrape-side reset, like any process restart.
-	// Which kind of maintenance the records caused shows in the last four:
-	// on repeated queries over a synopsis that fits, refactorizations and
-	// gram_rebuilds stay flat and noop_repeats tracks records; on unique
-	// queries at the cap factor_edits tracks records (O(n²) each) and
-	// refactorizations grows by one per builtAt edits. A refactorizations
-	// count that tracks records is O(n³) work per record.
+	// Synopsis write counters, read straight off the Verdict's atomics at
+	// scrape time. Caveat: /load swaps the Verdict, restarting these from
+	// zero — a scrape-side reset, like any process restart. Which kind of
+	// maintenance the records caused shows in the last four: on repeated
+	// queries over a synopsis that fits, refactorizations and gram_rebuilds
+	// stay flat and noop_repeats tracks records; on unique queries at the
+	// cap factor_edits tracks records (O(n²) each) and refactorizations
+	// grows by one per builtAt edits. A refactorizations count that tracks
+	// records is O(n³) work per record.
 	for _, c := range []struct {
 		name, help string
-		pick       func(core.ShardCounter) int64
+		pick       func(core.Counters) int64
 	}{
-		{"verdict_synopsis_shard_records_total", "Snippets recorded into the synopsis, by shard.",
-			func(c core.ShardCounter) int64 { return c.Records }},
-		{"verdict_synopsis_shard_trains_total", "Model train passes run, by shard.",
-			func(c core.ShardCounter) int64 { return c.Trains }},
-		{"verdict_synopsis_refactorizations_total", "From-scratch Cholesky factorizations of a model's covariance matrix (O(n^3) each; sigma2 re-estimated), by shard.",
-			func(c core.ShardCounter) int64 { return c.Refactorizations }},
-		{"verdict_synopsis_factor_edits_total", "O(n^2) edits of a model's Cholesky factor: one row extended, or replaced for an evicted or improved snippet, by shard.",
-			func(c core.ShardCounter) int64 { return c.FactorEdits }},
-		{"verdict_synopsis_gram_rebuilds_total", "Gram caches dropped because a length-scale, column domain or dictionary size moved (n^2/2 kernel integrals each), by shard.",
-			func(c core.ShardCounter) int64 { return c.GramRebuilds }},
-		{"verdict_synopsis_noop_repeats_total", "Records of an already-held snippet whose error did not improve (recency bump only), by shard.",
-			func(c core.ShardCounter) int64 { return c.NoopRepeats }},
+		{"verdict_synopsis_records_total", "Snippets recorded into the synopsis.",
+			func(c core.Counters) int64 { return c.Records }},
+		{"verdict_synopsis_trains_total", "Model train passes run.",
+			func(c core.Counters) int64 { return c.Trains }},
+		{"verdict_synopsis_refactorizations_total", "From-scratch Cholesky factorizations of a model's covariance matrix (O(n^3) each; sigma2 re-estimated).",
+			func(c core.Counters) int64 { return c.Refactorizations }},
+		{"verdict_synopsis_factor_edits_total", "O(n^2) edits of a model's Cholesky factor: one row extended, or replaced for an evicted or improved snippet.",
+			func(c core.Counters) int64 { return c.FactorEdits }},
+		{"verdict_synopsis_gram_rebuilds_total", "Gram caches dropped because a length-scale, column domain or dictionary size moved (n^2/2 kernel integrals each).",
+			func(c core.Counters) int64 { return c.GramRebuilds }},
+		{"verdict_synopsis_noop_repeats_total", "Records of an already-held snippet whose error did not improve (recency bump only).",
+			func(c core.Counters) int64 { return c.NoopRepeats }},
 	} {
 		pick := c.pick
-		reg.CounterFuncVec(c.name, c.help, []string{"shard"},
-			func() []obs.Sample { return shardSamples(s, pick) })
+		reg.CounterFunc(c.name, c.help, func() float64 { return float64(pick(s.sys.Verdict().Counters())) })
 	}
 	return m
 }
@@ -180,15 +180,6 @@ func partitionSamples(s *Server, pick func(aqp.PartitionStat) float64) []obs.Sam
 	out := make([]obs.Sample, len(stats))
 	for i, st := range stats {
 		out[i] = obs.Sample{Labels: []string{strconv.Itoa(st.Partition)}, Value: pick(st)}
-	}
-	return out
-}
-
-func shardSamples(s *Server, pick func(core.ShardCounter) int64) []obs.Sample {
-	counters := s.sys.Verdict().ShardCounters()
-	out := make([]obs.Sample, len(counters))
-	for i, c := range counters {
-		out[i] = obs.Sample{Labels: []string{strconv.Itoa(i)}, Value: float64(pick(c))}
 	}
 	return out
 }

@@ -174,7 +174,8 @@ func TestMetricsExposition(t *testing.T) {
 		"verdict_http_shed_total":                 "counter",
 		"verdict_stream_resumes_total":            "counter",
 		"verdict_stream_behind_horizon_total":     "counter",
-		"verdict_synopsis_shard_records_total":    "counter",
+		"verdict_synopsis_records_total":          "counter",
+		"verdict_synopsis_trains_total":           "counter",
 		"verdict_synopsis_refactorizations_total": "counter",
 		"verdict_synopsis_factor_edits_total":     "counter",
 		"verdict_synopsis_gram_rebuilds_total":    "counter",
@@ -221,8 +222,8 @@ func TestMetricsExposition(t *testing.T) {
 	if v, ok := values["verdict_http_shed_total"]; !ok || v != 0 {
 		t.Errorf("shed counter = %v (present %v), want 0", v, ok)
 	}
-	if n := sumMatching(values, "verdict_synopsis_shard_records_total"); n == 0 {
-		t.Error("synopsis shard record counters all zero after queries")
+	if n := sumMatching(values, "verdict_synopsis_records_total"); n == 0 {
+		t.Error("synopsis record counter zero after queries")
 	}
 	if _, ok := values["verdict_replay_horizon_age_generations"]; !ok {
 		t.Error("replay horizon age gauge missing")
@@ -335,7 +336,7 @@ func TestMetricsExposition(t *testing.T) {
 			d, ar.Sampled, avgModels)
 	}
 	// /stats carries the same counters: the memo's and the drift rows in
-	// the system block, the synopsis ones in the shard block.
+	// the system block, the synopsis ones in the synopsis block.
 	var st StatsResponse
 	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
@@ -345,16 +346,14 @@ func TestMetricsExposition(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	var noops, refacts, edits int64
-	for _, sh := range st.Synopsis.Shards {
-		noops += sh.NoopRepeats
-		refacts += sh.Refactorizations
-		edits += sh.FactorEdits
-	}
-	if float64(noops) != sumMatching(repeated, "verdict_synopsis_noop_repeats_total") ||
-		float64(refacts) != sumMatching(repeated, "verdict_synopsis_refactorizations_total") ||
-		float64(edits) != sumMatching(repeated, "verdict_synopsis_factor_edits_total") {
-		t.Errorf("/stats shard counters (noops %d, refactorizations %d, factor edits %d) disagree with /metrics", noops, refacts, edits)
+	syn := st.Synopsis
+	if float64(syn.Records) != sumMatching(repeated, "verdict_synopsis_records_total") ||
+		float64(syn.Trains) != sumMatching(repeated, "verdict_synopsis_trains_total") ||
+		float64(syn.NoopRepeats) != sumMatching(repeated, "verdict_synopsis_noop_repeats_total") ||
+		float64(syn.Refactorizations) != sumMatching(repeated, "verdict_synopsis_refactorizations_total") ||
+		float64(syn.FactorEdits) != sumMatching(repeated, "verdict_synopsis_factor_edits_total") ||
+		float64(syn.GramRebuilds) != sumMatching(repeated, "verdict_synopsis_gram_rebuilds_total") {
+		t.Errorf("/stats synopsis counters %+v disagree with /metrics", syn.Counters)
 	}
 	if float64(st.System.DriftRows) != afterSecond[driftRows] {
 		t.Errorf("/stats drift rows %d disagree with /metrics %g", st.System.DriftRows, afterSecond[driftRows])

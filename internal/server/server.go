@@ -65,7 +65,7 @@ type Config struct {
 	Logger *slog.Logger
 	// Metrics is the registry GET /metrics exposes; the server registers
 	// its serving-layer families on it (request latency, shed, stream lag,
-	// rebuild duration, session/retention gauges, per-shard synopsis
+	// rebuild duration, session/retention gauges, synopsis write
 	// counters). Nil disables the endpoint and all serving-layer metrics —
 	// instrumentation then costs one branch per request. Share the same
 	// registry with core's stage timer (obs.NewQueryStages) so one scrape
@@ -731,17 +731,11 @@ type StatsResponse struct {
 		SampleRows int      `json:"sample_rows"`
 		Epoch      uint64   `json:"epoch"`
 	} `json:"table"`
-	System   core.SystemStats `json:"system"`
-	Synopsis struct {
-		Snippets  int `json:"snippets"`
-		Functions int `json:"functions"`
-		Footprint int `json:"footprint_bytes"`
-		// NumShards and Shards expose the sharded synopsis layout: one
-		// entry per shard, in shard order (see core.Verdict.ShardStats).
-		NumShards int              `json:"num_shards"`
-		Shards    []core.ShardStat `json:"shards"`
-	} `json:"synopsis"`
-	Sample struct {
+	System core.SystemStats `json:"system"`
+	// Synopsis carries the synopsis totals and write counters (see
+	// core.Verdict.Stats).
+	Synopsis core.SynopsisStat `json:"synopsis"`
+	Sample   struct {
 		// Generation counts completed sample rebuilds (epoch swaps).
 		Generation uint64 `json:"generation"`
 		Rebuilds   int    `json:"rebuilds"`
@@ -814,16 +808,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Table.Epoch = view.Epoch
 	sysStats := s.sys.StatsSnapshot()
 	resp.System = sysStats
-	v := s.sys.Verdict()
-	// One ShardStats pass; the totals derive from it, so the three figures
-	// cannot disagree within a single response.
-	resp.Synopsis.NumShards = v.NumShards()
-	resp.Synopsis.Shards = v.ShardStats()
-	for _, sh := range resp.Synopsis.Shards {
-		resp.Synopsis.Snippets += sh.Snippets
-		resp.Synopsis.Functions += sh.Functions
-		resp.Synopsis.Footprint += sh.FootprintBytes
-	}
+	resp.Synopsis = s.sys.Verdict().Stats()
 	resp.Sample.Generation = view.SampleGen
 	resp.Sample.Rebuilds = sysStats.Rebuilds
 	resp.Sample.PendingRows = s.pendingRows.Load()

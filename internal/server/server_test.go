@@ -362,7 +362,7 @@ func TestServerAdmissionControl(t *testing.T) {
 func TestServerRebuildEndpointAndShardStats(t *testing.T) {
 	_, sys, ts := fixture(t, 20000, Config{})
 
-	// Warm the synopsis with a couple of functions so shard stats have
+	// Warm the synopsis with a couple of functions so its stats have
 	// something to show.
 	for _, sql := range []string{
 		"SELECT AVG(revenue) FROM sales WHERE week < 20",
@@ -392,7 +392,7 @@ func TestServerRebuildEndpointAndShardStats(t *testing.T) {
 		t.Fatalf("engine generation %d after /rebuild", got)
 	}
 
-	// /stats reflects the sharded synopsis and the rebuild.
+	// /stats reflects the synopsis and the rebuild.
 	r, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -402,17 +402,11 @@ func TestServerRebuildEndpointAndShardStats(t *testing.T) {
 	if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Synopsis.NumShards != core.DefaultNumShards || len(st.Synopsis.Shards) != st.Synopsis.NumShards {
-		t.Fatalf("shard stats: num=%d len=%d", st.Synopsis.NumShards, len(st.Synopsis.Shards))
-	}
-	snips, funcs := 0, 0
-	for _, sh := range st.Synopsis.Shards {
-		snips += sh.Snippets
-		funcs += sh.Functions
-	}
-	if snips != st.Synopsis.Snippets || funcs != st.Synopsis.Functions {
-		t.Fatalf("per-shard totals (%d snippets, %d funcs) disagree with synopsis (%d, %d)",
-			snips, funcs, st.Synopsis.Snippets, st.Synopsis.Functions)
+	v := sys.Verdict()
+	if syn := st.Synopsis; syn.Functions != 2 || syn.Functions != len(v.FuncIDs()) ||
+		syn.Snippets != v.SnippetCount() || syn.FootprintBytes != v.FootprintBytes() || syn.Records == 0 {
+		t.Fatalf("synopsis stats %+v disagree with the verdict (%d funcs, %d snippets, %d bytes)",
+			syn, len(v.FuncIDs()), v.SnippetCount(), v.FootprintBytes())
 	}
 	if st.Sample.Generation != 1 || st.Sample.Rebuilds != 1 {
 		t.Fatalf("sample stats %+v", st.Sample)

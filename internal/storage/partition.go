@@ -7,7 +7,7 @@ import "sort"
 // base dictionaries by reference. K serving partitions group contiguous
 // strata; because the stratum — not the partition — is the scan granule,
 // every query answer is bit-identical for any K (partition-count
-// invariance), mirroring the synopsis layer's shard-count invariance.
+// invariance).
 //
 // Stratified layout: rows are range-partitioned on a stratum column by
 // quantile rank, so each stratum covers a narrow value slice and its zone
