@@ -222,78 +222,6 @@ func BenchmarkParser(b *testing.B) {
 	}
 }
 
-// ---- Scan-engine comparison: row-at-a-time vs vectorized blocks ----
-
-// scanBenchRows is the relation size for the scan-mode comparison: ≥1M rows
-// so the win is measured at scale, not in cache-warm noise.
-const scanBenchRows = 1_000_000
-
-var (
-	scanBenchOnce  sync.Once
-	scanBenchTable *storage.Table
-	scanBenchSnip  *query.Snippet
-)
-
-// scanBenchSetup builds (once) a 1M-row relation whose constrained dimension
-// is clustered — the layout block zone maps are designed for — plus an AVG
-// snippet with a ~5%-selective predicate.
-func scanBenchSetup(b *testing.B) (*storage.Table, *query.Snippet) {
-	b.Helper()
-	scanBenchOnce.Do(func() {
-		schema := storage.MustSchema([]storage.ColumnDef{
-			{Name: "x", Kind: storage.Numeric, Role: storage.Dimension},
-			{Name: "grp", Kind: storage.Categorical, Role: storage.Dimension},
-			{Name: "v", Kind: storage.Numeric, Role: storage.Measure},
-		})
-		tb := storage.NewTable("scan", schema)
-		rng := randx.New(99)
-		groups := []string{"a", "b", "c", "d"}
-		for i := 0; i < scanBenchRows; i++ {
-			x := float64(i) / scanBenchRows * 100
-			if err := tb.AppendRow([]storage.Value{
-				storage.Num(x),
-				storage.Str(groups[i%len(groups)]),
-				storage.Num(10 + x + rng.Normal(0, 1)),
-			}); err != nil {
-				panic(err)
-			}
-		}
-		xcol, _ := schema.Lookup("x")
-		vcol, _ := schema.Lookup("v")
-		g := query.NewRegion(schema)
-		g.ConstrainNum(xcol, query.NumRange{Lo: 42, Hi: 47})
-		scanBenchTable = tb
-		scanBenchSnip = &query.Snippet{
-			Kind: query.AvgAgg, MeasureKey: "v",
-			Measure: func(t *storage.Table, row int) float64 { return t.NumAt(row, vcol) },
-			Region:  g, Table: tb,
-		}
-	})
-	return scanBenchTable, scanBenchSnip
-}
-
-func benchScanMode(b *testing.B, mode aqp.ScanMode) {
-	tb, sn := scanBenchSetup(b)
-	sample := &aqp.Sample{Data: tb, Fraction: 1, BatchSize: tb.Rows(), BaseRows: tb.Rows()}
-	engine := aqp.NewEngine(tb, sample, aqp.CachedCost)
-	engine.SetScanMode(mode)
-	snips := []*query.Snippet{sn}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = engine.RunToCompletion(snips)
-	}
-	b.ReportMetric(float64(tb.Rows())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
-}
-
-// BenchmarkScanRowAtATime is the legacy baseline: per-row predicate dispatch
-// via Region.Matches, no data-parallelism within a snippet.
-func BenchmarkScanRowAtATime(b *testing.B) { benchScanMode(b, aqp.ScanRowAtATime) }
-
-// BenchmarkScanVectorized is the block-partitioned pipeline: zone-map
-// pruning, columnar selection vectors, batch moment folds and GOMAXPROCS
-// block workers. The acceptance bar is ≥2× over BenchmarkScanRowAtATime.
-func BenchmarkScanVectorized(b *testing.B) { benchScanMode(b, aqp.ScanVectorized) }
-
 // BenchmarkEngineScan measures the AQP engine's snippet-evaluation scan
 // throughput (rows/op reported as custom metric).
 func BenchmarkEngineScan(b *testing.B) {

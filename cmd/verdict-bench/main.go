@@ -6,13 +6,13 @@
 //	verdict-bench -list
 //	verdict-bench -exp table4
 //	verdict-bench -exp all -scale full -seed 3
-//	verdict-bench -exp groupedbench -json BENCH_grouped.json
-//	verdict-bench -exp scanbench,groupedbench,progressivebench -json-dir bench-out
+//	verdict-bench -exp notifybench -json BENCH_notify.json
+//	verdict-bench -exp progressivebench,notifybench,partitionbench -json-dir bench-out
 //
 // -json writes the machine-readable metrics (ns/op per benchmark case) of
 // every executed experiment that records them, as a single JSON object
 // keyed experiment id → case → value. -json-dir instead writes one
-// BENCH_<name>.json per executed experiment (scanbench → BENCH_scan.json),
+// BENCH_<name>.json per executed experiment (notifybench → BENCH_notify.json),
 // the per-experiment artifacts CI uploads as the perf trajectory.
 package main
 
@@ -107,9 +107,8 @@ func main() {
 }
 
 // benchArtifactName maps an experiment id to its trajectory artifact:
-// scanbench → BENCH_scan.json, groupedbench → BENCH_grouped.json,
-// progressivebench → BENCH_progressive.json; ids without the suffix keep
-// their full name.
+// notifybench → BENCH_notify.json, progressivebench →
+// BENCH_progressive.json; ids without the suffix keep their full name.
 func benchArtifactName(id string) string {
 	name := strings.TrimSuffix(id, "bench")
 	if name == "" {

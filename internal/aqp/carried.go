@@ -20,9 +20,9 @@ import (
 //
 //   - the same snapshot as the last Run (generation, base rows, sample
 //     rows): none, the last answer is returned again;
-//   - the same binding (generation, scan mode, batch size, snippet keys or
-//     grouped spec fingerprint) with more rows: the newly completed batches
-//     plus the partial tail, at most one BatchSize more than the delta;
+//   - the same binding (generation, batch size, snippet keys or grouped
+//     spec fingerprint) with more rows: the newly completed batches plus
+//     the partial tail, at most one BatchSize more than the delta;
 //   - anything else at or ahead of the carried prefix: one fresh full fold
 //     that replaces the carried state;
 //   - a view behind the carried prefix (an older generation, or fewer rows

@@ -24,8 +24,8 @@
 // What is immutable after publish:
 //
 //   - A published View (frozen base and sample prefix snapshots, cost
-//     model, scan mode, the Epoch/SampleGen/BaseRows/SampleRows stamps) is
-//     never mutated; staleness republishes a new one.
+//     model, the Epoch/SampleGen/BaseRows/SampleRows stamps) is never
+//     mutated; staleness republishes a new one.
 //   - The Sample struct behind e.sample is copy-on-write: Append and
 //     RebuildSample build a fresh struct and swap the pointer, so a loaded
 //     *Sample is always internally coherent. Within a generation the
@@ -40,11 +40,11 @@
 // Determinism: scans fan out across workers — a fold schedules the work
 // units of every batch it covers together (View.fold) — but merge per-unit
 // accumulators in fixed (batch, span, unit) order, so a replay of the same
-// view is float-identical to the original run. Standing scans — StandingScan for
-// flat snippet lists, GroupedStandingScan for GROUP BY discovery folds —
-// carry accumulator state across appends and extend it by folding only
-// newly landed batches, reproducing the one-shot merge tree bit for bit;
-// they refuse whenever the generation, scan mode, batch size or
+// view is float-identical to the original run. Standing scans —
+// StandingScan for flat snippet lists, GroupedStandingScan for GROUP BY
+// discovery folds — carry accumulator state across appends and extend it
+// by folding only newly landed batches, reproducing the one-shot merge tree
+// bit for bit; they refuse whenever the generation, batch size or
 // grouped-spec fingerprint drifts. CarriedFold (carried.go) is the one
 // owner of what to do then — return the last answer for the same snapshot,
 // extend, rebind with one full fold, or serve a view behind the carried

@@ -25,7 +25,6 @@ import (
 type Engine struct {
 	base   *storage.Table
 	cost   CostModel
-	mode   ScanMode
 	stages obs.StageTimer // nil disables scan-stage timing
 
 	// sample points at the current-generation Sample. The struct behind the
@@ -108,9 +107,7 @@ func (e *GenEvictedError) Error() string {
 // Is makes errors.Is(err, ErrGenEvicted) succeed.
 func (e *GenEvictedError) Is(target error) bool { return target == ErrGenEvicted }
 
-// NewEngine wires a base relation, its offline sample and a cost model. The
-// engine scans with the vectorized block pipeline by default; see
-// SetScanMode.
+// NewEngine wires a base relation, its offline sample and a cost model.
 func NewEngine(base *storage.Table, sample *Sample, cost CostModel) *Engine {
 	e := &Engine{base: base, cost: cost, pins: make(map[uint64]int), layout: DefaultRebuildOptions()}
 	e.sample.Store(sample)
@@ -206,23 +203,12 @@ func (e *Engine) RetentionStats() (horizon uint64, retained, maxRetained int) {
 	return r.horizon, r.retained, r.max
 }
 
-// SetScanMode switches between the vectorized block scan (default) and the
-// legacy row-at-a-time scan (baseline/ablation). Not safe to call while
-// queries are in flight.
-func (e *Engine) SetScanMode(m ScanMode) {
-	e.mode = m
-	e.view.Store(nil) // republish with the new mode on next Acquire
-}
-
-// ScanMode returns the active scan implementation.
-func (e *Engine) ScanMode() ScanMode { return e.mode }
-
 // SetStageTimer installs the scan-stage latency sink. Serving views
 // publish with it; replay views (ViewAt/ViewAtGen/PinGen) never carry it,
 // so audit re-scans don't pollute the serving distributions. A nil timer
 // (the default) reduces instrumentation to one branch per entry point —
-// benchmarks and library callers pay nothing. Like SetScanMode, set it at
-// boot: not safe to call while queries are in flight.
+// benchmarks and library callers pay nothing. Set it at boot: not safe to
+// call while queries are in flight.
 func (e *Engine) SetStageTimer(t obs.StageTimer) {
 	e.stages = t
 	e.view.Store(nil) // republish with the timer on next Acquire
@@ -245,23 +231,6 @@ type accumulator struct {
 	moments  mathx.Moments // measure values (AVG) or 0/1 indicators (FREQ)
 	scanned  int           // rows examined so far (match or not)
 	baseRows int           // base-relation cardinality, for PopErr
-}
-
-func (a *accumulator) observe(t *storage.Table, row int) {
-	a.scanned++
-	match := a.sn.Region.Matches(t, row)
-	switch a.sn.Kind {
-	case query.FreqAgg:
-		if match {
-			a.moments.Add(1)
-		} else {
-			a.moments.Add(0)
-		}
-	case query.AvgAgg:
-		if match {
-			a.moments.Add(a.sn.Measure(t, row))
-		}
-	}
 }
 
 // minAvgRows is the fewest matching rows before an AVG estimate is
@@ -350,18 +319,11 @@ func (e *Engine) TimeBound(snips []*query.Snippet, budget time.Duration) BatchUp
 	return e.Acquire().TimeBound(snips, budget)
 }
 
-// parallelThreshold is the snippet count past which the row-at-a-time scan
-// fans out across goroutines. Snippets are independent (each owns its
-// accumulator), so partitioning them is race-free; below the threshold the
-// goroutine overhead exceeds the win.
-const parallelThreshold = 8
-
 // Exact computes the snippet's exact answer on the base relation — the
 // ground truth θ̄ experiments compare against. It reuses the vectorized
-// block pipeline (always, regardless of the engine's scan mode, so the
-// ground truth is scan-mode-independent): a FREQ accumulator's indicator
-// mean is the matching fraction and an AVG accumulator's mean is the
-// matched-value mean, which is exactly the definition of θ̄.
+// block pipeline: a FREQ accumulator's indicator mean is the matching
+// fraction and an AVG accumulator's mean is the matched-value mean, which
+// is exactly the definition of θ̄.
 func (e *Engine) Exact(sn *query.Snippet) float64 {
 	return e.Acquire().Exact(sn)
 }

@@ -367,8 +367,8 @@ func TestSamplePrefixUniformProperty(t *testing.T) {
 }
 
 func TestParallelScanMatchesSequential(t *testing.T) {
-	// A wide snippet set (above parallelThreshold) must produce exactly the
-	// same estimates as narrow sets evaluated one by one.
+	// A wide snippet set must produce exactly the same estimates as narrow
+	// sets evaluated one by one.
 	tb := buildTable(t, 8000)
 	sample, err := BuildSample(tb, 0.5, 0, 11)
 	if err != nil {

@@ -21,7 +21,7 @@ func serialFold(v *View, snips []*query.Snippet) BatchUpdate {
 	for b := 0; b < v.Sample.Batches(); b++ {
 		start, end := v.Sample.BatchBounds(b)
 		for _, sp := range v.sampleSpans(start, end) {
-			v.scanTable(sp.tbl, accs, sp.lo, sp.hi)
+			scanVectorized(sp.tbl, accs, sp.lo, sp.hi)
 		}
 	}
 	return v.finalUpdate(accs)

@@ -88,34 +88,20 @@ func spanUnits(spans []scanSpan, split int) (units []unit, cut int) {
 	return units, cut
 }
 
-// fold feeds spans into accs in order — bit-identical to one scanTable call
-// per span — except that the spans from split on fold into a clone of accs
-// taken after the others; it returns the accumulators that saw every span
-// (the clone, or accs when split ≥ len(spans)). Standing scans pass their
-// partial tail batch that way.
+// fold feeds spans into accs in order — bit-identical to one scanVectorized
+// call per span — except that the spans from split on fold into a clone of
+// accs taken after the others; it returns the accumulators that saw every
+// span (the clone, or accs when split ≥ len(spans)). Standing scans pass
+// their partial tail batch that way.
 //
 // A batch of a few thousand rows is a single work unit, so folding batch by
-// batch would run on one core. The vectorized modes instead compute the
-// units of every span at once across the workers, then merge them span by
-// span, unit by unit: the merge sequence, hence every bit of the result, is
-// the batch-by-batch one. Row-at-a-time has no units and folds in place.
+// batch would run on one core. fold instead computes the units of every
+// span at once across the workers, then merges them span by span, unit by
+// unit: the merge sequence, hence every bit of the result, is the
+// batch-by-batch one.
 func (v *View) fold(accs []*accumulator, spans []scanSpan, split int) []*accumulator {
-	if v.mode == ScanRowAtATime {
-		out := accs
-		for i, sp := range spans {
-			if i == split {
-				out = cloneAccs(accs)
-			}
-			scanRows(sp.tbl, out, sp.lo, sp.hi)
-		}
-		return out
-	}
-	var gs *groupedScan
-	if v.mode == ScanVectorized {
-		gs = factorAccs(accs)
-	}
 	units, cut := spanUnits(spans, split)
-	parts := scanUnits(metaOf(accs), gs, units, 0)
+	parts := scanUnits(metaOf(accs), factorAccs(accs), units, 0)
 	for _, p := range parts[:cut] {
 		merge(accs, p)
 	}
@@ -137,12 +123,12 @@ func (v *View) fold(accs []*accumulator, spans []scanSpan, split int) []*accumul
 // directly (matching the carried-accumulator emission of the K=1 stream).
 func (v *View) scanPrefix(accs []*accumulator, rows int) {
 	if v.Sample.Parts == nil {
-		v.scanTable(v.Sample.Data, accs, 0, rows)
+		scanVectorized(v.Sample.Data, accs, 0, rows)
 		return
 	}
 	for _, sp := range v.sampleSpans(0, rows) {
 		bank := freshAccs(accs)
-		v.scanTable(sp.tbl, bank, sp.lo, sp.hi)
+		scanVectorized(sp.tbl, bank, sp.lo, sp.hi)
 		mergeAccs(accs, bank)
 	}
 }

@@ -235,28 +235,6 @@ func TestPartitionCountInvariance(t *testing.T) {
 	}
 }
 
-// TestPartitionedRowAtATimeInvariance covers the legacy scan mode: the
-// span iteration must hold partition-count invariance there too.
-func TestPartitionedRowAtATimeInvariance(t *testing.T) {
-	run := func(parts int) []query.ScalarEstimate {
-		tb := buildTable(t, 12000)
-		sample, err := BuildSample(tb, 0.5, 0, 17)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewEngine(tb, sample, CachedCost)
-		e.SetScanMode(ScanRowAtATime)
-		if err := e.SetSampleLayout(partitionedLayout(tb, parts)); err != nil {
-			t.Fatal(err)
-		}
-		return estimatesOf(e.Acquire().RunToCompletion(progressiveSnips(t, tb)))
-	}
-	want := run(1)
-	for _, parts := range []int{2, 7} {
-		requireEstimatesEqual(t, "row-mode parts="+itoa(parts), run(parts), want)
-	}
-}
-
 // globalOrder reconstructs the interleaved global row order of a
 // partitioned sample as (stratum, within-stratum position) pairs and
 // returns the stratum-column value sequence — globally and per partition.

@@ -86,7 +86,7 @@ type ProgressiveScan struct {
 	gs      *groupedScan   // grouped factoring of the snippet list, if any
 	accs    []*accumulator // complete-unit folds, carried across steps
 	workers int            // worker cap for unit folds; 0 = GOMAXPROCS
-	folded  int            // rows folded into accs (unit-aligned when vectorized)
+	folded  int            // rows folded into accs (unit-aligned)
 	emitted int            // last emitted prefix
 	scanned int            // sample rows read so far, re-covered tails included
 	seq     int
@@ -105,24 +105,21 @@ type ProgressiveScan struct {
 type stratumScan struct {
 	tbl    *storage.Table
 	accs   []*accumulator
-	folded int // rows folded into accs (unit-aligned when vectorized)
+	folded int // rows folded into accs (unit-aligned)
 }
 
 // Progressive starts a resumable evaluation of the snippets against this
 // view's sample. Drive it with Step, typically over PrefixSchedule budgets.
-// Under the default vectorized mode a grouped snippet list factors into the
-// one-pass bank kernel; the per-unit partials it yields are bit-identical to
-// the per-snippet ones, so the carried fold state — and hence every emitted
-// increment — is unchanged.
+// A grouped snippet list factors into the one-pass bank kernel; the
+// per-unit partials it yields are bit-identical to the per-snippet ones, so
+// the carried fold state — and hence every emitted increment — is
+// unchanged.
 func (v *View) Progressive(snips []*query.Snippet) *ProgressiveScan {
 	accs := make([]*accumulator, len(snips))
 	for i, sn := range snips {
 		accs[i] = &accumulator{sn: sn, baseRows: v.Sample.BaseRows}
 	}
-	ps := &ProgressiveScan{view: v, metas: metaOf(accs), accs: accs}
-	if v.mode == ScanVectorized {
-		ps.gs = factorAccs(accs)
-	}
+	ps := &ProgressiveScan{view: v, metas: metaOf(accs), gs: factorAccs(accs), accs: accs}
 	if parts := v.Sample.Parts; parts != nil {
 		ps.banks = make([]*stratumScan, parts.NumStrata()+1)
 		for s := 0; s < parts.NumStrata(); s++ {
@@ -156,19 +153,12 @@ func (p *ProgressiveScan) bankTarget(bi, rows int) int {
 
 // stepBank advances one stratum's carried fold to its prefix [0, target)
 // and returns the accumulators reflecting exactly that prefix — the carried
-// bank when target is unit-aligned (or in row mode), else a private clone
-// with the partial tail unit folded in. The fold sequence per bank is
-// identical to the single-table progressive fold of the same prefix.
+// bank when target is unit-aligned, else a private clone with the partial
+// tail unit folded in. The fold sequence per bank is identical to the
+// single-table progressive fold of the same prefix.
 func (p *ProgressiveScan) stepBank(b *stratumScan, target int) []*accumulator {
 	if target > b.folded {
 		p.scanned += target - b.folded
-	}
-	if p.view.mode == ScanRowAtATime {
-		if target > b.folded {
-			scanRows(b.tbl, b.accs, b.folded, target)
-			b.folded = target
-		}
-		return b.accs
 	}
 	fullUnits := target / unitRows
 	doneUnits := b.folded / unitRows
@@ -224,10 +214,7 @@ func (v *View) ProgressiveFrom(snips []*query.Snippet, rows, seq, workers int) *
 				if target == 0 {
 					continue
 				}
-				if v.mode == ScanRowAtATime {
-					scanRows(b.tbl, b.accs, 0, target)
-					b.folded = target
-				} else if fullUnits := target / unitRows; fullUnits > 0 {
+				if fullUnits := target / unitRows; fullUnits > 0 {
 					for _, part := range scanUnits(ps.metas, ps.gs, appendUnits(nil, b.tbl, 0, target)[:fullUnits], ps.workers) {
 						merge(b.accs, part)
 					}
@@ -236,12 +223,7 @@ func (v *View) ProgressiveFrom(snips []*query.Snippet, rows, seq, workers int) *
 			}
 		} else {
 			data := v.Sample.Data
-			if v.mode == ScanRowAtATime {
-				// Sequential fold: continuation from here is exactly what a
-				// continuous row-at-a-time scan carries at this prefix.
-				scanRows(data, ps.accs, 0, rows)
-				ps.folded = rows
-			} else if fullUnits := rows / unitRows; fullUnits > 0 {
+			if fullUnits := rows / unitRows; fullUnits > 0 {
 				// Fold only the complete units; the carried accumulators stay
 				// unit-aligned and the (at most one-unit) cursor tail is
 				// re-covered by the next Step, exactly as an uninterrupted
@@ -316,11 +298,6 @@ func (p *ProgressiveScan) Step(rows int) Increment {
 			}
 			mergeAccs(emit, p.stepBank(b, target))
 		}
-	} else if p.view.mode == ScanRowAtATime {
-		// The row-at-a-time fold is sequential per accumulator, so plain
-		// continuation reproduces a fresh prefix scan exactly.
-		scanRows(p.view.Sample.Data, p.accs, p.folded, rows)
-		p.folded = rows
 	} else {
 		data := p.view.Sample.Data
 		fullUnits := rows / unitRows

@@ -133,26 +133,6 @@ func TestProgressiveAcrossRebuildAndAppend(t *testing.T) {
 	}
 }
 
-// TestProgressiveRowAtATime: the legacy scan mode continues sequentially,
-// so increments must also replay exactly (the mode travels with the view).
-func TestProgressiveRowAtATime(t *testing.T) {
-	tb := buildTable(t, 12000)
-	sample, err := BuildSample(tb, 0.5, 0, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(tb, sample, CachedCost)
-	e.SetScanMode(ScanRowAtATime)
-	snips := progressiveSnips(t, tb)
-	view := e.Acquire()
-	ps := view.Progressive(snips)
-	for _, prefix := range PrefixSchedule(view.SampleRows, 100) {
-		inc := ps.Step(prefix)
-		fresh := e.ViewAt(view.BaseRows, view.SampleRows).EvalPrefix(snips, prefix)
-		requireIncrementEqual(t, "row-mode prefix="+itoa(prefix), inc, fresh)
-	}
-}
-
 // TestProgressiveStepClamps pins the Step contract: budgets never regress,
 // overshoot clamps to the sample, and repeated terminal steps re-emit.
 func TestProgressiveStepClamps(t *testing.T) {

@@ -178,10 +178,10 @@ const bootLayoutSeed = 0x5eed0917
 // SetSampleLayout installs the engine's default rebuild layout and, when it
 // selects a partitioned layout, re-stratifies the live sample in place at
 // its current generation (under bootLayoutSeed, so the result is
-// deterministic and partition-count invariant). Like SetScanMode, this is a
-// boot-time call: it does not bump the sample generation, so replays of
-// queries served *before* the call against a re-laid-out generation would
-// be meaningless. Returns an error wrapping ErrBadLayout (and changes
+// deterministic and partition-count invariant). This is a boot-time call:
+// it does not bump the sample generation, so replays of queries served
+// *before* the call against a re-laid-out generation would be
+// meaningless. Returns an error wrapping ErrBadLayout (and changes
 // nothing) when the options name an unusable column.
 func (e *Engine) SetSampleLayout(opts RebuildOptions) error {
 	e.wmu.Lock()

@@ -103,28 +103,6 @@ func TestProgressiveFromResumeMultiUnit(t *testing.T) {
 	}
 }
 
-// TestProgressiveFromRowAtATime: the legacy scan mode resumes by sequential
-// continuation and must hold the same bit-identity.
-func TestProgressiveFromRowAtATime(t *testing.T) {
-	tb := buildTable(t, 12000)
-	sample, err := BuildSample(tb, 0.5, 0, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(tb, sample, CachedCost)
-	e.SetScanMode(ScanRowAtATime)
-	snips := progressiveSnips(t, tb)
-	view := e.Acquire()
-	sched := PrefixSchedule(view.SampleRows, 100)
-	want := progressiveIncrements(view, snips, sched, 0)
-	for k := 0; k < len(sched)-1; k++ {
-		ps := view.ProgressiveFrom(snips, sched[k], k, 0)
-		for i := k + 1; i < len(sched); i++ {
-			requireIncrementEqual(t, "row-mode cut="+itoa(k)+" step="+itoa(i), ps.Step(sched[i]), want[i])
-		}
-	}
-}
-
 // TestMaxRetainedGensEviction: with a bound of 2, only the two newest
 // retired generations survive; the horizon advances, evicted generations
 // fail ViewAtGen (nil) and PinGen (ErrGenEvicted), retained ones still

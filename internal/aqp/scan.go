@@ -23,26 +23,6 @@ import (
 // the worker count, so the floating-point merge tree is identical on any
 // core count.
 
-// ScanMode selects the Engine's scan implementation.
-type ScanMode uint8
-
-const (
-	// ScanVectorized is the default block-partitioned, zone-map-pruned,
-	// data-parallel scan. Grouped queries additionally factor their
-	// per-group snippets into one shared-base pass over accumulator banks
-	// (see scan_grouped.go).
-	ScanVectorized ScanMode = iota
-	// ScanRowAtATime is the legacy per-row scan, kept as the measurable
-	// baseline and as an ablation/debug mode.
-	ScanRowAtATime
-	// ScanVectorizedPerSnippet is the vectorized block scan with grouped
-	// accumulator-bank factoring disabled: every snippet re-evaluates its
-	// full region per block. Kept as the ablation/oracle the one-scan
-	// grouped path is benchmarked and verified against, mirroring
-	// ScanRowAtATime.
-	ScanVectorizedPerSnippet
-)
-
 // unitBlocks is the number of blocks per work unit — the scheduling and
 // merge granule. It is a fixed constant (never derived from the worker
 // count) so the moment merge tree, and hence the floating-point result, is
@@ -84,21 +64,17 @@ func metaOf(accs []*accumulator) []snipMeta {
 }
 
 // scanVectorized feeds rows [start, end) of data into every accumulator via
-// the block pipeline. When grouped is set, the snippet list is first offered
-// to FactorGroups: a grouped-query shape runs the one-pass accumulator-bank
-// kernel instead of per-snippet region evaluation (float-identical by
-// construction; see scan_grouped.go).
-func scanVectorized(data *storage.Table, accs []*accumulator, start, end int, grouped bool) {
+// the block pipeline. The snippet list is first offered to FactorGroups: a
+// grouped-query shape runs the one-pass accumulator-bank kernel instead of
+// per-snippet region evaluation (float-identical by construction; see
+// scan_grouped.go).
+func scanVectorized(data *storage.Table, accs []*accumulator, start, end int) {
 	if end <= start || len(accs) == 0 {
 		return
 	}
-	var gs *groupedScan
-	if grouped {
-		gs = factorAccs(accs)
-	}
 	// Merge per-unit partials in unit order: the merge tree depends only on
 	// the scanned range, not on scheduling or core count.
-	for _, p := range scanUnits(metaOf(accs), gs, appendUnits(nil, data, start, end), 0) {
+	for _, p := range scanUnits(metaOf(accs), factorAccs(accs), appendUnits(nil, data, start, end), 0) {
 		merge(accs, p)
 	}
 }
@@ -187,7 +163,7 @@ func scanUnits(metas []snipMeta, gs *groupedScan, units []unit, maxWorkers int) 
 }
 
 // scanUnit dispatches one work unit to the grouped bank kernel or the
-// per-snippet reference kernel.
+// per-snippet kernel (a snippet list factorAccs did not factor).
 func (s *blockScanner) scanUnit(metas []snipMeta, gs *groupedScan, u unit) []partial {
 	if gs != nil {
 		return s.scanRangeGrouped(u.tbl, gs, u.b0, u.b1, u.start, u.end)
@@ -284,44 +260,4 @@ func (s *blockScanner) scanRange(data *storage.Table, metas []snipMeta, b0, b1, 
 		}
 	}
 	return parts
-}
-
-// scanRows is the legacy row-at-a-time scan: per-row predicate dispatch,
-// parallel across snippets only (grouped queries can decompose into hundreds
-// of snippets; Figure 3). Kept as the ScanRowAtATime baseline.
-func scanRows(data *storage.Table, accs []*accumulator, start, end int) {
-	if len(accs) < parallelThreshold {
-		for row := start; row < end; row++ {
-			for _, a := range accs {
-				a.observe(data, row)
-			}
-		}
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(accs) {
-		workers = len(accs)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(accs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(accs) {
-			hi = len(accs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(part []*accumulator) {
-			defer wg.Done()
-			for row := start; row < end; row++ {
-				for _, a := range part {
-					a.observe(data, row)
-				}
-			}
-		}(accs[lo:hi])
-	}
-	wg.Wait()
 }

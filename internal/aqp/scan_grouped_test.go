@@ -93,7 +93,7 @@ var groupedEquivalenceSQL = []string{
 
 // TestGroupedScanMatchesPerSnippet: the one-scan grouped path must be
 // FLOAT-IDENTICAL (bit-equal estimates, not merely close) to the per-snippet
-// ablation path, on clustered and shuffled layouts — the factored kernel
+// reference fold, on clustered and shuffled layouts — the factored kernel
 // replays the exact same moment-update sequence per snippet.
 func TestGroupedScanMatchesPerSnippet(t *testing.T) {
 	for _, clustered := range []bool{true, false} {
@@ -107,15 +107,11 @@ func TestGroupedScanMatchesPerSnippet(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			grouped := NewEngine(tb, sample, CachedCost)
-			grouped.SetScanMode(ScanVectorized)
-			perSnip := NewEngine(tb, sample, CachedCost)
-			perSnip.SetScanMode(ScanVectorizedPerSnippet)
+			gv := NewEngine(tb, sample, CachedCost).Acquire()
 			for _, sql := range groupedEquivalenceSQL {
-				gv := grouped.Acquire()
 				snips := groupedSnips(t, gv, tb, sql)
 				ug := gv.RunToCompletion(snips)
-				up := perSnip.Acquire().RunToCompletion(snips)
+				up := perSnippetRunToCompletion(gv, snips)
 				if ug.RowsScanned != up.RowsScanned {
 					t.Fatalf("%s: rows %d vs %d", sql, ug.RowsScanned, up.RowsScanned)
 				}
@@ -306,8 +302,9 @@ func TestGroupedDiscoverEdges(t *testing.T) {
 }
 
 // TestGroupedFactoringAfterRebuild: the static factored kernel must stay
-// float-identical to the ablation across a mid-stream sample rebuild — new
-// generation, new row layout, same bit-for-bit agreement.
+// float-identical to the per-snippet reference fold across a mid-stream
+// sample rebuild — new generation, new row layout, same bit-for-bit
+// agreement.
 func TestGroupedFactoringAfterRebuild(t *testing.T) {
 	tb := buildGroupedTable(t, 2*storage.BlockSize+987, 7, false)
 	sample, err := BuildSample(tb, 0.7, 0, 19)
@@ -315,20 +312,13 @@ func TestGroupedFactoringAfterRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	sql := "SELECT cat, AVG(val), COUNT(*) FROM t WHERE week < 60 GROUP BY cat"
-	grouped := NewEngine(tb, sample, CachedCost)
-	sample2, err := BuildSample(tb, 0.7, 0, 19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perSnip := NewEngine(tb, sample2, CachedCost)
-	perSnip.SetScanMode(ScanVectorizedPerSnippet)
+	e := NewEngine(tb, sample, CachedCost)
 
 	check := func(label string) {
-		gv := grouped.Acquire()
-		pv := perSnip.Acquire()
+		gv := e.Acquire()
 		snips := groupedSnips(t, gv, tb, sql)
 		ug := gv.RunToCompletion(snips)
-		up := pv.RunToCompletion(snips)
+		up := perSnippetRunToCompletion(gv, snips)
 		for i := range snips {
 			if ug.Estimates[i] != up.Estimates[i] {
 				t.Fatalf("%s snippet %d: %+v vs %+v", label, i, ug.Estimates[i], up.Estimates[i])
@@ -336,8 +326,6 @@ func TestGroupedFactoringAfterRebuild(t *testing.T) {
 		}
 	}
 	check("before rebuild")
-	// Same seed on both engines: the rebuilt layouts stay row-for-row equal.
-	grouped.RebuildSample(777, DefaultRebuildOptions())
-	perSnip.RebuildSample(777, DefaultRebuildOptions())
+	e.RebuildSample(777, DefaultRebuildOptions())
 	check("after rebuild")
 }

@@ -1,6 +1,7 @@
 package aqp
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"testing"
@@ -9,9 +10,11 @@ import (
 	"repro/internal/storage"
 )
 
-// TestVectorizedMatchesRowAtATime runs the same snippet set through both
-// scan modes and requires the estimates to agree to floating-point noise
-// (the accumulation orders differ, so bit-equality is not expected).
+// TestVectorizedMatchesRowAtATime runs the same snippet sets through the
+// engine's scan and the row-at-a-time reference and requires the estimates
+// to agree to floating-point noise (the accumulation orders differ, so
+// bit-equality is not expected). The grouped snippet lists run the
+// accumulator-bank kernel, on clustered and shuffled layouts.
 func TestVectorizedMatchesRowAtATime(t *testing.T) {
 	tb := buildTable(t, 3*storage.BlockSize+123)
 	sample, err := BuildSample(tb, 0.8, 0, 17)
@@ -29,30 +32,47 @@ func TestVectorizedMatchesRowAtATime(t *testing.T) {
 		snippetFor(t, tb, "SELECT AVG(val) FROM t"),
 		snippetFor(t, tb, "SELECT AVG(val * val) FROM t WHERE week >= 40"), // non-column measure
 	)
+	requireMatchesRowRef(t, "flat", NewEngine(tb, sample, CachedCost).Acquire(), snips)
 
-	vec := NewEngine(tb, sample, CachedCost)
-	vec.SetScanMode(ScanVectorized)
-	row := NewEngine(tb, sample, CachedCost)
-	row.SetScanMode(ScanRowAtATime)
+	for _, clustered := range []bool{true, false} {
+		tb := buildGroupedTable(t, 3*storage.BlockSize+777, 12, clustered)
+		sample, err := BuildSample(tb, 0.9, 0, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := NewEngine(tb, sample, CachedCost).Acquire()
+		for _, sql := range groupedEquivalenceSQL {
+			snips := groupedSnips(t, v, tb, sql)
+			if factorAccs(newAccs(v, snips)) == nil {
+				t.Fatalf("%s: not factored into the grouped kernel", sql)
+			}
+			requireMatchesRowRef(t, fmt.Sprintf("clustered=%v %s", clustered, sql), v, snips)
+		}
+	}
+}
 
-	uv := vec.RunToCompletion(snips)
-	ur := row.RunToCompletion(snips)
+// requireMatchesRowRef compares v.RunToCompletion(snips) with the row
+// reference to floating-point noise.
+func requireMatchesRowRef(t *testing.T, label string, v *View, snips []*query.Snippet) {
+	t.Helper()
+	uv := v.RunToCompletion(snips)
+	ur := rowRunToCompletion(v, snips)
 	if uv.RowsScanned != ur.RowsScanned {
-		t.Fatalf("rows scanned: vectorized %d, row %d", uv.RowsScanned, ur.RowsScanned)
+		t.Fatalf("%s: rows scanned: vectorized %d, row %d", label, uv.RowsScanned, ur.RowsScanned)
 	}
 	for i := range snips {
 		if uv.Valid[i] != ur.Valid[i] {
-			t.Fatalf("snippet %d: validity %v vs %v", i, uv.Valid[i], ur.Valid[i])
+			t.Fatalf("%s snippet %d: validity %v vs %v", label, i, uv.Valid[i], ur.Valid[i])
 		}
 		if !uv.Valid[i] {
 			continue
 		}
 		ev, er := uv.Estimates[i], ur.Estimates[i]
 		if relDiff(ev.Value, er.Value) > 1e-9 {
-			t.Fatalf("snippet %d value: vectorized %v row %v", i, ev.Value, er.Value)
+			t.Fatalf("%s snippet %d value: vectorized %v row %v", label, i, ev.Value, er.Value)
 		}
 		if relDiff(ev.StdErr, er.StdErr) > 1e-6 {
-			t.Fatalf("snippet %d stderr: vectorized %v row %v", i, ev.StdErr, er.StdErr)
+			t.Fatalf("%s snippet %d stderr: vectorized %v row %v", label, i, ev.StdErr, er.StdErr)
 		}
 	}
 }
@@ -133,22 +153,5 @@ func TestExactVectorized(t *testing.T) {
 				t.Fatalf("%s: exact avg %v != brute force %v", sql, got, want)
 			}
 		}
-	}
-}
-
-// TestScanModeDefaultAndSwitch pins the default mode and the switch.
-func TestScanModeDefaultAndSwitch(t *testing.T) {
-	tb := buildTable(t, 100)
-	sample, err := BuildSample(tb, 1.0, 0, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(tb, sample, CachedCost)
-	if e.ScanMode() != ScanVectorized {
-		t.Fatalf("default mode=%v, want vectorized", e.ScanMode())
-	}
-	e.SetScanMode(ScanRowAtATime)
-	if e.ScanMode() != ScanRowAtATime {
-		t.Fatal("mode switch ignored")
 	}
 }

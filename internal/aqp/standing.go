@@ -35,15 +35,13 @@ type StandingScan struct {
 	// of these cannot extend the carried fold and Refresh reports false.
 	bound bool
 	gen   uint64
-	mode  ScanMode
 	batch int
 
 	folded int // rows of complete batches folded into accs
 }
 
 // NewStandingScan prepares carried state for the given snippet list. The
-// scan binds to a view's (generation, scan mode, batch size) at the first
-// Refresh.
+// scan binds to a view's (generation, batch size) at the first Refresh.
 func NewStandingScan(snips []*query.Snippet) *StandingScan {
 	return &StandingScan{snips: snips}
 }
@@ -62,11 +60,11 @@ func (s *StandingScan) Bound() bool { return s.bound }
 // Refresh extends the fold to cover v's full sample and returns the final
 // BatchUpdate — bit-identical to v.RunToCompletion(snips) with the same
 // snippet list. ok=false means v is incompatible with the carried state
-// (different sample generation, scan mode or batch size, or a shrunken
-// sample): the caller must start a fresh StandingScan and pay one full
-// fold. Only newly appended complete batches plus the partial tail batch
-// are scanned, so K refreshes across a growing sample cost O(rows +
-// K·BatchSize), not K full scans.
+// (different sample generation or batch size, or a shrunken sample): the
+// caller must start a fresh StandingScan and pay one full fold. Only newly
+// appended complete batches plus the partial tail batch are scanned, so K
+// refreshes across a growing sample cost O(rows + K·BatchSize), not K full
+// scans.
 func (s *StandingScan) Refresh(v *View) (upd BatchUpdate, ok bool) {
 	if !s.bound {
 		s.bind(v)
@@ -93,10 +91,9 @@ func (s *StandingScan) Refresh(v *View) (upd BatchUpdate, ok bool) {
 }
 
 // extends reports whether v can extend the carried fold: same sample
-// generation, scan mode and batch size, and at least the folded prefix.
+// generation and batch size, and at least the folded prefix.
 func (s *StandingScan) extends(v *View) bool {
-	return v.SampleGen == s.gen && v.mode == s.mode &&
-		v.Sample.BatchSize == s.batch && v.SampleRows >= s.folded
+	return v.SampleGen == s.gen && v.Sample.BatchSize == s.batch && v.SampleRows >= s.folded
 }
 
 // lend points the carried accumulators at snips, the caller's current
@@ -118,7 +115,6 @@ func (s *StandingScan) lend(snips []*query.Snippet) {
 func (s *StandingScan) bind(v *View) {
 	s.bound = true
 	s.gen = v.SampleGen
-	s.mode = v.mode
 	s.batch = v.Sample.BatchSize
 	s.accs = make([]*accumulator, len(s.snips))
 	for i, sn := range s.snips {

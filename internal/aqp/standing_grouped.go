@@ -19,9 +19,9 @@ import (
 // statement sequence of the single-shot loop; see StandingScan for the
 // batch-granularity merge-tree argument, which carries over unchanged).
 //
-// Besides the (generation, scan mode, batch size) binding StandingScan
-// checks, the carried fold is also only extendable when the refreshed
-// grouped spec is arithmetically identical to the bound one: the base
+// Besides the (generation, batch size) binding StandingScan checks, the
+// carried fold is also only extendable when the refreshed grouped spec is
+// arithmetically identical to the bound one: the base
 // region bounds (appends can move domain-clipped bounds), the grouping
 // columns, the code-packing shifts (dictionary growth past a power of two
 // rewidths the packed keys) and the aggregate family. specKey fingerprints
@@ -33,7 +33,6 @@ type GroupedStandingScan struct {
 
 	bound   bool
 	gen     uint64
-	mode    ScanMode
 	batch   int
 	specKey string
 
@@ -76,14 +75,14 @@ func groupedSpecKey(spec *query.GroupedSpec) string {
 // extends reports whether (v, a spec fingerprinted key) can extend the
 // carried fold.
 func (s *GroupedStandingScan) extends(v *View, key string) bool {
-	return v.SampleGen == s.gen && v.mode == s.mode && v.Sample.BatchSize == s.batch &&
+	return v.SampleGen == s.gen && v.Sample.BatchSize == s.batch &&
 		v.SampleRows >= s.folded && key == s.specKey
 }
 
 // Refresh extends the fold to cover v's full sample and returns the
 // grouped result — bit-identical to v.GroupedRunToCompletion(spec, nmax).
 // ok=false means v or spec is incompatible with the carried state
-// (different generation, scan mode, batch size, a shrunken sample, or a
+// (different generation or batch size, a shrunken sample, or a
 // spec whose fingerprint drifted): the caller must start a fresh
 // GroupedStandingScan and pay one full fold.
 func (s *GroupedStandingScan) Refresh(v *View, spec *query.GroupedSpec, nmax int) (*GroupedResult, bool) {
@@ -93,7 +92,7 @@ func (s *GroupedStandingScan) Refresh(v *View, spec *query.GroupedSpec, nmax int
 	key := groupedSpecKey(spec)
 	if !s.bound {
 		s.bound = true
-		s.gen, s.mode, s.batch = v.SampleGen, v.mode, v.Sample.BatchSize
+		s.gen, s.batch = v.SampleGen, v.Sample.BatchSize
 		s.specKey = key
 		s.fold = newGroupedFold()
 		s.gs = newDiscoverScan(spec)

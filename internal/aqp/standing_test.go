@@ -68,34 +68,6 @@ func TestStandingScanMatchesRunToCompletion(t *testing.T) {
 	}
 }
 
-// TestStandingScanRowAtATime: the legacy scan mode binds into the carried
-// fold too (the mode travels with the view), and must replay exactly.
-func TestStandingScanRowAtATime(t *testing.T) {
-	tb := buildTable(t, 8000)
-	sample, err := BuildSample(tb, 0.5, 0, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(tb, sample, CachedCost)
-	e.SetScanMode(ScanRowAtATime)
-	snips := progressiveSnips(t, tb)
-	ss := NewStandingScan(snips)
-	for i, rows := range []int{0, 700, 1300} {
-		if rows > 0 {
-			if _, err := e.Append(appendBatch(t, rows, int64(90+i)), int64(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		view := e.Acquire()
-		upd, ok := ss.Refresh(view)
-		if !ok {
-			t.Fatal("Refresh refused a same-generation view")
-		}
-		fresh := e.ViewAt(view.BaseRows, view.SampleRows).RunToCompletion(snips)
-		requireBatchUpdateEqual(t, "row-mode append "+itoa(rows), upd, fresh)
-	}
-}
-
 // TestStandingScanRefusesRebind pins the incompatibility contract: a
 // rebuilt sample (new generation, reshuffled rows, new batch size) cannot
 // extend a carried fold — Refresh must report ok=false rather than emit a

@@ -14,9 +14,9 @@ import (
 
 // Snapshot-isolated serving. A View is an immutable, internally consistent
 // snapshot of everything one query evaluation reads: the base relation and
-// the sample at a stable row count, plus the cost model and scan mode in
-// force when it was acquired. Scans against a View take no locks, so any
-// number of queries can run while Engine.Append lands new rows — or
+// the sample at a stable row count, plus the cost model in force when it
+// was acquired. Scans against a View take no locks, so any number of
+// queries can run while Engine.Append lands new rows — or
 // Engine.RebuildSample swaps in a new sample generation — behind them; a
 // query pinned to a View observes exactly the prefix (and generation) that
 // existed when the View was published, and never a torn mid-append state.
@@ -46,7 +46,6 @@ type View struct {
 	baseEpoch   uint64
 	sampleEpoch uint64
 	cost        CostModel
-	mode        ScanMode
 
 	// stages receives scan-stage latencies. Only serving views published by
 	// publishLocked carry it; replay views stay nil so audits are silent.
@@ -66,23 +65,6 @@ func (v *View) ObserveScan(mode string, grouped bool, start time.Time) {
 // QueryTime is the simulated AQP latency of scanning a sample prefix of the
 // given rows under the view's cost model — an Increment's SimTime.
 func (v *View) QueryTime(rows int) time.Duration { return v.cost.QueryTime(rows) }
-
-// scanTable feeds rows [start, end) of one physical table into the
-// accumulators using the view's scan mode. Global sample ranges go through
-// View.scan (partition.go), which fans out over the per-stratum spans.
-func (v *View) scanTable(data *storage.Table, accs []*accumulator, start, end int) {
-	switch v.mode {
-	case ScanRowAtATime:
-		scanRows(data, accs, start, end)
-	case ScanVectorizedPerSnippet:
-		scanVectorized(data, accs, start, end, false)
-	default:
-		scanVectorized(data, accs, start, end, true)
-	}
-}
-
-// Mode reports the scan mode the view was acquired under.
-func (v *View) Mode() ScanMode { return v.mode }
 
 // OnlineAggregate processes the sample batch by batch, invoking yield after
 // every batch with refreshed estimates — the online-aggregation interface
@@ -169,14 +151,13 @@ func (v *View) TimeBound(snips []*query.Snippet, budget time.Duration) BatchUpda
 }
 
 // Exact computes the snippet's exact answer on the view's base relation —
-// the ground truth θ̄ experiments compare against. It always uses the
-// vectorized block pipeline so the ground truth is scan-mode-independent.
+// the ground truth θ̄ experiments compare against.
 func (v *View) Exact(sn *query.Snippet) float64 {
 	if v.Base.Rows() == 0 {
 		return 0
 	}
 	acc := &accumulator{sn: sn}
-	scanVectorized(v.Base, []*accumulator{acc}, 0, v.Base.Rows(), true)
+	scanVectorized(v.Base, []*accumulator{acc}, 0, v.Base.Rows())
 	return acc.moments.Mean()
 }
 
@@ -205,6 +186,11 @@ func (v *View) GroupRows(groupCols []int, region *query.Region) ([][]query.Group
 					key += "|" + s
 				} else {
 					n := t.NumAt(row, col)
+					if n == 0 {
+						// -0 == 0: key and report both as +0, or the one
+						// region col = 0 would answer two groups.
+						n = 0
+					}
 					gvs[i] = query.GroupValue{Col: col, Num: n}
 					key += "|" + fmt.Sprintf("%g", n)
 				}
@@ -237,14 +223,13 @@ func (e *Engine) Acquire() *View {
 	return e.publishLocked()
 }
 
-// viewCurrent reports whether v still reflects the live tables, sample
-// generation and scan mode.
+// viewCurrent reports whether v still reflects the live tables and sample
+// generation.
 func (e *Engine) viewCurrent(v *View) bool {
 	smp := e.sample.Load()
 	return v.baseEpoch == e.base.Epoch() &&
 		v.SampleGen == smp.Gen &&
-		v.sampleEpoch == smp.Data.Epoch() &&
-		v.mode == e.mode
+		v.sampleEpoch == smp.Data.Epoch()
 }
 
 // publishLocked snapshots the live tables and stores the new view. Caller
@@ -269,7 +254,6 @@ func (e *Engine) publishLocked() *View {
 		baseEpoch:   base.Epoch(),
 		sampleEpoch: data.Epoch(),
 		cost:        e.cost,
-		mode:        e.mode,
 		stages:      e.stages,
 	}
 	e.view.Store(v)
@@ -416,7 +400,6 @@ func (e *Engine) viewAtLocked(gen uint64, baseRows, sampleRows int) *View {
 		baseEpoch:   base.Epoch(),
 		sampleEpoch: data.Epoch(),
 		cost:        e.cost,
-		mode:        e.mode,
 	}
 }
 

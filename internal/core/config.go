@@ -37,17 +37,6 @@ type Config struct {
 	// Production configurations must leave it false: Theorem 1's guarantee
 	// depends on validation.
 	DisableValidation bool
-	// RowAtATimeScan makes the wired engine use the legacy per-row scan
-	// instead of the vectorized block pipeline — an ablation/debug switch;
-	// production configurations leave it false.
-	RowAtATimeScan bool
-	// PerSnippetGroupScan disables the one-scan grouped execution: grouped
-	// queries evaluate every per-group snippet region separately per block
-	// (aqp.ScanVectorizedPerSnippet) and rediscover groups with a dedicated
-	// GroupRows pass. An ablation/oracle switch mirroring RowAtATimeScan —
-	// results are float-identical either way; production configurations
-	// leave it false. Ignored when RowAtATimeScan is set.
-	PerSnippetGroupScan bool
 	// MaxRetainedGens bounds how many retired sample generations the
 	// engine keeps for replay and stream resumption (aqp.Engine.
 	// SetMaxRetainedGens). 0 — the default — retains every generation

@@ -3,17 +3,17 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/aqp"
+	"repro/internal/obs"
 	"repro/internal/randx"
 	"repro/internal/storage"
 )
 
 // groupedSystem builds a System over a relation with a ~nCats-value cat
-// column; cfg selects the scan/grouping ablations. Identical inputs build
-// identical tables and samples, so two systems differing only in cfg are
-// row-for-row comparable.
+// column. Identical inputs build identical tables and samples.
 func groupedSystem(t *testing.T, rows, nCats int, cfg Config) *System {
 	t.Helper()
 	schema := storage.MustSchema([]storage.ColumnDef{
@@ -80,53 +80,110 @@ var groupedSystemSQL = []string{
 	"SELECT cat, COUNT(*) FROM sales WHERE region = 'east' GROUP BY cat",
 }
 
+// twoPassExecute is the reference for Execute's grouped one-shot path: the
+// two-pass plan (a GroupRows discovery pass, then Decompose) with its
+// snippets folded by one RunToCompletion, inferred against a snapshot and
+// recomposed. It records nothing.
+func twoPassExecute(t *testing.T, s *System, sql string) *Result {
+	t.Helper()
+	view := s.engine.Acquire()
+	pl, res, err := s.plan(view, sql, obs.ModeOneShot, false, false)
+	if err != nil || pl == nil {
+		t.Fatalf("%s: plan %v, %v", sql, pl, err)
+	}
+	upd := view.RunToCompletion(pl.snips)
+	improved, usedModel, _ := inferAll(s.Verdict().SnapshotFor(pl.snips), pl.snips, upd.Estimates)
+	if res.Rows, err = composeRows(pl, upd.Estimates, improved, usedModel); err != nil {
+		t.Fatal(err)
+	}
+	res.GroupsTruncated = pl.truncated
+	return res
+}
+
 // TestGroupedExecuteMatchesAblation: the one-scan deferred-discovery grouped
 // execution must produce bit-identical raw answers, the same group order and
-// the same truncation verdict as the per-snippet two-pass ablation — before
-// and after a sample rebuild.
+// the same truncation verdict as the two-pass reference — before and after
+// a sample rebuild.
 func TestGroupedExecuteMatchesAblation(t *testing.T) {
-	one := groupedSystem(t, 30000, 6, Config{})
-	abl := groupedSystem(t, 30000, 6, Config{PerSnippetGroupScan: true})
+	s := groupedSystem(t, 30000, 6, Config{})
 	run := func(label string) {
 		for _, sql := range groupedSystemSQL {
-			ra, err := one.Execute(sql)
+			ra, err := s.Execute(sql)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rb, err := abl.Execute(sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameRows(t, label+" "+sql, ra, rb)
+			requireSameRows(t, label+" "+sql, ra, twoPassExecute(t, s, sql))
 		}
 	}
 	run("fresh")
-	// Same rebuild seed sequence on both systems keeps the samples aligned.
-	one.RebuildSample()
-	abl.RebuildSample()
+	s.RebuildSample()
 	run("after rebuild")
 }
 
 // TestGroupedZeroMatchQuery: a grouped query matching no rows degenerates to
 // the single ungrouped fallback decomposition on both paths.
 func TestGroupedZeroMatchQuery(t *testing.T) {
-	one := groupedSystem(t, 5000, 4, Config{})
-	abl := groupedSystem(t, 5000, 4, Config{PerSnippetGroupScan: true})
+	s := groupedSystem(t, 5000, 4, Config{})
 	sql := "SELECT cat, AVG(revenue), COUNT(*) FROM sales WHERE week > 1000 GROUP BY cat"
-	ra, err := one.Execute(sql)
+	ra, err := s.Execute(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := abl.Execute(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameRows(t, "zero-match", ra, rb)
+	requireSameRows(t, "zero-match", ra, twoPassExecute(t, s, sql))
 	if len(ra.Rows) != 1 || len(ra.Rows[0].Group) != 0 {
 		t.Fatalf("zero-match shape: %+v", ra.Rows)
 	}
 	if ra.GroupsTruncated {
 		t.Fatal("zero-match query cannot be truncated")
+	}
+}
+
+// TestGroupByNegativeZero: -0 and +0 are one numeric group. The region
+// k = 0 matches both signs, so reporting them as two groups would count
+// the same rows twice: the group counts must sum to the ungrouped COUNT(*).
+func TestGroupByNegativeZero(t *testing.T) {
+	schema := storage.MustSchema([]storage.ColumnDef{
+		{Name: "k", Kind: storage.Numeric, Role: storage.Dimension},
+		{Name: "v", Kind: storage.Numeric, Role: storage.Measure},
+	})
+	tb := storage.NewTable("t", schema)
+	rng := randx.New(5)
+	for i := 0; i < 4000; i++ {
+		k := float64(rng.Intn(3))
+		if k == 0 && i%2 == 1 {
+			k = math.Copysign(0, -1)
+		}
+		if err := tb.AppendRow([]storage.Value{storage.Num(k), storage.Num(rng.Normal(10, 1))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sample, err := aqp.BuildSample(tb, 0.5, 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSystem(aqp.NewEngine(tb, sample, aqp.CachedCost), Config{})
+	grouped, err := s.Execute("SELECT k, COUNT(*) FROM t GROUP BY k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, err := s.Execute("SELECT COUNT(*) FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for _, row := range grouped.Rows {
+		sum += row.Cells[0].Raw.Value
+	}
+	if want := total.Rows[0].Cells[0].Raw.Value; math.Abs(sum-want) > 1e-9*want {
+		t.Fatalf("group counts sum to %v, ungrouped COUNT(*) is %v", sum, want)
+	}
+	if len(grouped.Rows) != 3 {
+		t.Fatalf("%d groups, want 3: %+v", len(grouped.Rows), grouped.Rows)
+	}
+	for _, row := range grouped.Rows {
+		if k := row.Group[0].Num; math.Signbit(k) {
+			t.Fatalf("group value %v, want +0", k)
+		}
 	}
 }
 

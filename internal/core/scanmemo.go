@@ -62,15 +62,14 @@ type memoEntry struct {
 }
 
 // streamIncrements is the raw half of the increments the statement's
-// streams emitted on one snapshot: the snapshot and scan mode, the snippet
-// keys, and per stored prefix the estimates and their validity. Only
-// prefixes of the default schedule are kept, so it holds at most
+// streams emitted on one snapshot: the snapshot, the snippet keys, and per
+// stored prefix the estimates and their validity. Only prefixes of the
+// default schedule are kept, so it holds at most
 // len(aqp.PrefixSchedule(sampleRows, 0)) of them whatever schedules clients
 // ask for.
 type streamIncrements struct {
 	gen                  uint64
 	baseRows, sampleRows int
-	mode                 aqp.ScanMode
 	keys                 []string
 	incs                 []storedIncrement
 }
@@ -86,7 +85,7 @@ type storedIncrement struct {
 // same reports whether the stored increments answer keys on v's snapshot.
 func (si *streamIncrements) same(v *aqp.View, keys []string) bool {
 	return si.gen == v.SampleGen && si.baseRows == v.BaseRows && si.sampleRows == v.SampleRows &&
-		si.mode == v.Mode() && slices.Equal(si.keys, keys)
+		slices.Equal(si.keys, keys)
 }
 
 // behind reports whether v is older than the stored snapshot: an earlier
@@ -129,7 +128,7 @@ func (e *memoEntry) streamStore(v *aqp.View, keys []string, inc aqp.Increment) {
 		return
 	}
 	if !si.same(v, keys) {
-		*si = streamIncrements{gen: v.SampleGen, baseRows: v.BaseRows, sampleRows: v.SampleRows, mode: v.Mode(), keys: keys}
+		*si = streamIncrements{gen: v.SampleGen, baseRows: v.BaseRows, sampleRows: v.SampleRows, keys: keys}
 	}
 	for _, x := range si.incs {
 		if x.rows == inc.Rows {

@@ -108,17 +108,9 @@ func NewSystem(engine *aqp.Engine, cfg Config) *System {
 	}
 }
 
-// applyEngineConfig wires the configured scan implementation and replay
-// retention bound into the engine.
+// applyEngineConfig wires the replay retention bound, the stage timer and
+// the sample layout into the engine.
 func applyEngineConfig(engine *aqp.Engine, cfg Config) {
-	switch {
-	case cfg.RowAtATimeScan:
-		engine.SetScanMode(aqp.ScanRowAtATime)
-	case cfg.PerSnippetGroupScan:
-		engine.SetScanMode(aqp.ScanVectorizedPerSnippet)
-	default:
-		engine.SetScanMode(aqp.ScanVectorized)
-	}
 	engine.SetMaxRetainedGens(cfg.withDefaults().MaxRetainedGens)
 	engine.SetStageTimer(cfg.Stages)
 	if cfg.NumPartitions > 0 {
@@ -427,8 +419,8 @@ func (pl *queryPlan) scanCarried(f *aqp.CarriedFold, nmax int) (aqp.FoldResult, 
 // nil error means the query is unsupported and the Result is terminal.
 // oneShot marks a run-to-completion execution: a grouped query then defers
 // group discovery into the aggregation scan itself (queryPlan.spec) instead
-// of paying a separate GroupRows pass, when the statement shape and scan
-// mode allow it. mode labels stage-latency observations (obs.ModeOneShot
+// of paying a separate GroupRows pass, when the statement shape allows it.
+// mode labels stage-latency observations (obs.ModeOneShot
 // or obs.ModeProgressive); stages are observed only when record is set, so
 // replays and resumes never re-count a query they didn't plan.
 func (s *System) plan(view *aqp.View, sql, mode string, record, oneShot bool) (*queryPlan, *Result, error) {
@@ -493,10 +485,10 @@ func (s *System) plan(view *aqp.View, sql, mode string, record, oneShot bool) (*
 	}
 	// One-shot grouped executions fold group discovery into the aggregation
 	// scan: no GroupRows pass, no decomposition until the scan reports the
-	// groups it found. Falls through to the legacy plan whenever the shape is
-	// outside the foldable form (numeric group columns, decompose errors —
-	// re-raised with context below) or the scan mode is an ablation.
-	if oneShot && len(groupCols) > 0 && view.Mode() == aqp.ScanVectorized {
+	// groups it found. Falls through to the two-pass plan whenever the shape
+	// is outside the foldable form (numeric group columns, decompose errors —
+	// re-raised with context below).
+	if oneShot && len(groupCols) > 0 {
 		if spec := query.GroupedSpecOf(stmt, table, groupCols); spec != nil {
 			if timed {
 				s.observeStage(obs.StagePrune, mode, true, tPrune)

@@ -51,7 +51,7 @@ func TestRegistryComplete(t *testing.T) {
 		"figure1", "figure4", "figure5",
 		"figure6a", "figure6b", "figure6c", "figure6d",
 		"figure7", "figure9", "figure10", "figure11", "figure12", "figure13",
-		"ablation", "scanbench", "groupedbench", "progressivebench",
+		"ablation", "progressivebench",
 		"notifybench", "partitionbench",
 	}
 	for _, id := range want {

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/aqp"
 	"repro/internal/core"
+	"repro/internal/randx"
+	"repro/internal/storage"
 )
 
 func init() { register("notifybench", NotifyBench) }
@@ -88,7 +90,7 @@ func NotifyBench(o Options) (*Report, error) {
 	const nGroups = 16
 	const gsql = "SELECT cat, AVG(val), COUNT(*) FROM t GROUP BY cat"
 	for _, k := range []int{1, 8, 64} {
-		tb, err := groupedBenchTable(rows, nGroups, false, o.Seed)
+		tb, err := groupedTable(rows, nGroups, o.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -110,7 +112,7 @@ func NotifyBench(o Options) (*Report, error) {
 			}
 		}
 		for i := 0; i < appends; i++ {
-			batch, err := groupedBenchTable(1000, nGroups, false, o.Seed+int64(500+i))
+			batch, err := groupedTable(1000, nGroups, o.Seed+int64(500+i))
 			if err != nil {
 				return nil, err
 			}
@@ -134,4 +136,32 @@ func NotifyBench(o Options) (*Report, error) {
 	}
 	rep.Note("one shared incremental scan per batch regardless of K; %d-row appends into a %d-row relation; grouped cases stand one %d-group GROUP BY plan", 1000, rows, nGroups)
 	return rep, nil
+}
+
+// groupedTable builds the benchmark relation: a shuffled numeric dimension,
+// a categorical group column with nGroups values, and a measure.
+func groupedTable(rows, nGroups int, seed int64) (*storage.Table, error) {
+	schema := storage.MustSchema([]storage.ColumnDef{
+		{Name: "week", Kind: storage.Numeric, Role: storage.Dimension},
+		{Name: "cat", Kind: storage.Categorical, Role: storage.Dimension},
+		{Name: "val", Kind: storage.Numeric, Role: storage.Measure},
+	})
+	tb := storage.NewTable("t", schema)
+	rng := randx.New(seed + 73)
+	order := make([]int, rows)
+	for i := range order {
+		order[i] = i
+	}
+	rng.Shuffle(rows, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	for _, i := range order {
+		week := float64(i) / float64(rows) * 100
+		if err := tb.AppendRow([]storage.Value{
+			storage.Num(week),
+			storage.Str(fmt.Sprintf("g%03d", rng.Intn(nGroups))),
+			storage.Num(10 + week + rng.Normal(0, 2)),
+		}); err != nil {
+			return nil, err
+		}
+	}
+	return tb, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/aqp"
 	"repro/internal/query"
+	"repro/internal/randx"
 	"repro/internal/storage"
 )
 
@@ -49,7 +50,7 @@ func PartitionBench(o Options) (*Report, error) {
 		{"stratified-k8", 8, nil},
 	}
 	for _, c := range cases {
-		tb, sn, err := scanBenchFixture(rows, false, o.Seed)
+		tb, sn, err := selectiveFixture(rows, o.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -107,4 +108,47 @@ func pruneCensus(s *aqp.Sample, region *query.Region) (empty, total int) {
 		}
 	}
 	return empty, total
+}
+
+// selectiveFixture builds an AVG snippet with a selective numeric predicate
+// over a synthetic 3-column relation whose rows are shuffled (the layouts
+// under test re-lay the sample out).
+func selectiveFixture(rows int, seed int64) (*storage.Table, *query.Snippet, error) {
+	schema := storage.MustSchema([]storage.ColumnDef{
+		{Name: "x", Kind: storage.Numeric, Role: storage.Dimension},
+		{Name: "grp", Kind: storage.Categorical, Role: storage.Dimension},
+		{Name: "v", Kind: storage.Numeric, Role: storage.Measure},
+	})
+	tb := storage.NewTable("selective", schema)
+	rng := randx.New(seed + 41)
+	order := make([]int, rows)
+	for i := range order {
+		order[i] = i
+	}
+	rng.Shuffle(rows, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	groups := []string{"a", "b", "c", "d"}
+	for _, i := range order {
+		x := float64(i) / float64(rows) * 100 // domain [0, 100)
+		if err := tb.AppendRow([]storage.Value{
+			storage.Num(x),
+			storage.Str(groups[i%len(groups)]),
+			storage.Num(10 + x + rng.Normal(0, 1)),
+		}); err != nil {
+			return nil, nil, err
+		}
+	}
+	xcol, _ := schema.Lookup("x")
+	vcol, _ := schema.Lookup("v")
+	g := query.NewRegion(schema)
+	g.ConstrainNum(xcol, query.NumRange{Lo: 42, Hi: 47}) // ~5% selectivity
+	sn := &query.Snippet{
+		Kind:       query.AvgAgg,
+		MeasureKey: "v",
+		Measure: func(t *storage.Table, row int) float64 {
+			return t.NumAt(row, vcol)
+		},
+		Region: g,
+		Table:  tb,
+	}
+	return tb, sn, nil
 }
