@@ -1,13 +1,31 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestAllExperimentsRunSmall smoke-runs every registered experiment at
-// Small scale and checks basic report integrity.
+var update = flag.Bool("update", false, "rewrite testdata/<id>.golden from the current code")
+
+// paperArtifacts are the experiments that reproduce a table or figure of
+// the paper; the rest of the registry are engine benchmarks.
+var paperArtifacts = []string{
+	"table3", "table4", "table5",
+	"figure1", "figure4", "figure5",
+	"figure6a", "figure6b", "figure6c", "figure6d",
+	"figure7", "figure9", "figure10", "figure11", "figure12", "figure13",
+	"ablation",
+}
+
+// TestAllExperimentsRunSmall runs every registered experiment at Small
+// scale and checks basic report integrity. Each paper artifact must also
+// render byte for byte as testdata/<id>.golden, with only its Timing
+// (wall-clock) cells masked; -update regenerates the goldens.
 func TestAllExperimentsRunSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite takes minutes; skipped with -short")
@@ -35,25 +53,57 @@ func TestAllExperimentsRunSmall(t *testing.T) {
 					t.Fatalf("%s row width %d != %d columns", id, len(row), len(rep.Columns))
 				}
 			}
+			for _, col := range rep.Timing {
+				if !slices.Contains(rep.Columns, col) {
+					t.Fatalf("%s timing column %q is not a column", id, col)
+				}
+			}
 			out := rep.String()
 			if !strings.Contains(out, rep.Title) {
 				t.Fatalf("%s render missing title", id)
 			}
 			t.Logf("\n%s", out)
+			if !slices.Contains(paperArtifacts, id) {
+				return
+			}
+			golden := filepath.Join("testdata", id+".golden")
+			got := masked(rep)
+			if *update {
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if got != string(want) {
+				t.Errorf("%s differs from %s:\n--- got\n%s--- want\n%s", id, golden, got, want)
+			}
 		})
 	}
 }
 
+// masked renders rep with every cell of its Timing columns replaced by a
+// placeholder, leaving only what is a pure function of the Options.
+func masked(rep *Report) string {
+	m := *rep
+	m.Rows = make([][]string, len(rep.Rows))
+	for i, row := range rep.Rows {
+		m.Rows[i] = slices.Clone(row)
+		for j, col := range rep.Columns {
+			if slices.Contains(rep.Timing, col) {
+				m.Rows[i][j] = "<wall-clock>"
+			}
+		}
+	}
+	return m.String()
+}
+
 // TestRegistryComplete checks every paper artifact has a runner.
 func TestRegistryComplete(t *testing.T) {
-	want := []string{
-		"table3", "table4", "table5",
-		"figure1", "figure4", "figure5",
-		"figure6a", "figure6b", "figure6c", "figure6d",
-		"figure7", "figure9", "figure10", "figure11", "figure12", "figure13",
-		"ablation", "progressivebench",
-		"notifybench", "partitionbench",
-	}
+	want := append(slices.Clone(paperArtifacts), "progressivebench", "notifybench", "partitionbench")
 	for _, id := range want {
 		if _, ok := Get(id); !ok {
 			t.Errorf("missing experiment %s", id)

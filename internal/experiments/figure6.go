@@ -206,6 +206,7 @@ func Figure6dOverheadGrowth(o Options) (*Report, error) {
 		ID:      "figure6d",
 		Title:   "Inference overhead vs number of past queries",
 		Columns: []string{"Past queries", "Overhead per query"},
+		Timing:  []string{"Overhead per query"},
 	}
 	syn, engine, err := syntheticFixture(o, workload.Uniform, o.Seed+64)
 	if err != nil {

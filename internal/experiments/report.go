@@ -35,6 +35,10 @@ type Report struct {
 	Columns []string // header
 	Rows    [][]string
 	Notes   []string // caveats, substitutions, expected shapes
+	// Timing names the columns whose cells are wall-clock measurements:
+	// the only cells that may differ between two runs with the same
+	// Options. Every other cell is a pure function of Options.
+	Timing []string
 	// Metrics, when populated, is the machine-readable companion of Rows —
 	// one scalar per benchmark case (e.g. ns/op keyed by case name).
 	// cmd/verdict-bench's -json flag persists it for trend tracking.

@@ -20,6 +20,7 @@ func Table5Overhead(o Options) (*Report, error) {
 		Title: "Runtime overhead of Verdict",
 		Columns: []string{"Tier", "NoLearn latency", "Verdict latency",
 			"Overhead", "Overhead %"},
+		Timing: []string{"Verdict latency", "Overhead", "Overhead %"},
 	}
 	_, _, train, test := sizing(o)
 	for _, cached := range []bool{true, false} {
