@@ -2,6 +2,8 @@ package aqp
 
 import (
 	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -9,14 +11,15 @@ import (
 )
 
 // CarriedFold is one statement's scan state carried from one execution to
-// the next: a StandingScan for a flat snippet list or a GroupedStandingScan
-// for a GROUP BY discovery spec, the rule for when that state may be
-// extended, and the last answer it produced. Standing subscriptions carry
-// one per plan across notify batches; the scan memo (internal/core) carries
-// one per statement across repeated one-shot queries. Every Run returns
-// exactly what View.RunToCompletion / View.GroupedRunToCompletion would on
-// the same view — the carried state only decides how many rows have to be
-// folded to get there:
+// the next: the moments of a flat snippet list or of a GROUP BY discovery
+// spec, folded over the complete batches of one sample generation, the
+// rule for when that state may be extended, and the last answer it
+// produced. Standing subscriptions carry one per plan across notify
+// batches; the scan memo (internal/core) carries one per statement across
+// repeated one-shot queries. Every Run returns exactly what
+// View.RunToCompletion / View.GroupedRunToCompletion would on the same
+// view — the carried state only decides how many rows have to be folded to
+// get there:
 //
 //   - the same snapshot as the last Run (generation, base rows, sample
 //     rows): none, the last answer is returned again;
@@ -29,20 +32,41 @@ import (
 //     than are already folded): one full reference fold, and the carried
 //     state is left as it was for the callers that are ahead.
 //
-// A CarriedFold holds moments and keys, never rows or tables: snippets are
-// borrowed for the duration of a Run (see StandingScan.lend). It is not
-// safe for concurrent use; callers serialize Runs on one fold.
+// The identity is a merge-tree argument at batch granularity. The one-shot
+// scans fold the sample batch by batch, merging per-unit partials in
+// (batch, span, unit) order (View.fold), so their result is a pure function
+// of the sequence of batch ranges. A carried fold replays that sequence:
+// complete batches fold into the carried state once — their bounds never
+// change, since BatchSize survives Engine.Append and a generation's sample
+// is append-only — and the trailing partial batch folds into a copy at each
+// Run, because its end grows with the sample and the unit partition of a
+// grown range is not that of its former self plus the delta. A grouped
+// fold discovers groups incrementally: a code first seen in a new batch
+// gets an AddZeros backfill over every row folded before it, exactly as in
+// the single-shot loop.
+//
+// A CarriedFold holds moments and keys, never rows or tables: the caller's
+// snippets are lent to the carried accumulators for the duration of a Run
+// only, because a Snippet references the frozen base table it was planned
+// against. It is not safe for concurrent use; callers serialize Runs on
+// one fold.
 type CarriedFold struct {
 	// timed makes Run report its duration to the view's stage timer as the
 	// query's scan stage, exactly once, as the one-shot scans do themselves.
 	// Notify passes are not queries and stay silent.
 	timed bool
 
-	// Exactly one of scan/gscan is non-nil once bound; keys are the bound
-	// flat snippets' keys (a grouped scan fingerprints its own spec).
-	scan  *StandingScan
-	keys  []string
-	gscan *GroupedStandingScan
+	// The binding: the generation and batch size the carried state was
+	// folded under, the complete-batch rows it holds, and the plan's shape
+	// key — the snippet keys of a flat plan, or groupedSpecKey of a grouped
+	// one. Exactly one of accs/gfold is non-nil once bound.
+	gen     uint64
+	batch   int
+	folded  int
+	keys    []string
+	specKey string
+	accs    []*accumulator
+	gfold   *groupedFold
 
 	// The last answer and the snapshot it was folded on.
 	last struct {
@@ -109,17 +133,52 @@ func (c *CarriedFold) Run(v *View, snips []*query.Snippet, spec *query.GroupedSp
 		}
 		return res
 	}
-	var res FoldResult
+
+	var keys []string
+	var specKey string
 	if spec != nil {
-		res = c.runGrouped(v, spec, nmax)
+		specKey = groupedSpecKey(spec)
 	} else {
-		res = c.runFlat(v, snips)
+		keys = make([]string, len(snips))
+		for i, sn := range snips {
+			keys[i] = sn.Key()
+		}
 	}
-	if res.Outcome != FoldReused {
-		c.last.gen, c.last.baseRows, c.last.sampleRows = v.SampleGen, v.BaseRows, v.SampleRows
-		c.last.nmax, c.last.res = nmax, res
-		c.last.res.Outcome, c.last.res.Scanned = FoldReused, 0
+	outcome := FoldExtended
+	if c.extends(v, keys, specKey, spec != nil) {
+		if c.sameSnapshot(v) && (spec == nil || c.last.nmax == nmax) {
+			return c.last.res
+		}
+	} else {
+		outcome = FoldFull
+		c.gen, c.batch, c.folded = v.SampleGen, v.Sample.BatchSize, 0
+		c.keys, c.specKey, c.accs, c.gfold = keys, specKey, nil, nil
+		if spec != nil {
+			c.gfold = newGroupedFold()
+		} else {
+			c.accs = newAccs(v, snips)
+		}
 	}
+
+	// The newly completed batches fold into the carried state; the spans
+	// from split on — the partial tail batch — into a copy.
+	before, n := c.folded, v.SampleRows
+	complete := n - n%c.batch
+	spans := v.batchSpans(nil, c.folded, complete, c.batch)
+	split := len(spans)
+	spans = v.batchSpans(spans, complete, n, c.batch)
+	c.folded = complete
+
+	res := FoldResult{Outcome: outcome, Scanned: n - before}
+	if spec != nil {
+		res.Grouped = c.foldGrouped(v, spec, nmax, spans, split)
+		res.Update = res.Grouped.Update
+	} else {
+		res.Update = c.foldFlat(v, snips, spans, split)
+	}
+	c.last.gen, c.last.baseRows, c.last.sampleRows = v.SampleGen, v.BaseRows, v.SampleRows
+	c.last.nmax, c.last.res = nmax, res
+	c.last.res.Outcome, c.last.res.Scanned = FoldReused, 0
 	return res
 }
 
@@ -127,17 +186,25 @@ func (c *CarriedFold) Run(v *View, snips []*query.Snippet, spec *query.GroupedSp
 // be served by folding again from nothing, which would throw away state the
 // callers on the current view still extend.
 func (c *CarriedFold) behind(v *View) bool {
-	var gen uint64
-	var folded int
-	switch {
-	case c.scan != nil:
-		gen, folded = c.scan.gen, c.scan.folded
-	case c.gscan != nil:
-		gen, folded = c.gscan.gen, c.gscan.folded
-	default:
+	if c.accs == nil && c.gfold == nil {
 		return false
 	}
-	return v.SampleGen < gen || (v.SampleGen == gen && v.SampleRows < folded)
+	return v.SampleGen < c.gen || (v.SampleGen == c.gen && v.SampleRows < c.folded)
+}
+
+// extends reports whether a plan of the given shape on v can extend the
+// carried state: same generation and batch size, at least the folded
+// prefix, and the same shape key. Snippet keys stay a list: a categorical
+// value in a key could contain any separator a joined key would use.
+func (c *CarriedFold) extends(v *View, keys []string, specKey string, grouped bool) bool {
+	if grouped {
+		if c.gfold == nil || specKey != c.specKey {
+			return false
+		}
+	} else if c.accs == nil || !slices.Equal(keys, c.keys) {
+		return false
+	}
+	return v.SampleGen == c.gen && v.Sample.BatchSize == c.batch && v.SampleRows >= c.folded
 }
 
 // sameSnapshot reports whether v is the snapshot the last answer was folded
@@ -147,40 +214,60 @@ func (c *CarriedFold) sameSnapshot(v *View) bool {
 	return c.last.gen == v.SampleGen && c.last.baseRows == v.BaseRows && c.last.sampleRows == v.SampleRows
 }
 
-func (c *CarriedFold) runFlat(v *View, snips []*query.Snippet) FoldResult {
-	keys := make([]string, len(snips))
-	for i, sn := range snips {
-		keys[i] = sn.Key()
+// foldFlat lends snips — the caller's current instances of the bound
+// snippets, with equal keys, so the arithmetic is bit-identical — to the
+// carried accumulators, folds spans into them (the tail from split on into
+// a clone), and takes the snippets back.
+func (c *CarriedFold) foldFlat(v *View, snips []*query.Snippet, spans []scanSpan, split int) BatchUpdate {
+	for i, a := range c.accs {
+		// baseRows feeds only estimate() (the PopErr term), never the fold,
+		// so retargeting it at the view's base cardinality is exact.
+		a.sn, a.baseRows = snips[i], v.Sample.BaseRows
 	}
-	s := c.scan
-	outcome := FoldExtended
-	if s != nil && slices.Equal(c.keys, keys) && s.extends(v) {
-		if c.sameSnapshot(v) {
-			return c.last.res
-		}
-		s.lend(snips)
-	} else {
-		s, outcome = NewStandingScan(snips), FoldFull
+	upd := v.finalUpdate(v.fold(c.accs, spans, split))
+	for _, a := range c.accs {
+		a.sn = nil
 	}
-	before := s.folded
-	upd, _ := s.Refresh(v) // cannot refuse: s is fresh or extends(v) held
-	s.lend(nil)
-	c.scan, c.keys, c.gscan = s, keys, nil
-	return FoldResult{Update: upd, Outcome: outcome, Scanned: v.SampleRows - before}
+	return upd
 }
 
-func (c *CarriedFold) runGrouped(v *View, spec *query.GroupedSpec, nmax int) FoldResult {
-	g := c.gscan
-	outcome := FoldExtended
-	if g != nil && g.extends(v, groupedSpecKey(spec)) {
-		if c.sameSnapshot(v) && c.last.nmax == nmax {
-			return c.last.res
-		}
-	} else {
-		g, outcome = NewGroupedStandingScan(), FoldFull
+// foldGrouped discovers the units of spans and merges the complete
+// batches' into the carried masters, the tail's into a clone.
+func (c *CarriedFold) foldGrouped(v *View, spec *query.GroupedSpec, nmax int, spans []scanSpan, split int) *GroupedResult {
+	// Compiled against this spec each Run: the fingerprint pinned the
+	// arithmetic, but the result's estimates must reference this plan.
+	gs := newDiscoverScan(spec)
+	units, cut := spanUnits(spans, split)
+	parts := discoverUnits(gs, units)
+	c.gfold.merge(gs, parts[:cut])
+	emit := c.gfold
+	if cut < len(parts) {
+		emit = c.gfold.clone()
+		emit.merge(gs, parts[cut:])
 	}
-	before := g.folded
-	gr, _ := g.Refresh(v, spec, nmax) // cannot refuse: g is fresh or extends held
-	c.gscan, c.scan, c.keys = g, nil, nil
-	return FoldResult{Update: gr.Update, Grouped: gr, Outcome: outcome, Scanned: v.SampleRows - before}
+	return emit.result(v, gs, spec, nmax)
+}
+
+// groupedSpecKey fingerprints everything a grouped fold's arithmetic
+// depends on: the base region bounds (appends can move domain-clipped
+// bounds), the grouping columns, the code-packing shifts (dictionary growth
+// past a power of two rewidths the packed keys) and the aggregate family.
+// Region.Key renders numeric bounds with %g (shortest round-trip), so equal
+// keys imply bit-equal bounds, as snippet keys do on the flat path.
+func groupedSpecKey(spec *query.GroupedSpec) string {
+	var sb strings.Builder
+	sb.WriteString(spec.Base.Key(spec.Table))
+	for _, col := range spec.GroupCols {
+		sb.WriteString("|g")
+		sb.WriteString(strconv.Itoa(col))
+	}
+	for _, sh := range spec.Shifts {
+		sb.WriteString("|s")
+		sb.WriteString(strconv.Itoa(int(sh)))
+	}
+	for _, sn := range spec.Family {
+		sb.WriteString("|f")
+		sb.WriteString(sn.Func().String())
+	}
+	return sb.String()
 }

@@ -29,7 +29,7 @@
 //   - The Sample struct behind e.sample is copy-on-write: Append and
 //     RebuildSample build a fresh struct and swap the pointer, so a loaded
 //     *Sample is always internally coherent. Within a generation the
-//     sample *table* is append-only (prefixes immortal → ViewAt replays);
+//     sample *table* is append-only (prefixes immortal → ViewAtGen replays);
 //     across generations RebuildSample retires the old table frozen so
 //     ViewAtGen can replay any historical prefix of any retained
 //     generation. Retention is bounded by SetMaxRetainedGens (0 = keep
@@ -40,16 +40,18 @@
 // Determinism: scans fan out across workers — a fold schedules the work
 // units of every batch it covers together (View.fold) — but merge per-unit
 // accumulators in fixed (batch, span, unit) order, so a replay of the same
-// view is float-identical to the original run. Standing scans —
-// StandingScan for flat snippet lists, GroupedStandingScan for GROUP BY
-// discovery folds — carry accumulator state across appends and extend it
-// by folding only newly landed batches, reproducing the one-shot merge tree
-// bit for bit; they refuse whenever the generation, batch size or
-// grouped-spec fingerprint drifts. CarriedFold (carried.go) is the one
-// owner of what to do then — return the last answer for the same snapshot,
-// extend, rebind with one full fold, or serve a view behind the carried
-// prefix from the reference scan — for both shapes and both of its users:
-// standing subscriptions across notify batches and internal/core's scan
-// memo across repeated one-shot queries. It is single-goroutine state; its
-// users hold their own lock around Run.
+// view is float-identical to the original run. Each of the two merge trees
+// has one carried state. CarriedFold (carried.go) carries the batch-anchored
+// one-shot tree — a flat snippet list's accumulators or a GROUP BY
+// discovery fold's group masters — across appends, folding only newly
+// landed batches and reproducing the one-shot merge tree bit for bit. It
+// decides per Run whether to return the last answer for the same snapshot,
+// extend, rebind with one full fold when the generation, batch size or plan
+// shape drifts, or serve a view behind the carried prefix from the
+// reference scan, for both of its users: standing subscriptions across
+// notify batches and internal/core's scan memo across repeated one-shot
+// queries. ProgressiveScan (progressive.go) carries the prefix-anchored
+// tree: one bank per sample piece, folded unit by unit, replayed by
+// EvalPrefix. Both are single-goroutine state; their users hold their own
+// lock around them.
 package aqp

@@ -130,12 +130,6 @@ func (e *Engine) SetMaxRetainedGens(n int) {
 	e.evictLocked()
 }
 
-// MaxRetainedGens returns the configured retention bound (0 = unbounded).
-// Lock-free.
-func (e *Engine) MaxRetainedGens() int {
-	return e.retention.Load().max
-}
-
 // evictLocked drops the oldest retired generations until the retained set
 // fits maxRetained, never evicting past a pinned generation, then
 // republishes the lock-free retention snapshot. Caller holds e.wmu; every
@@ -204,7 +198,7 @@ func (e *Engine) RetentionStats() (horizon uint64, retained, maxRetained int) {
 }
 
 // SetStageTimer installs the scan-stage latency sink. Serving views
-// publish with it; replay views (ViewAt/ViewAtGen/PinGen) never carry it,
+// publish with it; replay views (ViewAtGen/PinGen) never carry it,
 // so audit re-scans don't pollute the serving distributions. A nil timer
 // (the default) reduces instrumentation to one branch per entry point —
 // benchmarks and library callers pay nothing. Set it at boot: not safe to

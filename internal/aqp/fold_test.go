@@ -14,10 +14,7 @@ import (
 // scan call per batch span, each merging its own units before the next
 // starts.
 func serialFold(v *View, snips []*query.Snippet) BatchUpdate {
-	accs := make([]*accumulator, len(snips))
-	for i, sn := range snips {
-		accs[i] = &accumulator{sn: sn, baseRows: v.Sample.BaseRows}
-	}
+	accs := newAccs(v, snips)
 	for b := 0; b < v.Sample.Batches(); b++ {
 		start, end := v.Sample.BatchBounds(b)
 		for _, sp := range v.sampleSpans(start, end) {
@@ -38,7 +35,7 @@ func serialGroupedFold(v *View, spec *query.GroupedSpec) *GroupedResult {
 			f.merge(gs, discoverUnits(gs, appendUnits(nil, sp.tbl, sp.lo, sp.hi)))
 		}
 	}
-	return f.result(v, gs, spec, query.DefaultNmax, max(v.Sample.Batches()-1, 0))
+	return f.result(v, gs, spec, query.DefaultNmax)
 }
 
 // requireSameBits compares two updates' estimates by Float64bits, so even
@@ -63,7 +60,7 @@ func requireSameBits(t *testing.T, label string, got, want BatchUpdate) {
 // TestCrossBatchFoldMatchesSerial: scanning the units of every batch at
 // once and merging them in (batch, span, unit) order must reproduce the
 // serial batch-by-batch fold bit for bit — for one-shot folds and for
-// standing refreshes that add 0, 1 and 3 complete batches (with a partial
+// carried folds extended by 0, 1 and 3 complete batches (with a partial
 // tail throughout), on a flat and a 4-partition stratified layout, for a
 // flat snippet list, a statically grouped one and a discovery-grouped spec,
 // at GOMAXPROCS 1, 2 and 4.
@@ -97,11 +94,11 @@ func TestCrossBatchFoldMatchesSerial(t *testing.T) {
 					t.Fatal("fixture: the grouped snippet list does not factor")
 				}
 				spec := groupedSpecFor(t, tb, sql)
-				standing := map[string]*StandingScan{}
-				for name, snips := range plans {
-					standing[name] = NewStandingScan(snips)
+				carried := map[string]*CarriedFold{}
+				for name := range plans {
+					carried[name] = NewCarriedFold(false)
 				}
-				gstanding := NewGroupedStandingScan()
+				gcarried := NewCarriedFold(false)
 				for i, add := range []int{0, 1, 3} {
 					if add > 0 {
 						if _, err := e.Append(appendBatch(t, add*batch, int64(60+i)), int64(i)); err != nil {
@@ -109,23 +106,23 @@ func TestCrossBatchFoldMatchesSerial(t *testing.T) {
 						}
 					}
 					v := e.Acquire()
+					outcome := FoldExtended
+					if add == 0 {
+						outcome = FoldFull
+					}
 					for name, snips := range plans {
 						label := fmt.Sprintf("+%d batches, %s", add, name)
 						want := serialFold(v, snips)
 						requireSameBits(t, label+" one-shot", v.RunToCompletion(snips), want)
-						upd, ok := standing[name].Refresh(v)
-						if !ok {
-							t.Fatalf("%s: standing refresh refused a same-generation view", label)
-						}
-						requireSameBits(t, label+" standing", upd, want)
+						fr := carried[name].Run(v, snips, nil, 0)
+						requireOutcome(t, label+" carried", fr, v, outcome, (add+1)*batch)
+						requireSameBits(t, label+" carried", fr.Update, want)
 					}
 					label := fmt.Sprintf("+%d batches, discovery-grouped", add)
 					want := serialGroupedFold(v, spec)
-					gr, ok := gstanding.Refresh(v, spec, 0)
-					if !ok {
-						t.Fatalf("%s: grouped standing refresh refused a same-generation view", label)
-					}
-					for _, got := range []*GroupedResult{v.GroupedRunToCompletion(spec, 0), gr} {
+					gr := gcarried.Run(v, nil, spec, 0)
+					requireOutcome(t, label+" carried", gr, v, outcome, (add+1)*batch)
+					for _, got := range []*GroupedResult{v.GroupedRunToCompletion(spec, 0), gr.Grouped} {
 						if fmt.Sprint(got.Groups) != fmt.Sprint(want.Groups) || got.Truncated != want.Truncated {
 							t.Fatalf("%s: groups %v, serial fold %v", label, got.Groups, want.Groups)
 						}

@@ -64,8 +64,8 @@ func (v *View) sampleSpans(g0, g1 int) []scanSpan {
 // batchSpans appends the spans of the sample batches that cover the global
 // range [from, to) — batch by batch, each batch's spans in stratum order —
 // cutting batches at from + k·batch. That is the sequence of scan ranges a
-// batch-by-batch fold visits: RunToCompletion's for from = 0, a standing
-// scan's newly completed batches for from = its folded prefix.
+// batch-by-batch fold visits: RunToCompletion's for from = 0, a carried
+// fold's newly completed batches for from = its folded prefix.
 func (v *View) batchSpans(spans []scanSpan, from, to, batch int) []scanSpan {
 	for start := from; start < to; start += batch {
 		spans = append(spans, v.sampleSpans(start, min(start+batch, to))...)
@@ -91,8 +91,8 @@ func spanUnits(spans []scanSpan, split int) (units []unit, cut int) {
 // fold feeds spans into accs in order — bit-identical to one scanVectorized
 // call per span — except that the spans from split on fold into a clone of
 // accs taken after the others; it returns the accumulators that saw every
-// span (the clone, or accs when split ≥ len(spans)). Standing scans pass
-// their partial tail batch that way.
+// span (the clone, or accs when split ≥ len(spans)). A CarriedFold passes
+// its partial tail batch that way.
 //
 // A batch of a few thousand rows is a single work unit, so folding batch by
 // batch would run on one core. fold instead computes the units of every
@@ -119,13 +119,8 @@ func (v *View) fold(accs []*accumulator, spans []scanSpan, split int) []*accumul
 // the progressive-family fold shape: each span folds into a fresh
 // accumulator bank which then merges into accs, in span order — the exact
 // emission sequence ProgressiveScan uses, so EvalPrefix replays streamed
-// increments bit-for-bit. For an unpartitioned sample the single span folds
-// directly (matching the carried-accumulator emission of the K=1 stream).
+// increments bit-for-bit.
 func (v *View) scanPrefix(accs []*accumulator, rows int) {
-	if v.Sample.Parts == nil {
-		scanVectorized(v.Sample.Data, accs, 0, rows)
-		return
-	}
 	for _, sp := range v.sampleSpans(0, rows) {
 		bank := freshAccs(accs)
 		scanVectorized(sp.tbl, bank, sp.lo, sp.hi)

@@ -45,11 +45,9 @@ type invarianceRecord struct {
 	groups   [][]query.GroupValue
 	grouped  []query.ScalarEstimate
 	prog     []Increment
-	standing [][]query.ScalarEstimate
-	gStand   [][]query.ScalarEstimate
 	rebuilt  []query.ScalarEstimate
 	replayed []query.ScalarEstimate
-	carried  [][]query.ScalarEstimate // memo-style repeats: flat then grouped, per view
+	carried  [][]query.ScalarEstimate // carried runs: flat then grouped, twice per view
 }
 
 func estimatesOf(upd BatchUpdate) []query.ScalarEstimate {
@@ -72,10 +70,11 @@ func requireEstimatesEqual(t *testing.T, label string, got, want []query.ScalarE
 // runPartitioned drives one fresh engine laid out at the given partition
 // count through every execution mode: one-shot, one-pass grouped,
 // progressive increments (each also checked against its own serial
-// EvalPrefix replay), standing refreshes across streamed appends (scalar
-// and grouped), the scan memo's carried repeats on the same views, a
-// partitioned rebuild, and a ViewAtGen replay of the pre-rebuild generation. Everything recorded is a pure function of the
-// deterministic inputs, so records must match bit-for-bit across counts.
+// EvalPrefix replay), carried folds across streamed appends (flat and
+// grouped, each repeated on the same view), a partitioned rebuild, and a
+// ViewAtGen replay of the pre-rebuild generation. Everything recorded is a
+// pure function of the deterministic inputs, so records must match
+// bit-for-bit across counts.
 func runPartitioned(t *testing.T, parts int) *invarianceRecord {
 	t.Helper()
 	tb := buildTable(t, 30000)
@@ -109,54 +108,34 @@ func runPartitioned(t *testing.T, parts int) *invarianceRecord {
 	ps := view.Progressive(snips)
 	for _, prefix := range PrefixSchedule(view.SampleRows, 512) {
 		inc := ps.Step(prefix)
-		fresh := e.ViewAt(view.BaseRows, view.SampleRows).EvalPrefix(snips, prefix)
+		fresh := e.ViewAtGen(view.SampleGen, view.BaseRows, view.SampleRows).EvalPrefix(snips, prefix)
 		requireIncrementEqual(t, "parts="+itoa(parts)+" prefix="+itoa(prefix), inc, fresh)
 		rec.prog = append(rec.prog, inc)
 	}
 
-	// Standing refreshes across streamed appends: complete batches fold
-	// into carried state, the partial tail into clones — all span-aware now.
-	ss := NewStandingScan(snips)
-	gss := NewGroupedStandingScan()
-	refresh := func(v *View) {
-		upd, ok := ss.Refresh(v)
-		if !ok {
-			t.Fatalf("parts=%d: standing refresh rejected a same-generation view", parts)
-		}
-		rec.standing = append(rec.standing, estimatesOf(upd))
-		ggr, ok := gss.Refresh(v, spec, 0)
-		if !ok {
-			t.Fatalf("parts=%d: grouped standing refresh rejected a same-generation view", parts)
-		}
-		rec.gStand = append(rec.gStand, estimatesOf(ggr.Update))
-	}
-	// The scan memo's repeat: a CarriedFold asked the same plan twice per
-	// view answers the second time without scanning, and both answers are
-	// the standing (hence one-shot) bits.
+	// Carried folds across streamed appends: complete batches fold into
+	// carried state, the partial tail into clones — all span-aware. Asked
+	// the same plan twice per view, as the scan memo asks it, the second Run
+	// answers without scanning; every answer is the one-shot one.
 	cf, gcf := NewCarriedFold(false), NewCarriedFold(false)
-	repeat := func(v *View, first FoldOutcome) {
-		for i, want := range []FoldOutcome{first, FoldReused} {
+	carry := func(v *View, first FoldOutcome, delta int) {
+		label := "parts=" + itoa(parts) + " carried"
+		for _, want := range []FoldOutcome{first, FoldReused} {
 			fr, gr := cf.Run(v, snips, nil, 0), gcf.Run(v, nil, spec, 0)
-			if fr.Outcome != want || gr.Outcome != want {
-				t.Fatalf("parts=%d: carried repeat %d ran %v/%v, want %v", parts, i, fr.Outcome, gr.Outcome, want)
-			}
+			requireOutcome(t, label+" flat", fr, v, want, delta+v.Sample.BatchSize)
+			requireOutcome(t, label+" grouped", gr, v, want, delta+v.Sample.BatchSize)
+			requireEstimatesEqual(t, label+" flat", estimatesOf(fr.Update), estimatesOf(v.RunToCompletion(snips)))
+			requireEstimatesEqual(t, label+" grouped", estimatesOf(gr.Update), estimatesOf(v.GroupedRunToCompletion(spec, 0).Update))
 			rec.carried = append(rec.carried, estimatesOf(fr.Update), estimatesOf(gr.Update))
 		}
 	}
-	refresh(view)
-	repeat(view, FoldFull)
+	carry(view, FoldFull, 0)
 	for i := 0; i < 2; i++ {
+		before := e.Acquire().SampleRows
 		if _, err := e.Append(driftedBatch(t, 1500, 80, 100, int64(40+i)), int64(90+i)); err != nil {
 			t.Fatal(err)
 		}
-		refresh(e.Acquire())
-		repeat(e.Acquire(), FoldExtended)
-	}
-	for i := range rec.standing {
-		for j := 0; j < 2; j++ {
-			requireEstimatesEqual(t, "parts="+itoa(parts)+" carried flat repeat", rec.carried[4*i+2*j], rec.standing[i])
-			requireEstimatesEqual(t, "parts="+itoa(parts)+" carried grouped repeat", rec.carried[4*i+2*j+1], rec.gStand[i])
-		}
+		carry(e.Acquire(), FoldExtended, e.Acquire().SampleRows-before)
 	}
 
 	// A rebuild under the same layout: per-stratum generation swaps under
@@ -168,7 +147,7 @@ func runPartitioned(t *testing.T, parts int) *invarianceRecord {
 		t.Fatal(err)
 	}
 	rec.rebuilt = estimatesOf(e.Acquire().RunToCompletion(snips))
-	repeat(e.Acquire(), FoldFull)
+	carry(e.Acquire(), FoldFull, 0)
 	requireEstimatesEqual(t, "parts="+itoa(parts)+" carried after rebuild", rec.carried[len(rec.carried)-2], rec.rebuilt)
 
 	// Serial replay across the generation swap: both the pre-rebuild
@@ -189,14 +168,14 @@ func runPartitioned(t *testing.T, parts int) *invarianceRecord {
 
 // TestPartitionCountInvariance is the tentpole property: the partition
 // count is a pure layout knob. The same seeded workload — one-shot,
-// grouped, progressive, standing-across-appends, rebuild and replay — must
+// grouped, progressive, carried-across-appends, rebuild and replay — must
 // produce bit-identical answers for every partition count, because the scan
 // granule is the fixed micro-stratum decomposition, never the partition.
 func TestPartitionCountInvariance(t *testing.T) {
 	want := runPartitioned(t, 1)
-	if len(want.groups) == 0 || len(want.prog) < 3 || len(want.standing) != 3 {
-		t.Fatalf("reference run shape: %d groups, %d increments, %d refreshes",
-			len(want.groups), len(want.prog), len(want.standing))
+	if len(want.groups) == 0 || len(want.prog) < 3 || len(want.carried) != 16 {
+		t.Fatalf("reference run shape: %d groups, %d increments, %d carried answers",
+			len(want.groups), len(want.prog), len(want.carried))
 	}
 	for _, parts := range []int{2, 4, 7} {
 		got := runPartitioned(t, parts)
@@ -223,12 +202,8 @@ func TestPartitionCountInvariance(t *testing.T) {
 		for i := range want.prog {
 			requireIncrementEqual(t, label+" increment "+itoa(i), got.prog[i], want.prog[i])
 		}
-		for i := range want.standing {
-			requireEstimatesEqual(t, label+" standing refresh "+itoa(i), got.standing[i], want.standing[i])
-			requireEstimatesEqual(t, label+" grouped standing refresh "+itoa(i), got.gStand[i], want.gStand[i])
-		}
 		for i := range want.carried {
-			requireEstimatesEqual(t, label+" carried repeat "+itoa(i), got.carried[i], want.carried[i])
+			requireEstimatesEqual(t, label+" carried "+itoa(i), got.carried[i], want.carried[i])
 		}
 		requireEstimatesEqual(t, label+" rebuilt", got.rebuilt, want.rebuilt)
 		requireEstimatesEqual(t, label+" replayed", got.replayed, want.replayed)
@@ -371,7 +346,7 @@ func TestRebuildLayoutValidation(t *testing.T) {
 		if !isBadLayout(err) {
 			t.Fatalf("%s: RebuildSample err = %v, want ErrBadLayout", c.name, err)
 		}
-		if gen != 0 || e.SampleGen() != 0 {
+		if gen != 0 || e.Acquire().SampleGen != 0 {
 			t.Fatalf("%s: rejected rebuild moved the generation to %d", c.name, gen)
 		}
 		if err := e.SetSampleLayout(c.opts); !isBadLayout(err) {

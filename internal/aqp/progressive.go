@@ -83,25 +83,22 @@ type Increment struct {
 type ProgressiveScan struct {
 	view    *View
 	metas   []snipMeta
-	gs      *groupedScan   // grouped factoring of the snippet list, if any
-	accs    []*accumulator // complete-unit folds, carried across steps
-	workers int            // worker cap for unit folds; 0 = GOMAXPROCS
-	folded  int            // rows folded into accs (unit-aligned)
-	emitted int            // last emitted prefix
-	scanned int            // sample rows read so far, re-covered tails included
+	gs      *groupedScan // grouped factoring of the snippet list, if any
+	workers int          // worker cap for unit folds; 0 = GOMAXPROCS
+	emitted int          // last emitted prefix
+	scanned int          // sample rows read so far, re-covered tails included
 	seq     int
 
-	// banks is the partitioned-sample carry state: one accumulator bank per
-	// micro-stratum plus one for the unpartitioned tail (last). Each bank
-	// folds its own per-stratum prefix exactly like the single-table scan
-	// folds the global prefix; emission merges the banks into fresh
-	// accumulators in stratum order (the scatter-gather barrier). nil for an
-	// unpartitioned view, where accs carries the fold directly.
+	// banks is the carry state: one accumulator bank per piece of the
+	// sample — each micro-stratum, then the unpartitioned tail last; a flat
+	// sample is the single bank over Sample.Data. Each bank folds its own
+	// per-piece prefix; emission merges the banks into fresh accumulators in
+	// piece order (the scatter-gather barrier EvalPrefix replays).
 	banks  []*stratumScan
-	counts []int // PrefixCounts scratch
+	counts []int // targets scratch
 }
 
-// stratumScan is one stratum's carried fold within a progressive scan.
+// stratumScan is one sample piece's carried fold within a progressive scan.
 type stratumScan struct {
 	tbl    *storage.Table
 	accs   []*accumulator
@@ -115,59 +112,49 @@ type stratumScan struct {
 // the carried fold state — and hence every emitted increment — is
 // unchanged.
 func (v *View) Progressive(snips []*query.Snippet) *ProgressiveScan {
-	accs := make([]*accumulator, len(snips))
-	for i, sn := range snips {
-		accs[i] = &accumulator{sn: sn, baseRows: v.Sample.BaseRows}
-	}
-	ps := &ProgressiveScan{view: v, metas: metaOf(accs), gs: factorAccs(accs), accs: accs}
-	if parts := v.Sample.Parts; parts != nil {
-		ps.banks = make([]*stratumScan, parts.NumStrata()+1)
-		for s := 0; s < parts.NumStrata(); s++ {
-			ps.banks[s] = &stratumScan{tbl: parts.Stratum(s), accs: freshAccs(accs)}
-		}
-		ps.banks[parts.NumStrata()] = &stratumScan{tbl: v.Sample.Data, accs: freshAccs(accs)}
+	accs := newAccs(v, snips)
+	ps := &ProgressiveScan{view: v, metas: metaOf(accs), gs: factorAccs(accs)}
+	for _, tbl := range v.Sample.Pieces() {
+		ps.banks = append(ps.banks, &stratumScan{tbl: tbl, accs: freshAccs(accs)})
 	}
 	return ps
 }
 
-// bankTarget returns how many rows of bank bi fall inside the global prefix
-// [0, rows), refreshing the PrefixCounts scratch when bi is 0.
-func (p *ProgressiveScan) bankTarget(bi, rows int) int {
+// targets returns, per bank, how many of its rows fall inside the global
+// prefix [0, rows).
+func (p *ProgressiveScan) targets(rows int) []int {
 	parts := p.view.Sample.Parts
-	if bi == len(p.banks)-1 {
-		t := rows - parts.Rows()
-		if t < 0 {
-			t = 0
-		}
-		return t
+	if parts == nil {
+		p.counts = append(p.counts[:0], rows)
+		return p.counts
 	}
-	if bi == 0 {
-		g := rows
-		if g > parts.Rows() {
-			g = parts.Rows()
-		}
-		p.counts = parts.PrefixCounts(g, p.counts)
-	}
-	return p.counts[bi]
+	p.counts = append(parts.PrefixCounts(rows, p.counts)[:parts.NumStrata()], max(rows-parts.Rows(), 0))
+	return p.counts
 }
 
-// stepBank advances one stratum's carried fold to its prefix [0, target)
-// and returns the accumulators reflecting exactly that prefix — the carried
+// advance folds the complete work units of bank b's prefix [0, target) it
+// has not folded yet into its carried accumulators, in unit order.
+func (p *ProgressiveScan) advance(b *stratumScan, target int) {
+	fullUnits, doneUnits := target/unitRows, b.folded/unitRows
+	if fullUnits <= doneUnits {
+		return
+	}
+	for _, part := range scanUnits(p.metas, p.gs, appendUnits(nil, b.tbl, 0, target)[doneUnits:fullUnits], p.workers) {
+		merge(b.accs, part)
+	}
+	b.folded = fullUnits * unitRows
+}
+
+// stepBank advances one bank's carried fold to its prefix [0, target) and
+// returns the accumulators reflecting exactly that prefix — the carried
 // bank when target is unit-aligned, else a private clone with the partial
-// tail unit folded in. The fold sequence per bank is identical to the
-// single-table progressive fold of the same prefix.
+// tail unit folded in, so the carry stays unit-aligned and a later step can
+// re-cover the grown tail from scratch.
 func (p *ProgressiveScan) stepBank(b *stratumScan, target int) []*accumulator {
 	if target > b.folded {
 		p.scanned += target - b.folded
 	}
-	fullUnits := target / unitRows
-	doneUnits := b.folded / unitRows
-	if fullUnits > doneUnits {
-		for _, part := range scanUnits(p.metas, p.gs, appendUnits(nil, b.tbl, 0, target)[doneUnits:fullUnits], p.workers) {
-			merge(b.accs, part)
-		}
-		b.folded = fullUnits * unitRows
-	}
+	p.advance(b, target)
 	if target <= b.folded {
 		return b.accs
 	}
@@ -183,8 +170,9 @@ func (p *ProgressiveScan) stepBank(b *stratumScan, target int) []*accumulator {
 // ProgressiveFrom enters the increment loop mid-sample: it starts a
 // resumable evaluation whose state is exactly what a Progressive scan would
 // carry after emitting the prefix [0, rows) as increment seq. The cursor
-// prefix is folded ONCE — complete work units into the carried
-// accumulators, in the same unit order a continuous scan would have used —
+// prefix is folded ONCE — each bank's complete work units into its carried
+// accumulators, in the same unit order a continuous scan would have used,
+// the (at most one-unit) cursor tail left for the next Step to re-cover —
 // so resuming after k consumed increments costs one O(rows) fold, not k
 // re-scans, and every subsequent Step emits an increment bit-identical to
 // the one the uninterrupted scan would have emitted at the same budget
@@ -199,43 +187,11 @@ func (p *ProgressiveScan) stepBank(b *stratumScan, target int) []*accumulator {
 func (v *View) ProgressiveFrom(snips []*query.Snippet, rows, seq, workers int) *ProgressiveScan {
 	ps := v.Progressive(snips)
 	ps.workers = workers
-	if rows > v.SampleRows {
-		rows = v.SampleRows
-	}
-	if rows < 0 {
-		rows = 0
-	}
+	rows = min(max(rows, 0), v.SampleRows)
 	if rows > 0 {
-		if ps.banks != nil {
-			// Per-stratum entry folds: each bank folds its own cursor prefix
-			// exactly as the single-table fold below does the global one.
-			for bi, b := range ps.banks {
-				target := ps.bankTarget(bi, rows)
-				if target == 0 {
-					continue
-				}
-				if fullUnits := target / unitRows; fullUnits > 0 {
-					for _, part := range scanUnits(ps.metas, ps.gs, appendUnits(nil, b.tbl, 0, target)[:fullUnits], ps.workers) {
-						merge(b.accs, part)
-					}
-					b.folded = fullUnits * unitRows
-				}
-			}
-		} else {
-			data := v.Sample.Data
-			if fullUnits := rows / unitRows; fullUnits > 0 {
-				// Fold only the complete units; the carried accumulators stay
-				// unit-aligned and the (at most one-unit) cursor tail is
-				// re-covered by the next Step, exactly as an uninterrupted
-				// scan's carry state would have it.
-				for _, part := range scanUnits(ps.metas, ps.gs, appendUnits(nil, data, 0, rows)[:fullUnits], ps.workers) {
-					merge(ps.accs, part)
-				}
-				ps.folded = fullUnits * unitRows
-			}
-		}
-		ps.scanned = ps.folded
-		for _, b := range ps.banks {
+		for bi, target := range ps.targets(rows) {
+			b := ps.banks[bi]
+			ps.advance(b, target)
 			ps.scanned += b.folded
 		}
 		ps.emitted = rows
@@ -246,21 +202,13 @@ func (v *View) ProgressiveFrom(snips []*query.Snippet, rows, seq, workers int) *
 	return ps
 }
 
-// SetWorkers caps the fan-out used to fold newly completed units (0 = one
-// worker per core). The result is identical for any cap — the unit
-// partition and merge order never depend on it.
-func (p *ProgressiveScan) SetWorkers(n int) { p.workers = n }
-
 // Total is the pinned sample size: the prefix at which Step turns Final.
 func (p *ProgressiveScan) Total() int { return p.view.SampleRows }
 
 // Scanned is the number of sample rows the scan has read so far: the
 // ProgressiveFrom entry fold, then per Step the newly completed units and
-// the partial tail it re-covers (summed over strata on a partitioned view).
+// the partial tail it re-covers, summed over banks.
 func (p *ProgressiveScan) Scanned() int { return p.scanned }
-
-// Done reports whether a Final increment has been emitted.
-func (p *ProgressiveScan) Done() bool { return p.seq > 0 && p.emitted >= p.view.SampleRows }
 
 // Step advances the scan to the prefix [0, rows) and returns the refreshed
 // estimates. rows is clamped to [previous prefix, Total]; a non-advancing
@@ -274,50 +222,15 @@ func (p *ProgressiveScan) Step(rows int) Increment {
 		defer p.view.ObserveScan(obs.ModeProgressive, p.gs != nil, time.Now())
 	}
 	total := p.view.SampleRows
-	if rows > total {
-		rows = total
-	}
-	if rows < p.emitted {
-		rows = p.emitted
-	}
-	if p.banks == nil && rows > p.folded {
-		// Newly completed units plus the re-covered tail (stepBank counts
-		// each stratum's own).
-		p.scanned += rows - p.folded
-	}
-	emit := p.accs
-	if p.banks != nil {
-		// Scatter-gather emission: advance every stratum bank to its prefix
-		// target, then merge the banks into fresh accumulators in stratum
-		// order — the same barrier EvalPrefix replays.
-		emit = freshAccs(p.accs)
-		for bi, b := range p.banks {
-			target := p.bankTarget(bi, rows)
-			if target == 0 {
-				continue
-			}
-			mergeAccs(emit, p.stepBank(b, target))
-		}
-	} else {
-		data := p.view.Sample.Data
-		fullUnits := rows / unitRows
-		doneUnits := p.folded / unitRows
-		if fullUnits > doneUnits {
-			for _, part := range scanUnits(p.metas, p.gs, appendUnits(nil, data, 0, rows)[doneUnits:fullUnits], p.workers) {
-				merge(p.accs, part)
-			}
-			p.folded = fullUnits * unitRows
-		}
-		if rows > p.folded {
-			// Partial tail unit (at most unitBlocks blocks): fold into a
-			// private copy; the carried accumulators stay unit-aligned so a
-			// later step can re-cover the grown tail from scratch.
-			var sc blockScanner
-			blo := p.folded / storage.BlockSize
-			bhi := (rows-1)/storage.BlockSize + 1
-			tail := sc.scanUnit(p.metas, p.gs, unit{tbl: data, b0: blo, b1: bhi, start: 0, end: rows})
-			emit = cloneAccs(p.accs)
-			merge(emit, tail)
+	rows = min(max(rows, p.emitted), total)
+	// Scatter-gather emission: advance every bank to its prefix target, then
+	// merge the banks into fresh accumulators in piece order. Merging into a
+	// zero-count accumulator copies the moments, so a single bank emits its
+	// own bits.
+	emit := freshAccs(p.banks[0].accs)
+	for bi, target := range p.targets(rows) {
+		if target > 0 {
+			mergeAccs(emit, p.stepBank(p.banks[bi], target))
 		}
 	}
 	p.emitted = rows
@@ -361,10 +274,7 @@ func (v *View) EvalPrefix(snips []*query.Snippet, rows int) Increment {
 	if rows < 0 {
 		rows = 0
 	}
-	accs := make([]*accumulator, len(snips))
-	for i, sn := range snips {
-		accs[i] = &accumulator{sn: sn, baseRows: v.Sample.BaseRows}
-	}
+	accs := newAccs(v, snips)
 	v.scanPrefix(accs, rows)
 	inc := Increment{
 		Estimates: make([]query.ScalarEstimate, len(accs)),

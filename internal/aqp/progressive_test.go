@@ -65,26 +65,26 @@ func TestProgressiveMatchesFreshPrefixScan(t *testing.T) {
 	view := e.Acquire()
 
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		ps := view.Progressive(snips)
-		ps.SetWorkers(workers)
+		ps := view.ProgressiveFrom(snips, 0, -1, workers)
 		if ps.Total() != view.SampleRows {
 			t.Fatalf("workers=%d: Total=%d, want %d", workers, ps.Total(), view.SampleRows)
 		}
 		// Budgets chosen to land mid-block, mid-unit, exactly on a unit
 		// boundary (65536, 131072) and at the full sample.
+		var inc Increment
 		for _, prefix := range []int{100, 4096, 5000, 40000, 65536, 70000, 131072, 150000, view.SampleRows} {
-			inc := ps.Step(prefix)
+			inc = ps.Step(prefix)
 			if inc.Rows != prefix {
 				t.Fatalf("workers=%d: Step(%d) consumed %d rows", workers, prefix, inc.Rows)
 			}
-			fresh := e.ViewAt(view.BaseRows, view.SampleRows).EvalPrefix(snips, prefix)
+			fresh := e.ViewAtGen(view.SampleGen, view.BaseRows, view.SampleRows).EvalPrefix(snips, prefix)
 			requireIncrementEqual(t, "workers="+itoa(workers)+" prefix="+itoa(prefix), inc, fresh)
 			if inc.Final != (prefix == view.SampleRows) {
 				t.Fatalf("workers=%d prefix=%d: Final=%v", workers, prefix, inc.Final)
 			}
 		}
-		if !ps.Done() {
-			t.Fatalf("workers=%d: not Done after consuming the sample", workers)
+		if !inc.Final {
+			t.Fatalf("workers=%d: last increment not Final after consuming the sample", workers)
 		}
 	}
 }

@@ -167,9 +167,6 @@ func (e *Engine) RebuildSample(seed int64, opts RebuildOptions) (uint64, error) 
 	return ns.Gen, nil
 }
 
-// SampleGen returns the current sample generation.
-func (e *Engine) SampleGen() uint64 { return e.sample.Load().Gen }
-
 // bootLayoutSeed shuffles the in-place gen-0 re-stratification performed by
 // SetSampleLayout. Fixed so the boot layout is deterministic for a given
 // dataset and configuration (and identical for every partition count).

@@ -12,10 +12,7 @@ import (
 // progressiveIncrements drives a fresh ProgressiveScan over sched and
 // returns every emitted increment.
 func progressiveIncrements(v *View, snips []*query.Snippet, sched []int, workers int) []Increment {
-	ps := v.Progressive(snips)
-	if workers > 0 {
-		ps.SetWorkers(workers)
-	}
+	ps := v.ProgressiveFrom(snips, 0, -1, workers)
 	out := make([]Increment, 0, len(sched))
 	for _, prefix := range sched {
 		out = append(out, ps.Step(prefix))
@@ -57,8 +54,9 @@ func TestProgressiveFromResume(t *testing.T) {
 			t.Fatalf("cut %d: PinGen: %v", k, err)
 		}
 		ps := rv.ProgressiveFrom(snips, sched[k], k, 0)
+		var inc Increment
 		for i := k + 1; i < len(sched); i++ {
-			inc := ps.Step(sched[i])
+			inc = ps.Step(sched[i])
 			if inc.Seq != want[i].Seq {
 				t.Fatalf("cut %d step %d: seq %d, want %d", k, i, inc.Seq, want[i].Seq)
 			}
@@ -67,8 +65,8 @@ func TestProgressiveFromResume(t *testing.T) {
 			}
 			requireIncrementEqual(t, "cut "+itoa(k)+" step "+itoa(i), inc, want[i])
 		}
-		if !ps.Done() {
-			t.Fatalf("cut %d: resumed scan not Done after exhausting the sample", k)
+		if !inc.Final {
+			t.Fatalf("cut %d: resumed scan's last increment not Final after exhausting the sample", k)
 		}
 		release()
 	}

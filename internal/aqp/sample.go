@@ -32,7 +32,7 @@ type Sample struct {
 	BaseRows int
 	// Gen is the sample generation: 0 for the offline-built sample, bumped
 	// once per Engine.RebuildSample epoch swap. Within a generation the
-	// sample table is append-only (prefixes are immortal, so ViewAt can
+	// sample table is append-only (prefixes are immortal, so ViewAtGen can
 	// replay); across generations rows are re-laid-out and replays must
 	// name the generation (Engine.ViewAtGen).
 	Gen uint64

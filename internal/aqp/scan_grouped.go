@@ -542,10 +542,10 @@ type GroupedResult struct {
 // groupedFold is the carried cross-unit master state of a discovery scan:
 // the per-group master accumulators, the code-key lookup, and the running
 // unit/row counters the first-sight and absent-group backfills depend on.
-// GroupedRunToCompletion drives a fresh fold over every batch; a
-// GroupedStandingScan carries one across appends and folds only new
-// batches. Both produce bit-identical results because both merge the same
-// unit results in the same (batch, span, unit) order.
+// GroupedRunToCompletion drives a fresh fold over every batch; a grouped
+// CarriedFold carries one across appends and folds only new batches. Both
+// produce bit-identical results because both merge the same unit results in
+// the same (batch, span, unit) order.
 type groupedFold struct {
 	masters []*groupMaster
 	lookup  map[uint64]int
@@ -625,7 +625,7 @@ func (f *groupedFold) clone() *groupedFold {
 
 // result orders, truncates and estimates the folded masters into a
 // GroupedResult. It only reads the fold, which can keep extending after.
-func (f *groupedFold) result(v *View, gs *groupedScan, spec *query.GroupedSpec, nmax, lastBatch int) *GroupedResult {
+func (f *groupedFold) result(v *View, gs *groupedScan, spec *query.GroupedSpec, nmax int) *GroupedResult {
 	data := v.Sample.Data
 	masters := f.masters
 	total := f.scanned
@@ -674,7 +674,7 @@ func (f *groupedFold) result(v *View, gs *groupedScan, spec *query.GroupedSpec, 
 		Valid:       make([]bool, nOut*stride),
 		RowsScanned: total,
 		SimTime:     v.cost.QueryTime(total),
-		Batch:       lastBatch,
+		Batch:       v.lastBatch(),
 	}
 	for g := 0; g < nOut; g++ {
 		var m *groupMaster
@@ -723,5 +723,5 @@ func (v *View) groupedFoldAll(spec *query.GroupedSpec, nmax int) *GroupedResult 
 	f := newGroupedFold()
 	units, _ := spanUnits(v.batchSpans(nil, 0, v.SampleRows, v.Sample.BatchSize), 0)
 	f.merge(gs, discoverUnits(gs, units))
-	return f.result(v, gs, spec, nmax, max(v.Sample.Batches()-1, 0))
+	return f.result(v, gs, spec, nmax)
 }

@@ -142,8 +142,7 @@ func TestGroupedProgressiveBitIdentical(t *testing.T) {
 	sched := PrefixSchedule(v.SampleRows, 0)
 	var baseline []Increment
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		ps := v.Progressive(snips)
-		ps.SetWorkers(workers)
+		ps := v.ProgressiveFrom(snips, 0, -1, workers)
 		for k, prefix := range sched {
 			inc := ps.Step(prefix)
 			if workers == 1 {

@@ -68,16 +68,6 @@ func scanRows(data *storage.Table, accs []*accumulator, start, end int) {
 	wg.Wait()
 }
 
-// newAccs returns one zero-state accumulator per snippet, as the view's
-// scans start them.
-func newAccs(v *View, snips []*query.Snippet) []*accumulator {
-	accs := make([]*accumulator, len(snips))
-	for i, sn := range snips {
-		accs[i] = &accumulator{sn: sn, baseRows: v.Sample.BaseRows}
-	}
-	return accs
-}
-
 // rowRunToCompletion is v.RunToCompletion(snips) under the row reference:
 // the same batch spans in the same order, each folded row by row.
 func rowRunToCompletion(v *View, snips []*query.Snippet) BatchUpdate {

@@ -34,7 +34,7 @@ type View struct {
 	// the base cardinality captured at the same instant.
 	Sample *Sample
 	// Epoch is a monotone publication counter (0 for replay views built by
-	// ViewAt/ViewAtGen). SampleGen names the sample generation (epoch-swap
+	// ViewAtGen). SampleGen names the sample generation (epoch-swap
 	// rebuilds bump it); BaseRows/SampleRows identify the snapshot prefix.
 	// The (SampleGen, BaseRows, SampleRows) triple is all a serial replay
 	// needs to reconstruct this view later (Engine.ViewAtGen).
@@ -72,10 +72,7 @@ func (v *View) QueryTime(rows int) time.Duration { return v.cost.QueryTime(rows)
 // false ("users are satisfied with the current accuracy") or when the
 // sample is exhausted.
 func (v *View) OnlineAggregate(snips []*query.Snippet, yield func(BatchUpdate) bool) {
-	accs := make([]*accumulator, len(snips))
-	for i, sn := range snips {
-		accs[i] = &accumulator{sn: sn, baseRows: v.Sample.BaseRows}
-	}
+	accs := newAccs(v, snips)
 	for b := 0; b < v.Sample.Batches(); b++ {
 		start, end := v.Sample.BatchBounds(b)
 		spans := v.sampleSpans(start, end)
@@ -106,17 +103,25 @@ func (v *View) RunToCompletion(snips []*query.Snippet) BatchUpdate {
 
 // foldAll is RunToCompletion without the stage observation: the final
 // update OnlineAggregate would yield, folded across every batch at once.
+// An empty sample yields one invalid estimate per snippet.
 func (v *View) foldAll(snips []*query.Snippet) BatchUpdate {
-	if v.Sample.Batches() == 0 {
-		return BatchUpdate{}
-	}
+	spans := v.batchSpans(nil, 0, v.SampleRows, v.Sample.BatchSize)
+	return v.finalUpdate(v.fold(newAccs(v, snips), spans, len(spans)))
+}
+
+// newAccs returns one zero-state accumulator per snippet, as the view's
+// scans start them.
+func newAccs(v *View, snips []*query.Snippet) []*accumulator {
 	accs := make([]*accumulator, len(snips))
 	for i, sn := range snips {
 		accs[i] = &accumulator{sn: sn, baseRows: v.Sample.BaseRows}
 	}
-	spans := v.batchSpans(nil, 0, v.SampleRows, v.Sample.BatchSize)
-	return v.finalUpdate(v.fold(accs, spans, len(spans)))
+	return accs
 }
+
+// lastBatch is the Batch of a full-sample update, flat or grouped: the
+// sample's last batch, 0 for an empty sample.
+func (v *View) lastBatch() int { return max(v.Sample.Batches()-1, 0) }
 
 // finalUpdate estimates accumulators that have folded the whole sample.
 func (v *View) finalUpdate(accs []*accumulator) BatchUpdate {
@@ -126,7 +131,7 @@ func (v *View) finalUpdate(accs []*accumulator) BatchUpdate {
 		Valid:       make([]bool, len(accs)),
 		RowsScanned: n,
 		SimTime:     v.cost.QueryTime(n),
-		Batch:       v.Sample.Batches() - 1,
+		Batch:       v.lastBatch(),
 	}
 	for i, a := range accs {
 		upd.Estimates[i], upd.Valid[i] = a.estimate()
@@ -260,18 +265,6 @@ func (e *Engine) publishLocked() *View {
 	return v
 }
 
-// ViewAt reconstructs the view that served a past query of the *current*
-// sample generation from its recorded (BaseRows, SampleRows) prefix —
-// tables are append-only within a generation, so the prefix snapshot taken
-// now is row-for-row identical to the historical one. Serial replays use
-// it to audit answers produced under concurrency. To replay a query served
-// before a sample rebuild, use ViewAtGen with the result's SampleGen.
-func (e *Engine) ViewAt(baseRows, sampleRows int) *View {
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	return e.viewAtLocked(e.sample.Load().Gen, baseRows, sampleRows)
-}
-
 // ViewAtGen reconstructs the view that served a past query from its
 // recorded (SampleGen, BaseRows, SampleRows) triple, reaching back through
 // retained retired sample generations: RebuildSample retires the old
@@ -293,7 +286,7 @@ func (e *Engine) ViewAtGen(gen uint64, baseRows, sampleRows int) *View {
 // PinGen reconstructs a replay view of generation gen like ViewAtGen and
 // additionally pins the generation against eviction until release is
 // called (refcounted; release is idempotent). Resumable streams hold their
-// pin for the whole stream, so a MaxRetainedGens-bounded engine can never
+// pin for the whole stream, so an engine bounded by SetMaxRetainedGens can never
 // evict a generation mid-stream. Errors wrap ErrGenUnknown for a
 // generation that never existed and ErrGenEvicted for one behind the
 // replay horizon.

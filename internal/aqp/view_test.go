@@ -68,10 +68,10 @@ func TestEngineAppendViewIsolation(t *testing.T) {
 	if replayNow.Estimates[0] != updBefore.Estimates[0] {
 		t.Fatalf("pinned view answer moved: %+v -> %+v", updBefore.Estimates[0], replayNow.Estimates[0])
 	}
-	// And ViewAt reconstructs it from the grown tables.
-	replay := e.ViewAt(before.BaseRows, before.SampleRows).RunToCompletion([]*query.Snippet{sn})
+	// And ViewAtGen reconstructs it from the grown tables.
+	replay := e.ViewAtGen(before.SampleGen, before.BaseRows, before.SampleRows).RunToCompletion([]*query.Snippet{sn})
 	if replay.Estimates[0] != updBefore.Estimates[0] {
-		t.Fatalf("ViewAt replay differs: %+v vs %+v", updBefore.Estimates[0], replay.Estimates[0])
+		t.Fatalf("ViewAtGen replay differs: %+v vs %+v", updBefore.Estimates[0], replay.Estimates[0])
 	}
 }
 

@@ -181,7 +181,7 @@ func TestConcurrentSessionsWithStreamingAppends(t *testing.T) {
 	epochs := map[int]bool{}
 	for s := range results {
 		for _, sv := range results[s] {
-			view := engine.ViewAt(sv.res.BaseRows, sv.res.SampleRows)
+			view := engine.ViewAtGen(sv.res.SampleGen, sv.res.BaseRows, sv.res.SampleRows)
 			rep, err := sys.ExecuteView(view, sv.sql)
 			if err != nil {
 				t.Fatal(err)

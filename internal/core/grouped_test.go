@@ -228,7 +228,7 @@ func TestGroupedTruncationSurfaced(t *testing.T) {
 		t.Fatalf("progressive: %+v", last)
 	}
 
-	view := s.Engine().ViewAt(res.BaseRows, res.SampleRows)
+	view := s.Engine().ViewAtGen(res.SampleGen, res.BaseRows, res.SampleRows)
 	replay, err := s.ExecuteViewPrefix(view, "SELECT cat, COUNT(*) FROM sales GROUP BY cat", res.SampleRows)
 	if err != nil {
 		t.Fatal(err)

@@ -166,7 +166,7 @@ func (s *System) ActiveSubscriptions() int {
 // Train push refreshed answers that pass the subscription's thresholds.
 // Plans are shared: K subscribers on the same SQL cost one carried scan
 // per notify batch, not K. GROUP BY statements stand too: the grouped
-// one-scan kernel folds incrementally (aqp.GroupedStandingScan), newly
+// one-scan kernel folds incrementally (a grouped aqp.CarriedFold), newly
 // appearing groups join the carried fold with an exact zero backfill, and
 // a changed row set (group birth/death, Nmax truncation flips —
 // Result.GroupsTruncated) always pushes regardless of thresholds.

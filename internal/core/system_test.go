@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -249,5 +250,32 @@ func TestNewSystemWithVerdict(t *testing.T) {
 	if math.Abs(c1.Improved.Value-c2.Improved.Value) > 1e-9 ||
 		math.Abs(c1.Improved.StdErr-c2.Improved.StdErr) > 1e-9 {
 		t.Fatalf("restored system diverged: %+v vs %+v", c1.Improved, c2.Improved)
+	}
+}
+
+// TestExecuteViewEmptySample: on a zero-row sample, a replay through
+// ExecuteView must answer exactly what Execute answered — one invalid raw
+// estimate per snippet, not an empty update.
+func TestExecuteViewEmptySample(t *testing.T) {
+	s := systemFixture(t, 0, 0.2)
+	for _, sql := range []string{
+		"SELECT AVG(revenue) FROM sales",
+		"SELECT COUNT(*) FROM sales WHERE week < 20",
+		"SELECT region, AVG(revenue), COUNT(*) FROM sales GROUP BY region",
+	} {
+		want, err := s.Execute(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		got, err := s.ExecuteView(s.Engine().Acquire(), sql)
+		if err != nil {
+			t.Fatalf("%s: replay: %v", sql, err)
+		}
+		if len(got.Rows) != len(want.Rows) || len(want.Rows) == 0 {
+			t.Fatalf("%s: replay has %d rows, Execute %d", sql, len(got.Rows), len(want.Rows))
+		}
+		if !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("%s: replay rows %+v, Execute rows %+v", sql, got.Rows, want.Rows)
+		}
 	}
 }

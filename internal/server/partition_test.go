@@ -63,7 +63,7 @@ func TestServerRebuildPartitionValidation(t *testing.T) {
 			t.Fatalf("%s: error %q does not mention %q", c.name, env.Error, c.wantErr)
 		}
 	}
-	if gen := sys.Engine().SampleGen(); gen != 0 {
+	if gen := sys.Engine().Acquire().SampleGen; gen != 0 {
 		t.Fatalf("rejected rebuilds moved the sample generation to %d", gen)
 	}
 	if st := sys.StatsSnapshot(); st.Rebuilds != 0 {

@@ -306,7 +306,7 @@ func TestServerConcurrentSessionsWithAppends(t *testing.T) {
 	prefixes := map[int]bool{}
 	for s := range results {
 		for _, sv := range results[s] {
-			view := engine.ViewAt(sv.resp.BaseRows, sv.resp.SampleRows)
+			view := engine.ViewAtGen(sv.resp.SampleGen, sv.resp.BaseRows, sv.resp.SampleRows)
 			rep, err := sys.ExecuteView(view, sv.sql)
 			if err != nil {
 				t.Fatal(err)
@@ -388,7 +388,7 @@ func TestServerRebuildEndpointAndShardStats(t *testing.T) {
 	if rb.Generation != 1 || rb.SampleRows == 0 {
 		t.Fatalf("rebuild response %+v", rb)
 	}
-	if got := sys.Engine().SampleGen(); got != 1 {
+	if got := sys.Engine().Acquire().SampleGen; got != 1 {
 		t.Fatalf("engine generation %d after /rebuild", got)
 	}
 
@@ -458,7 +458,7 @@ func TestServerAutoRebuildDuringQuietPeriod(t *testing.T) {
 	if srv.maybeAutoRebuild() {
 		t.Fatal("rebuild fired below the pending-rows threshold")
 	}
-	if gen := sys.Engine().SampleGen(); gen != 0 {
+	if gen := sys.Engine().Acquire().SampleGen; gen != 0 {
 		t.Fatalf("gen=%d", gen)
 	}
 
@@ -479,7 +479,7 @@ func TestServerAutoRebuildDuringQuietPeriod(t *testing.T) {
 	if !srv.maybeAutoRebuild() {
 		t.Fatal("auto-rebuild did not fire after the quiet period")
 	}
-	if gen := sys.Engine().SampleGen(); gen != 1 {
+	if gen := sys.Engine().Acquire().SampleGen; gen != 1 {
 		t.Fatalf("gen=%d after auto-rebuild", gen)
 	}
 	if st := sys.StatsSnapshot(); st.Rebuilds != 1 {

@@ -263,7 +263,7 @@ func TestQueryStreamStorm(t *testing.T) {
 			}
 		}
 	}
-	if sys.Engine().SampleGen() == 0 {
+	if sys.Engine().Acquire().SampleGen == 0 {
 		t.Fatal("rebuild never landed during the storm")
 	}
 }
