@@ -40,7 +40,9 @@ import (
 // change, since BatchSize survives Engine.Append and a generation's sample
 // is append-only — and the trailing partial batch folds into a copy at each
 // Run, because its end grows with the sample and the unit partition of a
-// grown range is not that of its former self plus the delta. A grouped
+// grown range is not that of its former self plus the delta. (The same is
+// why this tree cannot share ProgressiveScan's unit-aligned carry: batch
+// starts are not unit-aligned, so the two merge trees differ.) A grouped
 // fold discovers groups incrementally: a code first seen in a new batch
 // gets an AddZeros backfill over every row folded before it, exactly as in
 // the single-shot loop.
