@@ -81,6 +81,17 @@ func regionBatch(t *testing.T, rows int, seed int64, regions []string) *storage.
 	return tb
 }
 
+// appendSampled appends b to e and returns how many of its rows entered the
+// sample.
+func appendSampled(t *testing.T, e *Engine, b *storage.Table, seed int64) int {
+	t.Helper()
+	n, err := e.Append(b, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // requireOutcome checks what a Run says it folded: the outcome the case
 // promises, every row for a full fold, none for a reuse, and for an
 // extension at least one row but at most maxScanned.
@@ -170,14 +181,6 @@ func TestCarriedFoldCases(t *testing.T) {
 		requireOutcome(t, step+" flat", fr, v, want, maxScanned)
 		requireOutcome(t, step+" grouped", gr, v, want, maxScanned)
 	}
-	appendRows := func(b *storage.Table, seed int64) (delta int) {
-		t.Helper()
-		before := e.Acquire().SampleRows
-		if _, err := e.Append(b, seed); err != nil {
-			t.Fatal(err)
-		}
-		return e.Acquire().SampleRows - before
-	}
 	batch := sample.BatchSize
 
 	first := e.Acquire()
@@ -197,9 +200,9 @@ func TestCarriedFoldCases(t *testing.T) {
 		t.Fatal("fixture: nmax 1 did not truncate the grouped answer")
 	}
 
-	d := appendRows(appendBatch(t, 100, 50), 1)
+	d := appendSampled(t, e, appendBatch(t, 100, 50), 1)
 	run("append inside the tail batch", e.Acquire(), FoldExtended, d+batch)
-	d = appendRows(appendBatch(t, 5000, 51), 2)
+	d = appendSampled(t, e, appendBatch(t, 5000, 51), 2)
 	run("append across batch boundaries", e.Acquire(), FoldExtended, d+batch)
 	cur := e.Acquire()
 	run("same snapshot after appends", cur, FoldReused, 0)
@@ -223,7 +226,7 @@ func TestCarriedFoldCases(t *testing.T) {
 	const openSQL = "SELECT COUNT(*) FROM t WHERE week >= 40"
 	open := NewCarriedFold(true)
 	open.Run(rebuilt, []*query.Snippet{snippetFor(t, rebuilt.Base, openSQL)}, nil, 0)
-	d = appendRows(driftedBatch(t, 400, 150, 200, 52), 3)
+	d = appendSampled(t, e, driftedBatch(t, 400, 150, 200, 52), 3)
 	v := e.Acquire()
 	run("domain-widening append", v, FoldExtended, d+rebuilt.Sample.BatchSize)
 	snips := []*query.Snippet{snippetFor(t, v.Base, openSQL)}
@@ -313,22 +316,14 @@ func TestCarriedFoldMatchesRunToCompletion(t *testing.T) {
 		requireOutcome(t, step+" flat", fr, v, want, delta+v.Sample.BatchSize)
 		requireOutcome(t, step+" grouped", gr, v, want, delta+v.Sample.BatchSize)
 	}
-	appendRows := func(b *storage.Table, seed int64) int {
-		t.Helper()
-		before := e.Acquire().SampleRows
-		if _, err := e.Append(b, seed); err != nil {
-			t.Fatal(err)
-		}
-		return e.Acquire().SampleRows - before
-	}
 
 	check("initial fold", FoldFull, 0)
 	check("refresh without append", FoldReused, 0)
 	for i, rows := range []int{100, 1, 5000, 2500, 9000} {
-		d := appendRows(appendBatch(t, rows, int64(50+i)), int64(i))
+		d := appendSampled(t, e, appendBatch(t, rows, int64(50+i)), int64(i))
 		check("after append "+itoa(rows), FoldExtended, d)
 	}
-	d := appendRows(regionBatch(t, 6000, 99, []string{"c", "a"}), 77)
+	d := appendSampled(t, e, regionBatch(t, 6000, 99, []string{"c", "a"}), 77)
 	check("after new-region append", FoldExtended, d)
 }
 

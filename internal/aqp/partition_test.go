@@ -131,11 +131,8 @@ func runPartitioned(t *testing.T, parts int) *invarianceRecord {
 	}
 	carry(view, FoldFull, 0)
 	for i := 0; i < 2; i++ {
-		before := e.Acquire().SampleRows
-		if _, err := e.Append(driftedBatch(t, 1500, 80, 100, int64(40+i)), int64(90+i)); err != nil {
-			t.Fatal(err)
-		}
-		carry(e.Acquire(), FoldExtended, e.Acquire().SampleRows-before)
+		d := appendSampled(t, e, driftedBatch(t, 1500, 80, 100, int64(40+i)), int64(90+i))
+		carry(e.Acquire(), FoldExtended, d)
 	}
 
 	// A rebuild under the same layout: per-stratum generation swaps under
