@@ -284,14 +284,15 @@ func TestCarriedFoldBorrowsSnippets(t *testing.T) {
 	}
 }
 
-// TestCarriedFoldMatchesRunToCompletion is the incremental replay property:
-// after every append, a carried Run — which folds only the newly landed
+// replayAcrossAppends is the incremental replay property standing scans rest
+// on: after every append, a carried Run — which folds only the newly landed
 // complete batches plus the partial tail — must equal a fresh
-// RunToCompletion / GroupedRunToCompletion over the whole grown sample, bit
-// for bit. Appends of varying sizes exercise tail batches that grow,
-// complete and straddle batch boundaries; the last one births a region the
-// grouped fold has never seen.
-func TestCarriedFoldMatchesRunToCompletion(t *testing.T) {
+// RunToCompletion (flat) or GroupedRunToCompletion (grouped) over the whole
+// grown sample, bit for bit. Appends of varying sizes exercise tail batches
+// that grow, complete and straddle batch boundaries; the last one births a
+// region the grouped fold has never seen.
+func replayAcrossAppends(t *testing.T, grouped bool) {
+	t.Helper()
 	tb := buildTable(t, 20000)
 	sample, err := BuildSample(tb, 0.5, 0, 7)
 	if err != nil {
@@ -300,21 +301,24 @@ func TestCarriedFoldMatchesRunToCompletion(t *testing.T) {
 	e := NewEngine(tb, sample, CachedCost)
 	const sql = "SELECT region, AVG(val), COUNT(*) FROM t WHERE week BETWEEN 10 AND 60 GROUP BY region"
 	snips := progressiveSnips(t, tb)
-	flat, grouped := NewCarriedFold(false), NewCarriedFold(false)
+	c := NewCarriedFold(false)
 
 	check := func(step string, want FoldOutcome, delta int) {
 		t.Helper()
 		v := e.Acquire()
-		// The grouped spec is rebuilt against the grown table each time,
-		// exactly as the core plan layer re-plans per notify; the shape key
-		// inside Run decides whether the carried fold still applies.
-		fr := flat.Run(v, snips, nil, 0)
-		gr := grouped.Run(v, nil, specFor(t, e.Base(), sql), 0)
 		replay := e.ViewAtGen(v.SampleGen, v.BaseRows, v.SampleRows)
-		requireBatchUpdateEqual(t, step+" flat", fr.Update, replay.RunToCompletion(snips))
-		requireGroupedResultEqual(t, step+" grouped", gr.Grouped, replay.GroupedRunToCompletion(specFor(t, replay.Base, sql), 0))
-		requireOutcome(t, step+" flat", fr, v, want, delta+v.Sample.BatchSize)
-		requireOutcome(t, step+" grouped", gr, v, want, delta+v.Sample.BatchSize)
+		var fr FoldResult
+		if grouped {
+			// The grouped spec is rebuilt against the grown table each time,
+			// exactly as the core plan layer re-plans per notify; the shape
+			// key inside Run decides whether the carried fold still applies.
+			fr = c.Run(v, nil, specFor(t, e.Base(), sql), 0)
+			requireGroupedResultEqual(t, step, fr.Grouped, replay.GroupedRunToCompletion(specFor(t, replay.Base, sql), 0))
+		} else {
+			fr = c.Run(v, snips, nil, 0)
+			requireBatchUpdateEqual(t, step, fr.Update, replay.RunToCompletion(snips))
+		}
+		requireOutcome(t, step, fr, v, want, delta+v.Sample.BatchSize)
 	}
 
 	check("initial fold", FoldFull, 0)
@@ -326,6 +330,14 @@ func TestCarriedFoldMatchesRunToCompletion(t *testing.T) {
 	d := appendSampled(t, e, regionBatch(t, 6000, 99, []string{"c", "a"}), 77)
 	check("after new-region append", FoldExtended, d)
 }
+
+// TestStandingScanMatchesRunToCompletion runs the replay property through a
+// flat CarriedFold.
+func TestStandingScanMatchesRunToCompletion(t *testing.T) { replayAcrossAppends(t, false) }
+
+// TestGroupedStandingScanMatchesRunToCompletion runs the replay property
+// through a grouped CarriedFold.
+func TestGroupedStandingScanMatchesRunToCompletion(t *testing.T) { replayAcrossAppends(t, true) }
 
 // TestCarriedFoldTruncation: the nmax cap and its Truncated flag must
 // replay exactly through the carried grouped fold as groups accumulate past
@@ -365,12 +377,45 @@ func TestCarriedFoldTruncation(t *testing.T) {
 	check("past cap grown", FoldExtended, true) // no new codes: the fold carries on
 }
 
-// TestCarriedFoldRefusesRebind pins the incompatibility contract: a rebuilt
-// sample (new generation, reshuffled rows, new batch size) or a drifted
-// grouped spec cannot extend a carried fold. Each must rebind with one full
-// fold that replays exactly, and a view of the retired generation is
-// served by a reference fold that leaves the new binding in place.
-func TestCarriedFoldRefusesRebind(t *testing.T) {
+// TestStandingScanRefusesRebind pins the incompatibility contract for a
+// flat CarriedFold: a rebuilt sample (new generation, reshuffled rows, new
+// batch size) cannot extend a carried fold. It must rebind with one full
+// fold that replays exactly, and a view of the retired generation is served
+// by a reference fold that leaves the new binding in place.
+func TestStandingScanRefusesRebind(t *testing.T) {
+	tb := buildTable(t, 10000)
+	sample, err := BuildSample(tb, 0.4, 0, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(tb, sample, CachedCost)
+	flat := NewCarriedFold(false)
+	old := e.Acquire()
+	snips := progressiveSnips(t, tb)
+	requireOutcome(t, "first flat", flat.Run(old, snips, nil, 0), old, FoldFull, 0)
+
+	view := rebuildGeneration(t, e, old)
+	replay := e.ViewAtGen(view.SampleGen, view.BaseRows, view.SampleRows)
+	fr := flat.Run(view, progressiveSnips(t, view.Base), nil, 0)
+	requireBatchUpdateEqual(t, "post-rebuild flat", fr.Update, replay.RunToCompletion(progressiveSnips(t, replay.Base)))
+	requireOutcome(t, "post-rebuild flat", fr, view, FoldFull, 0)
+
+	// The pinned old view still replays through ViewAtGen as long as the
+	// generation is retained; the fold serves it without rebinding.
+	oldReplay := e.ViewAtGen(old.SampleGen, old.BaseRows, old.SampleRows)
+	if oldReplay == nil {
+		t.Fatal("ViewAtGen lost the retired generation")
+	}
+	fr = flat.Run(old, snips, nil, 0)
+	requireBatchUpdateEqual(t, "pinned old generation", fr.Update, oldReplay.RunToCompletion(snips))
+	requireOutcome(t, "pinned old generation", fr, old, FoldFull, 0)
+	requireOutcome(t, "new generation again", flat.Run(view, progressiveSnips(t, view.Base), nil, 0), view, FoldReused, 0)
+}
+
+// TestGroupedStandingScanRefusesRebind pins the same contract for a grouped
+// CarriedFold, where a drifted spec also cannot extend the carried fold:
+// each must rebind with one full fold that replays exactly.
+func TestGroupedStandingScanRefusesRebind(t *testing.T) {
 	tb := buildTable(t, 10000)
 	sample, err := BuildSample(tb, 0.4, 0, 11)
 	if err != nil {
@@ -378,10 +423,8 @@ func TestCarriedFoldRefusesRebind(t *testing.T) {
 	}
 	e := NewEngine(tb, sample, CachedCost)
 	const sql = "SELECT region, AVG(val), COUNT(*) FROM t WHERE week < 70 GROUP BY region"
-	flat, grouped := NewCarriedFold(false), NewCarriedFold(false)
+	grouped := NewCarriedFold(false)
 	old := e.Acquire()
-	snips := progressiveSnips(t, tb)
-	requireOutcome(t, "first flat", flat.Run(old, snips, nil, 0), old, FoldFull, 0)
 	requireOutcome(t, "first grouped", grouped.Run(old, nil, specFor(t, old.Base, sql), 0), old, FoldFull, 0)
 
 	// A different statement (different region bounds) must not extend the
@@ -394,6 +437,17 @@ func TestCarriedFoldRefusesRebind(t *testing.T) {
 		requireOutcome(t, q, gr, old, FoldFull, 0)
 	}
 
+	view := rebuildGeneration(t, e, old)
+	replay := e.ViewAtGen(view.SampleGen, view.BaseRows, view.SampleRows)
+	gr := grouped.Run(view, nil, specFor(t, view.Base, sql), 0)
+	requireGroupedResultEqual(t, "post-rebuild grouped", gr.Grouped, replay.GroupedRunToCompletion(specFor(t, replay.Base, sql), 0))
+	requireOutcome(t, "post-rebuild grouped", gr, view, FoldFull, 0)
+}
+
+// rebuildGeneration rebuilds e's sample and returns a view of the new
+// generation, failing if the generation did not advance past old's.
+func rebuildGeneration(t *testing.T, e *Engine, old *View) *View {
+	t.Helper()
 	if _, err := e.RebuildSample(999, DefaultRebuildOptions()); err != nil {
 		t.Fatal(err)
 	}
@@ -401,22 +455,5 @@ func TestCarriedFoldRefusesRebind(t *testing.T) {
 	if view.SampleGen == old.SampleGen {
 		t.Fatal("rebuild did not advance the generation")
 	}
-	replay := e.ViewAtGen(view.SampleGen, view.BaseRows, view.SampleRows)
-	fr := flat.Run(view, progressiveSnips(t, view.Base), nil, 0)
-	requireBatchUpdateEqual(t, "post-rebuild flat", fr.Update, replay.RunToCompletion(progressiveSnips(t, replay.Base)))
-	requireOutcome(t, "post-rebuild flat", fr, view, FoldFull, 0)
-	gr := grouped.Run(view, nil, specFor(t, view.Base, sql), 0)
-	requireGroupedResultEqual(t, "post-rebuild grouped", gr.Grouped, replay.GroupedRunToCompletion(specFor(t, replay.Base, sql), 0))
-	requireOutcome(t, "post-rebuild grouped", gr, view, FoldFull, 0)
-
-	// The pinned old view still replays through ViewAtGen as long as the
-	// generation is retained; the fold serves it without rebinding.
-	oldReplay := e.ViewAtGen(old.SampleGen, old.BaseRows, old.SampleRows)
-	if oldReplay == nil {
-		t.Fatal("ViewAtGen lost the retired generation")
-	}
-	fr = flat.Run(old, snips, nil, 0)
-	requireBatchUpdateEqual(t, "pinned old generation", fr.Update, oldReplay.RunToCompletion(snips))
-	requireOutcome(t, "pinned old generation", fr, old, FoldFull, 0)
-	requireOutcome(t, "new generation again", flat.Run(view, progressiveSnips(t, view.Base), nil, 0), view, FoldReused, 0)
+	return view
 }
