@@ -266,8 +266,11 @@ func (g *Region) Clone() *Region {
 	return out
 }
 
-// ConstrainNum intersects column col with the given range.
+// ConstrainNum intersects column col with the given range. A NaN bound
+// means "unbounded" (see sanitizeRange), so Matches, MatchBlock and
+// PruneBlock all see the same ordered interval.
 func (g *Region) ConstrainNum(col int, r NumRange) {
+	r = sanitizeRange(r)
 	if cur, ok := g.num[col]; ok {
 		g.num[col] = cur.intersect(r)
 	} else {
@@ -305,17 +308,6 @@ func (g *Region) CatSetOf(col int) CatSet {
 	return CatSet{}
 }
 
-// HasConstraint reports whether the query explicitly constrained col.
-func (g *Region) HasConstraint(col int) bool {
-	if _, ok := g.num[col]; ok {
-		return true
-	}
-	if _, ok := g.cat[col]; ok {
-		return true
-	}
-	return false
-}
-
 // ConstrainedCols returns the sorted column indices with constraints.
 func (g *Region) ConstrainedCols() []int {
 	var out []int
@@ -342,48 +334,6 @@ func (g *Region) Matches(t *storage.Table, row int) bool {
 		}
 	}
 	return true
-}
-
-// Volume returns the numeric hyper-rectangle volume |F_i| over the
-// *constrained* numeric dimensions only (Appendix F.3 normalizes FREQ
-// densities by this quantity); unconstrained dimensions use the full domain,
-// and dimensions with zero domain width contribute a factor of 1.
-func (g *Region) Volume(t *storage.Table) float64 {
-	v := 1.0
-	for _, col := range g.schema.DimensionCols() {
-		if g.schema.Col(col).Kind != storage.Numeric {
-			continue
-		}
-		w := g.NumRangeOf(col, t).Width()
-		if w > 0 {
-			v *= w
-		}
-	}
-	return v
-}
-
-// FracVolume returns the fraction of the full numeric-domain volume covered
-// by the region, times the fraction of categorical values admitted — a
-// dimensionless selectivity proxy used by generators and diagnostics.
-func (g *Region) FracVolume(t *storage.Table) float64 {
-	f := 1.0
-	for _, col := range g.schema.DimensionCols() {
-		def := g.schema.Col(col)
-		if def.Kind == storage.Numeric {
-			lo, hi := t.Domain(col)
-			if hi <= lo {
-				continue
-			}
-			f *= g.NumRangeOf(col, t).Width() / (hi - lo)
-		} else {
-			ds := t.DictOf(col).Size()
-			if ds == 0 {
-				continue
-			}
-			f *= float64(g.CatSetOf(col).Size(ds)) / float64(ds)
-		}
-	}
-	return f
 }
 
 // Key renders a canonical string identity for the region: constrained
@@ -442,23 +392,11 @@ func (g *Region) CatConstraints() map[int]CatSet {
 	return out
 }
 
-// EmptyRegion reports whether the region is certainly empty (some numeric
-// range or categorical set admits nothing).
-func (g *Region) EmptyRegion() bool {
-	for _, r := range g.num {
-		if r.Empty() {
-			return true
-		}
-	}
-	for _, s := range g.cat {
-		if s.Codes != nil && len(s.Codes) == 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// sanitizeRange guards against NaN bounds leaking in from generators.
+// sanitizeRange reads a NaN bound as unbounded: a NaN lower bound becomes
+// −Inf and a NaN upper bound +Inf. Left as NaN, a bound would pass every
+// value in NumRange.Contains (v < NaN is false) yet fail every value in the
+// closed-bound filter kernels (v >= NaN is false), and the two evaluators
+// would disagree.
 func sanitizeRange(r NumRange) NumRange {
 	if math.IsNaN(r.Lo) {
 		r.Lo = math.Inf(-1)

@@ -185,7 +185,7 @@ func bindPred(p sqlparse.Predicate, t *storage.Table, g *Region) error {
 		if err != nil {
 			return err
 		}
-		g.ConstrainNum(col, sanitizeRange(NumRange{Lo: lo, Hi: hi}))
+		g.ConstrainNum(col, NumRange{Lo: lo, Hi: hi})
 		return nil
 	case *sqlparse.In:
 		col, kind, err := resolveColumn(v.Arg, t)

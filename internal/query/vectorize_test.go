@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/randx"
@@ -129,9 +130,6 @@ func TestMatchBlockAgreesWithMatches(t *testing.T) {
 						t.Fatalf("trial %d.%d block %d: pruned Empty but %d rows match",
 							trial, rtrial, b, len(want))
 					}
-					if !g.PrunesBlock(tb, b) {
-						t.Fatal("PrunesBlock disagrees with PruneBlock")
-					}
 				case BlockFull:
 					if len(want) != hi-lo {
 						t.Fatalf("trial %d.%d block %d: pruned Full but %d/%d rows match",
@@ -241,13 +239,105 @@ func TestNaNRowsNeverMatch(t *testing.T) {
 	}
 }
 
+// edgeValues are the float64 values the numeric kernels must get right both
+// as cells and as bounds. NaN comes first so that, as a cell, it seeds the
+// zone maps of every column it appears in.
+var edgeValues = []float64{
+	math.NaN(),
+	math.Inf(-1), math.Inf(1),
+	-math.MaxFloat64, math.MaxFloat64,
+	-1, 1,
+	-math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64,
+	math.Copysign(0, -1), 0,
+}
+
+// edgeTable holds every ordered pair of cells as one row of two numeric
+// dimension columns x and y, all in one block.
+func edgeTable(t *testing.T, cells []float64) *storage.Table {
+	t.Helper()
+	tb := storage.NewTable("edge", storage.MustSchema([]storage.ColumnDef{
+		{Name: "x", Kind: storage.Numeric, Role: storage.Dimension},
+		{Name: "y", Kind: storage.Numeric, Role: storage.Dimension},
+	}))
+	for _, x := range cells {
+		for _, y := range cells {
+			if err := tb.AppendRow([]storage.Value{storage.Num(x), storage.Num(y)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return tb
+}
+
+// TestNumericKernelEdgeValues crosses every edge value as a lower and upper
+// bound with all four open/closed combinations, over a table whose cells are
+// those same values. With one constrained column the range reaches
+// filterNumInto; with two, x is bounded to the closed real line (which drops
+// NaN x cells) and the range on y reaches filterNum. MatchBlock must select
+// exactly the rows Matches admits, and PruneBlock's Empty/Full verdicts must
+// hold for them. The table is built twice: with NaN cells, whose first row
+// seeds the zone maps with NaN, and with finite cells only, so that the
+// zone-map verdicts are live.
+func TestNumericKernelEdgeValues(t *testing.T) {
+	tables := []struct {
+		name string
+		tb   *storage.Table
+	}{
+		{"with NaN cells", edgeTable(t, edgeValues)},
+		{"finite cells", edgeTable(t, edgeValues[1:])},
+	}
+	var sel []int32
+	for _, tt := range tables {
+		tb := tt.tb
+		for _, cols := range []int{1, 2} {
+			for _, lo := range edgeValues {
+				for _, hi := range edgeValues {
+					for open := 0; open < 4; open++ {
+						r := NumRange{Lo: lo, Hi: hi, LoOpen: open&1 != 0, HiOpen: open&2 != 0}
+						g := NewRegion(tb.Schema())
+						if cols == 1 {
+							g.ConstrainNum(0, r)
+						} else {
+							g.ConstrainNum(0, NumRange{Lo: math.Inf(-1), Hi: math.Inf(1)})
+							g.ConstrainNum(1, r)
+						}
+						var want []int32
+						for row := 0; row < tb.Rows(); row++ {
+							if g.Matches(tb, row) {
+								want = append(want, int32(row))
+							}
+						}
+						sel = g.MatchBlock(tb, 0, tb.Rows(), sel)
+						if !slices.Equal(sel, want) {
+							t.Errorf("%s, %d column(s), range %+v: MatchBlock selects %d rows, Matches admits %d",
+								tt.name, cols, r, len(sel), len(want))
+						}
+						switch g.PruneBlock(tb, 0) {
+						case BlockEmpty:
+							if len(want) != 0 {
+								t.Errorf("%s, %d column(s), range %+v: pruned Empty but %d rows match",
+									tt.name, cols, r, len(want))
+							}
+						case BlockFull:
+							if len(want) != tb.Rows() {
+								t.Errorf("%s, %d column(s), range %+v: pruned Full but %d/%d rows match",
+									tt.name, cols, r, len(want), tb.Rows())
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPruneBlockEmptyRange: an empty numeric range prunes every block.
 func TestPruneBlockEmptyRange(t *testing.T) {
 	rng := randx.New(9)
 	tb := randomTable(rng, 200)
 	g := NewRegion(tb.Schema())
 	g.ConstrainNum(0, NumRange{Lo: 5, Hi: 5, LoOpen: true})
-	if !g.PrunesBlock(tb, 0) {
+	if g.PruneBlock(tb, 0) != BlockEmpty {
 		t.Fatal("degenerate open range must prune")
 	}
 	if sel := g.MatchBlock(tb, 0, tb.Rows(), nil); len(sel) != 0 {
@@ -255,7 +345,7 @@ func TestPruneBlockEmptyRange(t *testing.T) {
 	}
 	g2 := NewRegion(tb.Schema())
 	g2.ConstrainNum(0, NumRange{Lo: math.Inf(1), Hi: math.Inf(-1)})
-	if !g2.PrunesBlock(tb, 0) {
+	if g2.PruneBlock(tb, 0) != BlockEmpty {
 		t.Fatal("inverted range must prune")
 	}
 }
