@@ -1,15 +1,13 @@
-// Package repro's root benchmark suite regenerates every table and figure
-// of the paper's evaluation (one Benchmark per artifact, delegating to
-// internal/experiments) and measures the core operations behind Lemma 2's
-// complexity claims (inference, synopsis maintenance, kernel covariance,
-// Cholesky solves, parsing, scan throughput).
+// Package repro's root benchmark suite measures the core operations behind
+// Lemma 2's complexity claims (inference, synopsis maintenance, kernel
+// covariance, Cholesky solves, parsing, scan throughput) and the serving
+// paths built on them (repeated and streamed queries, appends). The paper's
+// tables and figures are cmd/verdict-bench's experiments, pinned by
+// internal/experiments' golden test.
 //
 // Run everything:
 //
 //	go test -bench=. -benchmem
-//
-// Experiment benchmarks print their report tables under -v via b.Log. Set
-// REPRO_SCALE=full for paper-sized runs (several minutes each).
 package repro
 
 import (
@@ -21,17 +19,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
-	"time"
-
-	"os"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/aqp"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/kernel"
 	"repro/internal/linalg"
 	"repro/internal/query"
@@ -41,51 +36,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
-
-func benchScale() experiments.Scale {
-	if os.Getenv("REPRO_SCALE") == "full" {
-		return experiments.Full
-	}
-	return experiments.Small
-}
-
-// benchExperiment runs one registered experiment per iteration and logs its
-// report on the first.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	runner, ok := experiments.Get(id)
-	if !ok {
-		b.Fatalf("experiment %s not registered", id)
-	}
-	for i := 0; i < b.N; i++ {
-		rep, err := runner(experiments.Options{Scale: benchScale(), Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", rep.String())
-		}
-	}
-}
-
-// One benchmark per paper artifact (see DESIGN.md §5 for the index).
-
-func BenchmarkTable3Generality(b *testing.B)             { benchExperiment(b, "table3") }
-func BenchmarkTable4SpeedupErrorReduction(b *testing.B)  { benchExperiment(b, "table4") }
-func BenchmarkTable5Overhead(b *testing.B)               { benchExperiment(b, "table5") }
-func BenchmarkFigure1ModelRefinement(b *testing.B)       { benchExperiment(b, "figure1") }
-func BenchmarkFigure4RuntimeErrorCurves(b *testing.B)    { benchExperiment(b, "figure4") }
-func BenchmarkFigure5ConfidenceIntervals(b *testing.B)   { benchExperiment(b, "figure5") }
-func BenchmarkFigure6aWorkloadDiversity(b *testing.B)    { benchExperiment(b, "figure6a") }
-func BenchmarkFigure6bDataDistributions(b *testing.B)    { benchExperiment(b, "figure6b") }
-func BenchmarkFigure6cLearningBehavior(b *testing.B)     { benchExperiment(b, "figure6c") }
-func BenchmarkFigure6dOverheadGrowth(b *testing.B)       { benchExperiment(b, "figure6d") }
-func BenchmarkFigure7ParameterLearning(b *testing.B)     { benchExperiment(b, "figure7") }
-func BenchmarkFigure9ModelValidation(b *testing.B)       { benchExperiment(b, "figure9") }
-func BenchmarkFigure10VsCaching(b *testing.B)            { benchExperiment(b, "figure10") }
-func BenchmarkFigure11TimeBound(b *testing.B)            { benchExperiment(b, "figure11") }
-func BenchmarkFigure12DataAppend(b *testing.B)           { benchExperiment(b, "figure12") }
-func BenchmarkFigure13IntertupleCovariance(b *testing.B) { benchExperiment(b, "figure13") }
 
 // ---- Core micro-benchmarks ----
 
@@ -186,9 +136,12 @@ func BenchmarkCholesky(b *testing.B) {
 				}
 				l.Set(i, i, 1+rng.Float64())
 			}
-			a, err := l.Mul(l.Transpose())
-			if err != nil {
-				b.Fatal(err)
+			a := linalg.NewMatrix(n, n) // L·Lᵀ
+			for i := 0; i < n; i++ {
+				for j := 0; j <= i; j++ {
+					a.Set(i, j, linalg.Dot(l.Row(i)[:j+1], l.Row(j)[:j+1]))
+					a.Set(j, i, a.At(i, j))
+				}
 			}
 			rhs := make([]float64, n)
 			for i := range rhs {
@@ -476,20 +429,19 @@ func BenchmarkTrain(b *testing.B) {
 // BenchmarkSynopsisRecord measures one synopsis mutation plus the Infer
 // that republishes after it — what a serving request pays — for each kind
 // of mutation model.record distinguishes: a new snippet at the cap
-// (eviction), a repeat that teaches nothing, a repeat with a lower error,
-// and Lemma 3's append adjustment. kernel-calls/op is the number of
-// covariance integrals evaluated for synopsis maintenance (the probe's own
-// n per Infer are not counted): n for a new snippet, 0 for the rest.
-// refactorizations/op counts from-scratch O(n³) factorizations: an evict or
-// an improved repeat edits the factor in O(n²) instead, so at the cap it is
-// one per n records (the σ² refresh), and the append adjustment is the one
-// case still at 1. evict/cap=2000 runs at the default cap; its setup
-// records 2000 snippets and factorizes once.
+// (eviction), a repeat that teaches nothing, and a repeat with a lower
+// error. kernel-calls/op is the number of covariance integrals evaluated for
+// synopsis maintenance (the probe's own n per Infer are not counted): n for
+// a new snippet, 0 for the rest. refactorizations/op counts from-scratch
+// O(n³) factorizations: an evict or an improved repeat edits the factor in
+// O(n²) instead, so at the cap it is one per n records (the σ² refresh).
+// Lemma 3's append adjustment, the one edit still at 1, is
+// internal/core's BenchmarkAppendAdjust. evict/cap=2000 runs at the default
+// cap; its setup records 2000 snippets and factorizes once.
 func BenchmarkSynopsisRecord(b *testing.B) {
 	tb := funcBenchTable(b, 2000, 1)
 	probe := funcBenchSnippet(tb, 0, 40, 45)
 	raw := query.ScalarEstimate{Value: 0, StdErr: 0.5}
-	id := probe.Func()
 	// setup fills a synopsis with n distinct snippets and publishes it.
 	setup := func(cap, n int) (*core.Verdict, []*query.Snippet) {
 		v := core.New(tb, core.Config{SynopsisCap: cap})
@@ -534,9 +486,6 @@ func BenchmarkSynopsisRecord(b *testing.B) {
 	})
 	run("repeat-improved/n=48", 0, 48, func(v *core.Verdict, held []*query.Snippet, rng *randx.Source, i int) {
 		v.Record(held[i%len(held)], query.ScalarEstimate{Value: rng.Normal(0, 1), StdErr: 0.5 / (1 + 1e-6*float64(i+1))})
-	})
-	run("append-adjust/n=81", 0, 81, func(v *core.Verdict, _ []*query.Snippet, _ *randx.Source, _ int) {
-		v.ApplyAppend(id, core.Drift{Mu: 1e-3, Eta2: 1e-8}, 1_000_000, 500)
 	})
 }
 
@@ -609,8 +558,11 @@ func BenchmarkRepeatedQuery(b *testing.B) {
 // streamed again on an unchanged sample re-emits the stored increments and
 // scans nothing, while a statement never streamed before scans every
 // prefix — about 161 000 rows, since each increment below the 65 536-row
-// work unit re-covers its tail from row 0. rows-scanned/op is read off
-// SystemStats.ScanMemoRows; ns/op also carries parse, plan, inference per
+// work unit re-covers its tail from row 0. one-shot asks the first-sight
+// statements through Execute instead, the 100 000-row cost the stream's
+// increments are paid against. rows-scanned/op is read off
+// SystemStats.ScanMemoRows; first-increment-ns/op is the wait for a
+// stream's first increment; ns/op also carries parse, plan, inference per
 // increment and the final record.
 func BenchmarkRepeatedStream(b *testing.B) {
 	tb, err := workload.GenerateCustomer1(200000, 5)
@@ -619,13 +571,20 @@ func BenchmarkRepeatedStream(b *testing.B) {
 	}
 	const repeat = "SELECT AVG(amount), COUNT(*) FROM events WHERE event_date BETWEEN 30 AND 90"
 	const unique = "SELECT AVG(amount), COUNT(*) FROM events WHERE event_date BETWEEN %d AND %d.5"
-	stream := func(sys *core.System, sql string) {
+	stream := func(sys *core.System, sql string) (first time.Duration) {
+		start := time.Now()
 		if _, err := sys.ExecuteProgressive(context.Background(), sql, core.ProgressiveOptions{},
-			func(*core.Result, core.Progress) bool { return true }); err != nil {
+			func(_ *core.Result, p core.Progress) bool {
+				if p.Seq == 0 {
+					first = time.Since(start)
+				}
+				return true
+			}); err != nil {
 			b.Fatal(err)
 		}
+		return first
 	}
-	for _, mode := range []string{"repeat", "first-sight"} {
+	for _, mode := range []string{"repeat", "first-sight", "one-shot"} {
 		b.Run(mode, func(b *testing.B) {
 			sample, err := aqp.BuildSample(tb, 0.5, 0, 6)
 			if err != nil {
@@ -634,15 +593,25 @@ func BenchmarkRepeatedStream(b *testing.B) {
 			sys := core.NewSystem(aqp.NewEngine(tb, sample, aqp.CachedCost), core.Config{SynopsisCap: 64})
 			stream(sys, repeat)
 			before := sys.StatsSnapshot().ScanMemoRows
+			var first time.Duration
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sql := repeat
-				if mode == "first-sight" {
+				if mode != "repeat" {
 					sql = fmt.Sprintf(unique, i%60, 61+i/60)
 				}
-				stream(sys, sql)
+				if mode == "one-shot" {
+					if _, err := sys.Execute(sql); err != nil {
+						b.Fatal(err)
+					}
+					continue
+				}
+				first += stream(sys, sql)
 			}
 			b.ReportMetric(float64(sys.StatsSnapshot().ScanMemoRows-before)/float64(b.N), "rows-scanned/op")
+			if mode != "one-shot" {
+				b.ReportMetric(float64(first.Nanoseconds())/float64(b.N), "first-increment-ns/op")
+			}
 		})
 	}
 }

@@ -2,6 +2,7 @@ package aqp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -17,7 +18,7 @@ func partitionedLayout(tb *storage.Table, parts int) RebuildOptions {
 	if !ok {
 		panic("buildTable lost its week column")
 	}
-	return RebuildOptions{ClusterColumn: -1, Partitions: parts, StratumColumn: col}
+	return RebuildOptions{Partitions: parts, StratumColumn: col}
 }
 
 // groupedSpecFor compiles the one-pass grouped spec for a GROUP BY query.
@@ -208,24 +209,36 @@ func TestPartitionCountInvariance(t *testing.T) {
 }
 
 // globalOrder reconstructs the interleaved global row order of a
-// partitioned sample as (stratum, within-stratum position) pairs and
-// returns the stratum-column value sequence — globally and per partition.
+// partitioned sample as (stratum, within-stratum position) pairs — the
+// stratum owning position i is the one whose prefix count grows from i to
+// i+1 — and returns the stratum-column value sequence, globally and per
+// partition.
 func globalOrder(ps *storage.PartitionedSample, colName string) (global []float64, perPart [][]float64) {
 	perPart = make([][]float64, ps.NumPartitions())
 	cols := make([][]float64, ps.NumStrata())
+	owner := make([]int, ps.NumStrata())
+	for p := range perPart {
+		lo, hi := ps.PartitionStrata(p)
+		for s := lo; s < hi; s++ {
+			owner[s] = p
+		}
+	}
 	for s := 0; s < ps.NumStrata(); s++ {
 		tbl := ps.Stratum(s)
 		col, _ := tbl.Schema().Lookup(colName)
 		cols[s] = tbl.NumericCol(col)
 	}
-	taken := make([]int, ps.NumStrata())
+	prev, next := ps.PrefixCounts(0, nil), []int(nil)
 	for i := 0; i < ps.Rows(); i++ {
-		s := ps.StratumAt(i)
-		v := cols[s][taken[s]]
-		taken[s]++
+		next = ps.PrefixCounts(i+1, next)
+		s := 0
+		for next[s] == prev[s] {
+			s++
+		}
+		v := cols[s][prev[s]]
 		global = append(global, v)
-		p := ps.PartitionOf(s)
-		perPart[p] = append(perPart[p], v)
+		perPart[owner[s]] = append(perPart[owner[s]], v)
+		prev, next = next, prev
 	}
 	return global, perPart
 }
@@ -303,7 +316,7 @@ func TestStratifiedRebuildRoundRobin(t *testing.T) {
 	}
 	e := NewEngine(tb, sample, CachedCost)
 	beforeRows := e.Sample().Rows()
-	if _, err := e.RebuildSample(7, RebuildOptions{ClusterColumn: -1, Partitions: 4, StratumColumn: -1}); err != nil {
+	if _, err := e.RebuildSample(7, RebuildOptions{Partitions: 4, StratumColumn: -1}); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Sample()
@@ -320,7 +333,7 @@ func TestStratifiedRebuildRoundRobin(t *testing.T) {
 
 // TestRebuildLayoutValidation pins the typed-error contract: layouts naming
 // a categorical or out-of-range column are rejected with ErrBadLayout
-// before any state moves (this used to panic inside the cluster sort).
+// before any state moves (this used to panic inside the stratum sort).
 func TestRebuildLayoutValidation(t *testing.T) {
 	tb := buildTable(t, 4000)
 	sample, err := BuildSample(tb, 0.5, 0, 5)
@@ -333,10 +346,8 @@ func TestRebuildLayoutValidation(t *testing.T) {
 		name string
 		opts RebuildOptions
 	}{
-		{"categorical cluster column", RebuildOptions{ClusterColumn: regionCol, StratumColumn: -1}},
-		{"out-of-range cluster column", RebuildOptions{ClusterColumn: 99, StratumColumn: -1}},
-		{"categorical stratum column", RebuildOptions{ClusterColumn: -1, Partitions: 2, StratumColumn: regionCol}},
-		{"out-of-range stratum column", RebuildOptions{ClusterColumn: -1, Partitions: 2, StratumColumn: 99}},
+		{"categorical stratum column", RebuildOptions{Partitions: 2, StratumColumn: regionCol}},
+		{"out-of-range stratum column", RebuildOptions{Partitions: 2, StratumColumn: 99}},
 	}
 	for _, c := range cases {
 		gen, err := e.RebuildSample(11, c.opts)
@@ -350,14 +361,9 @@ func TestRebuildLayoutValidation(t *testing.T) {
 			t.Fatalf("%s: SetSampleLayout err = %v, want ErrBadLayout", c.name, err)
 		}
 	}
-	// A cluster layout ignores a bad stratum column and vice versa: only
-	// the column the layout actually uses is validated.
-	weekCol, _ := tb.Schema().Lookup("week")
-	if _, err := e.RebuildSample(12, RebuildOptions{ClusterColumn: weekCol, StratumColumn: regionCol}); err != nil {
-		t.Fatalf("cluster layout rejected an unused stratum column: %v", err)
-	}
-	if _, err := e.RebuildSample(13, RebuildOptions{ClusterColumn: regionCol, Partitions: 2, StratumColumn: weekCol}); err != nil {
-		t.Fatalf("partitioned layout rejected an unused cluster column: %v", err)
+	// A flat layout uses no column, so an unused bad stratum column passes.
+	if _, err := e.RebuildSample(12, RebuildOptions{StratumColumn: regionCol}); err != nil {
+		t.Fatalf("flat layout rejected an unused stratum column: %v", err)
 	}
 }
 
@@ -366,24 +372,54 @@ func isBadLayout(err error) bool {
 	return errors.Is(err, ErrBadLayout) && errors.As(err, &le)
 }
 
-// BenchmarkPartitionedScan measures a selective one-shot scan over the
-// stratified 4-partition layout — the zone-map pruning case partitionbench
-// quantifies across layouts.
+// BenchmarkPartitionedScan measures a selective one-shot scan (~5% of the
+// week domain) over one sample laid out shuffled (flat) and stratified on
+// week at K = 1, 4 and 8 partitions. blocks-pruned-% is the share of the
+// layout's blocks whose zone maps prove them empty: about 0 shuffled, where
+// every block spans the whole domain, and most of them stratified. The
+// stratum, not the partition, is the zone granule, so the benchmark fails
+// if the stratified share moves with K.
 func BenchmarkPartitionedScan(b *testing.B) {
 	tb := buildTable(b, 100000)
-	sample, err := BuildSample(tb, 0.5, 0, 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := NewEngine(tb, sample, CachedCost)
 	col, _ := tb.Schema().Lookup("week")
-	if err := e.SetSampleLayout(RebuildOptions{ClusterColumn: -1, Partitions: 4, StratumColumn: col}); err != nil {
-		b.Fatal(err)
-	}
 	snips := []*query.Snippet{snippetFor(b, tb, "SELECT AVG(val) FROM t WHERE week >= 42 AND week < 47")}
-	view := e.Acquire()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		view.RunToCompletion(snips)
+	stratified := -1.0
+	run := func(name string, opts RebuildOptions) {
+		b.Run(name, func(b *testing.B) {
+			sample, err := BuildSample(tb, 0.5, 0, 11)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e := NewEngine(tb, sample, CachedCost)
+			if err := e.SetSampleLayout(opts); err != nil {
+				b.Fatal(err)
+			}
+			view := e.Acquire()
+			empty, total := 0, 0
+			for _, piece := range view.Sample.Pieces() {
+				for blk := 0; blk < piece.NumBlocks(); blk++ {
+					total++
+					if snips[0].Region.PruneBlock(piece, blk) == query.BlockEmpty {
+						empty++
+					}
+				}
+			}
+			pruned := 100 * float64(empty) / float64(total)
+			if opts.Partitions >= 1 {
+				if stratified >= 0 && pruned != stratified {
+					b.Fatalf("stratified layouts prune %.2f%% and %.2f%% of blocks: the share moved with K", stratified, pruned)
+				}
+				stratified = pruned
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				view.RunToCompletion(snips)
+			}
+			b.ReportMetric(pruned, "blocks-pruned-%")
+		})
+	}
+	run("shuffled", DefaultRebuildOptions())
+	for _, k := range []int{1, 4, 8} {
+		run(fmt.Sprintf("stratified/K=%d", k), RebuildOptions{Partitions: k, StratumColumn: col})
 	}
 }

@@ -3,7 +3,6 @@ package aqp
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/randx"
 	"repro/internal/storage"
@@ -22,24 +21,15 @@ import (
 
 // RebuildOptions tunes the layout RebuildSample produces.
 type RebuildOptions struct {
-	// ClusterColumn, when >= 0 (and Partitions <= 0), names a numeric column
-	// to build a block-clustered, zone-map-friendly layout around: rows are
-	// sorted by the column, chunked into storage.BlockSize blocks (each
-	// spanning a narrow value range, so Region.PruneBlock skips most of
-	// them), and the *blocks* are emitted in random order. Prefixes are then
-	// uniform over blocks rather than rows — a cluster sample: still
-	// unbiased across the block draw, but with higher short-prefix variance
-	// when the cluster column correlates with the measure. When < 0 (the
-	// default), the rebuild is a pure row shuffle: every prefix is a uniform
-	// row sample, and zone maps stay as loose as any shuffled layout's.
-	ClusterColumn int
-	// Partitions, when >= 1, builds the stratified partitioned layout
-	// instead: the sample is split into storage.SampleStrata immutable
-	// micro-strata grouped into this many serving partitions (clamped to
-	// [1, SampleStrata]). Unlike ClusterColumn's block-cluster tradeoff, the
-	// stratified layout keeps row-level prefix-uniformity AND tight zone
-	// maps simultaneously, and answers are bit-identical for every partition
-	// count. ClusterColumn is ignored when Partitions >= 1.
+	// Partitions, when >= 1, builds the stratified partitioned layout: the
+	// sample is split into storage.SampleStrata immutable micro-strata
+	// grouped into this many serving partitions (clamped to [1,
+	// SampleStrata]). The stratified layout keeps row-level
+	// prefix-uniformity AND tight zone maps simultaneously, and answers are
+	// bit-identical for every partition count. When < 1 (the default), the
+	// rebuild is a pure row shuffle of one flat table: every prefix is a
+	// uniform row sample, and zone maps stay as loose as any shuffled
+	// layout's.
 	Partitions int
 	// StratumColumn, when >= 0 and Partitions >= 1, range-partitions rows on
 	// that numeric column by quantile rank, so each stratum covers a narrow
@@ -52,7 +42,7 @@ type RebuildOptions struct {
 // DefaultRebuildOptions selects the pure-shuffle, prefix-uniform,
 // unpartitioned layout.
 func DefaultRebuildOptions() RebuildOptions {
-	return RebuildOptions{ClusterColumn: -1, StratumColumn: -1}
+	return RebuildOptions{StratumColumn: -1}
 }
 
 // ErrBadLayout reports RebuildOptions that name an unusable layout column.
@@ -63,7 +53,7 @@ var ErrBadLayout = errors.New("aqp: invalid sample layout")
 // option field and column index so the serving layer can build a structured
 // 400 from it.
 type LayoutError struct {
-	Field  string // "cluster_column" or "stratum_column"
+	Field  string // "stratum_column"
 	Column int
 	Reason string
 }
@@ -75,26 +65,21 @@ func (e *LayoutError) Error() string {
 // Is makes errors.Is(err, ErrBadLayout) succeed.
 func (e *LayoutError) Is(target error) bool { return target == ErrBadLayout }
 
-// validateLayout checks the layout column the options would actually use:
-// clusterShuffledIndices and the stratified build both sort on a numeric
-// column, so a categorical or out-of-range index must be rejected up front
-// (it used to panic deep inside the rebuild).
+// validateLayout checks the stratum column of a partitioned layout: the
+// stratified build sorts on a numeric column, so a categorical or
+// out-of-range index must be rejected up front (it used to panic deep inside
+// the rebuild). A flat layout uses no column.
 func validateLayout(schema *storage.Schema, opts RebuildOptions) error {
-	check := func(field string, col int) error {
-		switch {
-		case col < 0:
-			return nil
-		case col >= schema.Len():
-			return &LayoutError{Field: field, Column: col, Reason: "out of range"}
-		case schema.Col(col).Kind != storage.Numeric:
-			return &LayoutError{Field: field, Column: col, Reason: "not a numeric column"}
-		}
+	col := opts.StratumColumn
+	switch {
+	case opts.Partitions < 1 || col < 0:
 		return nil
+	case col >= schema.Len():
+		return &LayoutError{Field: "stratum_column", Column: col, Reason: "out of range"}
+	case schema.Col(col).Kind != storage.Numeric:
+		return &LayoutError{Field: "stratum_column", Column: col, Reason: "not a numeric column"}
 	}
-	if opts.Partitions >= 1 {
-		return check("stratum_column", opts.StratumColumn)
-	}
-	return check("cluster_column", opts.ClusterColumn)
+	return nil
 }
 
 // RebuildSample re-lays-out the sample (per opts) and swaps it in as the
@@ -143,14 +128,8 @@ func (e *Engine) RebuildSample(seed int64, opts RebuildOptions) (uint64, error) 
 		// strata so appended codes stay consistent across spans.
 		ns.Data = whole.SelectRows(whole.Name(), nil)
 	} else {
-		var idx []int
-		if opts.ClusterColumn >= 0 {
-			idx = clusterShuffledIndices(whole, opts.ClusterColumn, seed)
-		} else {
-			idx = randx.New(seed).Perm(whole.Rows())
-		}
 		ns.Parts = nil
-		ns.Data = whole.SelectRows(whole.Name(), idx)
+		ns.Data = whole.SelectRows(whole.Name(), randx.New(seed).Perm(whole.Rows()))
 	}
 	// Retire the old generation frozen: pinned views already share its
 	// backing arrays, and replays need its prefixes for as long as the
@@ -253,28 +232,4 @@ func (e *Engine) PartitionStats() []PartitionStat {
 		}
 	}
 	return out
-}
-
-// clusterShuffledIndices orders rows by the cluster column, chunks the
-// sorted order into BlockSize runs, and shuffles the full runs; the
-// partial tail run stays last so every run lands block-aligned in the
-// rebuilt table (a mid-stream partial run would shift later runs across
-// block boundaries and widen their zone maps). Sorting is stable so equal
-// keys keep their (already shuffled) relative order.
-func clusterShuffledIndices(t *storage.Table, col int, seed int64) []int {
-	n := t.Rows()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	keys := t.NumericCol(col)
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	full := n / storage.BlockSize
-	order := randx.New(seed).Perm(full)
-	out := make([]int, 0, n)
-	for _, b := range order {
-		lo := b * storage.BlockSize
-		out = append(out, idx[lo:lo+storage.BlockSize]...)
-	}
-	return append(out, idx[full*storage.BlockSize:]...)
 }

@@ -281,9 +281,10 @@ func TestRebuildInvisibleToPinnedView(t *testing.T) {
 	}
 }
 
-// The clustered rebuild produces zone-map-friendly blocks: after
-// RebuildSample with a cluster column, each block spans a narrow value
-// range, while the row multiset is unchanged.
+// The stratified rebuild produces value-clustered, zone-map-friendly
+// blocks: after RebuildSample with a stratum column, each stratum's blocks
+// span a narrow slice of the column's domain, while the row multiset is
+// unchanged.
 func TestRebuildClusteredLayout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs a multi-block sample")
@@ -299,38 +300,32 @@ func TestRebuildClusteredLayout(t *testing.T) {
 	beforeSorted := colValues(e.Sample().Data, "week", -1)
 	sort.Float64s(beforeSorted)
 
-	e.RebuildSample(77, RebuildOptions{ClusterColumn: weekCol})
-	data := e.Sample().Data
-
-	afterSorted := colValues(data, "week", -1)
+	if _, err := e.RebuildSample(77, partitionedLayout(tb, 4)); err != nil {
+		t.Fatal(err)
+	}
+	ps := e.Sample().Parts
+	var afterSorted []float64
+	for st := 0; st < ps.NumStrata(); st++ {
+		afterSorted = append(afterSorted, colValues(ps.Stratum(st), "week", -1)...)
+	}
 	sort.Float64s(afterSorted)
+	if len(afterSorted) != len(beforeSorted) || e.Sample().Data.Rows() != 0 {
+		t.Fatalf("rebuild laid out %d rows (+%d tail), want %d", len(afterSorted), e.Sample().Data.Rows(), len(beforeSorted))
+	}
 	for i := range beforeSorted {
 		if beforeSorted[i] != afterSorted[i] {
-			t.Fatal("clustered rebuild changed the sample content")
+			t.Fatal("stratified rebuild changed the sample content")
 		}
 	}
 
-	// Every full block must span a narrow slice of the domain (sorted into
-	// ~6 chunks of a [0,100) domain, a full block covers ≈ 100/6 ≈ 17).
-	vals := data.NumericCol(weekCol)
-	n := data.Rows()
-	fullBlocks := 0
-	for lo := 0; lo+storage.BlockSize <= n; lo += storage.BlockSize {
-		mn, mx := vals[lo], vals[lo]
-		for _, v := range vals[lo : lo+storage.BlockSize] {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
+	// Every block must span a narrow slice of the domain: 56 quantile
+	// strata of a uniform [0,100) column cover ≈ 100/56 ≈ 1.8 each.
+	for st := 0; st < ps.NumStrata(); st++ {
+		stratum := ps.Stratum(st)
+		for b := 0; b < stratum.NumBlocks(); b++ {
+			if z := stratum.NumZone(weekCol, b); z.Max-z.Min > 5 {
+				t.Fatalf("stratum %d block %d spans %.1f of the domain; not clustered", st, b, z.Max-z.Min)
 			}
 		}
-		if mx-mn > 35 {
-			t.Fatalf("block at %d spans %.1f of the domain; not clustered", lo, mx-mn)
-		}
-		fullBlocks++
-	}
-	if fullBlocks < 4 {
-		t.Fatalf("only %d full blocks; test needs a bigger sample", fullBlocks)
 	}
 }

@@ -195,8 +195,8 @@ func (m *driftMoments) means() []float64 {
 	return out
 }
 
-// ApplyAppend adjusts every past snippet of one aggregate function for
-// newly appended tuples per Lemma 3:
+// applyAppend adjusts every past snippet of one model for newly appended
+// tuples per Lemma 3:
 //
 //	θ_i  ← θ_i + μ_k·|r^a|/(|r|+|r^a|)
 //	β²_i ← β²_i + (|r^a|·η_k/(|r|+|r^a|))²
@@ -205,17 +205,7 @@ func (m *driftMoments) means() []float64 {
 // is invalidated (β changed on the diagonal); the next inference rebuilds
 // it from the cached Gram triangle — the pair covariances did not move, so
 // no kernel integral is re-evaluated unless the append also widened a
-// domain or grew a dictionary.
-func (v *Verdict) ApplyAppend(id query.FuncID, drift Drift, oldRows, appendedRows int) {
-	if m := v.modelOf(id); m != nil {
-		m.mu.Lock()
-		m.applyAppend(drift, oldRows, appendedRows)
-		m.mu.Unlock()
-	}
-}
-
-// applyAppend performs Lemma 3's adjustment on one model. Caller holds
-// m.mu.
+// domain or grew a dictionary. Caller holds m.mu.
 func (m *model) applyAppend(drift Drift, oldRows, appendedRows int) {
 	m.mutated()
 	m.appendDrift = drift
@@ -235,7 +225,7 @@ func (m *model) applyAppend(drift Drift, oldRows, appendedRows int) {
 // OnAppend is the convenience driver: it estimates drift for every AVG
 // model from the old and appended relations and applies Lemma 3's
 // adjustment. FREQ models receive only the cardinality-driven adjustment
-// (μ=0) unless the caller supplies explicit drift via ApplyAppend.
+// (μ=0).
 func (v *Verdict) OnAppend(old, appended *storage.Table, seed int64) {
 	v.onAppend(old.Rows(), appended.Rows(), func(_ *model, measure func(*storage.Table, int) float64) Drift {
 		return EstimateDrift(old, appended, measure, driftBuckets, seed)

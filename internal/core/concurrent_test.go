@@ -14,7 +14,7 @@ import (
 // salesBatch builds a streaming batch against its own schema (name/kind
 // compatible with systemFixture's relation), with a deliberate drift in the
 // revenue intercept so appends exercise the Appendix D adjustment.
-func salesBatch(t *testing.T, rows int, seed int64) *storage.Table {
+func salesBatch(t testing.TB, rows int, seed int64) *storage.Table {
 	t.Helper()
 	schema := storage.MustSchema([]storage.ColumnDef{
 		{Name: "week", Kind: storage.Numeric, Role: storage.Dimension},

@@ -16,8 +16,7 @@
 // domain. Who locks what:
 //
 //   - Mutators of one function's model — Record, Train, SetParams,
-//     ApplyAppend, OnAppend(Sampled) — and its lazy publish hold that
-//     model's mu. Writers of different functions never contend.
+//     OnAppend(Sampled) — and its lazy publish hold that model's mu. Writers of different functions never contend.
 //   - Infer and SnapshotFor load the model's published *inferState
 //     atomically, taking its mu only when nothing is published; the O(n²)
 //     inference itself is lock-free.

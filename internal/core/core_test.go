@@ -15,7 +15,7 @@ import (
 // smoothTable builds a relation whose measure is a smooth function of the
 // single numeric dimension "x" over [0,100] with planted length-scale ell —
 // known ground truth for inference and learning tests.
-func smoothTable(t *testing.T, rows int, ell, sigma2, noise float64, seed int64) (*storage.Table, *randx.SmoothFieldAt) {
+func smoothTable(t testing.TB, rows int, ell, sigma2, noise float64, seed int64) (*storage.Table, *randx.SmoothFieldAt) {
 	t.Helper()
 	schema := storage.MustSchema([]storage.ColumnDef{
 		{Name: "x", Kind: storage.Numeric, Role: storage.Dimension, Min: 0, Max: 100},
@@ -232,25 +232,6 @@ func TestFreqNegativeRejected(t *testing.T) {
 	}
 }
 
-func TestErrorBoundClampsFreq(t *testing.T) {
-	tb, _ := smoothTable(t, 100, 20, 4, 0.1, 8)
-	sn := freqSnippet(tb, 0, 50)
-	res := Improved{Answer: 0.01, Err: 0.05}
-	lo, hi := ErrorBound(sn, res, Config{})
-	if lo != 0 {
-		t.Fatalf("FREQ lower bound=%v, want 0", lo)
-	}
-	if hi <= 0.01 {
-		t.Fatalf("upper bound=%v", hi)
-	}
-	// AVG bounds are symmetric.
-	av := avgSnippet(tb, 0, 50)
-	lo2, hi2 := ErrorBound(av, Improved{Answer: 1, Err: 0.5}, Config{})
-	if math.Abs((1-lo2)-(hi2-1)) > 1e-12 {
-		t.Fatal("AVG bound not symmetric")
-	}
-}
-
 func TestSynopsisLRUCap(t *testing.T) {
 	tb, _ := smoothTable(t, 500, 20, 4, 0.1, 9)
 	v := New(tb, Config{SynopsisCap: 5})
@@ -341,6 +322,17 @@ func TestIncrementalRecordMatchesRebuild(t *testing.T) {
 	}
 }
 
+// logLikelihood evaluates Eq. 13 for the given parameters over the model's
+// current synopsis, through the learner's own likelihood.
+func (m *model) logLikelihood(p kernel.Params) float64 {
+	if len(m.entries) == 0 {
+		return 0
+	}
+	lik := newLikelihood(m.entries, m.priorMean())
+	lik.setElls(p.Ells)
+	return -lik.negLog(p.Sigma2)
+}
+
 func TestLearningRecoversPlantedLengthScale(t *testing.T) {
 	// Generate raw answers directly from a planted GP over ranges, then
 	// check the learned length-scale is the right order of magnitude
@@ -373,8 +365,18 @@ func TestLearningRecoversPlantedLengthScale(t *testing.T) {
 	// Learned parameters must out-score wildly wrong ones in likelihood.
 	wrong := p.Clone()
 	wrong.Ells[xcol] = planted * 50
-	if v.LogLikelihood(id, p) < v.LogLikelihood(id, wrong) {
+	if v.modelOf(id).logLikelihood(p) < v.modelOf(id).logLikelihood(wrong) {
 		t.Fatal("learned params scored below wrong params")
+	}
+}
+
+// applyAppend applies Lemma 3's adjustment with explicit drift to one
+// function's model, as OnAppend does to every model with estimated drift.
+func (v *Verdict) applyAppend(id query.FuncID, drift Drift, oldRows, appendedRows int) {
+	if m := v.modelOf(id); m != nil {
+		m.mu.Lock()
+		m.applyAppend(drift, oldRows, appendedRows)
+		m.mu.Unlock()
 	}
 }
 
@@ -386,7 +388,7 @@ func TestApplyAppendInflatesErrors(t *testing.T) {
 	id := query.FuncID{Kind: query.AvgAgg, MeasureKey: "y"}
 
 	drift := Drift{Mu: 2, Eta2: 1}
-	v.ApplyAppend(id, drift, 900, 100) // ratio = 0.1
+	v.applyAppend(id, drift, 900, 100) // ratio = 0.1
 	e := v.modelOf(id).entries[0]
 	if math.Abs(e.theta-10.2) > 1e-9 {
 		t.Fatalf("theta=%v want 10.2", e.theta)
@@ -398,10 +400,39 @@ func TestApplyAppendInflatesErrors(t *testing.T) {
 	// Larger appends inflate more (monotonicity property).
 	v2 := New(tb, Config{})
 	v2.Record(avgSnippet(tb, 10, 30), query.ScalarEstimate{Value: 10, StdErr: 0.5})
-	v2.ApplyAppend(id, drift, 500, 500) // ratio = 0.5
+	v2.applyAppend(id, drift, 500, 500) // ratio = 0.5
 	if v2.modelOf(id).entries[0].beta <= e.beta {
 		t.Fatal("larger append ratio must inflate more")
 	}
+}
+
+// BenchmarkAppendAdjust measures Lemma 3's append adjustment of an
+// 81-snippet synopsis plus the Infer that republishes it. The adjustment
+// moves every β on the diagonal, so refactorizations/op is 1: the one
+// synopsis edit still paid with an O(n³) factorization. kernel-calls/op is
+// 0, since the pair covariances did not move and the Gram triangle is
+// reused.
+func BenchmarkAppendAdjust(b *testing.B) {
+	tb, _ := smoothTable(b, 2000, 20, 4, 0.1, 3)
+	v := New(tb, Config{})
+	rng := randx.New(11)
+	for i := 0; i < 81; i++ {
+		lo := rng.Uniform(0, 90)
+		v.Record(avgSnippet(tb, lo, lo+5), query.ScalarEstimate{Value: rng.Normal(0, 1), StdErr: 0.5})
+	}
+	probe := avgSnippet(tb, 40, 45)
+	raw := query.ScalarEstimate{Value: 0, StdErr: 0.5}
+	id := probe.Func()
+	v.Infer(probe, raw)
+	c0 := v.Counters()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.applyAppend(id, Drift{Mu: 1e-3, Eta2: 1e-8}, 1_000_000, 500)
+		v.Infer(probe, raw)
+	}
+	c := v.Counters()
+	b.ReportMetric(float64(c.GramKernelCalls-c0.GramKernelCalls)/float64(b.N), "kernel-calls/op")
+	b.ReportMetric(float64(c.Refactorizations-c0.Refactorizations)/float64(b.N), "refactorizations/op")
 }
 
 func TestEstimateDriftDetectsShift(t *testing.T) {

@@ -142,15 +142,3 @@ func validate(sn *query.Snippet, raw query.ScalarEstimate, res Improved, cfg Con
 	t := cfg.validationMultiplier() * raw.StdErr
 	return math.Abs(raw.Value-res.ModelAnswer) <= t
 }
-
-// ErrorBound converts an Improved result into the half-width of the
-// δ-confidence interval, clamping FREQ intervals at zero per Appendix B.
-func ErrorBound(sn *query.Snippet, res Improved, cfg Config) (lo, hi float64) {
-	cfg = cfg.withDefaults()
-	half := cfg.confidenceMultiplier() * res.Err
-	lo, hi = res.Answer-half, res.Answer+half
-	if sn.Kind == query.FreqAgg && lo < 0 {
-		lo = 0
-	}
-	return lo, hi
-}

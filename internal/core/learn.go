@@ -184,15 +184,3 @@ func (l *likelihood) negLog(sigma2 float64) float64 {
 	}
 	return 0.5*qf + 0.5*chol.LogDet() + 0.5*float64(n)*math.Log(2*math.Pi)
 }
-
-// logLikelihood exposes Eq. 13 for the given parameters over the model's
-// current synopsis — used by tests and the parameter-learning experiment
-// (Figure 7) to compare planted against estimated parameters.
-func (m *model) logLikelihood(p kernel.Params) float64 {
-	if len(m.entries) == 0 {
-		return 0
-	}
-	lik := newLikelihood(m.entries, m.priorMean())
-	lik.setElls(p.Ells)
-	return -lik.negLog(p.Sigma2)
-}

@@ -141,7 +141,10 @@ func learnSnippet(tb *storage.Table, kind query.AggKind, rng *randx.Source) *que
 	}
 	sn := &query.Snippet{Kind: kind, Region: g, Table: tb}
 	if kind == query.AvgAgg {
-		m := sc.MeasureCols()[0]
+		m := 0
+		for sc.Col(m).Role != storage.Measure {
+			m++
+		}
 		sn.MeasureKey = sc.Col(m).Name
 		sn.Measure = func(t *storage.Table, row int) float64 { return t.NumAt(row, m) }
 	}

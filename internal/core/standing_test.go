@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -396,5 +397,39 @@ func TestSubscribeSurvivesRebuildRebind(t *testing.T) {
 	sub.Close()
 	if n := sys.Engine().PinnedGens(); n != 0 {
 		t.Fatalf("PinnedGens=%d after close", n)
+	}
+}
+
+// BenchmarkNotifyFanout measures one 1000-row append into a 50 000-row
+// sample with K idle subscribers standing on one plan: the engine append,
+// Lemma 3's adjustment and the notify batch. Standing plans are
+// deduplicated and share one incremental scan per batch, so scans/op is 1
+// for every K and ns/op grows only by the K queue inserts.
+func BenchmarkNotifyFanout(b *testing.B) {
+	batches := make([]*storage.Table, 8)
+	for i := range batches {
+		batches[i] = salesBatch(b, 1000, int64(100+i))
+	}
+	for _, k := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			sys := systemFixture(b, 100000, 0.5)
+			for i := 0; i < k; i++ {
+				// A one-slot queue nobody reads coalesces to the latest
+				// update, so the hub never blocks.
+				sub, err := sys.Subscribe(standingQueries[0], SubscribeOptions{Queue: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer sub.Close()
+			}
+			before := sys.StatsSnapshot().NotifyScans
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.Append(batches[i%len(batches)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(sys.StatsSnapshot().NotifyScans-before)/float64(b.N), "scans/op")
+		})
 	}
 }

@@ -355,15 +355,15 @@ func runOracleSequence(t *testing.T, seed int64, quota int, withSetParams bool, 
 			v.Record(held[key], query.ScalarEstimate{Value: rng.Normal(5, 2), StdErr: beta * 0.8, PopErr: 0.02})
 			editOp, editKind = true, &kinds.editOnRepeat
 		case op < 16: // Lemma 3 adjustment alone
-			v.ApplyAppend(id, Drift{Mu: rng.Normal(0, 0.2), Eta2: 0.01}, tb.Rows(), 10)
+			v.applyAppend(id, Drift{Mu: rng.Normal(0, 0.2), Eta2: 0.01}, tb.Rows(), 10)
 		case op < 17: // append that widens x's domain
 			maxX += 7
 			appendOracleRow(t, tb, maxX, "a")
-			v.ApplyAppend(id, Drift{Eta2: 0.01}, tb.Rows()-1, 1)
+			v.applyAppend(id, Drift{Eta2: 0.01}, tb.Rows()-1, 1)
 		case op < 18: // append that grows c's dictionary
 			newCats++
 			appendOracleRow(t, tb, 50, fmt.Sprintf("new%d", newCats))
-			v.ApplyAppend(id, Drift{Eta2: 0.01}, tb.Rows()-1, 1)
+			v.applyAppend(id, Drift{Eta2: 0.01}, tb.Rows()-1, 1)
 		case op < 19 || !withSetParams:
 			if err := v.Train(); err != nil {
 				t.Fatalf("step %d: train: %v", step, err)

@@ -127,7 +127,6 @@ func applyEngineConfig(engine *aqp.Engine, cfg Config) {
 			col = c
 		}
 		if err := engine.SetSampleLayout(aqp.RebuildOptions{
-			ClusterColumn: -1,
 			Partitions:    cfg.NumPartitions,
 			StratumColumn: col,
 		}); err != nil {
@@ -141,16 +140,6 @@ func applyEngineConfig(engine *aqp.Engine, cfg Config) {
 // with no timer wired (the default) the call sites reduce to one branch.
 func (s *System) observeStage(name, mode string, grouped bool, start time.Time) {
 	s.cfg.Stages.ObserveStage(obs.Stage{Name: name, Mode: mode, Grouped: grouped}, time.Since(start))
-}
-
-// NewSystemWithVerdict builds a System whose learning state is restored
-// from a synopsis snapshot (see Verdict.Save / Load).
-func NewSystemWithVerdict(engine *aqp.Engine, snapshot io.Reader) (*System, error) {
-	v, err := Load(snapshot, engine.Base(), Config{})
-	if err != nil {
-		return nil, err
-	}
-	return &System{engine: engine, verdict: v, cfg: v.cfg}, nil
 }
 
 // Verdict exposes the learning layer (training, parameter control).

@@ -14,7 +14,7 @@ import (
 
 // systemFixture builds a System over a sales-like relation with structure:
 // revenue ≈ 50 + 2·week + region offset.
-func systemFixture(t *testing.T, rows int, frac float64) *System {
+func systemFixture(t testing.TB, rows int, frac float64) *System {
 	t.Helper()
 	schema := storage.MustSchema([]storage.ColumnDef{
 		{Name: "week", Kind: storage.Numeric, Role: storage.Dimension},
@@ -211,8 +211,9 @@ func TestSystemTheorem1AtSQLSurface(t *testing.T) {
 	}
 }
 
-// TestNewSystemWithVerdict restores a System's learning state from a
-// snapshot and confirms identical inference behaviour.
+// TestNewSystemWithVerdict gives a new System over the same engine the
+// learning state of another's snapshot (LoadSynopsis) and confirms
+// identical inference behaviour.
 func TestNewSystemWithVerdict(t *testing.T) {
 	s := systemFixture(t, 10000, 0.3)
 	for i := 0; i < 10; i++ {
@@ -230,8 +231,8 @@ func TestNewSystemWithVerdict(t *testing.T) {
 	if err := s.Verdict().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := NewSystemWithVerdict(s.Engine(), bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	restored := NewSystem(s.Engine(), Config{})
+	if err := restored.LoadSynopsis(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Verdict().SnippetCount() != s.Verdict().SnippetCount() {

@@ -18,8 +18,8 @@ import (
 // Verdict is safe for concurrent use. Per-function models are fully
 // independent — no inference or maintenance ever reads across FuncID
 // boundaries — so each model is its own single-writer domain: its mu
-// serializes that model's mutators (Record, Train, SetParams, OnAppend,
-// ApplyAppend), and writers of different functions never contend. Infer
+// serializes that model's mutators (Record, Train, SetParams, OnAppend),
+// and writers of different functions never contend. Infer
 // runs against the model's immutable published snapshot (a registry lookup
 // plus one atomic load, then lock-free O(n²) inference), so N serving
 // sessions improve one shared synopsis without ever blocking each other's
@@ -304,18 +304,6 @@ func (v *Verdict) Counters() Counters {
 		NoopRepeats:      c.noopRepeats.Load(),
 		GramKernelCalls:  c.kernelCalls.Load(),
 	}
-}
-
-// LogLikelihood evaluates Eq. 13 for one function under arbitrary
-// parameters (experiment support).
-func (v *Verdict) LogLikelihood(id query.FuncID, p kernel.Params) float64 {
-	m := v.modelOf(id)
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.logLikelihood(p)
 }
 
 // SynopsisKeys returns the sorted snippet keys of one function's synopsis;

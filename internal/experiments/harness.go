@@ -289,28 +289,6 @@ func boundWithinBudget(pts []curvePoint, budget time.Duration, improved bool) fl
 	return best
 }
 
-// meanFinal returns the mean final-batch relative actual errors (raw,
-// improved) across curves.
-func meanFinal(curves [][]curvePoint) (rawErr, impErr, rawBound, impBound float64) {
-	n := 0
-	for _, c := range curves {
-		if len(c) == 0 {
-			continue
-		}
-		p := c[len(c)-1]
-		rawErr += p.rawErr
-		impErr += p.impErr
-		rawBound += p.rawBound
-		impBound += p.impBound
-		n++
-	}
-	if n == 0 {
-		return 0, 0, 0, 0
-	}
-	f := float64(n)
-	return rawErr / f, impErr / f, rawBound / f, impBound / f
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a

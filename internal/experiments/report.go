@@ -2,8 +2,8 @@
 // paper's evaluation (Section 8 and Appendices A–E). Each runner generates
 // its workload, drives the AQP engine and Verdict, and emits a Report whose
 // rows mirror the artifact's rows/series. cmd/verdict-bench prints them;
-// bench_test.go wraps them as testing.B benchmarks; EXPERIMENTS.md records
-// paper-vs-measured values.
+// TestAllExperimentsRunSmall pins each, at Small scale, to
+// testdata/<id>.golden.
 package experiments
 
 import (
@@ -13,7 +13,7 @@ import (
 )
 
 // Scale selects experiment sizing: Small keeps unit tests fast; Full is the
-// default for verdict-bench and the benchmark suite.
+// paper-sized run (verdict-bench -scale full).
 type Scale int
 
 // Scales.
@@ -39,19 +39,6 @@ type Report struct {
 	// the only cells that may differ between two runs with the same
 	// Options. Every other cell is a pure function of Options.
 	Timing []string
-	// Metrics, when populated, is the machine-readable companion of Rows —
-	// one scalar per benchmark case (e.g. ns/op keyed by case name).
-	// cmd/verdict-bench's -json flag persists it for trend tracking.
-	Metrics map[string]float64
-}
-
-// Metric records one machine-readable scalar, allocating Metrics on first
-// use.
-func (r *Report) Metric(key string, v float64) {
-	if r.Metrics == nil {
-		r.Metrics = map[string]float64{}
-	}
-	r.Metrics[key] = v
 }
 
 // Add appends a formatted row.

@@ -125,18 +125,6 @@ func (c *Cholesky) QuadForm(b []float64) (float64, error) {
 	return Dot(y, y), nil
 }
 
-// BilinearForm computes aᵀ·A⁻¹·b.
-func (c *Cholesky) BilinearForm(a, b []float64) (float64, error) {
-	x, err := c.Solve(b)
-	if err != nil {
-		return 0, err
-	}
-	if len(a) != len(x) {
-		return 0, ErrShape
-	}
-	return Dot(a, x), nil
-}
-
 // LogDet returns log|A| = 2·Σ log L[i][i], used by the Eq. 13 likelihood.
 func (c *Cholesky) LogDet() float64 {
 	s := 0.0
@@ -272,27 +260,4 @@ func forward(l []float64, stride int, b []float64) {
 		}
 		b[i] = s / l[i*stride+i]
 	}
-}
-
-// Inverse materializes A⁻¹. Algorithm 1 stores Σ⁻¹ in the query synopsis;
-// inference itself prefers Solve, but the explicit inverse is exposed for
-// the synopsis serialization and for tests.
-func (c *Cholesky) Inverse() *Matrix {
-	n := c.n
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		if err := c.SolveInPlace(e); err != nil {
-			panic(err) // dimensions are consistent by construction
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, e[i])
-		}
-	}
-	inv.Symmetrize()
-	return inv
 }

@@ -36,32 +36,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// NewMatrixFrom builds a matrix from a row-major slice of slices.
-func NewMatrixFrom(rows [][]float64) *Matrix {
-	r := len(rows)
-	if r == 0 {
-		return NewMatrix(0, 0)
-	}
-	c := len(rows[0])
-	m := NewMatrix(r, c)
-	for i, row := range rows {
-		if len(row) != c {
-			panic("linalg: ragged rows")
-		}
-		copy(m.data[i*c:(i+1)*c], row)
-	}
-	return m
-}
-
-// Identity returns the n×n identity.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
-}
-
 // Rows returns the row count.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -89,84 +63,6 @@ func (m *Matrix) Row(i int) []float64 {
 	out := make([]float64, m.cols)
 	copy(out, m.data[i*m.cols:(i+1)*m.cols])
 	return out
-}
-
-// Submatrix copies rows [0,r) and columns [0,c) into a new matrix — the
-// Σ_n "leading block" extraction the paper's block forms use.
-func (m *Matrix) Submatrix(r, c int) *Matrix {
-	if r > m.rows || c > m.cols {
-		panic(ErrShape)
-	}
-	out := NewMatrix(r, c)
-	for i := 0; i < r; i++ {
-		copy(out.data[i*c:(i+1)*c], m.data[i*m.cols:i*m.cols+c])
-	}
-	return out
-}
-
-// MulVec computes y = M·x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.cols {
-		return nil, ErrShape
-	}
-	y := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y, nil
-}
-
-// Mul computes the product M·N.
-func (m *Matrix) Mul(n *Matrix) (*Matrix, error) {
-	if m.cols != n.rows {
-		return nil, ErrShape
-	}
-	out := NewMatrix(m.rows, n.cols)
-	for i := 0; i < m.rows; i++ {
-		mrow := m.data[i*m.cols : (i+1)*m.cols]
-		orow := out.data[i*n.cols : (i+1)*n.cols]
-		for k, mv := range mrow {
-			if mv == 0 {
-				continue
-			}
-			nrow := n.data[k*n.cols : (k+1)*n.cols]
-			for j, nv := range nrow {
-				orow[j] += mv * nv
-			}
-		}
-	}
-	return out, nil
-}
-
-// Transpose returns Mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.data[j*out.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return out
-}
-
-// Symmetrize replaces M with (M+Mᵀ)/2; covariance assembly uses it to wash
-// out floating-point asymmetry before factorizing.
-func (m *Matrix) Symmetrize() {
-	if m.rows != m.cols {
-		panic(ErrShape)
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			v := 0.5 * (m.data[i*m.cols+j] + m.data[j*m.cols+i])
-			m.data[i*m.cols+j] = v
-			m.data[j*m.cols+i] = v
-		}
-	}
 }
 
 // MaxAbsDiag returns the largest absolute diagonal entry (used to scale
@@ -205,40 +101,9 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// AXPY computes y += alpha*x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(ErrShape)
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
 // Scale multiplies a vector by a scalar in place.
 func Scale(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
 	}
-}
-
-// VecSub returns a-b as a new vector.
-func VecSub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(ErrShape)
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// Norm2 is the Euclidean norm.
-func Norm2(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

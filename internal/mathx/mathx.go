@@ -150,11 +150,6 @@ func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// NormalPDF is the standard normal density.
-func NormalPDF(x float64) float64 {
-	return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
-}
-
 // Moments accumulates count, mean and variance online (Welford's algorithm).
 // The zero value is ready to use. It is the building block for the AQP
 // engine's running estimates and their CLT standard errors.
@@ -277,9 +272,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median is Quantile(xs, 0.5).
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
 func insertionSort(xs []float64) {
 	// Quantile inputs in this codebase are small (per-experiment error
 	// samples); a branch-light insertion sort beats sort.Float64s there
@@ -341,32 +333,4 @@ func partition(xs []float64) int {
 	}
 	xs[i], xs[hi-1] = xs[hi-1], xs[i]
 	return i
-}
-
-// Clamp bounds x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// RelativeError returns |approx-exact| / max(|exact|, floor). The floor
-// guards group averages near zero, mirroring how the paper reports relative
-// errors on aggregate answers.
-func RelativeError(approx, exact, floor float64) float64 {
-	den := math.Abs(exact)
-	if den < floor {
-		den = floor
-	}
-	if den == 0 {
-		if approx == exact {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(approx-exact) / den
 }

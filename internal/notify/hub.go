@@ -175,14 +175,6 @@ func (s *Sub[T]) TryNext() (v T, ok bool) {
 // Close detaches the subscription from its hub with the given reason.
 func (s *Sub[T]) Close(reason string) { s.hub.Unsubscribe(s, reason) }
 
-// Closed reports whether the subscription has been closed (buffered values
-// may still be pending).
-func (s *Sub[T]) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 // CloseReason is the terminal reason recorded at close ("" while open).
 func (s *Sub[T]) CloseReason() string {
 	s.mu.Lock()

@@ -327,17 +327,6 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 // on first use. Callers on hot paths should capture the child once.
 func (v *CounterVec) With(labelValues ...string) *Counter { return v.f.child(labelValues).c }
 
-// GaugeVec is a gauge family partitioned by labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers (or finds) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{f: r.family(name, help, typeGauge, labelNames, nil)}
-}
-
-// With returns the gauge for one label-value combination.
-func (v *GaugeVec) With(labelValues ...string) *Gauge { return v.f.child(labelValues).g }
-
 // HistogramVec is a histogram family partitioned by labels; every child
 // shares the family's bucket bounds.
 type HistogramVec struct{ f *family }
@@ -391,9 +380,9 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 }
 
 // GaugeFuncVec registers a labeled gauge family collected at scrape time:
-// collect returns one Sample per label-value combination. Unlike a static
-// GaugeVec, the label set may change between scrapes — the per-partition
-// sample gauges use this, since a rebuild can change the partition count.
+// collect returns one Sample per label-value combination, so the label set
+// may change between scrapes — the per-partition sample gauges use this,
+// since a rebuild can change the partition count.
 func (r *Registry) GaugeFuncVec(name, help string, labelNames []string, collect func() []Sample) {
 	f := r.family(name, help, typeGauge, labelNames, nil)
 	f.mu.Lock()

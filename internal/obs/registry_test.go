@@ -81,7 +81,9 @@ func TestObsQuantile(t *testing.T) {
 func TestObsExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "a help").Add(3)
-	r.GaugeVec("g", "labeled gauge", "kind").With(`we"ird\`).Set(-2)
+	r.GaugeFuncVec("g", "labeled gauge", []string{"kind"}, func() []Sample {
+		return []Sample{{Labels: []string{`we"ird\`}, Value: -2}}
+	})
 	h := r.HistogramVec("h_seconds", "hist", []float64{0.1, 1}, "ep")
 	h.With("/q").Observe(0.05)
 	h.With("/q").Observe(0.5)

@@ -307,23 +307,3 @@ func MultiStart(f Objective, starts [][]float64, extra int, seed int64, opts Opt
 	best.Evals = totalEvals
 	return best, nil
 }
-
-// Gradient estimates ∇f at x with central differences; exposed for tests
-// and for callers that want to verify stationarity of a solution.
-func Gradient(f Objective, x []float64, h float64) []float64 {
-	if h == 0 {
-		h = 1e-6
-	}
-	g := make([]float64, len(x))
-	xx := append([]float64(nil), x...)
-	for k := range x {
-		step := h * (math.Abs(x[k]) + 1)
-		xx[k] = x[k] + step
-		fp := f(xx)
-		xx[k] = x[k] - step
-		fm := f(xx)
-		xx[k] = x[k]
-		g[k] = (fp - fm) / (2 * step)
-	}
-	return g
-}

@@ -275,15 +275,17 @@ func edgeTable(t *testing.T, cells []float64) *storage.Table {
 // filterNumInto; with two, x is bounded to the closed real line (which drops
 // NaN x cells) and the range on y reaches filterNum. MatchBlock must select
 // exactly the rows Matches admits, and PruneBlock's Empty/Full verdicts must
-// hold for them. The table is built twice: with NaN cells, whose first row
-// seeds the zone maps with NaN, and with finite cells only, so that the
-// zone-map verdicts are live.
+// hold for them. The table is built three times: with NaN cells, whose first
+// row seeds the zone maps with NaN; with NaN cells that follow finite ones in
+// the block, which must poison the zone just the same; and with finite cells
+// only, so that the zone-map verdicts are live.
 func TestNumericKernelEdgeValues(t *testing.T) {
 	tables := []struct {
 		name string
 		tb   *storage.Table
 	}{
 		{"with NaN cells", edgeTable(t, edgeValues)},
+		{"with NaN cells mid-block", edgeTable(t, append(slices.Clone(edgeValues[1:]), math.NaN()))},
 		{"finite cells", edgeTable(t, edgeValues[1:])},
 	}
 	var sel []int32

@@ -127,38 +127,6 @@ func (s *Source) HeadTailIndex(n, head int, decay float64) int {
 	return n - 1
 }
 
-// SmoothField1D samples n values of a one-dimensional random field over the
-// domain [0, domain) whose correlation structure matches a squared-
-// exponential kernel with length-scale ell and marginal variance sigma2,
-// around the given mean. Sampling an exact GP is O(n³); instead we
-// superpose random Fourier features, which converges to the same kernel
-// (Bochner's theorem) and is O(n·features). The result is the "true data"
-// with a *known planted correlation parameter* used by the parameter-
-// learning and model-validation experiments.
-func (s *Source) SmoothField1D(n int, domain, ell, sigma2, mean float64) []float64 {
-	const features = 128
-	// Squared-exponential spectral density: frequencies are Gaussian with
-	// std 1/(ell·√2) — note the paper's kernel exp(-d²/ℓ²) corresponds to
-	// a GP kernel with "lengthscale" ℓ/√2 in the ML convention.
-	freqStd := math.Sqrt2 / ell
-	amp := math.Sqrt(2 * sigma2 / float64(features))
-	type feat struct{ w, phase float64 }
-	fs := make([]feat, features)
-	for i := range fs {
-		fs[i] = feat{w: s.r.NormFloat64() * freqStd, phase: s.Uniform(0, 2*math.Pi)}
-	}
-	out := make([]float64, n)
-	for i := range out {
-		x := domain * float64(i) / float64(n)
-		v := 0.0
-		for _, f := range fs {
-			v += math.Cos(f.w*x + f.phase)
-		}
-		out[i] = mean + amp*v
-	}
-	return out
-}
-
 // SmoothFieldAt evaluates a reusable random-Fourier-feature field at
 // arbitrary points, for multi-column datasets that need consistent values.
 type SmoothFieldAt struct {

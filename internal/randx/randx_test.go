@@ -201,29 +201,6 @@ func TestSmoothFieldPlantedLengthScale(t *testing.T) {
 	}
 }
 
-func TestSmoothField1DBasics(t *testing.T) {
-	s := New(33)
-	vals := s.SmoothField1D(500, 100, 10, 1, 5)
-	if len(vals) != 500 {
-		t.Fatalf("len=%d", len(vals))
-	}
-	// Adjacent grid points (distance 0.2 << ℓ=10) must be close.
-	for i := 1; i < len(vals); i++ {
-		if math.Abs(vals[i]-vals[i-1]) > 0.5 {
-			t.Fatalf("field jumps at %d: %v -> %v", i, vals[i-1], vals[i])
-		}
-	}
-	// Mean should hover near the requested mean.
-	m := 0.0
-	for _, v := range vals {
-		m += v
-	}
-	m /= float64(len(vals))
-	if math.Abs(m-5) > 1.5 {
-		t.Fatalf("field mean=%v want ~5", m)
-	}
-}
-
 func TestSmoothFieldAtConsistency(t *testing.T) {
 	s := New(9)
 	f := s.NewSmoothField(5, 2, 1)

@@ -39,25 +39,26 @@ func postRaw(t *testing.T, url, body string) (int, errJSON) {
 // categorical columns are rejected with a structured 400 (code
 // "invalid_column") and nothing moves — no generation swap, no Rebuilds
 // bump. This is the serving-layer surface of aqp.ErrBadLayout, which used
-// to be a panic deep inside the cluster sort.
+// to be a panic deep inside the stratum sort. A body with a field the
+// request does not have — such as the retired cluster_column — is a 400
+// too.
 func TestServerRebuildPartitionValidation(t *testing.T) {
 	_, sys, ts := fixture(t, 8000, Config{})
 
 	cases := []struct {
-		name, body, wantErr string
+		name, body, wantCode, wantErr string
 	}{
-		{"categorical cluster column", `{"cluster_column": "region"}`, "not a numeric column"},
-		{"unknown cluster column", `{"cluster_column": "nope"}`, "unknown column"},
-		{"categorical stratum column", `{"partitions": 4, "stratum_column": "region"}`, "not a numeric column"},
-		{"unknown stratum column", `{"partitions": 4, "stratum_column": "nope"}`, "unknown column"},
+		{"retired cluster column", `{"cluster_column": "week"}`, "bad_request", "unknown field"},
+		{"categorical stratum column", `{"partitions": 4, "stratum_column": "region"}`, "invalid_column", "not a numeric column"},
+		{"unknown stratum column", `{"partitions": 4, "stratum_column": "nope"}`, "invalid_column", "unknown column"},
 	}
 	for _, c := range cases {
 		code, env := postRaw(t, ts.URL+"/rebuild", c.body)
 		if code != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", c.name, code)
 		}
-		if env.Code != "invalid_column" {
-			t.Fatalf("%s: envelope code %q, want invalid_column", c.name, env.Code)
+		if env.Code != c.wantCode {
+			t.Fatalf("%s: envelope code %q, want %s", c.name, env.Code, c.wantCode)
 		}
 		if !strings.Contains(env.Error, c.wantErr) {
 			t.Fatalf("%s: error %q does not mention %q", c.name, env.Error, c.wantErr)

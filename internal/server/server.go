@@ -597,14 +597,12 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 // ---- /rebuild ----
 
 // RebuildRequest optionally overrides the sample layout for this rebuild.
-// All fields are column *names*, resolved against the base schema here;
-// empty/zero fields fall back to the engine's standing layout (the boot
-// flags). Invalid layouts — unknown or categorical columns — are rejected
-// with a structured 400 (code "invalid_column") before any state moves.
+// Columns are *names*, resolved against the base schema here; empty/zero
+// fields fall back to the engine's standing layout (the boot flags). Invalid
+// layouts — unknown or categorical columns — are rejected with a structured
+// 400 (code "invalid_column") before any state moves, and so is a body with
+// any other field.
 type RebuildRequest struct {
-	// ClusterColumn sorts the flat (unpartitioned) sample by this numeric
-	// column for zone-map pruning; only meaningful when Partitions is 0.
-	ClusterColumn string `json:"cluster_column,omitempty"`
 	// Partitions rebuilds into this many stratified partitions (>= 1);
 	// 0 keeps the engine's standing layout.
 	Partitions int `json:"partitions,omitempty"`
@@ -636,11 +634,6 @@ func (s *Server) resolveLayout(req RebuildRequest) (aqp.RebuildOptions, error) {
 		return col, nil
 	}
 	var err error
-	if req.ClusterColumn != "" {
-		if opts.ClusterColumn, err = lookup("cluster_column", req.ClusterColumn); err != nil {
-			return opts, err
-		}
-	}
 	if req.Partitions != 0 {
 		opts.Partitions = req.Partitions
 	}
@@ -664,6 +657,7 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	}
 	var req RebuildRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return

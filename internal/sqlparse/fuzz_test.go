@@ -6,6 +6,36 @@ import (
 	"testing/quick"
 )
 
+// FuzzParse checks the caret contract the serving layer's 400 detail relies
+// on, for any input: Parse never panics, every error is a *ParseError whose
+// Pos lies in [0, len(src)], whose Line is a line of the source and whose
+// Column lies in [1, len(line)+1], and Verbose never panics. The seed corpus
+// in testdata/fuzz/FuzzParse holds TestParseNeverPanicsOnMutatedSQL's
+// statements and a multi-line, tab-indented one.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		_, err := Parse(src)
+		if err == nil {
+			return
+		}
+		pe, ok := err.(*ParseError)
+		if !ok {
+			t.Fatalf("error %T (%v) is not a *ParseError", err, err)
+		}
+		if pe.Pos < 0 || pe.Pos > len(src) {
+			t.Fatalf("Pos %d outside [0, %d]", pe.Pos, len(src))
+		}
+		lines := strings.Split(src, "\n")
+		if pe.Line < 1 || pe.Line > len(lines) {
+			t.Fatalf("Line %d outside [1, %d]", pe.Line, len(lines))
+		}
+		if n := len(lines[pe.Line-1]); pe.Column < 1 || pe.Column > n+1 {
+			t.Fatalf("Column %d outside [1, %d] on line %d", pe.Column, n+1, pe.Line)
+		}
+		_ = pe.Verbose()
+	})
+}
+
 // TestParseNeverPanics feeds arbitrary strings to the parser: every input
 // must either parse or return an error — never panic. (Failure-injection
 // guard: the parser fronts user-supplied SQL in the CLI.)

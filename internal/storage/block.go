@@ -72,6 +72,10 @@ func (t *Table) CatZone(col, b int) CatZone {
 }
 
 // observeZoneNum folds value v at row index row into column col's zone maps.
+// A NaN cell anywhere in the block sets both bounds to NaN, and no later
+// value moves them, so range pruning calls the block partial for every
+// range: a NaN matches no range, and a zone that skipped it would let a
+// range the zone spans count the block full.
 func (t *Table) observeZoneNum(col, row int, v float64) {
 	b := row / BlockSize
 	zs := t.numZones[col]
@@ -80,10 +84,10 @@ func (t *Table) observeZoneNum(col, row int, v float64) {
 		return
 	}
 	z := &t.numZones[col][b]
-	if v < z.Min {
+	if v < z.Min || v != v {
 		z.Min = v
 	}
-	if v > z.Max {
+	if v > z.Max || v != v {
 		z.Max = v
 	}
 }

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -29,48 +28,4 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV loads a table whose header must match the schema's column names
-// in order. Cells in numeric columns must parse as float64.
-func ReadCSV(name string, schema *Schema, r io.Reader) (*Table, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("storage: reading header: %w", err)
-	}
-	if len(header) != schema.Len() {
-		return nil, fmt.Errorf("storage: header width %d, schema width %d", len(header), schema.Len())
-	}
-	for i, h := range header {
-		if h != schema.Col(i).Name {
-			return nil, fmt.Errorf("storage: header %q at %d, want %q", h, i, schema.Col(i).Name)
-		}
-	}
-	t := NewTable(name, schema)
-	vals := make([]Value, schema.Len())
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("storage: line %d: %w", line, err)
-		}
-		for i, cell := range rec {
-			if schema.Col(i).Kind == Numeric {
-				v, err := strconv.ParseFloat(cell, 64)
-				if err != nil {
-					return nil, fmt.Errorf("storage: line %d col %s: %w", line, schema.Col(i).Name, err)
-				}
-				vals[i] = Num(v)
-			} else {
-				vals[i] = Str(cell)
-			}
-		}
-		if err := t.AppendRow(vals); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
 }

@@ -169,17 +169,6 @@ func (ps *PartitionedSample) PartitionStrata(p int) (lo, hi int) {
 	return p * s / ps.parts, (p + 1) * s / ps.parts
 }
 
-// PartitionOf returns the partition owning stratum s.
-func (ps *PartitionedSample) PartitionOf(s int) int {
-	for p := 0; p < ps.parts; p++ {
-		lo, hi := ps.PartitionStrata(p)
-		if s >= lo && s < hi {
-			return p
-		}
-	}
-	return ps.parts - 1
-}
-
 // PartitionRows returns the row count of partition p.
 func (ps *PartitionedSample) PartitionRows(p int) int {
 	lo, hi := ps.PartitionStrata(p)
@@ -189,9 +178,6 @@ func (ps *PartitionedSample) PartitionRows(p int) int {
 	}
 	return n
 }
-
-// StratumAt returns the stratum owning global sample position i.
-func (ps *PartitionedSample) StratumAt(i int) int { return int(ps.order[i]) }
 
 // PrefixCounts returns, for each stratum, how many of its rows fall inside
 // the global prefix [0, p). dst is reused when it has capacity. p is clamped

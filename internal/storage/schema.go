@@ -60,9 +60,9 @@ type ColumnDef struct {
 type Schema struct {
 	cols  []ColumnDef
 	index map[string]int
-	// dims and measures are the column positions by role, computed once: a
+	// dims is the dimension column positions, computed once: a
 	// Schema is immutable after NewSchema, and the kernel asks per covariance.
-	dims, measures []int
+	dims []int
 }
 
 // ErrUnknownColumn is returned when a name does not resolve.
@@ -90,8 +90,6 @@ func NewSchema(cols []ColumnDef) (*Schema, error) {
 		s.index[c.Name] = i
 		if c.Role == Dimension {
 			s.dims = append(s.dims, i)
-		} else {
-			s.measures = append(s.measures, i)
 		}
 	}
 	return s, nil
@@ -131,7 +129,3 @@ func (s *Schema) Names() []string {
 // DimensionCols returns positions of dimension attributes in schema order.
 // The slice is shared by every caller: read-only.
 func (s *Schema) DimensionCols() []int { return s.dims }
-
-// MeasureCols returns positions of measure attributes in schema order. The
-// slice is shared by every caller: read-only.
-func (s *Schema) MeasureCols() []int { return s.measures }

@@ -22,9 +22,6 @@ import "fmt"
 // staleness without taking locks.
 func (t *Table) Epoch() uint64 { return t.epoch.Load() }
 
-// Frozen reports whether this table is a read-only snapshot view.
-func (t *Table) Frozen() bool { return t.frozen }
-
 // Snapshot returns a frozen view of the table's current rows.
 func (t *Table) Snapshot() *Table { return t.SnapshotAt(-1) }
 

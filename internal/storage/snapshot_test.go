@@ -37,8 +37,8 @@ func TestSnapshotIsolatedFromAppends(t *testing.T) {
 		appendSnapRow(t, tb, i)
 	}
 	snap := tb.Snapshot()
-	if snap.Rows() != 6000 || !snap.Frozen() {
-		t.Fatalf("snapshot rows=%d frozen=%v", snap.Rows(), snap.Frozen())
+	if snap.Rows() != 6000 || !snap.frozen {
+		t.Fatalf("snapshot rows=%d frozen=%v", snap.Rows(), snap.frozen)
 	}
 	if err := snap.AppendRow([]Value{Num(1), Str("z"), Num(2)}); err != ErrFrozen {
 		t.Fatalf("mutating snapshot: got %v, want ErrFrozen", err)
