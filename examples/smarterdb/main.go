@@ -116,12 +116,10 @@ func main() {
 		after.Answer, 1.96*after.Err, math.Abs(after.Answer-exactFar))
 }
 
-// engineEstimate returns a deliberately coarse raw answer (two batches).
+// engineEstimate returns a deliberately coarse raw answer: the prefix of
+// the sample's first few online-aggregation batches.
 func engineEstimate(engine *aqp.Engine, sn *query.Snippet, batches int) query.ScalarEstimate {
-	var upd aqp.BatchUpdate
-	engine.OnlineAggregate([]*query.Snippet{sn}, func(u aqp.BatchUpdate) bool {
-		upd = u
-		return u.Batch < batches-1
-	})
-	return aqp.Sanitize(upd.Estimates[0])
+	view := engine.Acquire()
+	_, end := view.Sample.BatchBounds(batches - 1)
+	return aqp.Sanitize(view.EvalPrefix([]*query.Snippet{sn}, end).Estimates[0])
 }

@@ -92,12 +92,11 @@ func Campaign(v *core.Verdict, engine *aqp.Engine, candidates []*query.Snippet, 
 		if cfg.MinGamma2 > 0 && best.Gamma2 < cfg.MinGamma2 {
 			break
 		}
-		// Cheap probe: a few online-aggregation batches.
-		var upd aqp.BatchUpdate
-		engine.OnlineAggregate([]*query.Snippet{best.Snippet}, func(u aqp.BatchUpdate) bool {
-			upd = u
-			return u.Batch < cfg.Batches-1
-		})
+		// Cheap probe: the prefix of the first few online-aggregation
+		// batches.
+		view := engine.Acquire()
+		_, end := view.Sample.BatchBounds(cfg.Batches - 1)
+		upd := view.EvalPrefix([]*query.Snippet{best.Snippet}, end)
 		if len(upd.Valid) == 1 && upd.Valid[0] {
 			est := aqp.Sanitize(upd.Estimates[0])
 			v.Record(best.Snippet, est)

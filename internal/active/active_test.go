@@ -135,11 +135,9 @@ func TestCampaignBeatsRandomProbing(t *testing.T) {
 	// Random arm: probe the first four candidates (all in the already-
 	// covered left half — the degenerate choice active learning avoids).
 	for _, sn := range cands[:4] {
-		var upd aqp.BatchUpdate
-		engine.OnlineAggregate([]*query.Snippet{sn}, func(u aqp.BatchUpdate) bool {
-			upd = u
-			return u.Batch < 1
-		})
+		view := engine.Acquire()
+		_, end := view.Sample.BatchBounds(1)
+		upd := view.EvalPrefix([]*query.Snippet{sn}, end)
 		if upd.Valid[0] {
 			vRandom.Record(sn, upd.Estimates[0])
 		}

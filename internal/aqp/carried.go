@@ -100,9 +100,9 @@ func (o FoldOutcome) String() string {
 // FoldResult is one Run's answer. Update and Grouped are shared with later
 // FoldReused answers: read-only.
 type FoldResult struct {
-	// Update is the final per-snippet update; for a grouped run it is
+	// Update is the final per-snippet increment; for a grouped run it is
 	// Grouped.Update.
-	Update BatchUpdate
+	Update Increment
 	// Grouped is the discovery result of a grouped (spec) run, else nil.
 	Grouped *GroupedResult
 	Outcome FoldOutcome
@@ -220,13 +220,13 @@ func (c *CarriedFold) sameSnapshot(v *View) bool {
 // snippets, with equal keys, so the arithmetic is bit-identical — to the
 // carried accumulators, folds spans into them (the tail from split on into
 // a clone), and takes the snippets back.
-func (c *CarriedFold) foldFlat(v *View, snips []*query.Snippet, spans []scanSpan, split int) BatchUpdate {
+func (c *CarriedFold) foldFlat(v *View, snips []*query.Snippet, spans []scanSpan, split int) Increment {
 	for i, a := range c.accs {
 		// baseRows feeds only estimate() (the PopErr term), never the fold,
 		// so retargeting it at the view's base cardinality is exact.
 		a.sn, a.baseRows = snips[i], v.Sample.BaseRows
 	}
-	upd := v.finalUpdate(v.fold(c.accs, spans, split))
+	upd := v.increment(v.fold(c.accs, spans, split), v.SampleRows)
 	for _, a := range c.accs {
 		a.sn = nil
 	}

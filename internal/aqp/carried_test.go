@@ -10,14 +10,14 @@ import (
 	"repro/internal/storage"
 )
 
-// requireBatchUpdateEqual asserts bit-for-bit equality between two final
-// BatchUpdates (struct equality on the float64 estimate fields — no
+// requireUpdateEqual asserts bit-for-bit equality between two final
+// increments (struct equality on the float64 estimate fields — no
 // tolerance): the replay-equality property standing subscriptions rest on.
-func requireBatchUpdateEqual(t *testing.T, label string, got, want BatchUpdate) {
+func requireUpdateEqual(t *testing.T, label string, got, want Increment) {
 	t.Helper()
-	if got.RowsScanned != want.RowsScanned || got.Batch != want.Batch || got.SimTime != want.SimTime {
-		t.Fatalf("%s: shape (rows %d batch %d sim %v) vs fresh (rows %d batch %d sim %v)",
-			label, got.RowsScanned, got.Batch, got.SimTime, want.RowsScanned, want.Batch, want.SimTime)
+	if got.Rows != want.Rows || got.Total != want.Total || got.Seq != want.Seq || got.Final != want.Final || got.SimTime != want.SimTime {
+		t.Fatalf("%s: shape (rows %d/%d seq %d final %v sim %v) vs fresh (rows %d/%d seq %d final %v sim %v)",
+			label, got.Rows, got.Total, got.Seq, got.Final, got.SimTime, want.Rows, want.Total, want.Seq, want.Final, want.SimTime)
 	}
 	if len(got.Estimates) != len(want.Estimates) {
 		t.Fatalf("%s: %d estimates vs fresh %d", label, len(got.Estimates), len(want.Estimates))
@@ -53,7 +53,7 @@ func requireGroupedResultEqual(t *testing.T, label string, got, want *GroupedRes
 			}
 		}
 	}
-	requireBatchUpdateEqual(t, label, got.Update, want.Update)
+	requireUpdateEqual(t, label, got.Update, want.Update)
 }
 
 // regionBatch builds an append batch like appendBatch but drawing regions
@@ -173,7 +173,7 @@ func TestCarriedFoldCases(t *testing.T) {
 		}
 		replay := e.ViewAtGen(v.SampleGen, v.BaseRows, v.SampleRows)
 		rsnips, rspec := carriedPlan(t, replay.Base)
-		requireBatchUpdateEqual(t, step+" flat", fr.Update, replay.RunToCompletion(rsnips))
+		requireUpdateEqual(t, step+" flat", fr.Update, replay.RunToCompletion(rsnips))
 		requireGroupedResultEqual(t, step+" grouped", gr.Grouped, replay.GroupedRunToCompletion(rspec, 0))
 		if timer.scans != before+observed {
 			t.Fatalf("%s: the replay view reported a scan stage", step)
@@ -232,7 +232,7 @@ func TestCarriedFoldCases(t *testing.T) {
 	snips := []*query.Snippet{snippetFor(t, v.Base, openSQL)}
 	fr := open.Run(v, snips, nil, 0)
 	replay := e.ViewAtGen(v.SampleGen, v.BaseRows, v.SampleRows)
-	requireBatchUpdateEqual(t, "moved bound", fr.Update,
+	requireUpdateEqual(t, "moved bound", fr.Update,
 		replay.RunToCompletion([]*query.Snippet{snippetFor(t, replay.Base, openSQL)}))
 	if fr.Outcome != FoldFull || fr.Scanned != v.SampleRows {
 		t.Fatalf("moved bound: outcome %v folding %d rows, want a full fold of %d", fr.Outcome, fr.Scanned, v.SampleRows)
@@ -275,7 +275,7 @@ func TestCarriedFoldBorrowsSnippets(t *testing.T) {
 		if i > 0 && fr.Outcome != FoldExtended {
 			t.Fatalf("append %d: outcome %v, want an extension (the keys did not move)", i, fr.Outcome)
 		}
-		requireBatchUpdateEqual(t, "append "+itoa(i), fr.Update, e.ViewAtGen(v.SampleGen, v.BaseRows, v.SampleRows).RunToCompletion(snips))
+		requireUpdateEqual(t, "append "+itoa(i), fr.Update, e.ViewAtGen(v.SampleGen, v.BaseRows, v.SampleRows).RunToCompletion(snips))
 		for j, a := range c.accs {
 			if a.sn != nil {
 				t.Fatalf("append %d: accumulator %d kept a snippet (and its table snapshot) after the Run", i, j)
@@ -316,7 +316,7 @@ func replayAcrossAppends(t *testing.T, grouped bool) {
 			requireGroupedResultEqual(t, step, fr.Grouped, replay.GroupedRunToCompletion(specFor(t, replay.Base, sql), 0))
 		} else {
 			fr = c.Run(v, snips, nil, 0)
-			requireBatchUpdateEqual(t, step, fr.Update, replay.RunToCompletion(snips))
+			requireUpdateEqual(t, step, fr.Update, replay.RunToCompletion(snips))
 		}
 		requireOutcome(t, step, fr, v, want, delta+v.Sample.BatchSize)
 	}
@@ -397,7 +397,7 @@ func TestStandingScanRefusesRebind(t *testing.T) {
 	view := rebuildGeneration(t, e, old)
 	replay := e.ViewAtGen(view.SampleGen, view.BaseRows, view.SampleRows)
 	fr := flat.Run(view, progressiveSnips(t, view.Base), nil, 0)
-	requireBatchUpdateEqual(t, "post-rebuild flat", fr.Update, replay.RunToCompletion(progressiveSnips(t, replay.Base)))
+	requireUpdateEqual(t, "post-rebuild flat", fr.Update, replay.RunToCompletion(progressiveSnips(t, replay.Base)))
 	requireOutcome(t, "post-rebuild flat", fr, view, FoldFull, 0)
 
 	// The pinned old view still replays through ViewAtGen as long as the
@@ -407,7 +407,7 @@ func TestStandingScanRefusesRebind(t *testing.T) {
 		t.Fatal("ViewAtGen lost the retired generation")
 	}
 	fr = flat.Run(old, snips, nil, 0)
-	requireBatchUpdateEqual(t, "pinned old generation", fr.Update, oldReplay.RunToCompletion(snips))
+	requireUpdateEqual(t, "pinned old generation", fr.Update, oldReplay.RunToCompletion(snips))
 	requireOutcome(t, "pinned old generation", fr, old, FoldFull, 0)
 	requireOutcome(t, "new generation again", flat.Run(view, progressiveSnips(t, view.Base), nil, 0), view, FoldReused, 0)
 }

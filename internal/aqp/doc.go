@@ -1,7 +1,9 @@
 // Package aqp implements the off-the-shelf approximate query processing
 // engine Verdict treats as a black box (Figure 2): offline uniform random
-// samples, batch-wise online aggregation with CLT error estimates (the
-// paper's NoLearn baseline), a time-bound mode (Appendix C.2), an exact
+// samples, online aggregation over growing sample prefixes with CLT error
+// estimates (the paper's NoLearn baseline; one scan, ProgressiveScan,
+// serves streams and the paper's curves), a time-bound mode (Appendix C.2,
+// one EvalPrefix at the budget's prefix), an exact
 // executor used as ground truth, the vectorized block-partitioned scan
 // engine (scan.go), epoch-swap sample rebuilds (rebuild.go), and a
 // simulated I/O cost model standing in for the paper's Spark/HDFS cluster.

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/mathx"
 	"repro/internal/obs"
@@ -279,38 +278,10 @@ func (a *accumulator) estimate() (query.ScalarEstimate, bool) {
 	}
 }
 
-// BatchUpdate is one online-aggregation step: the current estimates for all
-// snippets after some prefix of batches, with the simulated time spent so
-// far (plan overhead included).
-type BatchUpdate struct {
-	// Estimates holds the per-snippet raw answers; Valid[i] is false while
-	// snippet i has no usable estimate yet.
-	Estimates []query.ScalarEstimate
-	Valid     []bool
-	// RowsScanned counts sample rows consumed so far.
-	RowsScanned int
-	// SimTime is the simulated elapsed time (§ DESIGN.md substitution).
-	SimTime time.Duration
-	// Batch is the 0-based index of the batch just consumed.
-	Batch int
-}
-
-// OnlineAggregate processes the sample batch by batch against the current
-// view, invoking yield after every batch with refreshed estimates — the
-// online-aggregation interface of §7 (deployment scenario 1).
-func (e *Engine) OnlineAggregate(snips []*query.Snippet, yield func(BatchUpdate) bool) {
-	e.Acquire().OnlineAggregate(snips, yield)
-}
-
-// RunToCompletion consumes the whole sample and returns the final update.
-func (e *Engine) RunToCompletion(snips []*query.Snippet) BatchUpdate {
+// RunToCompletion consumes the whole sample of the current view and returns
+// the final increment.
+func (e *Engine) RunToCompletion(snips []*query.Snippet) Increment {
 	return e.Acquire().RunToCompletion(snips)
-}
-
-// TimeBound evaluates the snippets within a simulated time budget against
-// the current view (§7, deployment scenario 2, and Appendix C.2's NoLearn).
-func (e *Engine) TimeBound(snips []*query.Snippet, budget time.Duration) BatchUpdate {
-	return e.Acquire().TimeBound(snips, budget)
 }
 
 // Exact computes the snippet's exact answer on the base relation — the
@@ -328,37 +299,6 @@ func (e *Engine) Exact(sn *query.Snippet) float64 {
 func (e *Engine) GroupRows(groupCols []int, region *query.Region) ([][]query.GroupValue, error) {
 	return e.Acquire().GroupRows(groupCols, region)
 }
-
-// AnswerCache implements the paper's Baseline2 (Appendix C.1): it memoizes
-// past snippet answers by canonical key and replays the lowest-error answer
-// for an identical snippet, providing no benefit to novel snippets.
-type AnswerCache struct {
-	byKey map[string]query.ScalarEstimate
-}
-
-// NewAnswerCache returns an empty cache.
-func NewAnswerCache() *AnswerCache {
-	return &AnswerCache{byKey: make(map[string]query.ScalarEstimate)}
-}
-
-// Lookup returns the cached answer for an identical snippet, if any.
-func (c *AnswerCache) Lookup(sn *query.Snippet) (query.ScalarEstimate, bool) {
-	est, ok := c.byKey[sn.Key()]
-	return est, ok
-}
-
-// Store records an answer, keeping the lowest-error instance ("when there
-// are multiple instances of the same query, Baseline2 caches the one with
-// the lowest expected error").
-func (c *AnswerCache) Store(sn *query.Snippet, est query.ScalarEstimate) {
-	key := sn.Key()
-	if old, ok := c.byKey[key]; !ok || est.StdErr < old.StdErr {
-		c.byKey[key] = est
-	}
-}
-
-// Len returns the number of cached snippets.
-func (c *AnswerCache) Len() int { return len(c.byKey) }
 
 // Sanitize clamps non-finite error estimates; online aggregation can yield
 // +Inf standard errors before two matching rows arrive.

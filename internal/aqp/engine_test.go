@@ -133,13 +133,14 @@ func TestOnlineAggregationConverges(t *testing.T) {
 
 	var errs []float64
 	var stderrs []float64
-	e.OnlineAggregate([]*query.Snippet{sn}, func(u BatchUpdate) bool {
-		if u.Valid[0] {
+	view := e.Acquire()
+	ps := view.Progressive([]*query.Snippet{sn})
+	for _, end := range batchEnds(view) {
+		if u := ps.Step(end); u.Valid[0] {
 			errs = append(errs, math.Abs(u.Estimates[0].Value-exact))
 			stderrs = append(stderrs, u.Estimates[0].StdErr)
 		}
-		return true
-	})
+	}
 	if len(errs) < 10 {
 		t.Fatalf("too few updates: %d", len(errs))
 	}
@@ -167,13 +168,26 @@ func TestOnlineAggregationEarlyStop(t *testing.T) {
 	}
 	e := NewEngine(tb, sample, CachedCost)
 	sn := snippetFor(t, tb, "SELECT AVG(val) FROM t")
+	view := e.Acquire()
+	ps := view.Progressive([]*query.Snippet{sn})
+	ends := batchEnds(view)
 	steps := 0
-	e.OnlineAggregate([]*query.Snippet{sn}, func(u BatchUpdate) bool {
-		steps++
-		return steps < 3
-	})
+	var last Increment
+	for _, end := range ends {
+		last = ps.Step(end)
+		if steps++; steps == 3 {
+			break
+		}
+	}
 	if steps != 3 {
 		t.Fatalf("early stop ignored: steps=%d", steps)
+	}
+	// Stopping after three batches leaves the rest of the sample unread.
+	if last.Rows != ends[2] || last.Seq != 2 || last.Final {
+		t.Fatalf("third increment: rows %d seq %d final %v, want rows %d seq 2 not final", last.Rows, last.Seq, last.Final, ends[2])
+	}
+	if ps.Scanned() >= ps.Total() {
+		t.Fatalf("early stop scanned %d of %d rows", ps.Scanned(), ps.Total())
 	}
 }
 
@@ -242,13 +256,14 @@ func TestTimeBound(t *testing.T) {
 	e := NewEngine(tb, sample, cost)
 	sn := snippetFor(t, tb, "SELECT AVG(val) FROM t")
 
-	short := e.TimeBound([]*query.Snippet{sn}, 600*time.Millisecond)
-	long := e.TimeBound([]*query.Snippet{sn}, 2*time.Second)
-	if short.RowsScanned >= long.RowsScanned {
-		t.Fatalf("rows: short=%d long=%d", short.RowsScanned, long.RowsScanned)
+	view := e.Acquire()
+	short := view.TimeBound([]*query.Snippet{sn}, 600*time.Millisecond)
+	long := view.TimeBound([]*query.Snippet{sn}, 2*time.Second)
+	if short.Rows >= long.Rows {
+		t.Fatalf("rows: short=%d long=%d", short.Rows, long.Rows)
 	}
-	if short.RowsScanned != 5000 {
-		t.Fatalf("rows within 0.5s at 10k rows/s = %d, want 5000", short.RowsScanned)
+	if short.Rows != 5000 {
+		t.Fatalf("rows within 0.5s at 10k rows/s = %d, want 5000", short.Rows)
 	}
 	if !short.Valid[0] || !long.Valid[0] {
 		t.Fatal("estimates invalid")
@@ -257,9 +272,9 @@ func TestTimeBound(t *testing.T) {
 		t.Fatal("more time should reduce error")
 	}
 	// Budget below plan overhead scans nothing.
-	none := e.TimeBound([]*query.Snippet{sn}, 50*time.Millisecond)
-	if none.RowsScanned != 0 || none.Valid[0] {
-		t.Fatalf("sub-overhead budget scanned %d rows", none.RowsScanned)
+	none := view.TimeBound([]*query.Snippet{sn}, 50*time.Millisecond)
+	if none.Rows != 0 || none.Valid[0] {
+		t.Fatalf("sub-overhead budget scanned %d rows", none.Rows)
 	}
 }
 
@@ -306,25 +321,6 @@ func TestGroupRows(t *testing.T) {
 	g2, err := e.GroupRows(nil, nil)
 	if err != nil || len(g2) != 1 || g2[0] != nil {
 		t.Fatalf("ungrouped=%v err=%v", g2, err)
-	}
-}
-
-func TestAnswerCache(t *testing.T) {
-	tb := buildTable(t, 100)
-	sn := snippetFor(t, tb, "SELECT AVG(val) FROM t WHERE week < 50")
-	c := NewAnswerCache()
-	if _, ok := c.Lookup(sn); ok {
-		t.Fatal("empty cache hit")
-	}
-	c.Store(sn, query.ScalarEstimate{Value: 1, StdErr: 5})
-	c.Store(sn, query.ScalarEstimate{Value: 2, StdErr: 2}) // better
-	c.Store(sn, query.ScalarEstimate{Value: 3, StdErr: 9}) // worse, ignored
-	got, ok := c.Lookup(sn)
-	if !ok || got.Value != 2 {
-		t.Fatalf("cache=%+v ok=%v", got, ok)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("len=%d", c.Len())
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // ran before the work units of all batches were scanned together — one
 // scan call per batch span, each merging its own units before the next
 // starts.
-func serialFold(v *View, snips []*query.Snippet) BatchUpdate {
+func serialFold(v *View, snips []*query.Snippet) Increment {
 	accs := newAccs(v, snips)
 	for b := 0; b < v.Sample.Batches(); b++ {
 		start, end := v.Sample.BatchBounds(b)
@@ -21,7 +21,7 @@ func serialFold(v *View, snips []*query.Snippet) BatchUpdate {
 			scanVectorized(sp.tbl, accs, sp.lo, sp.hi)
 		}
 	}
-	return v.finalUpdate(accs)
+	return v.increment(accs, v.SampleRows)
 }
 
 // serialGroupedFold is serialFold for the discovery scan: each batch span's
@@ -40,11 +40,11 @@ func serialGroupedFold(v *View, spec *query.GroupedSpec) *GroupedResult {
 
 // requireSameBits compares two updates' estimates by Float64bits, so even
 // a NaN or a signed zero must match.
-func requireSameBits(t *testing.T, label string, got, want BatchUpdate) {
+func requireSameBits(t *testing.T, label string, got, want Increment) {
 	t.Helper()
-	if got.RowsScanned != want.RowsScanned || got.Batch != want.Batch || len(got.Estimates) != len(want.Estimates) {
-		t.Fatalf("%s: shape (rows %d, batch %d, %d cells) vs serial (rows %d, batch %d, %d cells)", label,
-			got.RowsScanned, got.Batch, len(got.Estimates), want.RowsScanned, want.Batch, len(want.Estimates))
+	if got.Rows != want.Rows || got.Final != want.Final || len(got.Estimates) != len(want.Estimates) {
+		t.Fatalf("%s: shape (rows %d, final %v, %d cells) vs serial (rows %d, final %v, %d cells)", label,
+			got.Rows, got.Final, len(got.Estimates), want.Rows, want.Final, len(want.Estimates))
 	}
 	for i, w := range want.Estimates {
 		g := got.Estimates[i]

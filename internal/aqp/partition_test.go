@@ -51,7 +51,7 @@ type invarianceRecord struct {
 	carried  [][]query.ScalarEstimate // carried runs: flat then grouped, twice per view
 }
 
-func estimatesOf(upd BatchUpdate) []query.ScalarEstimate {
+func estimatesOf(upd Increment) []query.ScalarEstimate {
 	return append([]query.ScalarEstimate(nil), upd.Estimates...)
 }
 
@@ -104,14 +104,17 @@ func runPartitioned(t *testing.T, parts int) *invarianceRecord {
 	rec.groups = gr.Groups
 	rec.grouped = estimatesOf(gr.Update)
 
-	// Progressive increments, each audited against a fresh serial prefix
-	// replay of the same view before being recorded.
-	ps := view.Progressive(snips)
-	for _, prefix := range PrefixSchedule(view.SampleRows, 512) {
-		inc := ps.Step(prefix)
-		fresh := e.ViewAtGen(view.SampleGen, view.BaseRows, view.SampleRows).EvalPrefix(snips, prefix)
-		requireIncrementEqual(t, "parts="+itoa(parts)+" prefix="+itoa(prefix), inc, fresh)
-		rec.prog = append(rec.prog, inc)
+	// Progressive increments over the doubling schedule and the sample's
+	// batch ends, each audited against a fresh serial prefix replay of the
+	// same view before being recorded.
+	for _, schedule := range [][]int{PrefixSchedule(view.SampleRows, 512), batchEnds(view)} {
+		ps := view.Progressive(snips)
+		for _, prefix := range schedule {
+			inc := ps.Step(prefix)
+			fresh := e.ViewAtGen(view.SampleGen, view.BaseRows, view.SampleRows).EvalPrefix(snips, prefix)
+			requireIncrementEqual(t, "parts="+itoa(parts)+" prefix="+itoa(prefix), inc, fresh)
+			rec.prog = append(rec.prog, inc)
+		}
 	}
 
 	// Carried folds across streamed appends: complete batches fold into

@@ -8,15 +8,15 @@ import (
 	"repro/internal/storage"
 )
 
-// Progressive (resumable) online aggregation. OnlineAggregate walks the
-// sample in fixed batches and re-estimates after each one, but its work is
-// tied to one callback-driven pass. ProgressiveScan restructures the
-// vectorized pipeline into an increment-yielding form the serving layer can
-// drive: the caller asks for growing prefix budgets (typically the doubling
-// PrefixSchedule), and the scan carries its per-unit moment partials across
-// increments, so emitting k increments over an n-row sample costs O(n) —
-// not O(n·k) — while every emitted estimate is float-identical to a fresh
-// scan of the same prefix.
+// Progressive (resumable) online aggregation — §7's deployment scenario 1.
+// ProgressiveScan is the one online-aggregation loop: it restructures the
+// vectorized pipeline into an increment-yielding form the serving layer and
+// the paper's curves drive alike. The caller asks for growing prefix budgets
+// (the doubling PrefixSchedule for streams, the sample's batch ends for the
+// experiments' curves), and the scan carries its per-unit moment partials
+// across increments, so emitting k increments over an n-row sample costs
+// O(n) — not O(n·k) — while every emitted estimate is float-identical to a
+// fresh scan of the same prefix.
 //
 // The identity holds because the vectorized scan's merge tree is a fixed
 // function of the scanned range: blocks partition into unitBlocks-sized
@@ -57,8 +57,9 @@ func PrefixSchedule(total, first int) []int {
 	return append(out, total)
 }
 
-// Increment is one progressive answer: the current estimates after some
-// prefix of the sample, plus enough provenance to replay it later.
+// Increment is the answer every engine scan returns: the estimates after
+// some prefix of the sample — the whole sample for a one-shot, carried or
+// grouped fold — plus enough provenance to replay it later.
 type Increment struct {
 	// Estimates holds the per-snippet raw answers; Valid[i] is false while
 	// snippet i has no usable estimate yet.
@@ -70,8 +71,9 @@ type Increment struct {
 	Total int
 	// SimTime is the simulated AQP latency of scanning the prefix.
 	SimTime time.Duration
-	// Seq counts emitted increments (0-based); Final marks the increment
-	// that consumed the whole sample.
+	// Seq counts a progressive scan's emitted increments (0-based; 0 from
+	// every other scan); Final marks an increment that consumed the whole
+	// sample.
 	Seq   int
 	Final bool
 }
@@ -234,18 +236,8 @@ func (p *ProgressiveScan) Step(rows int) Increment {
 		}
 	}
 	p.emitted = rows
-	inc := Increment{
-		Estimates: make([]query.ScalarEstimate, len(emit)),
-		Valid:     make([]bool, len(emit)),
-		Rows:      rows,
-		Total:     total,
-		SimTime:   p.view.cost.QueryTime(rows),
-		Seq:       p.seq,
-		Final:     rows >= total,
-	}
-	for i, a := range emit {
-		inc.Estimates[i], inc.Valid[i] = a.estimate()
-	}
+	inc := p.view.increment(emit, rows)
+	inc.Seq = p.seq
 	p.seq++
 	return inc
 }
@@ -267,25 +259,8 @@ func cloneAccs(accs []*accumulator) []*accumulator {
 // reconstruct the serving view with Engine.ViewAtGen from a chunk's
 // (sample_gen, base_rows, sample_rows), then EvalPrefix at its rows_seen.
 func (v *View) EvalPrefix(snips []*query.Snippet, rows int) Increment {
-	total := v.SampleRows
-	if rows > total {
-		rows = total
-	}
-	if rows < 0 {
-		rows = 0
-	}
+	rows = min(max(rows, 0), v.SampleRows)
 	accs := newAccs(v, snips)
 	v.scanPrefix(accs, rows)
-	inc := Increment{
-		Estimates: make([]query.ScalarEstimate, len(accs)),
-		Valid:     make([]bool, len(accs)),
-		Rows:      rows,
-		Total:     total,
-		SimTime:   v.cost.QueryTime(rows),
-		Final:     rows >= total,
-	}
-	for i, a := range accs {
-		inc.Estimates[i], inc.Valid[i] = a.estimate()
-	}
-	return inc
+	return v.increment(accs, rows)
 }

@@ -64,29 +64,51 @@ func TestProgressiveMatchesFreshPrefixScan(t *testing.T) {
 	snips := progressiveSnips(t, tb)
 	view := e.Acquire()
 
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		ps := view.ProgressiveFrom(snips, 0, -1, workers)
-		if ps.Total() != view.SampleRows {
-			t.Fatalf("workers=%d: Total=%d, want %d", workers, ps.Total(), view.SampleRows)
-		}
-		// Budgets chosen to land mid-block, mid-unit, exactly on a unit
-		// boundary (65536, 131072) and at the full sample.
-		var inc Increment
-		for _, prefix := range []int{100, 4096, 5000, 40000, 65536, 70000, 131072, 150000, view.SampleRows} {
-			inc = ps.Step(prefix)
-			if inc.Rows != prefix {
-				t.Fatalf("workers=%d: Step(%d) consumed %d rows", workers, prefix, inc.Rows)
+	// Budgets chosen to land mid-block, mid-unit, exactly on a unit
+	// boundary (65536, 131072) and at the full sample; then the sample's
+	// 20 batch ends (multiples of 8000, off every block and unit boundary),
+	// the schedule the paper's curves step.
+	schedules := map[string][]int{
+		"boundaries": {100, 4096, 5000, 40000, 65536, 70000, 131072, 150000, view.SampleRows},
+		"batch ends": batchEnds(view),
+	}
+	if n := len(schedules["batch ends"]); n != 20 {
+		t.Fatalf("batch-end schedule has %d steps, want 20", n)
+	}
+	for name, schedule := range schedules {
+		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+			ps := view.ProgressiveFrom(snips, 0, -1, workers)
+			if ps.Total() != view.SampleRows {
+				t.Fatalf("workers=%d: Total=%d, want %d", workers, ps.Total(), view.SampleRows)
 			}
-			fresh := e.ViewAtGen(view.SampleGen, view.BaseRows, view.SampleRows).EvalPrefix(snips, prefix)
-			requireIncrementEqual(t, "workers="+itoa(workers)+" prefix="+itoa(prefix), inc, fresh)
-			if inc.Final != (prefix == view.SampleRows) {
-				t.Fatalf("workers=%d prefix=%d: Final=%v", workers, prefix, inc.Final)
+			var inc Increment
+			for _, prefix := range schedule {
+				inc = ps.Step(prefix)
+				label := name + " workers=" + itoa(workers) + " prefix=" + itoa(prefix)
+				if inc.Rows != prefix {
+					t.Fatalf("%s: Step consumed %d rows", label, inc.Rows)
+				}
+				fresh := e.ViewAtGen(view.SampleGen, view.BaseRows, view.SampleRows).EvalPrefix(snips, prefix)
+				requireIncrementEqual(t, label, inc, fresh)
+				if inc.Final != (prefix == view.SampleRows) {
+					t.Fatalf("%s: Final=%v", label, inc.Final)
+				}
 			}
-		}
-		if !inc.Final {
-			t.Fatalf("workers=%d: last increment not Final after consuming the sample", workers)
+			if !inc.Final {
+				t.Fatalf("%s workers=%d: last increment not Final after consuming the sample", name, workers)
+			}
 		}
 	}
+}
+
+// batchEnds is the prefix schedule of the sample's online-aggregation
+// batches: the end of every BatchBounds, the last one the whole sample.
+func batchEnds(v *View) []int {
+	ends := make([]int, v.Sample.Batches())
+	for b := range ends {
+		_, ends[b] = v.Sample.BatchBounds(b)
+	}
+	return ends
 }
 
 // TestProgressiveAcrossRebuildAndAppend: a generation swap (RebuildSample)

@@ -29,7 +29,7 @@ var (
 	scanBenchMu    sync.Mutex
 	scanBenchCache = map[string]*scanBenchFixture{}
 	// scanBenchSink keeps each measured call's result live.
-	scanBenchSink BatchUpdate
+	scanBenchSink Increment
 )
 
 // scanBenchSetup builds (once per case) a rows-row table with groups cat
@@ -70,7 +70,7 @@ func BenchmarkScan(b *testing.B) {
 				fx := scanBenchSetup(b, rows, 4, clustered, "SELECT AVG(val) FROM t WHERE week >= 42 AND week < 47")
 				run := fx.view.RunToCompletion
 				if mode == "rowref" {
-					run = func(snips []*query.Snippet) BatchUpdate { return rowRunToCompletion(fx.view, snips) }
+					run = func(snips []*query.Snippet) Increment { return rowRunToCompletion(fx.view, snips) }
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -96,7 +96,7 @@ func BenchmarkGroupedScan(b *testing.B) {
 					fx := scanBenchSetup(b, rows, groups, clustered, "SELECT cat, AVG(val), COUNT(*) FROM t GROUP BY cat")
 					run := fx.view.RunToCompletion
 					if mode == "persnippet" {
-						run = func(snips []*query.Snippet) BatchUpdate { return perSnippetRunToCompletion(fx.view, snips) }
+						run = func(snips []*query.Snippet) Increment { return perSnippetRunToCompletion(fx.view, snips) }
 					}
 					b.SetBytes(int64(rows) * 8)
 					b.ResetTimer()

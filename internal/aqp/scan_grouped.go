@@ -536,7 +536,7 @@ type GroupedResult struct {
 	// rebuilds via Decompose(stmt, t, Groups, nmax). When no group matched,
 	// it matches the single nil-group (ungrouped) decomposition Decompose
 	// falls back to.
-	Update BatchUpdate
+	Update Increment
 }
 
 // groupedFold is the carried cross-unit master state of a discovery scan:
@@ -669,20 +669,16 @@ func (f *groupedFold) result(v *View, gs *groupedScan, spec *query.GroupedSpec, 
 		// FREQ saw total zeros, AVG saw nothing.
 		nOut = 1
 	}
-	upd := BatchUpdate{
-		Estimates:   make([]query.ScalarEstimate, nOut*stride),
-		Valid:       make([]bool, nOut*stride),
-		RowsScanned: total,
-		SimTime:     v.cost.QueryTime(total),
-		Batch:       v.lastBatch(),
-	}
+	cells := make([]accumulator, nOut*stride)
+	accs := make([]*accumulator, len(cells))
 	for g := 0; g < nOut; g++ {
 		var m *groupMaster
 		if len(order) > 0 {
 			m = masters[order[g]]
 		}
 		for j := 0; j < stride; j++ {
-			acc := accumulator{sn: spec.Family[j], scanned: total, baseRows: v.Sample.BaseRows}
+			acc := &cells[g*stride+j]
+			*acc = accumulator{sn: spec.Family[j], scanned: total, baseRows: v.Sample.BaseRows}
 			if m != nil {
 				if k := gs.avgIdx[j]; k >= 0 {
 					acc.moments = m.avg[k]
@@ -692,10 +688,10 @@ func (f *groupedFold) result(v *View, gs *groupedScan, spec *query.GroupedSpec, 
 			} else if gs.avgIdx[j] < 0 {
 				acc.moments.AddZeros(int64(total))
 			}
-			upd.Estimates[g*stride+j], upd.Valid[g*stride+j] = acc.estimate()
+			accs[g*stride+j] = acc
 		}
 	}
-	res.Update = upd
+	res.Update = v.increment(accs, total)
 	return res
 }
 

@@ -112,8 +112,8 @@ func TestGroupedScanMatchesPerSnippet(t *testing.T) {
 				snips := groupedSnips(t, gv, tb, sql)
 				ug := gv.RunToCompletion(snips)
 				up := perSnippetRunToCompletion(gv, snips)
-				if ug.RowsScanned != up.RowsScanned {
-					t.Fatalf("%s: rows %d vs %d", sql, ug.RowsScanned, up.RowsScanned)
+				if ug.Rows != up.Rows {
+					t.Fatalf("%s: rows %d vs %d", sql, ug.Rows, up.Rows)
 				}
 				for i := range snips {
 					if ug.Valid[i] != up.Valid[i] || ug.Estimates[i] != up.Estimates[i] {
@@ -241,8 +241,8 @@ func TestGroupedDiscoverMatchesTwoPass(t *testing.T) {
 				}
 			}
 		}
-		if gr.Update.RowsScanned != want.RowsScanned {
-			t.Fatalf("%s: rows %d vs %d", sql, gr.Update.RowsScanned, want.RowsScanned)
+		if gr.Update.Rows != want.Rows {
+			t.Fatalf("%s: rows %d vs %d", sql, gr.Update.Rows, want.Rows)
 		}
 		for i := range snips {
 			if gr.Update.Valid[i] != want.Valid[i] || gr.Update.Estimates[i] != want.Estimates[i] {

@@ -57,8 +57,8 @@ func requireMatchesRowRef(t *testing.T, label string, v *View, snips []*query.Sn
 	t.Helper()
 	uv := v.RunToCompletion(snips)
 	ur := rowRunToCompletion(v, snips)
-	if uv.RowsScanned != ur.RowsScanned {
-		t.Fatalf("%s: rows scanned: vectorized %d, row %d", label, uv.RowsScanned, ur.RowsScanned)
+	if uv.Rows != ur.Rows {
+		t.Fatalf("%s: rows scanned: vectorized %d, row %d", label, uv.Rows, ur.Rows)
 	}
 	for i := range snips {
 		if uv.Valid[i] != ur.Valid[i] {

@@ -70,23 +70,23 @@ func scanRows(data *storage.Table, accs []*accumulator, start, end int) {
 
 // rowRunToCompletion is v.RunToCompletion(snips) under the row reference:
 // the same batch spans in the same order, each folded row by row.
-func rowRunToCompletion(v *View, snips []*query.Snippet) BatchUpdate {
+func rowRunToCompletion(v *View, snips []*query.Snippet) Increment {
 	if v.Sample.Batches() == 0 {
-		return BatchUpdate{}
+		return Increment{}
 	}
 	accs := newAccs(v, snips)
 	for _, sp := range v.batchSpans(nil, 0, v.SampleRows, v.Sample.BatchSize) {
 		scanRows(sp.tbl, accs, sp.lo, sp.hi)
 	}
-	return v.finalUpdate(accs)
+	return v.increment(accs, v.SampleRows)
 }
 
 // perSnippetRunToCompletion is v.RunToCompletion(snips) with grouped
 // factoring off: the same units merged in the same order, every snippet
 // evaluating its own region per block (gs = nil).
-func perSnippetRunToCompletion(v *View, snips []*query.Snippet) BatchUpdate {
+func perSnippetRunToCompletion(v *View, snips []*query.Snippet) Increment {
 	if v.Sample.Batches() == 0 {
-		return BatchUpdate{}
+		return Increment{}
 	}
 	accs := newAccs(v, snips)
 	spans := v.batchSpans(nil, 0, v.SampleRows, v.Sample.BatchSize)
@@ -94,5 +94,5 @@ func perSnippetRunToCompletion(v *View, snips []*query.Snippet) BatchUpdate {
 	for _, p := range scanUnits(metaOf(accs), nil, units, 0) {
 		merge(accs, p)
 	}
-	return v.finalUpdate(accs)
+	return v.increment(accs, v.SampleRows)
 }

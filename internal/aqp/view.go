@@ -66,47 +66,20 @@ func (v *View) ObserveScan(mode string, grouped bool, start time.Time) {
 // given rows under the view's cost model — an Increment's SimTime.
 func (v *View) QueryTime(rows int) time.Duration { return v.cost.QueryTime(rows) }
 
-// OnlineAggregate processes the sample batch by batch, invoking yield after
-// every batch with refreshed estimates — the online-aggregation interface
-// of §7 (deployment scenario 1). Iteration stops early when yield returns
-// false ("users are satisfied with the current accuracy") or when the
-// sample is exhausted.
-func (v *View) OnlineAggregate(snips []*query.Snippet, yield func(BatchUpdate) bool) {
-	accs := newAccs(v, snips)
-	for b := 0; b < v.Sample.Batches(); b++ {
-		start, end := v.Sample.BatchBounds(b)
-		spans := v.sampleSpans(start, end)
-		v.fold(accs, spans, len(spans))
-		upd := BatchUpdate{
-			Estimates:   make([]query.ScalarEstimate, len(accs)),
-			Valid:       make([]bool, len(accs)),
-			RowsScanned: end,
-			SimTime:     v.cost.QueryTime(end),
-			Batch:       b,
-		}
-		for i, a := range accs {
-			upd.Estimates[i], upd.Valid[i] = a.estimate()
-		}
-		if !yield(upd) {
-			return
-		}
-	}
-}
-
-// RunToCompletion consumes the whole sample and returns the final update.
-func (v *View) RunToCompletion(snips []*query.Snippet) BatchUpdate {
+// RunToCompletion consumes the whole sample and returns the final increment.
+func (v *View) RunToCompletion(snips []*query.Snippet) Increment {
 	if v.stages != nil {
 		defer v.ObserveScan(obs.ModeOneShot, false, time.Now())
 	}
 	return v.foldAll(snips)
 }
 
-// foldAll is RunToCompletion without the stage observation: the final
-// update OnlineAggregate would yield, folded across every batch at once.
-// An empty sample yields one invalid estimate per snippet.
-func (v *View) foldAll(snips []*query.Snippet) BatchUpdate {
+// foldAll is RunToCompletion without the stage observation: the sample's
+// batches folded in order, all at once. An empty sample yields one invalid
+// estimate per snippet.
+func (v *View) foldAll(snips []*query.Snippet) Increment {
 	spans := v.batchSpans(nil, 0, v.SampleRows, v.Sample.BatchSize)
-	return v.finalUpdate(v.fold(newAccs(v, snips), spans, len(spans)))
+	return v.increment(v.fold(newAccs(v, snips), spans, len(spans)), v.SampleRows)
 }
 
 // newAccs returns one zero-state accumulator per snippet, as the view's
@@ -119,40 +92,31 @@ func newAccs(v *View, snips []*query.Snippet) []*accumulator {
 	return accs
 }
 
-// lastBatch is the Batch of a full-sample update, flat or grouped: the
-// sample's last batch, 0 for an empty sample.
-func (v *View) lastBatch() int { return max(v.Sample.Batches()-1, 0) }
-
-// finalUpdate estimates accumulators that have folded the whole sample.
-func (v *View) finalUpdate(accs []*accumulator) BatchUpdate {
-	n := v.SampleRows
-	upd := BatchUpdate{
-		Estimates:   make([]query.ScalarEstimate, len(accs)),
-		Valid:       make([]bool, len(accs)),
-		RowsScanned: n,
-		SimTime:     v.cost.QueryTime(n),
-		Batch:       v.lastBatch(),
+// increment estimates accumulators that have folded the sample prefix
+// [0, rows) — the one place every scan turns fold state into an answer.
+func (v *View) increment(accs []*accumulator, rows int) Increment {
+	inc := Increment{
+		Estimates: make([]query.ScalarEstimate, len(accs)),
+		Valid:     make([]bool, len(accs)),
+		Rows:      rows,
+		Total:     v.SampleRows,
+		SimTime:   v.cost.QueryTime(rows),
+		Final:     rows >= v.SampleRows,
 	}
 	for i, a := range accs {
-		upd.Estimates[i], upd.Valid[i] = a.estimate()
+		inc.Estimates[i], inc.Valid[i] = a.estimate()
 	}
-	return upd
+	return inc
 }
 
 // TimeBound evaluates the snippets within a simulated time budget,
 // predicting the largest scannable prefix from the cost model (§7,
 // deployment scenario 2, and Appendix C.2's NoLearn).
-func (v *View) TimeBound(snips []*query.Snippet, budget time.Duration) BatchUpdate {
+func (v *View) TimeBound(snips []*query.Snippet, budget time.Duration) Increment {
 	if v.stages != nil {
 		defer v.ObserveScan(obs.ModeOneShot, false, time.Now())
 	}
-	inc := v.EvalPrefix(snips, v.cost.RowsWithin(budget))
-	return BatchUpdate{
-		Estimates:   inc.Estimates,
-		Valid:       inc.Valid,
-		RowsScanned: inc.Rows,
-		SimTime:     inc.SimTime,
-	}
+	return v.EvalPrefix(snips, v.cost.RowsWithin(budget))
 }
 
 // Exact computes the snippet's exact answer on the view's base relation —

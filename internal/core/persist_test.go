@@ -153,6 +153,58 @@ func TestLoadRejectsBadSnapshots(t *testing.T) {
 	if _, err := Load(strings.NewReader(bad3), tb, Config{}); err == nil {
 		t.Fatal("unknown region column accepted")
 	}
+
+	// Every cut of a saved two-model snapshot that drops a non-whitespace
+	// byte fails to load, and a System whose load failed keeps its synopsis:
+	// same snippet count, and the same Execute answer as a twin that never
+	// saw the cuts.
+	sys, twin := systemFixture(t, 4000, 0.5), systemFixture(t, 4000, 0.5)
+	for _, sql := range []string{
+		"SELECT AVG(revenue) FROM sales WHERE week BETWEEN 10 AND 20",
+		"SELECT AVG(revenue) FROM sales WHERE week BETWEEN 30 AND 40",
+		"SELECT COUNT(*) FROM sales WHERE week < 26",
+	} {
+		for _, s := range []*System{sys, twin} {
+			if _, err := s.Execute(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := len(sys.Verdict().FuncIDs()); n < 2 {
+		t.Fatalf("snapshot holds %d models, want at least 2", n)
+	}
+	var buf bytes.Buffer
+	if err := sys.SaveSynopsis(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, count, cuts := buf.Bytes(), sys.Verdict().SnippetCount(), 0
+	for k := range snap {
+		if len(bytes.TrimSpace(snap[k:])) == 0 {
+			continue
+		}
+		cuts++
+		if err := sys.LoadSynopsis(bytes.NewReader(snap[:k])); err == nil {
+			t.Fatalf("snapshot cut at byte %d of %d loaded", k, len(snap))
+		}
+		if got := sys.Verdict().SnippetCount(); got != count {
+			t.Fatalf("failed load of the cut at byte %d changed the synopsis: %d snippets, want %d", k, got, count)
+		}
+	}
+	if cuts < 100 {
+		t.Fatalf("only %d cuts of a %d-byte snapshot", cuts, len(snap))
+	}
+	probe := "SELECT AVG(revenue) FROM sales WHERE week BETWEEN 12 AND 18"
+	got, err := sys.Execute(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.Execute(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := got.Rows[0].Cells[0], want.Rows[0].Cells[0]; g.Improved != w.Improved || g.Raw != w.Raw {
+		t.Fatalf("answer after failed loads %+v/%+v, want %+v/%+v", g.Improved, g.Raw, w.Improved, w.Raw)
+	}
 }
 
 func TestSaveLoadPinnedParams(t *testing.T) {

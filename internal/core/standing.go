@@ -127,7 +127,7 @@ type standingPlan struct {
 	pl      *queryPlan
 	fold    *aqp.CarriedFold
 	infer   planInfer
-	lastUpd aqp.BatchUpdate
+	lastUpd aqp.Increment
 	lastRes *Result
 	subs    []*Subscription
 }
@@ -344,13 +344,13 @@ func (s *System) refreshPlanLocked(p *standingPlan) error {
 	return err
 }
 
-// composeStanding turns a plan's final BatchUpdate into a full Result —
+// composeStanding turns a plan's final Increment into a full Result —
 // the same sanitize/infer/compose sequence execute runs, against a fresh
 // snapshot of the published model states, with the covariance integrals
 // served from the plan's carried signature-guarded memo (planInfer):
 // bit-identical to full re-inference, cheap on appends where no region
 // bound or length-scale moved.
-func (s *System) composeStanding(p *standingPlan, upd aqp.BatchUpdate) (*Result, error) {
+func (s *System) composeStanding(p *standingPlan, upd aqp.Increment) (*Result, error) {
 	snap := s.Verdict().SnapshotFor(p.pl.snips)
 	improved, usedModel, _ := p.infer.inferAll(snap, p.pl.snips, upd.Estimates)
 	res := &Result{

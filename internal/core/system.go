@@ -552,7 +552,7 @@ func (s *System) execute(view *aqp.View, sql string, budget time.Duration, recor
 	}
 
 	grouped := pl.spec != nil
-	var upd aqp.BatchUpdate
+	var upd aqp.Increment
 	switch {
 	case budget > 0:
 		upd = view.TimeBound(pl.snips, budget)

@@ -71,11 +71,9 @@ func AblationDesignChoices(o Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			var upd aqp.BatchUpdate
-			f.engine.OnlineAggregate(snips, func(u aqp.BatchUpdate) bool {
-				upd = u
-				return u.Batch < f.engine.Sample().Batches()/4
-			})
+			view := f.engine.Acquire()
+			_, end := view.Sample.BatchBounds(view.Sample.Batches() / 4)
+			upd := view.EvalPrefix(snips, end)
 			for i, sn := range snips {
 				if !upd.Valid[i] {
 					continue

@@ -78,7 +78,7 @@ func cachingComparison(tb *storage.Table, frac, novelRatio float64, seed int64) 
 	novelSQL := workload.TPCHWorkload(test, seed+2)
 
 	v := core.New(tb, core.Config{})
-	cache := aqp.NewAnswerCache()
+	cache := answerCache{}
 	// Process past queries: record into both the synopsis and the cache.
 	for _, sql := range pastSQL {
 		snips, err := snippetsOf(engine, sql, v.Config().Nmax)
@@ -89,7 +89,7 @@ func cachingComparison(tb *storage.Table, frac, novelRatio float64, seed int64) 
 		for i, sn := range snips {
 			if upd.Valid[i] {
 				v.Record(sn, upd.Estimates[i])
-				cache.Store(sn, upd.Estimates[i])
+				cache.store(sn, upd.Estimates[i])
 			}
 		}
 	}
@@ -112,11 +112,9 @@ func cachingComparison(tb *storage.Table, frac, novelRatio float64, seed int64) 
 		}
 		// A noisier (prefix) raw answer: stop online aggregation early so
 		// there is headroom for both systems to improve.
-		var upd aqp.BatchUpdate
-		engine.OnlineAggregate(snips, func(u aqp.BatchUpdate) bool {
-			upd = u
-			return u.Batch < 2
-		})
+		view := engine.Acquire()
+		_, end := view.Sample.BatchBounds(2)
+		upd := view.EvalPrefix(snips, end)
 		for si, sn := range snips {
 			if !upd.Valid[si] {
 				continue
@@ -133,7 +131,7 @@ func cachingComparison(tb *storage.Table, frac, novelRatio float64, seed int64) 
 			// Baseline2: replay the cached answer when the snippet repeats
 			// and the cached error beats the current raw error.
 			b2 := raw
-			if cached, ok := cache.Lookup(sn); ok && cached.StdErr < raw.StdErr {
+			if cached, ok := cache.lookup(sn); ok && cached.StdErr < raw.StdErr {
 				b2 = cached
 			}
 			inf := v.Infer(sn, raw)
@@ -147,4 +145,25 @@ func cachingComparison(tb *storage.Table, frac, novelRatio float64, seed int64) 
 		return 0, 0, nil
 	}
 	return reduction(rawErr, b2Err), reduction(rawErr, vErr), nil
+}
+
+// answerCache is the paper's Baseline2 (Appendix C.1): it memoizes past
+// snippet answers by canonical key and replays the lowest-error answer for
+// an identical snippet, providing no benefit to novel snippets.
+type answerCache map[string]query.ScalarEstimate
+
+// lookup returns the cached answer for an identical snippet, if any.
+func (c answerCache) lookup(sn *query.Snippet) (query.ScalarEstimate, bool) {
+	est, ok := c[sn.Key()]
+	return est, ok
+}
+
+// store records an answer, keeping the lowest-error instance ("when there
+// are multiple instances of the same query, Baseline2 caches the one with
+// the lowest expected error").
+func (c answerCache) store(sn *query.Snippet, est query.ScalarEstimate) {
+	key := sn.Key()
+	if old, ok := c[key]; !ok || est.StdErr < old.StdErr {
+		c[key] = est
+	}
 }

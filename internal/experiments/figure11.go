@@ -50,7 +50,7 @@ func Figure11TimeBound(o Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			upd := f.engine.TimeBound(snips, budget)
+			upd := f.engine.Acquire().TimeBound(snips, budget)
 			for i, sn := range snips {
 				if !upd.Valid[i] {
 					continue

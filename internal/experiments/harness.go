@@ -161,18 +161,21 @@ type curvePoint struct {
 // meaningful relative errors.
 const minExactFreq = 1e-3
 
-// runOnlineQuery produces the per-batch comparison curve for one query. If
-// record is true, the final raw answers enter the synopsis afterwards
+// runOnlineQuery produces the per-batch comparison curve for one query by
+// stepping the served progressive scan to every batch end and inferring
+// each increment against one pinned InferSnapshot, as a /query/stream does.
+// If record is true, the final raw answers enter the synopsis afterwards
 // (Algorithm 2 ordering: infer first, then record).
 func runOnlineQuery(v *core.Verdict, engine *aqp.Engine, sql string, record bool) ([]curvePoint, error) {
 	snips, err := snippetsOf(engine, sql, v.Config().Nmax)
 	if err != nil {
 		return nil, err
 	}
+	view := engine.Acquire()
 	exact := make([]float64, len(snips))
 	keep := make([]bool, len(snips))
 	for i, sn := range snips {
-		exact[i] = engine.Exact(sn)
+		exact[i] = view.Exact(sn)
 		switch sn.Kind {
 		case query.FreqAgg:
 			keep[i] = exact[i] >= minExactFreq
@@ -185,16 +188,20 @@ func runOnlineQuery(v *core.Verdict, engine *aqp.Engine, sql string, record bool
 		return nil, err
 	}
 
+	snap := v.SnapshotFor(snips)
+	ps := view.Progressive(snips)
 	var pts []curvePoint
-	var last aqp.BatchUpdate
-	engine.OnlineAggregate(snips, func(u aqp.BatchUpdate) bool {
+	var last aqp.Increment
+	for b := 0; b < view.Sample.Batches(); b++ {
+		_, end := view.Sample.BatchBounds(b)
+		u := ps.Step(end)
 		pt := curvePoint{simTime: u.SimTime}
 		for i, sn := range snips {
 			if !keep[i] || !u.Valid[i] {
 				continue
 			}
 			raw := aqp.Sanitize(u.Estimates[i])
-			inf := v.Infer(sn, raw)
+			inf := snap.Infer(sn, raw)
 			den := math.Abs(exact[i])
 			pt.rawBound += alpha * raw.StdErr / den
 			pt.impBound += alpha * inf.Err / den
@@ -210,12 +217,11 @@ func runOnlineQuery(v *core.Verdict, engine *aqp.Engine, sql string, record bool
 			pts = append(pts, pt)
 		}
 		last = u
-		return true
-	})
+	}
 	if record {
 		for i, sn := range snips {
 			if last.Valid != nil && last.Valid[i] {
-				v.Record(sn, last.Estimates[i])
+				v.Record(sn, aqp.Sanitize(last.Estimates[i]))
 			}
 		}
 	}
@@ -287,13 +293,6 @@ func boundWithinBudget(pts []curvePoint, budget time.Duration, improved bool) fl
 		return pts[0].rawBound
 	}
 	return best
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // reduction converts (baseline, improved) into a reduction fraction.

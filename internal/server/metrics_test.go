@@ -521,7 +521,7 @@ func TestRequestIDPropagation(t *testing.T) {
 // TestErrorEnvelope table-tests the 4xx/5xx contract: every error path
 // answers {code, error, request_id} with the right code.
 func TestErrorEnvelope(t *testing.T) {
-	_, ts, _ := metricsFixture(t, 2000, Config{})
+	srv, ts, _ := metricsFixture(t, 2000, Config{})
 
 	do := func(t *testing.T, method, path, body string) (int, map[string]any) {
 		t.Helper()
@@ -560,11 +560,20 @@ func TestErrorEnvelope(t *testing.T) {
 		{"stream negative min_rows", http.MethodPost, "/query/stream", `{"sql":"SELECT COUNT(*) FROM sales","min_rows":-1}`, http.StatusBadRequest, "bad_request"},
 		{"append empty", http.MethodPost, "/append", "{}", http.StatusBadRequest, "bad_request"},
 		{"save unconfigured", http.MethodPost, "/save", "{}", http.StatusBadRequest, "bad_request"},
+		// A misspelled optional field is rejected, not dropped: the request
+		// would otherwise run with the field's default.
+		{"query unknown field", http.MethodPost, "/query", `{"sql":"SELECT COUNT(*) FROM sales","budget":5}`, http.StatusBadRequest, "bad_request"},
+		{"stream unknown field", http.MethodPost, "/query/stream", `{"sql":"SELECT COUNT(*) FROM sales","target_ci":0.02,"target_relativ":true}`, http.StatusBadRequest, "bad_request"},
+		{"subscribe unknown field", http.MethodPost, "/subscribe", `{"sql":"SELECT COUNT(*) FROM sales","debounce":50}`, http.StatusBadRequest, "bad_request"},
 		{"unknown path", http.MethodGet, "/nope", "", http.StatusNotFound, "not_found"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			before := srv.sys.StatsSnapshot().Total
 			status, env := do(t, tc.method, tc.path, tc.body)
+			if after := srv.sys.StatsSnapshot().Total; after != before {
+				t.Fatalf("rejected request moved the query total %d -> %d", before, after)
+			}
 			if status != tc.wantStatus {
 				t.Fatalf("status %d, want %d (%v)", status, tc.wantStatus, env)
 			}

@@ -70,6 +70,15 @@ func TestServerRebuildPartitionValidation(t *testing.T) {
 	if st := sys.StatsSnapshot(); st.Rebuilds != 0 {
 		t.Fatalf("rejected rebuilds bumped the counter to %d", st.Rebuilds)
 	}
+	// No body and an empty object both rebuild under the current layout.
+	for _, body := range []string{"", "{}"} {
+		if code, env := postRaw(t, ts.URL+"/rebuild", body); code != http.StatusOK {
+			t.Fatalf("rebuild with body %q: status %d (%+v)", body, code, env)
+		}
+	}
+	if st := sys.StatsSnapshot(); st.Rebuilds != 2 {
+		t.Fatalf("two accepted rebuilds counted %d", st.Rebuilds)
+	}
 }
 
 // TestServerPartitionedRebuildAndStats: a /rebuild layout override produces

@@ -651,15 +651,8 @@ func (s *Server) resolveLayout(req RebuildRequest) (aqp.RebuildOptions, error) {
 // optional JSON body overrides the layout for this rebuild (and the new
 // layout sticks as the engine default for subsequent auto-rebuilds).
 func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, r, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
 	var req RebuildRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !s.readJSON(w, r, &req) {
 		return
 	}
 	opts, err := s.resolveLayout(req)
@@ -927,6 +920,10 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 
 // ---- plumbing ----
 
+// readJSON decodes a POST body into dst strictly: a field the request type
+// does not have — a misspelled optional field would otherwise run the
+// request with its default — is a 400. An empty body reads as {}; each
+// handler rejects a missing required field itself.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	if r.Method != http.MethodPost {
 		writeErr(w, r, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
@@ -935,7 +932,8 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool 
 	// Cap the body before decoding: MaxBatchRows alone cannot bound memory
 	// once a multi-GB payload has already been parsed.
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(dst); err != nil {
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil && !errors.Is(err, io.EOF) {
 		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return false
 	}
