@@ -139,8 +139,8 @@ func carriedPlan(t *testing.T, base *storage.Table) ([]*query.Snippet, *query.Gr
 }
 
 // TestCarriedFoldCases walks both shapes of a CarriedFold through every
-// case of Run — first bind, same snapshot, appends inside and across batch
-// boundaries, a view behind the carried prefix, a rebuild, a view of the
+// case of Run — first bind, same snapshot, appends that grow the tail unit,
+// a view behind the carried prefix, a rebuild, a view of the
 // retired generation, and a domain-widening append that moves an open-ended
 // snippet's key — and requires each answer to equal the reference one-shot
 // scan of a replay view bit for bit, the outcome and the rows folded to be
@@ -181,8 +181,6 @@ func TestCarriedFoldCases(t *testing.T) {
 		requireOutcome(t, step+" flat", fr, v, want, maxScanned)
 		requireOutcome(t, step+" grouped", gr, v, want, maxScanned)
 	}
-	batch := sample.BatchSize
-
 	first := e.Acquire()
 	run("first bind", first, FoldFull, first.SampleRows)
 	run("same snapshot", first, FoldReused, 0)
@@ -193,24 +191,32 @@ func TestCarriedFoldCases(t *testing.T) {
 	_, spec := carriedPlan(t, first.Base)
 	gr := grouped.Run(first, nil, spec, 1)
 	requireGroupedResultEqual(t, "same snapshot, nmax 1", gr.Grouped, first.GroupedRunToCompletion(spec, 1))
-	if gr.Outcome != FoldExtended || gr.Scanned > batch {
-		t.Fatalf("same snapshot, nmax 1: outcome %v folding %d rows, want the tail re-folded", gr.Outcome, gr.Scanned)
+	if gr.Outcome != FoldExtended || gr.Scanned > unitRows {
+		t.Fatalf("same snapshot, nmax 1: outcome %v folding %d rows, want the tail unit re-folded", gr.Outcome, gr.Scanned)
 	}
 	if !gr.Grouped.Truncated {
 		t.Fatal("fixture: nmax 1 did not truncate the grouped answer")
 	}
 
 	d := appendSampled(t, e, appendBatch(t, 100, 50), 1)
-	run("append inside the tail batch", e.Acquire(), FoldExtended, d+batch)
+	run("append inside the tail unit", e.Acquire(), FoldExtended, d+unitRows)
 	d = appendSampled(t, e, appendBatch(t, 5000, 51), 2)
-	run("append across batch boundaries", e.Acquire(), FoldExtended, d+batch)
+	run("append growing the tail unit", e.Acquire(), FoldExtended, d+unitRows)
 	cur := e.Acquire()
 	run("same snapshot after appends", cur, FoldReused, 0)
 
-	// first is now behind the folded prefix: served by a reference fold, and
-	// the carried state stays with the callers on the current view.
-	run("view behind the carried prefix", first, FoldFull, first.SampleRows)
-	run("current view after a stale one", cur, FoldReused, 0)
+	// first has fewer rows than the last answer but no fewer than the
+	// carried units: the banks serve it by re-covering its tail unit.
+	run("view behind the last answer", first, FoldExtended, first.SampleRows)
+	run("current view after a stale one", cur, FoldExtended, cur.SampleRows)
+
+	// Past a unit boundary cur is behind the carried units: served by a
+	// reference fold, and the carried state stays with the callers on the
+	// current view.
+	d = appendSampled(t, e, appendBatch(t, 2*unitRows, 53), 3)
+	run("append across a unit boundary", e.Acquire(), FoldExtended, d+unitRows)
+	run("view behind the carried prefix", cur, FoldFull, cur.SampleRows)
+	run("current view after a stale one", e.Acquire(), FoldReused, 0)
 
 	// A rebuild swaps the generation: one full fold rebinds; the retired
 	// generation's views are behind.
@@ -226,9 +232,9 @@ func TestCarriedFoldCases(t *testing.T) {
 	const openSQL = "SELECT COUNT(*) FROM t WHERE week >= 40"
 	open := NewCarriedFold(true)
 	open.Run(rebuilt, []*query.Snippet{snippetFor(t, rebuilt.Base, openSQL)}, nil, 0)
-	d = appendSampled(t, e, driftedBatch(t, 400, 150, 200, 52), 3)
+	d = appendSampled(t, e, driftedBatch(t, 400, 150, 200, 52), 4)
 	v := e.Acquire()
-	run("domain-widening append", v, FoldExtended, d+rebuilt.Sample.BatchSize)
+	run("domain-widening append", v, FoldExtended, d+unitRows)
 	snips := []*query.Snippet{snippetFor(t, v.Base, openSQL)}
 	fr := open.Run(v, snips, nil, 0)
 	replay := e.ViewAtGen(v.SampleGen, v.BaseRows, v.SampleRows)
@@ -276,21 +282,23 @@ func TestCarriedFoldBorrowsSnippets(t *testing.T) {
 			t.Fatalf("append %d: outcome %v, want an extension (the keys did not move)", i, fr.Outcome)
 		}
 		requireUpdateEqual(t, "append "+itoa(i), fr.Update, e.ViewAtGen(v.SampleGen, v.BaseRows, v.SampleRows).RunToCompletion(snips))
-		for j, a := range c.accs {
-			if a.sn != nil {
-				t.Fatalf("append %d: accumulator %d kept a snippet (and its table snapshot) after the Run", i, j)
+		for b, bk := range c.flat {
+			for j, a := range bk.state {
+				if a.sn != nil {
+					t.Fatalf("append %d: bank %d accumulator %d kept a snippet (and its table snapshot) after the Run", i, b, j)
+				}
 			}
 		}
 	}
 }
 
 // replayAcrossAppends is the incremental replay property standing scans rest
-// on: after every append, a carried Run — which folds only the newly landed
-// complete batches plus the partial tail — must equal a fresh
+// on: after every append, a carried Run — which folds only the appended rows
+// plus the tail's partial unit — must equal a fresh
 // RunToCompletion (flat) or GroupedRunToCompletion (grouped) over the whole
-// grown sample, bit for bit. Appends of varying sizes exercise tail batches
-// that grow, complete and straddle batch boundaries; the last one births a
-// region the grouped fold has never seen.
+// grown sample, bit for bit. Appends of varying sizes grow the tail's
+// partial unit; the last one births a region the grouped fold has never
+// seen.
 func replayAcrossAppends(t *testing.T, grouped bool) {
 	t.Helper()
 	tb := buildTable(t, 20000)
@@ -318,7 +326,7 @@ func replayAcrossAppends(t *testing.T, grouped bool) {
 			fr = c.Run(v, snips, nil, 0)
 			requireUpdateEqual(t, step, fr.Update, replay.RunToCompletion(snips))
 		}
-		requireOutcome(t, step, fr, v, want, delta+v.Sample.BatchSize)
+		requireOutcome(t, step, fr, v, want, delta+unitRows)
 	}
 
 	check("initial fold", FoldFull, 0)
@@ -378,8 +386,8 @@ func TestCarriedFoldTruncation(t *testing.T) {
 }
 
 // TestStandingScanRefusesRebind pins the incompatibility contract for a
-// flat CarriedFold: a rebuilt sample (new generation, reshuffled rows, new
-// batch size) cannot extend a carried fold. It must rebind with one full
+// flat CarriedFold: a rebuilt sample (new generation, reshuffled rows)
+// cannot extend a carried fold. It must rebind with one full
 // fold that replays exactly, and a view of the retired generation is served
 // by a reference fold that leaves the new binding in place.
 func TestStandingScanRefusesRebind(t *testing.T) {

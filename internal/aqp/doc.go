@@ -39,21 +39,16 @@
 //     generation pinned by a live stream (PinGen/AcquirePinned
 //     refcounts); behind-horizon access fails with ErrGenEvicted.
 //
-// Determinism: scans fan out across workers — a fold schedules the work
-// units of every batch it covers together (View.fold) — but merge per-unit
-// accumulators in fixed (batch, span, unit) order, so a replay of the same
-// view is float-identical to the original run. Each of the two merge trees
-// has one carried state. CarriedFold (carried.go) carries the batch-anchored
-// one-shot tree — a flat snippet list's accumulators or a GROUP BY
-// discovery fold's group masters — across appends, folding only newly
-// landed batches and reproducing the one-shot merge tree bit for bit. It
-// decides per Run whether to return the last answer for the same snapshot,
-// extend, rebind with one full fold when the generation, batch size or plan
-// shape drifts, or serve a view behind the carried prefix from the
-// reference scan, for both of its users: standing subscriptions across
-// notify batches and internal/core's scan memo across repeated one-shot
-// queries. ProgressiveScan (progressive.go) carries the prefix-anchored
-// tree: one bank per sample piece, folded unit by unit, replayed by
-// EvalPrefix. Both are single-goroutine state; their users hold their own
-// lock around them.
+// Determinism: one merge tree serves every scan (partition.go). Each
+// sample piece — each stratum, then the tail — folds into its own bank in
+// work units cut from the piece's row 0, and the banks merge in piece
+// order; units fan out across workers but merge in unit order. A replay of
+// the same view is therefore float-identical to the original run, and a
+// one-shot answer (RunToCompletion, GroupedRunToCompletion) is the final
+// increment of a progressive scan (EvalPrefix at SampleRows) bit for bit.
+// There is one carried state, the banks: ProgressiveScan carries them
+// across the increments of a stream, and CarriedFold (carried.go) across
+// appends — for standing subscriptions between notify batches and for
+// internal/core's scan memo between repeated one-shot queries. Both are
+// single-goroutine state; their users hold their own lock around them.
 package aqp

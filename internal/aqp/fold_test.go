@@ -7,35 +7,38 @@ import (
 	"testing"
 
 	"repro/internal/query"
+	"repro/internal/randx"
+	"repro/internal/storage"
 )
 
-// serialFold is the fold oracle: the batch-by-batch loop RunToCompletion
-// ran before the work units of all batches were scanned together — one
-// scan call per batch span, each merging its own units before the next
-// starts.
-func serialFold(v *View, snips []*query.Snippet) Increment {
-	accs := newAccs(v, snips)
-	for b := 0; b < v.Sample.Batches(); b++ {
-		start, end := v.Sample.BatchBounds(b)
-		for _, sp := range v.sampleSpans(start, end) {
-			scanVectorized(sp.tbl, accs, sp.lo, sp.hi)
+// bandTable is buildTable's relation plus a categorical "band" that is a
+// function of week (w0 … w3, a quarter of the week domain each). Stratified
+// on week, most strata hold a single band, so a discovery fold meets groups
+// that are missing from whole strata and groups first seen in a later one.
+func bandTable(t *testing.T, rows int, seed int64) *storage.Table {
+	t.Helper()
+	schema := storage.MustSchema([]storage.ColumnDef{
+		{Name: "week", Kind: storage.Numeric, Role: storage.Dimension},
+		{Name: "region", Kind: storage.Categorical, Role: storage.Dimension},
+		{Name: "band", Kind: storage.Categorical, Role: storage.Dimension},
+		{Name: "val", Kind: storage.Numeric, Role: storage.Measure},
+	})
+	tb := storage.NewTable("t", schema)
+	rng := randx.New(seed)
+	for i := 0; i < rows; i++ {
+		week := rng.Uniform(0, 100)
+		region := "a"
+		if rng.Bool(0.5) {
+			region = "b"
+		}
+		if err := tb.AppendRow([]storage.Value{
+			storage.Num(week), storage.Str(region), storage.Str(fmt.Sprintf("w%d", int(week)/25)),
+			storage.Num(10 + week + rng.Normal(0, 1)),
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return v.increment(accs, v.SampleRows)
-}
-
-// serialGroupedFold is serialFold for the discovery scan: each batch span's
-// units are scanned and merged before the next span's.
-func serialGroupedFold(v *View, spec *query.GroupedSpec) *GroupedResult {
-	gs := newDiscoverScan(spec)
-	f := newGroupedFold()
-	for b := 0; b < v.Sample.Batches(); b++ {
-		start, end := v.Sample.BatchBounds(b)
-		for _, sp := range v.sampleSpans(start, end) {
-			f.merge(gs, discoverUnits(gs, appendUnits(nil, sp.tbl, sp.lo, sp.hi)))
-		}
-	}
-	return f.result(v, gs, spec, query.DefaultNmax)
+	return tb
 }
 
 // requireSameBits compares two updates' estimates by Float64bits, so even
@@ -43,7 +46,7 @@ func serialGroupedFold(v *View, spec *query.GroupedSpec) *GroupedResult {
 func requireSameBits(t *testing.T, label string, got, want Increment) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Final != want.Final || len(got.Estimates) != len(want.Estimates) {
-		t.Fatalf("%s: shape (rows %d, final %v, %d cells) vs serial (rows %d, final %v, %d cells)", label,
+		t.Fatalf("%s: shape (rows %d, final %v, %d cells) vs oracle (rows %d, final %v, %d cells)", label,
 			got.Rows, got.Final, len(got.Estimates), want.Rows, want.Final, len(want.Estimates))
 	}
 	for i, w := range want.Estimates {
@@ -52,25 +55,28 @@ func requireSameBits(t *testing.T, label string, got, want Increment) {
 			math.Float64bits(g.Value) != math.Float64bits(w.Value) ||
 			math.Float64bits(g.StdErr) != math.Float64bits(w.StdErr) ||
 			math.Float64bits(g.PopErr) != math.Float64bits(w.PopErr) {
-			t.Fatalf("%s: cell %d is %v/%+v, serial fold %v/%+v", label, i, got.Valid[i], g, want.Valid[i], w)
+			t.Fatalf("%s: cell %d is %v/%+v, oracle %v/%+v", label, i, got.Valid[i], g, want.Valid[i], w)
 		}
 	}
 }
 
-// TestCrossBatchFoldMatchesSerial: scanning the units of every batch at
-// once and merging them in (batch, span, unit) order must reproduce the
-// serial batch-by-batch fold bit for bit — for one-shot folds and for
-// carried folds extended by 0, 1 and 3 complete batches (with a partial
-// tail throughout), on a flat and a 4-partition stratified layout, for a
-// flat snippet list, a statically grouped one and a discovery-grouped spec,
-// at GOMAXPROCS 1, 2 and 4.
-func TestCrossBatchFoldMatchesSerial(t *testing.T) {
-	const sql = "SELECT region, AVG(val), COUNT(*) FROM t WHERE week < 70 GROUP BY region"
+// TestCarriedFoldMatchesFresh: a fold carried across appends — extended
+// inside the tail's partial unit and across a unit boundary — must equal a
+// fresh one-shot fold of the grown sample and the per-snippet oracle
+// (perSnippetRunToCompletion) bit for bit, on a flat and a 4-partition
+// stratified layout, for a flat snippet list, a statically grouped one and
+// discovery-grouped specs (one grouping by a column the strata split), at
+// GOMAXPROCS 1, 2 and 4.
+func TestCarriedFoldMatchesFresh(t *testing.T) {
+	groupedSQL := []string{
+		"SELECT region, AVG(val), COUNT(*) FROM t WHERE week >= 5 AND week < 70 GROUP BY region",
+		"SELECT band, AVG(val), COUNT(*) FROM t GROUP BY band",
+	}
 	for _, parts := range []int{0, 4} {
 		for _, procs := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("parts=%d/procs=%d", parts, procs), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				tb := buildTable(t, 30001)
+				tb := bandTable(t, 10001, 7)
 				sample, err := BuildSample(tb, 1.0, 0, 21)
 				if err != nil {
 					t.Fatal(err)
@@ -80,28 +86,25 @@ func TestCrossBatchFoldMatchesSerial(t *testing.T) {
 					if err := e.SetSampleLayout(partitionedLayout(tb, parts)); err != nil {
 						t.Fatal(err)
 					}
+					if !codeMissingFromAStratum(e.Acquire(), "band") {
+						t.Fatal("fixture: every band appears in every stratum")
+					}
 				}
 				v := e.Acquire()
-				batch := v.Sample.BatchSize
-				if v.Sample.Batches() < 10 || v.SampleRows%batch == 0 {
-					t.Fatalf("fixture: %d rows in %d batches of %d, want many batches and a partial tail", v.SampleRows, v.Sample.Batches(), batch)
-				}
 				plans := map[string][]*query.Snippet{
 					"snippets":       progressiveSnips(t, tb),
-					"static-grouped": groupedSnips(t, v, tb, sql),
+					"static-grouped": groupedSnips(t, v, tb, groupedSQL[0]),
 				}
 				if factorAccs(freshAccsOf(plans["static-grouped"])) == nil {
 					t.Fatal("fixture: the grouped snippet list does not factor")
 				}
-				spec := groupedSpecFor(t, tb, sql)
 				carried := map[string]*CarriedFold{}
-				for name := range plans {
+				for _, name := range append([]string{"snippets", "static-grouped"}, groupedSQL...) {
 					carried[name] = NewCarriedFold(false)
 				}
-				gcarried := NewCarriedFold(false)
-				for i, add := range []int{0, 1, 3} {
+				for i, add := range []int{0, 1000, unitRows} {
 					if add > 0 {
-						if _, err := e.Append(appendBatch(t, add*batch, int64(60+i)), int64(i)); err != nil {
+						if _, err := e.Append(bandTable(t, add, int64(60+i)), int64(i)); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -111,27 +114,64 @@ func TestCrossBatchFoldMatchesSerial(t *testing.T) {
 						outcome = FoldFull
 					}
 					for name, snips := range plans {
-						label := fmt.Sprintf("+%d batches, %s", add, name)
-						want := serialFold(v, snips)
+						label := fmt.Sprintf("+%d rows, %s", add, name)
+						want := perSnippetRunToCompletion(v, snips)
 						requireSameBits(t, label+" one-shot", v.RunToCompletion(snips), want)
 						fr := carried[name].Run(v, snips, nil, 0)
-						requireOutcome(t, label+" carried", fr, v, outcome, (add+1)*batch)
+						requireOutcome(t, label+" carried", fr, v, outcome, add+unitRows)
 						requireSameBits(t, label+" carried", fr.Update, want)
 					}
-					label := fmt.Sprintf("+%d batches, discovery-grouped", add)
-					want := serialGroupedFold(v, spec)
-					gr := gcarried.Run(v, nil, spec, 0)
-					requireOutcome(t, label+" carried", gr, v, outcome, (add+1)*batch)
-					for _, got := range []*GroupedResult{v.GroupedRunToCompletion(spec, 0), gr.Grouped} {
-						if fmt.Sprint(got.Groups) != fmt.Sprint(want.Groups) || got.Truncated != want.Truncated {
-							t.Fatalf("%s: groups %v, serial fold %v", label, got.Groups, want.Groups)
+					for _, sql := range groupedSQL {
+						label := fmt.Sprintf("+%d rows, discovery %q", add, sql)
+						base := v.Base
+						wantGroups := groupRowsFor(t, v, base, sql)
+						want := perSnippetRunToCompletion(v, groupedSnips(t, v, base, sql))
+						gr := carried[sql].Run(v, nil, specFor(t, base, sql), 0)
+						requireOutcome(t, label+" carried", gr, v, outcome, add+unitRows)
+						for _, got := range []*GroupedResult{v.GroupedRunToCompletion(specFor(t, base, sql), 0), gr.Grouped} {
+							if fmt.Sprint(got.Groups) != fmt.Sprint(wantGroups) || got.Truncated {
+								t.Fatalf("%s: groups %v, two-pass %v", label, got.Groups, wantGroups)
+							}
+							requireSameBits(t, label, got.Update, want)
 						}
-						requireSameBits(t, label, got.Update, want.Update)
 					}
 				}
 			})
 		}
 	}
+}
+
+// codeMissingFromAStratum reports whether some code of the categorical
+// column name present in the strata of v's layout has no row in one of them.
+func codeMissingFromAStratum(v *View, name string) bool {
+	col, _ := v.Sample.Data.Schema().Lookup(name)
+	all := map[int32]bool{}
+	var per []map[int32]bool
+	for _, st := range v.Sample.Parts.StrataTables() {
+		seen := map[int32]bool{}
+		for _, c := range st.CodesCol(col)[:st.Rows()] {
+			seen[c], all[c] = true, true
+		}
+		per = append(per, seen)
+	}
+	for _, seen := range per {
+		if len(seen) < len(all) {
+			return true
+		}
+	}
+	return false
+}
+
+// groupRowsFor returns the groups a GroupRows pass finds for sql's GROUP BY
+// and WHERE on v.
+func groupRowsFor(t *testing.T, v *View, tb *storage.Table, sql string) [][]query.GroupValue {
+	t.Helper()
+	spec := specFor(t, tb, sql)
+	groups, err := v.GroupRows(spec.GroupCols, spec.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return groups
 }
 
 func freshAccsOf(snips []*query.Snippet) []*accumulator {

@@ -2,143 +2,146 @@ package aqp
 
 import "repro/internal/storage"
 
-// Scatter-gather over a partitioned sample. A global sample row range maps
-// onto per-stratum row ranges through the interleave index; every execution
-// path (one-shot, grouped, progressive, standing) walks the resulting spans
-// in fixed stratum order — strata first, the unpartitioned tail last — and
-// merges per-span moment state with the parallel-Welford operator. The scan
-// granule is the stratum, never the partition, so the floating-point merge
-// tree is a pure function of the layout and the scanned range: answers are
-// bit-identical for every partition count K (partition-count invariance)
-// and for serial replays of the same prefix.
+// The merge tree. A sample is a sequence of pieces — each stratum of a
+// partitioned layout in stratum order, then the unpartitioned tail; a flat
+// sample is the tail alone (Sample.Pieces). A global prefix [0, rows) maps
+// onto one prefix [0, target) per piece through the interleave index, and
+// every scan — one-shot, grouped, progressive, carried — folds it the same
+// way: each piece's prefix into its own bank, in work units cut from the
+// piece's row 0 (scan.go) and merged in unit order, then the banks into the
+// answer in piece order with the parallel-Welford operator. The scan
+// granule is the stratum, never the partition, so the tree is a pure
+// function of the layout and the prefix: answers are bit-identical for
+// every partition count K, every worker count, a replay of the same view,
+// and a fold carried across appends.
 
-// scanSpan is one contiguous per-table row range of a global scan range.
-type scanSpan struct {
-	tbl    *storage.Table
-	lo, hi int
-}
-
-// sampleSpans maps the global sample range [g0, g1) onto per-stratum spans
-// in stratum order, with the unpartitioned tail last. Empty spans are
-// omitted. For an unpartitioned sample the result is the single span
-// {Data, g0, g1}.
-func (v *View) sampleSpans(g0, g1 int) []scanSpan {
-	if g1 > v.SampleRows {
-		g1 = v.SampleRows
-	}
-	if g0 < 0 {
-		g0 = 0
-	}
-	if g1 <= g0 {
-		return nil
-	}
+// pieceTargets returns, per piece of v's sample, how many of its rows fall
+// inside the global prefix [0, rows).
+func (v *View) pieceTargets(rows int) []int {
 	parts := v.Sample.Parts
 	if parts == nil {
-		return []scanSpan{{v.Sample.Data, g0, g1}}
+		return []int{rows}
 	}
-	sr := parts.Rows()
-	var spans []scanSpan
-	if g0 < sr {
-		b := g1
-		if b > sr {
-			b = sr
+	return append(parts.PrefixCounts(rows, nil)[:parts.NumStrata()], max(rows-parts.Rows(), 0))
+}
+
+// bank is one piece's carried fold: the state S — a flat plan's
+// per-snippet moments, or a discovery fold's group masters — over the
+// piece's rows [0, folded).
+type bank[S any] struct {
+	state  S
+	folded int
+}
+
+// newBanks returns one zero-state bank per piece of v's sample.
+func newBanks[S any](v *View, zero func() S) []*bank[S] {
+	banks := make([]*bank[S], len(v.Sample.Pieces()))
+	for i := range banks {
+		banks[i] = &bank[S]{state: zero()}
+	}
+	return banks
+}
+
+// bankOps is what a fold pass needs of a state S: how to compute the unit
+// results P of a list of work units (in unit order), fold results into a
+// state, and copy a state.
+type bankOps[S, P any] struct {
+	scan  func(units []unit) []P
+	merge func(s S, parts []P)
+	clone func(s S) S
+}
+
+// foldBanks takes every bank to its piece's prefix [0, targets[b]) of
+// tbls[b] and returns each bank's state at exactly that prefix, plus the
+// rows it read. The units the banks have not folded yet are computed in one
+// fan-out across the workers, then merged bank by bank in unit order.
+// Complete units fold into the carried state, and so does the last, partial
+// unit of a stratum once the target reaches the stratum's end: a stratum
+// never changes within a generation. The partial last unit of the tail —
+// the piece appends grow — folds into a copy, so its carry stays
+// unit-aligned and a later pass re-covers the grown unit from its start.
+// Targets never fall behind a bank's folded rows.
+func foldBanks[S, P any](banks []*bank[S], tbls []*storage.Table, targets []int, ops bankOps[S, P]) (cur []S, scanned int) {
+	var units []unit
+	cuts := make([][3]int, len(banks)) // per bank: its units [lo, hi), the first carry of them
+	for b, bk := range banks {
+		t := targets[b]
+		lo := len(units)
+		cuts[b] = [3]int{lo, lo, lo}
+		if t <= bk.folded {
+			continue
 		}
-		c0 := parts.PrefixCounts(g0, nil)
-		c1 := parts.PrefixCounts(b, nil)
-		for s := 0; s < parts.NumStrata(); s++ {
-			if c1[s] > c0[s] {
-				spans = append(spans, scanSpan{parts.Stratum(s), c0[s], c1[s]})
+		scanned += t - bk.folded
+		carried := t - t%unitRows
+		if b < len(banks)-1 && t == tbls[b].Rows() {
+			carried = t
+		}
+		units = appendUnits(units, tbls[b], bk.folded, t)
+		cuts[b] = [3]int{lo, lo + (carried-bk.folded+unitRows-1)/unitRows, len(units)}
+		bk.folded = carried
+	}
+	parts := ops.scan(units)
+	cur = make([]S, len(banks))
+	for b, bk := range banks {
+		lo, carry, hi := cuts[b][0], cuts[b][1], cuts[b][2]
+		ops.merge(bk.state, parts[lo:carry])
+		cur[b] = bk.state
+		if hi > carry {
+			cur[b] = ops.clone(bk.state)
+			ops.merge(cur[b], parts[carry:hi])
+		}
+	}
+	return cur, scanned
+}
+
+// flatPass takes flat banks to their targets (pieceTargets of a prefix)
+// and merges their states, in piece order, into accs: zero-state
+// accumulators for the snippets metas and gs were compiled from. It returns
+// the rows read.
+func (v *View) flatPass(banks []*bank[[]*accumulator], accs []*accumulator, metas []snipMeta, gs *groupedScan, targets []int, workers int) int {
+	cur, scanned := foldBanks(banks, v.Sample.Pieces(), targets, bankOps[[]*accumulator, []partial]{
+		scan: func(units []unit) [][]partial { return scanUnits(metas, gs, units, workers) },
+		merge: func(s []*accumulator, parts [][]partial) {
+			for _, p := range parts {
+				merge(s, p)
 			}
+		},
+		clone: cloneAccs,
+	})
+	for b, s := range cur {
+		if targets[b] > 0 {
+			mergeAccs(accs, s)
 		}
 	}
-	if g1 > sr {
-		lo := g0 - sr
-		if lo < 0 {
-			lo = 0
+	return scanned
+}
+
+// flatBanks returns zero-state flat banks for n snippets. Bank accumulators
+// carry moments only: no snippet, so no table snapshot, is reachable from
+// them.
+func flatBanks(v *View, n int) []*bank[[]*accumulator] {
+	return newBanks(v, func() []*accumulator {
+		accs := make([]*accumulator, n)
+		for i := range accs {
+			accs[i] = &accumulator{}
 		}
-		spans = append(spans, scanSpan{v.Sample.Data, lo, g1 - sr})
-	}
-	return spans
-}
-
-// batchSpans appends the spans of the sample batches that cover the global
-// range [from, to) — batch by batch, each batch's spans in stratum order —
-// cutting batches at from + k·batch. That is the sequence of scan ranges a
-// batch-by-batch fold visits: RunToCompletion's for from = 0, a carried
-// fold's newly completed batches for from = its folded prefix.
-func (v *View) batchSpans(spans []scanSpan, from, to, batch int) []scanSpan {
-	for start := from; start < to; start += batch {
-		spans = append(spans, v.sampleSpans(start, min(start+batch, to))...)
-	}
-	return spans
-}
-
-// spanUnits cuts every span into its work units, in span order, and reports
-// how many units the first split spans produced.
-func spanUnits(spans []scanSpan, split int) (units []unit, cut int) {
-	for i, sp := range spans {
-		if i == split {
-			cut = len(units)
-		}
-		units = appendUnits(units, sp.tbl, sp.lo, sp.hi)
-	}
-	if split >= len(spans) {
-		cut = len(units)
-	}
-	return units, cut
-}
-
-// fold feeds spans into accs in order — bit-identical to one scanVectorized
-// call per span — except that the spans from split on fold into a clone of
-// accs taken after the others; it returns the accumulators that saw every
-// span (the clone, or accs when split ≥ len(spans)). A CarriedFold passes
-// its partial tail batch that way.
-//
-// A batch of a few thousand rows is a single work unit, so folding batch by
-// batch would run on one core. fold instead computes the units of every
-// span at once across the workers, then merges them span by span, unit by
-// unit: the merge sequence, hence every bit of the result, is the
-// batch-by-batch one.
-func (v *View) fold(accs []*accumulator, spans []scanSpan, split int) []*accumulator {
-	units, cut := spanUnits(spans, split)
-	parts := scanUnits(metaOf(accs), factorAccs(accs), units, 0)
-	for _, p := range parts[:cut] {
-		merge(accs, p)
-	}
-	if split >= len(spans) {
 		return accs
-	}
-	out := cloneAccs(accs)
-	for _, p := range parts[cut:] {
-		merge(out, p)
-	}
-	return out
+	})
 }
 
-// scanPrefix feeds the sample prefix [0, rows) into the accumulators with
-// the progressive-family fold shape: each span folds into a fresh
-// accumulator bank which then merges into accs, in span order — the exact
-// emission sequence ProgressiveScan uses, so EvalPrefix replays streamed
-// increments bit-for-bit.
-func (v *View) scanPrefix(accs []*accumulator, rows int) {
-	for _, sp := range v.sampleSpans(0, rows) {
-		bank := freshAccs(accs)
-		scanVectorized(sp.tbl, bank, sp.lo, sp.hi)
-		mergeAccs(accs, bank)
-	}
-}
-
-// freshAccs returns zero-state accumulators for the same snippets.
-func freshAccs(accs []*accumulator) []*accumulator {
+// cloneAccs deep-copies the accumulators (Moments is a value field, so a
+// struct copy suffices; the snippet pointer is shared).
+func cloneAccs(accs []*accumulator) []*accumulator {
 	out := make([]*accumulator, len(accs))
 	for i, a := range accs {
-		out[i] = &accumulator{sn: a.sn, baseRows: a.baseRows}
+		c := *a
+		out[i] = &c
 	}
 	return out
 }
 
 // mergeAccs folds src's moment state into dst without touching src — the
-// scatter-gather merge, applied in fixed span order.
+// scatter-gather merge, applied in fixed piece order.
 func mergeAccs(dst, src []*accumulator) {
 	for i := range dst {
 		dst[i].moments.Merge(src[i].moments)

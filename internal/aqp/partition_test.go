@@ -117,8 +117,8 @@ func runPartitioned(t *testing.T, parts int) *invarianceRecord {
 		}
 	}
 
-	// Carried folds across streamed appends: complete batches fold into
-	// carried state, the partial tail into clones — all span-aware. Asked
+	// Carried folds across streamed appends: complete units fold into the
+	// carried banks, the tail's partial unit into clones. Asked
 	// the same plan twice per view, as the scan memo asks it, the second Run
 	// answers without scanning; every answer is the one-shot one.
 	cf, gcf := NewCarriedFold(false), NewCarriedFold(false)
@@ -126,8 +126,8 @@ func runPartitioned(t *testing.T, parts int) *invarianceRecord {
 		label := "parts=" + itoa(parts) + " carried"
 		for _, want := range []FoldOutcome{first, FoldReused} {
 			fr, gr := cf.Run(v, snips, nil, 0), gcf.Run(v, nil, spec, 0)
-			requireOutcome(t, label+" flat", fr, v, want, delta+v.Sample.BatchSize)
-			requireOutcome(t, label+" grouped", gr, v, want, delta+v.Sample.BatchSize)
+			requireOutcome(t, label+" flat", fr, v, want, delta+unitRows)
+			requireOutcome(t, label+" grouped", gr, v, want, delta+unitRows)
 			requireEstimatesEqual(t, label+" flat", estimatesOf(fr.Update), estimatesOf(v.RunToCompletion(snips)))
 			requireEstimatesEqual(t, label+" grouped", estimatesOf(gr.Update), estimatesOf(v.GroupedRunToCompletion(spec, 0).Update))
 			rec.carried = append(rec.carried, estimatesOf(fr.Update), estimatesOf(gr.Update))
@@ -227,7 +227,7 @@ func globalOrder(ps *storage.PartitionedSample, colName string) (global []float6
 		}
 	}
 	for s := 0; s < ps.NumStrata(); s++ {
-		tbl := ps.Stratum(s)
+		tbl := ps.StrataTables()[s]
 		col, _ := tbl.Schema().Lookup(colName)
 		cols[s] = tbl.NumericCol(col)
 	}

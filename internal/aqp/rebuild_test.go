@@ -306,7 +306,7 @@ func TestRebuildClusteredLayout(t *testing.T) {
 	ps := e.Sample().Parts
 	var afterSorted []float64
 	for st := 0; st < ps.NumStrata(); st++ {
-		afterSorted = append(afterSorted, colValues(ps.Stratum(st), "week", -1)...)
+		afterSorted = append(afterSorted, colValues(ps.StrataTables()[st], "week", -1)...)
 	}
 	sort.Float64s(afterSorted)
 	if len(afterSorted) != len(beforeSorted) || e.Sample().Data.Rows() != 0 {
@@ -321,7 +321,7 @@ func TestRebuildClusteredLayout(t *testing.T) {
 	// Every block must span a narrow slice of the domain: 56 quantile
 	// strata of a uniform [0,100) column cover ≈ 100/56 ≈ 1.8 each.
 	for st := 0; st < ps.NumStrata(); st++ {
-		stratum := ps.Stratum(st)
+		stratum := ps.StrataTables()[st]
 		for b := 0; b < stratum.NumBlocks(); b++ {
 			if z := stratum.NumZone(weekCol, b); z.Max-z.Min > 5 {
 				t.Fatalf("stratum %d block %d spans %.1f of the domain; not clustered", st, b, z.Max-z.Min)

@@ -63,22 +63,6 @@ func metaOf(accs []*accumulator) []snipMeta {
 	return metas
 }
 
-// scanVectorized feeds rows [start, end) of data into every accumulator via
-// the block pipeline. The snippet list is first offered to FactorGroups: a
-// grouped-query shape runs the one-pass accumulator-bank kernel instead of
-// per-snippet region evaluation (float-identical by construction; see
-// scan_grouped.go).
-func scanVectorized(data *storage.Table, accs []*accumulator, start, end int) {
-	if end <= start || len(accs) == 0 {
-		return
-	}
-	// Merge per-unit partials in unit order: the merge tree depends only on
-	// the scanned range, not on scheduling or core count.
-	for _, p := range scanUnits(metaOf(accs), factorAccs(accs), appendUnits(nil, data, start, end), 0) {
-		merge(accs, p)
-	}
-}
-
 // unit is one work unit of a scan: blocks [b0, b1) of tbl, clipped to the
 // rows [start, end) of the range the unit was cut from.
 type unit struct {

@@ -24,9 +24,9 @@ import (
 //     snippet list through the same scanUnits/merge pipeline: each work
 //     unit expands its banks back into the per-snippet []partial layout, so
 //     unit ordering, progressive resumption and inference are untouched;
-//   - the discovery driver (scanRangeDiscover / GroupedRunToCompletion)
-//     allocates bank slots as rows reveal new code tuples, folding the old
-//     GroupRows rescan into the aggregation pass for one-shot executions.
+//   - the discovery driver (scanRangeDiscover, groupedFold) allocates bank
+//     slots as rows reveal new code tuples, folding the GroupRows rescan
+//     into the aggregation pass of one-shot and carried executions.
 //
 // Float-identity with the per-snippet path is by construction, not by
 // accident, and the argument is worth recording. Within a block the
@@ -41,7 +41,8 @@ import (
 // group's pre-discovery FREQ prefix is all zeros — a pure count — which one
 // AddZeros(rowsBefore) at first-sight reproduces bit-for-bit ({n,0,0} merged
 // with {k,0,0} is exactly {n+k,0,0}). The same consolidation argument makes
-// the cross-unit backfill (absent group in a finished unit) exact.
+// the cross-unit backfill (absent group in a finished unit) exact, and, one
+// level up, the cross-piece one (View.groupedPass).
 
 // famSlot is the resolved scan form of one snippet of the per-group family.
 type famSlot struct {
@@ -539,13 +540,12 @@ type GroupedResult struct {
 	Update Increment
 }
 
-// groupedFold is the carried cross-unit master state of a discovery scan:
-// the per-group master accumulators, the code-key lookup, and the running
+// groupedFold is the cross-unit master state of a discovery scan: the
+// per-group master accumulators, the code-key lookup, and the running
 // unit/row counters the first-sight and absent-group backfills depend on.
-// GroupedRunToCompletion drives a fresh fold over every batch; a grouped
-// CarriedFold carries one across appends and folds only new batches. Both
-// produce bit-identical results because both merge the same unit results in
-// the same (batch, span, unit) order.
+// One folds each piece's units as that piece's bank (carried across appends
+// by a grouped CarriedFold); a fresh one then merges the piece folds as
+// pseudo-units (View.groupedPass).
 type groupedFold struct {
 	masters []*groupMaster
 	lookup  map[uint64]int
@@ -599,9 +599,9 @@ func (f *groupedFold) merge(gs *groupedScan, parts []groupedUnit) {
 	}
 }
 
-// clone deep-copies the fold so a partial tail batch can fold into a
+// clone deep-copies the fold so a partial tail unit can fold into a
 // throwaway copy while the carried state stays pinned at the last complete
-// batch. Master codes are shared (immutable after discovery); moments and
+// unit. Master codes are shared (immutable after discovery); moments and
 // stamps are value-copied.
 func (f *groupedFold) clone() *groupedFold {
 	out := &groupedFold{
@@ -621,6 +621,16 @@ func (f *groupedFold) clone() *groupedFold {
 		out.masters[i] = c
 	}
 	return out
+}
+
+// pseudoUnit presents the fold as one unit result: every master's codes
+// and moments over the fold's rows.
+func (f *groupedFold) pseudoUnit() groupedUnit {
+	u := groupedUnit{scanned: f.scanned, groups: make([]groupedPartial, len(f.masters))}
+	for i, m := range f.masters {
+		u.groups[i] = groupedPartial{codes: m.codes, freq: m.freq, avg: m.avg}
+	}
+	return u
 }
 
 // result orders, truncates and estimates the folded masters into a
@@ -697,27 +707,41 @@ func (f *groupedFold) result(v *View, gs *groupedScan, spec *query.GroupedSpec, 
 
 // GroupedRunToCompletion executes a grouped query in one pass over the
 // sample: the discovery kernel aggregates and discovers groups block by
-// block, and per-unit bank results fold into master accumulators in unit
-// order — the same deterministic merge tree as the per-snippet scan, so the
-// estimates are bit-identical to decomposing after a GroupRows pass. The
-// scan cuts the sample batch by batch exactly like RunToCompletion, so unit
-// boundaries (and hence the float merge shape) match the legacy execution's
-// final batch state.
+// block, on the same merge tree as RunToCompletion, so the estimates are
+// bit-identical to decomposing after a GroupRows pass and folding the
+// snippets.
 func (v *View) GroupedRunToCompletion(spec *query.GroupedSpec, nmax int) *GroupedResult {
 	if v.stages != nil {
 		defer v.ObserveScan(obs.ModeOneShot, true, time.Now())
 	}
-	return v.groupedFoldAll(spec, nmax)
-}
-
-// groupedFoldAll is GroupedRunToCompletion without the stage observation.
-func (v *View) groupedFoldAll(spec *query.GroupedSpec, nmax int) *GroupedResult {
 	if nmax <= 0 {
 		nmax = query.DefaultNmax
 	}
+	res, _ := v.groupedPass(newBanks(v, newGroupedFold), spec, nmax)
+	return res
+}
+
+// groupedPass takes discovery banks to the whole sample — one discovery
+// fold per piece — and merges the piece folds, in piece order, into a fresh
+// fold, each piece entering as one pseudo-unit of its codes, moments and
+// rows. That merge's first-sight and absent-group backfills are the pure
+// counts the per-snippet banks of the other pieces hold, so the result is
+// the per-snippet piece-order merge bit for bit. It returns the rows read.
+func (v *View) groupedPass(banks []*bank[*groupedFold], spec *query.GroupedSpec, nmax int) (*GroupedResult, int) {
+	// Compiled against this spec each pass: the result's estimates must
+	// reference the caller's plan.
 	gs := newDiscoverScan(spec)
-	f := newGroupedFold()
-	units, _ := spanUnits(v.batchSpans(nil, 0, v.SampleRows, v.Sample.BatchSize), 0)
-	f.merge(gs, discoverUnits(gs, units))
-	return f.result(v, gs, spec, nmax)
+	targets := v.pieceTargets(v.SampleRows)
+	cur, scanned := foldBanks(banks, v.Sample.Pieces(), targets, bankOps[*groupedFold, groupedUnit]{
+		scan:  func(units []unit) []groupedUnit { return discoverUnits(gs, units) },
+		merge: func(f *groupedFold, parts []groupedUnit) { f.merge(gs, parts) },
+		clone: (*groupedFold).clone,
+	})
+	emit := newGroupedFold()
+	for b, f := range cur {
+		if targets[b] > 0 {
+			emit.merge(gs, []groupedUnit{f.pseudoUnit()})
+		}
+	}
+	return emit.result(v, gs, spec, nmax), scanned
 }

@@ -91,36 +91,40 @@ var groupedEquivalenceSQL = []string{
 	"SELECT cat, AVG(val * val) FROM t GROUP BY cat", // compound measure
 }
 
-// TestGroupedScanMatchesPerSnippet: the one-scan grouped path must be
-// FLOAT-IDENTICAL (bit-equal estimates, not merely close) to the per-snippet
-// reference fold, on clustered and shuffled layouts — the factored kernel
-// replays the exact same moment-update sequence per snippet.
+// TestGroupedScanMatchesPerSnippet: the one-scan grouped paths — the
+// static kernel over a decomposed snippet list and the discovery scan —
+// must be FLOAT-IDENTICAL (bit-equal estimates, not merely close) to the
+// per-snippet reference fold, on clustered, shuffled and stratified
+// layouts. The stratified one has 400 groups over 56 strata, so groups are
+// missing from whole strata and first seen in a later one: the discovery
+// scan's per-piece backfills.
 func TestGroupedScanMatchesPerSnippet(t *testing.T) {
-	for _, clustered := range []bool{true, false} {
-		layout := "clustered"
-		if !clustered {
-			layout = "shuffled"
-		}
+	for _, layout := range []string{"clustered", "shuffled", "stratified"} {
 		t.Run(layout, func(t *testing.T) {
-			tb := buildGroupedTable(t, 3*storage.BlockSize+777, 12, clustered)
+			groups := 12
+			if layout == "stratified" {
+				groups = 400
+			}
+			tb := buildGroupedTable(t, 3*storage.BlockSize+777, groups, layout == "clustered")
 			sample, err := BuildSample(tb, 0.9, 0, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gv := NewEngine(tb, sample, CachedCost).Acquire()
+			e := NewEngine(tb, sample, CachedCost)
+			if layout == "stratified" {
+				if err := e.SetSampleLayout(partitionedLayout(tb, 4)); err != nil {
+					t.Fatal(err)
+				}
+				if !codeMissingFromAStratum(e.Acquire(), "cat") {
+					t.Fatal("fixture: every group appears in every stratum")
+				}
+			}
+			gv := e.Acquire()
 			for _, sql := range groupedEquivalenceSQL {
 				snips := groupedSnips(t, gv, tb, sql)
-				ug := gv.RunToCompletion(snips)
 				up := perSnippetRunToCompletion(gv, snips)
-				if ug.Rows != up.Rows {
-					t.Fatalf("%s: rows %d vs %d", sql, ug.Rows, up.Rows)
-				}
-				for i := range snips {
-					if ug.Valid[i] != up.Valid[i] || ug.Estimates[i] != up.Estimates[i] {
-						t.Fatalf("%s snippet %d: grouped %v/%+v, per-snippet %v/%+v",
-							sql, i, ug.Valid[i], ug.Estimates[i], up.Valid[i], up.Estimates[i])
-					}
-				}
+				requireSameBits(t, sql+" static", gv.RunToCompletion(snips), up)
+				requireSameBits(t, sql+" discovery", gv.GroupedRunToCompletion(specFor(t, tb, sql), 0).Update, up)
 			}
 		})
 	}

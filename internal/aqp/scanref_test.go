@@ -69,30 +69,31 @@ func scanRows(data *storage.Table, accs []*accumulator, start, end int) {
 }
 
 // rowRunToCompletion is v.RunToCompletion(snips) under the row reference:
-// the same batch spans in the same order, each folded row by row.
+// every piece of the sample in piece order, each folded row by row.
 func rowRunToCompletion(v *View, snips []*query.Snippet) Increment {
-	if v.Sample.Batches() == 0 {
-		return Increment{}
-	}
 	accs := newAccs(v, snips)
-	for _, sp := range v.batchSpans(nil, 0, v.SampleRows, v.Sample.BatchSize) {
-		scanRows(sp.tbl, accs, sp.lo, sp.hi)
+	for _, tbl := range v.Sample.Pieces() {
+		scanRows(tbl, accs, 0, tbl.Rows())
 	}
 	return v.increment(accs, v.SampleRows)
 }
 
-// perSnippetRunToCompletion is v.RunToCompletion(snips) with grouped
-// factoring off: the same units merged in the same order, every snippet
-// evaluating its own region per block (gs = nil).
+// perSnippetRunToCompletion is v.RunToCompletion(snips) written without
+// banks and with grouped factoring off: each piece folded on its own, every
+// snippet evaluating its own region per block (gs = nil), units merged in
+// order, then the pieces merged in piece order — the merge tree every scan
+// must reproduce.
 func perSnippetRunToCompletion(v *View, snips []*query.Snippet) Increment {
-	if v.Sample.Batches() == 0 {
-		return Increment{}
-	}
 	accs := newAccs(v, snips)
-	spans := v.batchSpans(nil, 0, v.SampleRows, v.Sample.BatchSize)
-	units, _ := spanUnits(spans, len(spans))
-	for _, p := range scanUnits(metaOf(accs), nil, units, 0) {
-		merge(accs, p)
+	for _, tbl := range v.Sample.Pieces() {
+		if tbl.Rows() == 0 {
+			continue
+		}
+		bank := newAccs(v, snips)
+		for _, p := range scanUnits(metaOf(bank), nil, appendUnits(nil, tbl, 0, tbl.Rows()), 0) {
+			merge(bank, p)
+		}
+		mergeAccs(accs, bank)
 	}
 	return v.increment(accs, v.SampleRows)
 }

@@ -66,20 +66,14 @@ func (v *View) ObserveScan(mode string, grouped bool, start time.Time) {
 // given rows under the view's cost model — an Increment's SimTime.
 func (v *View) QueryTime(rows int) time.Duration { return v.cost.QueryTime(rows) }
 
-// RunToCompletion consumes the whole sample and returns the final increment.
+// RunToCompletion consumes the whole sample and returns the final
+// increment: EvalPrefix at SampleRows, the last increment a progressive scan
+// of the view emits.
 func (v *View) RunToCompletion(snips []*query.Snippet) Increment {
 	if v.stages != nil {
 		defer v.ObserveScan(obs.ModeOneShot, false, time.Now())
 	}
-	return v.foldAll(snips)
-}
-
-// foldAll is RunToCompletion without the stage observation: the sample's
-// batches folded in order, all at once. An empty sample yields one invalid
-// estimate per snippet.
-func (v *View) foldAll(snips []*query.Snippet) Increment {
-	spans := v.batchSpans(nil, 0, v.SampleRows, v.Sample.BatchSize)
-	return v.increment(v.fold(newAccs(v, snips), spans, len(spans)), v.SampleRows)
+	return v.EvalPrefix(snips, v.SampleRows)
 }
 
 // newAccs returns one zero-state accumulator per snippet, as the view's
@@ -125,9 +119,11 @@ func (v *View) Exact(sn *query.Snippet) float64 {
 	if v.Base.Rows() == 0 {
 		return 0
 	}
-	acc := &accumulator{sn: sn}
-	scanVectorized(v.Base, []*accumulator{acc}, 0, v.Base.Rows())
-	return acc.moments.Mean()
+	accs := []*accumulator{{sn: sn}}
+	for _, p := range scanUnits(metaOf(accs), nil, appendUnits(nil, v.Base, 0, v.Base.Rows()), 0) {
+		merge(accs, p)
+	}
+	return accs[0].moments.Mean()
 }
 
 // GroupRows discovers the distinct group values of a grouped statement by
@@ -139,9 +135,8 @@ func (v *View) GroupRows(groupCols []int, region *query.Region) ([][]query.Group
 	}
 	seen := map[string][]query.GroupValue{}
 	var keys []string
-	for _, sp := range v.sampleSpans(0, v.SampleRows) {
-		t := sp.tbl
-		for row := sp.lo; row < sp.hi; row++ {
+	for _, t := range v.Sample.Pieces() {
+		for row := 0; row < t.Rows(); row++ {
 			if region != nil && !region.Matches(t, row) {
 				continue
 			}

@@ -50,7 +50,7 @@
 // fold its statement's last execution left behind (aqp.CarriedFold, keyed
 // by trimmed SQL, at most scanMemoCap statements, least recently asked
 // evicted): nothing is scanned when the sample has not changed, only the
-// appended rows when it has grown, everything after a rebuild or when a
+// appended rows and the tail's partial work unit when it has grown, everything after a rebuild or when a
 // domain-clipped bound moved. A progressive stream looks up the same entry
 // and re-emits the raw increments an earlier stream stored for the same
 // snapshot and snippet keys, scanning only the prefixes not stored. The

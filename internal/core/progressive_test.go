@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/query"
 )
 
 func relDiff(a, b float64) float64 {
@@ -86,11 +88,8 @@ func TestExecuteProgressiveIncrementsReplay(t *testing.T) {
 
 // TestExecuteProgressiveFinalMatchesExecute: increments follow the doubling
 // schedule, rows strictly increase, and the final increment covers the
-// sample. The final raw answer agrees with Execute's on an identical fresh
-// system to floating-point noise — not bit-for-bit, because Execute's
-// RunToCompletion folds the sample in BatchSize scans while the progressive
-// path folds one prefix (bit-exact replay is EvalPrefix's contract, covered
-// by TestExecuteProgressiveIncrementsReplay).
+// sample. The final raw answer is Execute's on an identical fresh system,
+// bit for bit: both fold the one merge tree.
 func TestExecuteProgressiveFinalMatchesExecute(t *testing.T) {
 	sql := "SELECT AVG(revenue) FROM sales WHERE week < 30"
 	a := systemFixture(t, 20000, 0.25)
@@ -109,8 +108,8 @@ func TestExecuteProgressiveFinalMatchesExecute(t *testing.T) {
 	}
 	final := got[len(got)-1].res
 	fc, wc := final.Rows[0].Cells[0].Raw, want.Rows[0].Cells[0].Raw
-	if relDiff(fc.Value, wc.Value) > 1e-9 || relDiff(fc.StdErr, wc.StdErr) > 1e-6 {
-		t.Fatalf("final raw %+v far from Execute raw %+v", fc, wc)
+	if !sameEstimateBits(fc, wc) {
+		t.Fatalf("final raw %+v, Execute raw %+v", fc, wc)
 	}
 	// Full-stream completion records into the synopsis like Execute does.
 	if a.Verdict().SnippetCount() == 0 {
@@ -119,6 +118,90 @@ func TestExecuteProgressiveFinalMatchesExecute(t *testing.T) {
 	st := a.StatsSnapshot()
 	if st.Progressive != 1 || st.Increments != len(got) || st.Total != 1 {
 		t.Fatalf("stats %+v after %d increments", st, len(got))
+	}
+}
+
+// sameEstimateBits compares two estimates by Float64bits.
+func sameEstimateBits(a, b query.ScalarEstimate) bool {
+	return sameBits(a.Value, b.Value) && sameBits(a.StdErr, b.StdErr) && sameBits(a.PopErr, b.PopErr)
+}
+
+// requireRawBits requires two results to have the same groups and raw
+// cells, bit for bit.
+func requireRawBits(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got.Rows), len(want.Rows))
+	}
+	for i, w := range want.Rows {
+		g := got.Rows[i]
+		if fmt.Sprint(g.Group) != fmt.Sprint(w.Group) || len(g.Cells) != len(w.Cells) {
+			t.Fatalf("%s row %d: group %v with %d cells, want %v with %d", label, i, g.Group, len(g.Cells), w.Group, len(w.Cells))
+		}
+		for j := range w.Cells {
+			if !sameEstimateBits(g.Cells[j].Raw, w.Cells[j].Raw) {
+				t.Fatalf("%s row %d cell %d: raw %+v, want %+v", label, i, j, g.Cells[j].Raw, w.Cells[j].Raw)
+			}
+		}
+	}
+}
+
+// TestQueryEqualsFinalStreamIncrement: a one-shot answer and the final
+// increment of a stream on the same view fold the sample along one merge
+// tree, so their raw cells are equal bit for bit — replayed (ExecuteView
+// against ExecuteViewPrefix at SampleRows) and served (Execute through the
+// scan memo against ExecuteProgressive's Final increment), for a flat and
+// a grouped statement, on a flat and a 4-partition layout, before and after
+// an append, and across a rebuild.
+func TestQueryEqualsFinalStreamIncrement(t *testing.T) {
+	stmts := []string{
+		"SELECT AVG(revenue), COUNT(*) FROM sales WHERE week BETWEEN 5 AND 40",
+		"SELECT region, AVG(revenue), SUM(revenue) FROM sales WHERE week BETWEEN 5 AND 45 GROUP BY region",
+	}
+	for _, cfg := range []Config{{}, {NumPartitions: 4, StratumColumn: "week"}} {
+		t.Run(fmt.Sprintf("parts=%d", cfg.NumPartitions), func(t *testing.T) {
+			sys := memoFixture(t, cfg)
+			check := func(step string) {
+				t.Helper()
+				view := sys.Engine().Acquire()
+				for _, sql := range stmts {
+					label := step + ": " + sql
+					oneShot, err := sys.ExecuteView(view, sql)
+					if err != nil {
+						t.Fatal(err)
+					}
+					final, err := sys.ExecuteViewPrefix(view, sql, view.SampleRows)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireRawBits(t, label+" (replays)", final, oneShot)
+					served, err := sys.Execute(sql)
+					if err != nil {
+						t.Fatal(err)
+					}
+					stream := collectProgressive(t, sys, sql, ProgressiveOptions{})
+					streamed := stream[len(stream)-1].res
+					for _, res := range []*Result{served, streamed} {
+						if res.SampleGen != view.SampleGen || res.SampleRows != view.SampleRows {
+							t.Fatalf("%s: served from (%d, %d), pinned (%d, %d)", label, res.SampleGen, res.SampleRows, view.SampleGen, view.SampleRows)
+						}
+					}
+					requireRawBits(t, label+" (served)", streamed, served)
+					requireRawBits(t, label+" (served vs replay)", served, oneShot)
+				}
+			}
+			check("boot")
+			if _, err := sys.Append(memoBatch(t, 1200, 9, 5, 45, []string{"east", "west"})); err != nil {
+				t.Fatal(err)
+			}
+			check("after an append")
+			sys.RebuildSample()
+			check("after a rebuild")
+			if _, err := sys.Append(memoBatch(t, 900, 10, 5, 45, []string{"east", "west"})); err != nil {
+				t.Fatal(err)
+			}
+			check("after a rebuild and an append")
+		})
 	}
 }
 

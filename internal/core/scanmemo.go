@@ -13,9 +13,10 @@ import (
 // query (Execute, ExecuteWithExact) looks its trimmed SQL up here and runs
 // its scan stage through the entry's aqp.CarriedFold, which returns the
 // last answer when the view is the same snapshot, folds only the appended
-// rows when the sample has grown, and folds everything — replacing what it
-// carried — when the generation, the bound regions or the grouped spec
-// moved. The fold is bit-identical to the reference scan in every case, so
+// rows and the tail's partial work unit when the sample has grown, and folds
+// everything — replacing what it carried — when the generation, the bound
+// regions or the grouped spec moved. The fold is bit-identical to the
+// reference scan, and to a stream's final increment, in every case, so
 // a served raw cell stays a pure function of (SampleGen, BaseRows,
 // SampleRows, sql).
 //

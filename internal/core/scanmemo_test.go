@@ -12,6 +12,10 @@ import (
 	"repro/internal/storage"
 )
 
+// unitRows is the row span of aqp's work unit (16 storage blocks): the tail
+// of a carried fold keeps its complete units and re-covers the partial one.
+const unitRows = 16 * storage.BlockSize
+
 // memoFixture builds a System over a sales relation with a third,
 // low-cardinality numeric dimension (tier): GROUP BY region takes the
 // one-pass discovery fold, GROUP BY tier the flat per-group snippet list,
@@ -202,17 +206,16 @@ func runMemoSequence(t *testing.T, cfg Config, seed int64, ops int, flood bool) 
 		if !ok {
 			t.Fatalf("%s: memo counters (reused, extended, folded) moved by %v, want one of %v", what, delta, want)
 		}
-		batch := view.Sample.BatchSize
 		switch got {
 		case aqp.FoldReused:
 			ok = rows == 0
 		case aqp.FoldExtended:
-			ok = rows <= view.SampleRows-int(st.at[2])+batch
+			ok = rows <= view.SampleRows-int(st.at[2])+unitRows
 		default:
 			ok = rows == view.SampleRows
 		}
 		if !ok {
-			t.Fatalf("%s: %v folded %d rows (sample %d, batch %d, last asked at %d)", what, got, rows, view.SampleRows, batch, st.at[2])
+			t.Fatalf("%s: %v folded %d rows (sample %d, last asked at %d)", what, got, rows, view.SampleRows, st.at[2])
 		}
 	}
 	// query asks st on the current view with the outcome its history implies.
@@ -329,15 +332,17 @@ func runMemoSequence(t *testing.T, cfg Config, seed int64, ops int, flood bool) 
 			st := pool[rng.Intn(4)]
 			query(label("stale, current first", i), st)
 			cur := eng.Acquire()
-			complete := cur.SampleRows - cur.SampleRows%cur.Sample.BatchSize
+			// The carried prefix: every row but the tail's partial unit.
+			carried := cur.SampleRows - cur.Sample.Data.Rows()%unitRows
 			switch {
 			case viewTriple(boot) == viewTriple(cur):
 				ask(label("stale (nothing moved)", i), st, boot, aqp.FoldReused)
-			case boot.SampleGen < cur.SampleGen || boot.SampleRows < complete:
+			case boot.SampleGen < cur.SampleGen || boot.SampleRows < carried:
 				ask(label("stale, behind", i), st, boot, aqp.FoldFull)
 				query(label("stale, current again", i), st) // the entry was left alone
 			default:
-				// Not a whole batch ahead yet: the boot view re-folds the tail.
+				// At or past the carried prefix: the boot view re-folds its
+				// tail from the banks.
 				st.at = viewTriple(cur)
 				ask(label("stale, same prefix", i), st, boot, aqp.FoldExtended)
 				st.at = viewTriple(boot)

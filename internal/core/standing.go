@@ -18,7 +18,7 @@ import (
 // rebuild or a training pass changes the answer materially. The economics
 // are shared-scan: standing plans are deduplicated by their (trimmed) SQL
 // text, every notify batch runs ONE incremental pass per unique plan — the
-// plan's aqp.CarriedFold, whose accumulators (per snippet, or per group with
+// plan's aqp.CarriedFold, whose banks (per snippet, or per group with
 // incremental group discovery) extend across appends — and the result fans
 // out through a notify.Hub to any number of subscribers, each behind a
 // bounded coalescing queue with its own push threshold and debounce.
@@ -31,8 +31,8 @@ import (
 //
 //	sys.ExecuteView(engine.ViewAtGen(SampleGen, BaseRows, SampleRows), sql)
 //
-// because the carried fold replays the exact batch merge tree of the
-// one-shot execution (see aqp.CarriedFold) and inference runs against the
+// because the carried fold folds the one merge tree every scan folds (see
+// aqp.CarriedFold) and inference runs against the
 // same published model states the replay will read — notify passes run
 // after the mutation's model updates publish and record nothing themselves,
 // and the plan's carried covariance memo (planInfer) is signature-guarded to

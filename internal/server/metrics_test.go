@@ -565,6 +565,9 @@ func TestErrorEnvelope(t *testing.T) {
 		{"query unknown field", http.MethodPost, "/query", `{"sql":"SELECT COUNT(*) FROM sales","budget":5}`, http.StatusBadRequest, "bad_request"},
 		{"stream unknown field", http.MethodPost, "/query/stream", `{"sql":"SELECT COUNT(*) FROM sales","target_ci":0.02,"target_relativ":true}`, http.StatusBadRequest, "bad_request"},
 		{"subscribe unknown field", http.MethodPost, "/subscribe", `{"sql":"SELECT COUNT(*) FROM sales","debounce":50}`, http.StatusBadRequest, "bad_request"},
+		// One JSON value per body: a second one, even a truncated one, is
+		// not ignored after the first has been read.
+		{"query trailing content", http.MethodPost, "/query", `{"sql":"SELECT COUNT(*) FROM sales"} {"sql":"garbage"`, http.StatusBadRequest, "bad_request"},
 		{"unknown path", http.MethodGet, "/nope", "", http.StatusNotFound, "not_found"},
 	}
 	for _, tc := range cases {

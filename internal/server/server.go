@@ -873,8 +873,10 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
-	// Write-then-rename: concurrent saves to the same name race only on the
-	// atomic rename, never interleave bytes in the target file.
+	// Write, sync, rename, sync the directory: concurrent saves to the same
+	// name race only on the atomic rename, never interleave bytes in the
+	// target file, and a 200 means the file's bytes and its name are both on
+	// stable storage, so a crash after it leaves the snapshot loadable.
 	tmp, err := os.CreateTemp(s.cfg.SnapshotDir, "."+req.Path+".tmp-*")
 	if err != nil {
 		writeErr(w, r, http.StatusInternalServerError, err)
@@ -882,17 +884,37 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	}
 	defer os.Remove(tmp.Name())
 	err = s.sys.SaveSynopsis(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
 		err = os.Rename(tmp.Name(), path)
 	}
+	if err == nil {
+		err = syncDir(s.cfg.SnapshotDir)
+	}
 	if err != nil {
 		writeErr(w, r, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, SnapshotResponse{Path: req.Path, Snippets: s.sys.Verdict().SnippetCount()})
+}
+
+// syncDir flushes a directory's entries — a rename into it — to stable
+// storage.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
@@ -922,8 +944,9 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 
 // readJSON decodes a POST body into dst strictly: a field the request type
 // does not have — a misspelled optional field would otherwise run the
-// request with its default — is a 400. An empty body reads as {}; each
-// handler rejects a missing required field itself.
+// request with its default — is a 400, and so is anything after the one
+// JSON value but white space. An empty body reads as {}; each handler
+// rejects a missing required field itself.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	if r.Method != http.MethodPost {
 		writeErr(w, r, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
@@ -933,7 +956,13 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool 
 	// once a multi-GB payload has already been parsed.
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil && !errors.Is(err, io.EOF) {
+	err := dec.Decode(dst)
+	if err == nil {
+		if _, terr := dec.Token(); !errors.Is(terr, io.EOF) {
+			err = fmt.Errorf("content after the request object (%v)", terr)
+		}
+	}
+	if err != nil && !errors.Is(err, io.EOF) {
 		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return false
 	}

@@ -149,9 +149,6 @@ func (ps *PartitionedSample) Rows() int { return ps.rows }
 // NumStrata returns the number of micro-strata.
 func (ps *PartitionedSample) NumStrata() int { return len(ps.strata) }
 
-// Stratum returns stratum s as a frozen table.
-func (ps *PartitionedSample) Stratum(s int) *Table { return ps.strata[s] }
-
 // StrataTables returns the strata in stratum order (a fresh slice).
 func (ps *PartitionedSample) StrataTables() []*Table {
 	return append([]*Table(nil), ps.strata...)
