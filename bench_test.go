@@ -492,11 +492,12 @@ func BenchmarkSynopsisRecord(b *testing.B) {
 // BenchmarkRepeatedQuery measures what the scan memo buys a recorded
 // one-shot query, for a flat and a GROUP BY statement: asked again on an
 // unchanged sample (nothing is scanned), asked again after a 500-row append
-// (only the partial tail batch is folded, at most one BatchSize plus the
-// batch's sampled rows), and never asked before (the full sample). The
-// rows-scanned/op metric is read off SystemStats.ScanMemoRows and is the
-// number to compare against the engine's 10 000-row sample and 500-row
-// batches; ns/op also carries parse, plan, inference and record.
+// (the tail's partial work unit is folded again: here the whole sample,
+// which is below one 65 536-row unit, and the rows appended so far), and
+// never asked before (the full sample). The rows-scanned/op metric is read
+// off SystemStats.ScanMemoRows and is the number to compare against the
+// engine's 10 000-row sample and 500-row batches; ns/op also carries parse,
+// plan, inference and record.
 func BenchmarkRepeatedQuery(b *testing.B) {
 	batches := make([]*storage.Table, 8)
 	for i := range batches {
@@ -554,13 +555,15 @@ func BenchmarkRepeatedQuery(b *testing.B) {
 
 // BenchmarkRepeatedStream measures what the scan memo buys a progressive
 // stream on the default schedule, run to the end of a 100 000-row sample
-// (6 increments: 4096 … 65 536, then the whole sample): the same statement
-// streamed again on an unchanged sample re-emits the stored increments and
-// scans nothing, while a statement never streamed before scans every
-// prefix — about 161 000 rows, since each increment below the 65 536-row
-// work unit re-covers its tail from row 0. one-shot asks the first-sight
-// statements through Execute instead, the 100 000-row cost the stream's
-// increments are paid against. rows-scanned/op is read off
+// (6 increments: 4096 … 65 536, then the whole sample), for a flat and a
+// GROUP BY statement: the same statement streamed again on an unchanged
+// sample re-emits the stored increments and scans nothing, while a
+// statement never streamed before scans every prefix — about 161 000 rows,
+// since each increment below the 65 536-row work unit re-covers its tail
+// from row 0 (a grouped stream also folds the whole sample once for its
+// answer set, which the memo counter does not see). one-shot asks the
+// first-sight statements through Execute instead, the 100 000-row cost the
+// stream's increments are paid against. rows-scanned/op is read off
 // SystemStats.ScanMemoRows; first-increment-ns/op is the wait for a
 // stream's first increment; ns/op also carries parse, plan, inference per
 // increment and the final record.
@@ -569,8 +572,14 @@ func BenchmarkRepeatedStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const repeat = "SELECT AVG(amount), COUNT(*) FROM events WHERE event_date BETWEEN 30 AND 90"
-	const unique = "SELECT AVG(amount), COUNT(*) FROM events WHERE event_date BETWEEN %d AND %d.5"
+	shapes := []struct{ name, repeat, unique string }{
+		{"ungrouped",
+			"SELECT AVG(amount), COUNT(*) FROM events WHERE event_date BETWEEN 30 AND 90",
+			"SELECT AVG(amount), COUNT(*) FROM events WHERE event_date BETWEEN %d AND %d.5"},
+		{"grouped",
+			"SELECT channel, AVG(amount), COUNT(*) FROM events WHERE event_date BETWEEN 30 AND 90 GROUP BY channel",
+			"SELECT channel, AVG(amount), COUNT(*) FROM events WHERE event_date BETWEEN %d AND %d.5 GROUP BY channel"},
+	}
 	stream := func(sys *core.System, sql string) (first time.Duration) {
 		start := time.Now()
 		if _, err := sys.ExecuteProgressive(context.Background(), sql, core.ProgressiveOptions{},
@@ -584,35 +593,37 @@ func BenchmarkRepeatedStream(b *testing.B) {
 		}
 		return first
 	}
-	for _, mode := range []string{"repeat", "first-sight", "one-shot"} {
-		b.Run(mode, func(b *testing.B) {
-			sample, err := aqp.BuildSample(tb, 0.5, 0, 6)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sys := core.NewSystem(aqp.NewEngine(tb, sample, aqp.CachedCost), core.Config{SynopsisCap: 64})
-			stream(sys, repeat)
-			before := sys.StatsSnapshot().ScanMemoRows
-			var first time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sql := repeat
-				if mode != "repeat" {
-					sql = fmt.Sprintf(unique, i%60, 61+i/60)
+	for _, shape := range shapes {
+		for _, mode := range []string{"repeat", "first-sight", "one-shot"} {
+			b.Run(shape.name+"/"+mode, func(b *testing.B) {
+				sample, err := aqp.BuildSample(tb, 0.5, 0, 6)
+				if err != nil {
+					b.Fatal(err)
 				}
-				if mode == "one-shot" {
-					if _, err := sys.Execute(sql); err != nil {
-						b.Fatal(err)
+				sys := core.NewSystem(aqp.NewEngine(tb, sample, aqp.CachedCost), core.Config{SynopsisCap: 64})
+				stream(sys, shape.repeat)
+				before := sys.StatsSnapshot().ScanMemoRows
+				var first time.Duration
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sql := shape.repeat
+					if mode != "repeat" {
+						sql = fmt.Sprintf(shape.unique, i%60, 61+i/60)
 					}
-					continue
+					if mode == "one-shot" {
+						if _, err := sys.Execute(sql); err != nil {
+							b.Fatal(err)
+						}
+						continue
+					}
+					first += stream(sys, sql)
 				}
-				first += stream(sys, sql)
-			}
-			b.ReportMetric(float64(sys.StatsSnapshot().ScanMemoRows-before)/float64(b.N), "rows-scanned/op")
-			if mode != "one-shot" {
-				b.ReportMetric(float64(first.Nanoseconds())/float64(b.N), "first-increment-ns/op")
-			}
-		})
+				b.ReportMetric(float64(sys.StatsSnapshot().ScanMemoRows-before)/float64(b.N), "rows-scanned/op")
+				if mode != "one-shot" {
+					b.ReportMetric(float64(first.Nanoseconds())/float64(b.N), "first-increment-ns/op")
+				}
+			})
+		}
 	}
 }
 

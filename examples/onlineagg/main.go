@@ -109,14 +109,14 @@ func main() {
 	}
 
 	// A dropped stream is not a restart: re-entering the scan at the last
-	// received cursor folds the consumed prefix once (ProgressiveFrom), and
+	// received cursor folds the consumed prefix once (ProgressiveScan.From), and
 	// every later increment is bit-identical to the uninterrupted stream's
 	// — exactly how /query/stream resumes a POSTed cursor.
 	view := engine.Acquire()
 	sched := aqp.PrefixSchedule(view.SampleRows, 1024)
 	const cut = 2 // increments received before the simulated disconnect
 	full := view.Progressive(snips)
-	resumed := view.ProgressiveFrom(snips, sched[cut-1], cut-1, 0)
+	resumed := view.Progressive(snips).From(sched[cut-1], cut-1, 0)
 	identical := true
 	for i, prefix := range sched {
 		a := full.Step(prefix)

@@ -149,7 +149,7 @@ func (c *CarriedFold) Run(v *View, snips []*query.Snippet, spec *query.GroupedSp
 		res.Update = res.Grouped.Update
 	} else {
 		accs := newAccs(v, snips)
-		res.Scanned = v.flatPass(flat, accs, metaOf(accs), factorAccs(accs), v.pieceTargets(v.SampleRows), 0)
+		res.Scanned = v.flatPass(flat, accs, metaOf(accs), v.pieceTargets(v.SampleRows), 0)
 		res.Update = v.increment(accs, v.SampleRows)
 	}
 	if !behind {

@@ -42,7 +42,8 @@ func (c CostModel) RowsWithin(budget time.Duration) int {
 		return 0
 	}
 	rows := avail.Seconds() * c.RowsPerSecond / c.effectiveFactor()
-	return int(rows)
+	// A budget past any sample reads it all; keep the conversion in range.
+	return int(min(rows, 1<<62))
 }
 
 func (c CostModel) effectiveFactor() float64 {

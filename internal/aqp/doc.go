@@ -46,8 +46,10 @@
 // the same view is therefore float-identical to the original run, and a
 // one-shot answer (RunToCompletion, GroupedRunToCompletion) is the final
 // increment of a progressive scan (EvalPrefix at SampleRows) bit for bit.
-// There is one carried state, the banks: ProgressiveScan carries them
-// across the increments of a stream, and CarriedFold (carried.go) across
+// There is one carried state, the banks — per-snippet moments, or the
+// discovery kernel's per-group folds for a grouped statement (one kernel
+// for every GROUP BY scan): ProgressiveScan carries them across the
+// increments of a stream, and CarriedFold (carried.go) across
 // appends — for standing subscriptions between notify batches and for
 // internal/core's scan memo between repeated one-shot queries. Both are
 // single-goroutine state; their users hold their own lock around them.

@@ -237,13 +237,15 @@ const minAvgRows = 5
 // error there — the kind of estimator overconfidence the paper's
 // diagnostics reference [5] addresses); for FREQ it is the binomial
 // standard error over all scanned rows. ok=false means no usable
-// information yet.
+// information yet, and the error is then infinite: Sanitize turns it into
+// MaxFloat64, which inference reads as "the engine had nothing".
 func (a *accumulator) estimate() (query.ScalarEstimate, bool) {
 	n := a.moments.Count()
+	none := query.ScalarEstimate{StdErr: math.Inf(1)}
 	switch a.sn.Kind {
 	case query.FreqAgg:
 		if n < 2 {
-			return query.ScalarEstimate{}, false
+			return none, false
 		}
 		p := a.moments.Mean()
 		popErr := 0.0
@@ -257,7 +259,7 @@ func (a *accumulator) estimate() (query.ScalarEstimate, bool) {
 		}, true
 	default:
 		if n < minAvgRows {
-			return query.ScalarEstimate{}, false
+			return none, false
 		}
 		// t-quantile to normal-quantile ratio, ≈ 1 + 1.5/ν.
 		inflate := 1 + 1.5/float64(n-1)

@@ -322,6 +322,45 @@ func TestGroupRows(t *testing.T) {
 	if err != nil || len(g2) != 1 || g2[0] != nil {
 		t.Fatalf("ungrouped=%v err=%v", g2, err)
 	}
+
+	// ("a|b", "c") and ("a", "b|c") join to the same "|a|b|c" text but are
+	// two groups, reported in the same order by GroupRows (forced here by
+	// the numeric grouping column n) and by the discovery scan.
+	sep := storage.NewTable("s", storage.MustSchema([]storage.ColumnDef{
+		{Name: "x", Kind: storage.Categorical, Role: storage.Dimension},
+		{Name: "y", Kind: storage.Categorical, Role: storage.Dimension},
+		{Name: "n", Kind: storage.Numeric, Role: storage.Dimension},
+		{Name: "v", Kind: storage.Numeric, Role: storage.Measure},
+	}))
+	for i := 0; i < 20; i++ {
+		x, y := "a|b", "c"
+		if i%2 == 1 {
+			x, y = "a", "b|c"
+		}
+		if err := sep.AppendRow([]storage.Value{storage.Str(x), storage.Str(y), storage.Num(1), storage.Num(float64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Table order, so ("a|b", "c") is seen first and only the tie-break
+	// puts ("a", "b|c") ahead of it.
+	sepSample := &Sample{Data: sep, Fraction: 1, BatchSize: sep.Rows(), BaseRows: sep.Rows()}
+	sv := NewEngine(sep, sepSample, CachedCost).Acquire()
+	groups, err = sv.GroupRows([]int{0, 1, 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	discovered := sv.GroupedRunToCompletion(specFor(t, sep, "SELECT x, y, COUNT(*) FROM s GROUP BY x, y"), 0).Groups
+	if len(groups) != 2 || len(discovered) != 2 {
+		t.Fatalf("separator groups: GroupRows %v, discovery %v", groups, discovered)
+	}
+	for g := range groups {
+		if groups[g][0] != discovered[g][0] || groups[g][1] != discovered[g][1] {
+			t.Fatalf("separator group order: GroupRows %v, discovery %v", groups, discovered)
+		}
+	}
+	if groups[0][0].Str != "a" {
+		t.Fatalf("separator tie not broken value by value: %v", groups)
+	}
 }
 
 func TestSanitize(t *testing.T) {

@@ -64,7 +64,7 @@ func requireSameBits(t *testing.T, label string, got, want Increment) {
 // inside the tail's partial unit and across a unit boundary — must equal a
 // fresh one-shot fold of the grown sample and the per-snippet oracle
 // (perSnippetRunToCompletion) bit for bit, on a flat and a 4-partition
-// stratified layout, for a flat snippet list, a statically grouped one and
+// stratified layout, for a flat snippet list, a decomposed grouped one and
 // discovery-grouped specs (one grouping by a column the strata split), at
 // GOMAXPROCS 1, 2 and 4.
 func TestCarriedFoldMatchesFresh(t *testing.T) {
@@ -92,14 +92,11 @@ func TestCarriedFoldMatchesFresh(t *testing.T) {
 				}
 				v := e.Acquire()
 				plans := map[string][]*query.Snippet{
-					"snippets":       progressiveSnips(t, tb),
-					"static-grouped": groupedSnips(t, v, tb, groupedSQL[0]),
-				}
-				if factorAccs(freshAccsOf(plans["static-grouped"])) == nil {
-					t.Fatal("fixture: the grouped snippet list does not factor")
+					"snippets":           progressiveSnips(t, tb),
+					"decomposed-grouped": groupedSnips(t, v, tb, groupedSQL[0]),
 				}
 				carried := map[string]*CarriedFold{}
-				for _, name := range append([]string{"snippets", "static-grouped"}, groupedSQL...) {
+				for _, name := range append([]string{"snippets", "decomposed-grouped"}, groupedSQL...) {
 					carried[name] = NewCarriedFold(false)
 				}
 				for i, add := range []int{0, 1000, unitRows} {
@@ -172,12 +169,4 @@ func groupRowsFor(t *testing.T, v *View, tb *storage.Table, sql string) [][]quer
 		t.Fatal(err)
 	}
 	return groups
-}
-
-func freshAccsOf(snips []*query.Snippet) []*accumulator {
-	accs := make([]*accumulator, len(snips))
-	for i, sn := range snips {
-		accs[i] = &accumulator{sn: sn}
-	}
-	return accs
 }

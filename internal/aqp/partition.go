@@ -96,11 +96,11 @@ func foldBanks[S, P any](banks []*bank[S], tbls []*storage.Table, targets []int,
 
 // flatPass takes flat banks to their targets (pieceTargets of a prefix)
 // and merges their states, in piece order, into accs: zero-state
-// accumulators for the snippets metas and gs were compiled from. It returns
-// the rows read.
-func (v *View) flatPass(banks []*bank[[]*accumulator], accs []*accumulator, metas []snipMeta, gs *groupedScan, targets []int, workers int) int {
+// accumulators for the snippets metas was compiled from. It returns the
+// rows read.
+func (v *View) flatPass(banks []*bank[[]*accumulator], accs []*accumulator, metas []snipMeta, targets []int, workers int) int {
 	cur, scanned := foldBanks(banks, v.Sample.Pieces(), targets, bankOps[[]*accumulator, []partial]{
-		scan: func(units []unit) [][]partial { return scanUnits(metas, gs, units, workers) },
+		scan: func(units []unit) [][]partial { return scanUnits(metas, units, workers) },
 		merge: func(s []*accumulator, parts [][]partial) {
 			for _, p := range parts {
 				merge(s, p)

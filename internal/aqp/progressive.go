@@ -3,7 +3,6 @@ package aqp
 import (
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/storage"
 )
@@ -68,69 +67,84 @@ type Increment struct {
 	Final bool
 }
 
-// ProgressiveScan evaluates snippets over growing prefixes of one pinned
+// ProgressiveScan evaluates a plan over growing prefixes of one pinned
 // view's sample. It is single-caller state (drive it from one goroutine);
 // the underlying view is immutable, so appends and sample rebuilds landing
 // mid-stream never affect the increments it emits.
 type ProgressiveScan struct {
 	view    *View
+	workers int // worker cap for unit folds; 0 = GOMAXPROCS
+	emitted int // last emitted prefix
+	scanned int // sample rows read so far, re-covered tails included
+	seq     int
+
+	// The carry, one bank per sample piece, in exactly one of the two forms
+	// CarriedFold carries: a snippet list's per-snippet moments (flat), or
+	// a grouped spec's discovery folds (grouped), which every Step expands
+	// onto the answer set in set.
 	snips   []*query.Snippet
 	metas   []snipMeta
-	gs      *groupedScan // grouped factoring of the snippet list, if any
-	workers int          // worker cap for unit folds; 0 = GOMAXPROCS
-	emitted int          // last emitted prefix
-	scanned int          // sample rows read so far, re-covered tails included
-	seq     int
-	banks   []*bank[[]*accumulator] // the carry: one bank per sample piece
+	flat    []*bank[[]*accumulator]
+	gs      *groupedScan
+	spec    *query.GroupedSpec
+	set     *GroupedResult
+	grouped []*bank[*groupedFold]
 }
 
 // Progressive starts a resumable evaluation of the snippets against this
-// view's sample. Drive it with Step, typically over PrefixSchedule budgets.
-// A grouped snippet list factors into the one-pass bank kernel, whose
-// per-unit partials are bit-identical to the per-snippet ones.
+// view's sample on the per-snippet kernel. Drive it with Step, typically
+// over PrefixSchedule budgets.
 func (v *View) Progressive(snips []*query.Snippet) *ProgressiveScan {
-	accs := newAccs(v, snips)
-	return &ProgressiveScan{view: v, snips: snips, metas: metaOf(accs), gs: factorAccs(accs), banks: flatBanks(v, len(snips))}
+	return &ProgressiveScan{view: v, snips: snips, metas: metaOf(newAccs(v, snips)), flat: flatBanks(v, len(snips))}
 }
 
-// ProgressiveFrom enters the increment loop mid-sample: it starts a
-// resumable evaluation whose state is what a Progressive scan would carry
-// after emitting the prefix [0, rows) as increment seq. The cursor prefix's
-// complete units fold ONCE, the cursor tail is left for the next Step, so
-// resuming after k consumed increments costs one O(rows) fold, and every
-// later Step emits the increment the uninterrupted scan would have emitted
-// at the same budget, bit for bit (same merge tree).
+// GroupedProgressive starts a resumable evaluation of a grouped spec on the
+// discovery kernel. set is the answer set of the statement on this view —
+// GroupedRunToCompletion(spec, nmax) — and every Step expands its prefix
+// onto set's groups in Decompose order: the increment EvalPrefix of the
+// decomposed snippet list would give, bit for bit.
+func (v *View) GroupedProgressive(spec *query.GroupedSpec, set *GroupedResult) *ProgressiveScan {
+	return &ProgressiveScan{view: v, gs: newDiscoverScan(spec), spec: spec, set: set, grouped: newBanks(v, newGroupedFold)}
+}
+
+// From enters the increment loop mid-sample: it leaves a fresh scan in the
+// state it would carry after emitting the prefix [0, rows) as increment
+// seq. The cursor prefix's complete units fold ONCE, the cursor tail is
+// left for the next Step, so resuming after k consumed increments costs one
+// O(rows) fold, and every later Step emits the increment the uninterrupted
+// scan would have emitted at the same budget, bit for bit (same merge
+// tree).
 //
 // rows is clamped to [0, Total]; the next Step emits Seq = seq+1; workers
 // caps the fan-out of the entry fold and later Steps (0 = one worker per
 // core; the result is cap-invariant). This is the engine half of a
 // resumable stream: reconstruct the serving view with Engine.PinGen from
-// the cursor's (sample_gen, base_rows, sample_rows), then ProgressiveFrom
-// at its (rows_seen, seq).
-func (v *View) ProgressiveFrom(snips []*query.Snippet, rows, seq, workers int) *ProgressiveScan {
-	ps := v.Progressive(snips)
-	ps.workers = workers
-	if rows = min(max(rows, 0), v.SampleRows); rows > 0 {
+// the cursor's (sample_gen, base_rows, sample_rows), then From at its
+// (rows_seen, seq).
+func (p *ProgressiveScan) From(rows, seq, workers int) *ProgressiveScan {
+	p.workers = workers
+	if rows = min(max(rows, 0), p.view.SampleRows); rows > 0 {
 		// Complete units only: the cursor tail is the next Step's to cover.
-		targets := v.pieceTargets(rows)
+		targets := p.view.pieceTargets(rows)
 		for b := range targets {
 			targets[b] -= targets[b] % unitRows
 		}
-		ps.scanned = v.flatPass(ps.banks, nil, ps.metas, ps.gs, targets, workers)
-		ps.emitted = rows
+		// The fold's answer is not an increment of the schedule: dropped.
+		_, p.scanned = p.pass(targets, rows)
+		p.emitted = rows
 	}
 	if seq >= 0 {
-		ps.seq = seq + 1
+		p.seq = seq + 1
 	}
-	return ps
+	return p
 }
 
 // Total is the pinned sample size: the prefix at which Step turns Final.
 func (p *ProgressiveScan) Total() int { return p.view.SampleRows }
 
 // Scanned is the number of sample rows the scan has read so far: the
-// ProgressiveFrom entry fold, then per Step the newly completed units and
-// the partial tail it re-covers, summed over banks.
+// From entry fold, then per Step the newly completed units and the partial
+// tail it re-covers, summed over banks.
 func (p *ProgressiveScan) Scanned() int { return p.scanned }
 
 // Step advances the scan to the prefix [0, rows) and returns the refreshed
@@ -138,22 +152,26 @@ func (p *ProgressiveScan) Scanned() int { return p.scanned }
 // step re-emits the current estimates. Total work across any monotone step
 // sequence is O(Total + steps·unitRows).
 func (p *ProgressiveScan) Step(rows int) Increment {
-	if p.view.stages != nil {
-		defer p.view.ObserveScan(obs.ModeProgressive, p.gs != nil, time.Now())
-	}
-	return p.step(rows)
-}
-
-// step is Step without the stage observation.
-func (p *ProgressiveScan) step(rows int) Increment {
 	rows = min(max(rows, p.emitted), p.view.SampleRows)
-	accs := newAccs(p.view, p.snips)
-	p.scanned += p.view.flatPass(p.banks, accs, p.metas, p.gs, p.view.pieceTargets(rows), p.workers)
+	inc, scanned := p.pass(p.view.pieceTargets(rows), rows)
+	p.scanned += scanned
 	p.emitted = rows
-	inc := p.view.increment(accs, rows)
 	inc.Seq = p.seq
 	p.seq++
 	return inc
+}
+
+// pass takes the banks to the piece targets and returns the increment at
+// the prefix [0, rows) they cut, and the rows read.
+func (p *ProgressiveScan) pass(targets []int, rows int) (Increment, int) {
+	v := p.view
+	if p.grouped != nil {
+		f, scanned := v.foldGrouped(p.grouped, p.gs, targets, p.workers)
+		return f.expand(v, p.gs, p.spec, p.set.codes, rows), scanned
+	}
+	accs := newAccs(v, p.snips)
+	scanned := v.flatPass(p.flat, accs, p.metas, targets, p.workers)
+	return v.increment(accs, rows), scanned
 }
 
 // EvalPrefix evaluates the snippets over the sample prefix [0, rows) with
@@ -162,5 +180,5 @@ func (p *ProgressiveScan) step(rows int) Increment {
 // reconstruct the serving view with Engine.ViewAtGen from a chunk's
 // (sample_gen, base_rows, sample_rows), then EvalPrefix at its rows_seen.
 func (v *View) EvalPrefix(snips []*query.Snippet, rows int) Increment {
-	return v.Progressive(snips).step(rows)
+	return v.Progressive(snips).Step(rows)
 }

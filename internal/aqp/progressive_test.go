@@ -77,7 +77,7 @@ func TestProgressiveMatchesFreshPrefixScan(t *testing.T) {
 	}
 	for name, schedule := range schedules {
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-			ps := view.ProgressiveFrom(snips, 0, -1, workers)
+			ps := view.Progressive(snips).From(0, -1, workers)
 			if ps.Total() != view.SampleRows {
 				t.Fatalf("workers=%d: Total=%d, want %d", workers, ps.Total(), view.SampleRows)
 			}

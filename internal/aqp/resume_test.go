@@ -12,7 +12,7 @@ import (
 // progressiveIncrements drives a fresh ProgressiveScan over sched and
 // returns every emitted increment.
 func progressiveIncrements(v *View, snips []*query.Snippet, sched []int, workers int) []Increment {
-	ps := v.ProgressiveFrom(snips, 0, -1, workers)
+	ps := v.Progressive(snips).From(0, -1, workers)
 	out := make([]Increment, 0, len(sched))
 	for _, prefix := range sched {
 		out = append(out, ps.Step(prefix))
@@ -21,7 +21,7 @@ func progressiveIncrements(v *View, snips []*query.Snippet, sched []int, workers
 }
 
 // TestProgressiveFromResume is the resume property at the engine layer: for
-// every cut point k, a scan re-entered at (sched[k], k) via ProgressiveFrom
+// every cut point k, a scan re-entered at (sched[k], k) via ProgressiveScan.From
 // emits increments k+1..n bit-identical to the uninterrupted scan's — even
 // when the resume happens against a PinGen-reconstructed view after appends
 // and a sample rebuild have moved the live engine past the stream's
@@ -53,7 +53,7 @@ func TestProgressiveFromResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: PinGen: %v", k, err)
 		}
-		ps := rv.ProgressiveFrom(snips, sched[k], k, 0)
+		ps := rv.Progressive(snips).From(sched[k], k, 0)
 		var inc Increment
 		for i := k + 1; i < len(sched); i++ {
 			inc = ps.Step(sched[i])
@@ -92,7 +92,7 @@ func TestProgressiveFromResumeMultiUnit(t *testing.T) {
 
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		for k := 0; k < len(sched)-1; k++ {
-			ps := view.ProgressiveFrom(snips, sched[k], k, workers)
+			ps := view.Progressive(snips).From(sched[k], k, workers)
 			for i := k + 1; i < len(sched); i++ {
 				inc := ps.Step(sched[i])
 				requireIncrementEqual(t, "workers="+itoa(workers)+" cut="+itoa(k)+" step="+itoa(i), inc, want[i])
@@ -212,7 +212,7 @@ func TestSetMaxRetainedGensRetroactive(t *testing.T) {
 }
 
 // BenchmarkProgressiveResume measures the cursor entry cost: one
-// ProgressiveFrom fold of a mid-sample prefix plus the remaining
+// ProgressiveScan.From fold of a mid-sample prefix plus the remaining
 // increments. It should scale with the sample size (one fold), not with
 // the number of increments already consumed.
 func BenchmarkProgressiveResume(b *testing.B) {
@@ -228,7 +228,7 @@ func BenchmarkProgressiveResume(b *testing.B) {
 	cut := len(sched) - 2 // resume just before the final increment
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ps := view.ProgressiveFrom(snips, sched[cut], cut, 0)
+		ps := view.Progressive(snips).From(sched[cut], cut, 0)
 		for _, prefix := range sched[cut+1:] {
 			ps.Step(prefix)
 		}

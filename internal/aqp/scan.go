@@ -136,23 +136,12 @@ func runUnits(units []unit, maxWorkers int, fn func(sc *blockScanner, i int, u u
 }
 
 // scanUnits computes the per-snippet partials of every unit, in unit order.
-// A non-nil gs routes each unit through the grouped accumulator-bank kernel,
-// whose expanded partials are bit-identical to the per-snippet ones.
-func scanUnits(metas []snipMeta, gs *groupedScan, units []unit, maxWorkers int) [][]partial {
+func scanUnits(metas []snipMeta, units []unit, maxWorkers int) [][]partial {
 	parts := make([][]partial, len(units))
 	runUnits(units, maxWorkers, func(sc *blockScanner, i int, u unit) {
-		parts[i] = sc.scanUnit(metas, gs, u)
+		parts[i] = sc.scanRange(u.tbl, metas, u.b0, u.b1, u.start, u.end)
 	})
 	return parts
-}
-
-// scanUnit dispatches one work unit to the grouped bank kernel or the
-// per-snippet kernel (a snippet list factorAccs did not factor).
-func (s *blockScanner) scanUnit(metas []snipMeta, gs *groupedScan, u unit) []partial {
-	if gs != nil {
-		return s.scanRangeGrouped(u.tbl, gs, u.b0, u.b1, u.start, u.end)
-	}
-	return s.scanRange(u.tbl, metas, u.b0, u.b1, u.start, u.end)
 }
 
 func merge(accs []*accumulator, parts []partial) {
@@ -169,7 +158,7 @@ func merge(accs []*accumulator, parts []partial) {
 type blockScanner struct {
 	sel  []int32
 	vals []float64
-	g    *groupedScratch // lazily built by the grouped bank kernel
+	g    *groupedScratch // lazily built by the discovery kernel
 }
 
 // scanRange processes blocks [b0, b1) clipped to rows [start, end),

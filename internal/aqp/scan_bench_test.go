@@ -2,6 +2,7 @@ package aqp
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -23,6 +24,7 @@ func benchRows() int {
 type scanBenchFixture struct {
 	view  *View
 	snips []*query.Snippet
+	spec  *query.GroupedSpec // nil for an ungrouped sql
 }
 
 var (
@@ -34,7 +36,8 @@ var (
 
 // scanBenchSetup builds (once per case) a rows-row table with groups cat
 // values, clustered or shuffled on week, a full-fraction single-batch
-// sample preserving the table's layout, and the decomposed snippets of sql.
+// sample preserving the table's layout, the decomposed snippets of sql and,
+// for a grouped sql, its discovery spec.
 func scanBenchSetup(b *testing.B, rows, groups int, clustered bool, sql string) *scanBenchFixture {
 	b.Helper()
 	key := fmt.Sprintf("%d/%d/%v/%s", rows, groups, clustered, sql)
@@ -47,6 +50,9 @@ func scanBenchSetup(b *testing.B, rows, groups int, clustered bool, sql string) 
 	sample := &Sample{Data: tb, Fraction: 1, BatchSize: tb.Rows(), BaseRows: tb.Rows()}
 	v := NewEngine(tb, sample, CachedCost).Acquire()
 	fx := &scanBenchFixture{view: v, snips: groupedSnips(b, v, tb, sql)}
+	if strings.Contains(sql, "GROUP BY") {
+		fx.spec = specFor(b, tb, sql)
+	}
 	scanBenchCache[key] = fx
 	return fx
 }
@@ -82,11 +88,12 @@ func BenchmarkScan(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupedScan compares the one-scan grouped kernel against the
-// per-snippet reference fold across group counts and layouts. The
-// interesting ratio is grouped vs persnippet at high group counts: the
-// reference rescans the sample once per (group × aggregate) snippet while
-// the grouped kernel pays one pass total.
+// BenchmarkGroupedScan compares the discovery kernel
+// (GroupedRunToCompletion) against the per-snippet reference fold of the
+// decomposed statement across group counts and layouts. The interesting
+// ratio is grouped vs persnippet at high group counts: the reference
+// evaluates the region once per (group × aggregate) snippet and block while
+// the discovery kernel evaluates it once per block.
 func BenchmarkGroupedScan(b *testing.B) {
 	rows := benchRows()
 	for _, groups := range []int{1, 16, 256} {
@@ -94,14 +101,14 @@ func BenchmarkGroupedScan(b *testing.B) {
 			for _, mode := range []string{"grouped", "persnippet"} {
 				b.Run(fmt.Sprintf("groups=%d/%s/%s", groups, layoutName(clustered), mode), func(b *testing.B) {
 					fx := scanBenchSetup(b, rows, groups, clustered, "SELECT cat, AVG(val), COUNT(*) FROM t GROUP BY cat")
-					run := fx.view.RunToCompletion
+					run := func() Increment { return fx.view.GroupedRunToCompletion(fx.spec, 0).Update }
 					if mode == "persnippet" {
-						run = func(snips []*query.Snippet) Increment { return perSnippetRunToCompletion(fx.view, snips) }
+						run = func() Increment { return perSnippetRunToCompletion(fx.view, fx.snips) }
 					}
 					b.SetBytes(int64(rows) * 8)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						scanBenchSink = run(fx.snips)
+						scanBenchSink = run()
 					}
 				})
 			}

@@ -1,32 +1,22 @@
 package aqp
 
 import (
-	"sort"
-	"strings"
-	"time"
-
 	"repro/internal/mathx"
-	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/storage"
 )
 
 // One-scan grouped aggregation. A G-group query decomposes into G·S snippets
 // whose regions differ only in the single dictionary code each grouping
-// column carries, so the per-snippet scan evaluates the shared WHERE region
-// G·S times per block. The grouped kernel here evaluates the factored base
-// region ONCE per block into a selection vector, reads the grouping columns'
-// code slices to scatter each matched row to its group's accumulator bank
-// slot, and updates S moment accumulators per touched group. Two drivers
-// share the kernel:
-//
-//   - the static driver (scanRangeGrouped) serves an already-decomposed
-//     snippet list through the same scanUnits/merge pipeline: each work
-//     unit expands its banks back into the per-snippet []partial layout, so
-//     unit ordering, progressive resumption and inference are untouched;
-//   - the discovery driver (scanRangeDiscover, groupedFold) allocates bank
-//     slots as rows reveal new code tuples, folding the GroupRows rescan
-//     into the aggregation pass of one-shot and carried executions.
+// column carries, so the per-snippet scan would evaluate the shared WHERE
+// region G·S times per block. The discovery kernel here evaluates the base
+// region ONCE per block into a selection vector, reads the grouping
+// columns' code slices to scatter each matched row to its group's
+// accumulator bank slot — allocating a slot the first time a code tuple
+// appears — and updates S moment accumulators per touched group. It is the
+// one grouped kernel: one-shot and carried folds (groupedPass) and
+// progressive prefixes (ProgressiveScan's grouped form) all fold it, and
+// expand the folded groups onto an answer set in Decompose order (expand).
 //
 // Float-identity with the per-snippet path is by construction, not by
 // accident, and the argument is worth recording. Within a block the
@@ -35,18 +25,19 @@ import (
 // branches are the match=0 and match=rows specializations — AddWeighted with
 // weight 0 is a no-op and AddZeros is exact on any state), and AVG does one
 // AddSlice over the group's matched rows in ascending order (BlockEmpty
-// adds nothing, empty AddSlice is a no-op). The grouped kernel reproduces
+// adds nothing, empty AddSlice is a no-op). The discovery kernel reproduces
 // both verbatim per group: the stable counting-sort scatter keeps each
 // group's rows ascending, and group discovery order cannot matter because a
 // group's pre-discovery FREQ prefix is all zeros — a pure count — which one
 // AddZeros(rowsBefore) at first-sight reproduces bit-for-bit ({n,0,0} merged
 // with {k,0,0} is exactly {n+k,0,0}). The same consolidation argument makes
-// the cross-unit backfill (absent group in a finished unit) exact, and, one
-// level up, the cross-piece one (View.groupedPass).
+// the cross-unit backfill (absent group in a finished unit) exact, one
+// level up the cross-piece one (foldGrouped), and at the top the expansion
+// of a prefix onto an answer set, where a group the prefix has not met yet
+// is the pure count {rows,0,0} and an empty AVG (expand).
 
 // famSlot is the resolved scan form of one snippet of the per-group family.
 type famSlot struct {
-	kind       query.AggKind
 	measure    func(*storage.Table, int) float64
 	measureCol int // bare-column measure index; -1 when unavailable
 }
@@ -59,47 +50,6 @@ type groupedScan struct {
 	avgFams   []int  // family indexes of AVG slots, in family order
 	avgIdx    []int  // family index -> position in avgFams, or -1 for FREQ
 	shifts    []uint // code-packing bit widths (multi-column keys)
-
-	// Static (pre-decomposed) form.
-	slots   *query.SlotTable
-	nGroups int
-	stride  int
-
-	// Discovery form: slots are allocated per work unit as codes appear.
-	discover bool
-}
-
-func familyOf(gs *groupedScan, kinds []query.AggKind, measures []func(*storage.Table, int) float64, cols []int) {
-	gs.family = make([]famSlot, len(kinds))
-	gs.avgIdx = make([]int, len(kinds))
-	for j := range kinds {
-		gs.family[j] = famSlot{kind: kinds[j], measure: measures[j], measureCol: cols[j]}
-		gs.avgIdx[j] = -1
-		if kinds[j] == query.AvgAgg {
-			gs.avgIdx[j] = len(gs.avgFams)
-			gs.avgFams = append(gs.avgFams, j)
-		}
-	}
-}
-
-// newGroupedScan compiles a factored plan into the static scan form.
-func newGroupedScan(pl *query.GroupedPlan) *groupedScan {
-	gs := &groupedScan{
-		base:      pl.Base,
-		groupCols: pl.GroupCols,
-		shifts:    pl.Slots.Shifts,
-		slots:     pl.Slots,
-		nGroups:   len(pl.Groups),
-		stride:    pl.Stride,
-	}
-	kinds := make([]query.AggKind, pl.Stride)
-	measures := make([]func(*storage.Table, int) float64, pl.Stride)
-	cols := make([]int, pl.Stride)
-	for j, f := range pl.Family {
-		kinds[j], measures[j], cols[j] = f.Kind, f.Measure, f.MeasureCol
-	}
-	familyOf(gs, kinds, measures, cols)
-	return gs
 }
 
 // newDiscoverScan compiles a grouped spec into the discovery scan form.
@@ -108,36 +58,21 @@ func newDiscoverScan(spec *query.GroupedSpec) *groupedScan {
 		base:      spec.Base,
 		groupCols: spec.GroupCols,
 		shifts:    spec.Shifts,
-		discover:  true,
+		family:    make([]famSlot, len(spec.Family)),
+		avgIdx:    make([]int, len(spec.Family)),
 	}
-	kinds := make([]query.AggKind, len(spec.Family))
-	measures := make([]func(*storage.Table, int) float64, len(spec.Family))
-	cols := make([]int, len(spec.Family))
 	for j, sn := range spec.Family {
-		kinds[j], measures[j], cols[j] = sn.Kind, sn.Measure, -1
+		gs.family[j] = famSlot{measure: sn.Measure, measureCol: -1}
 		if col, ok := sn.MeasureColumn(); ok {
-			cols[j] = col
+			gs.family[j].measureCol = col
+		}
+		gs.avgIdx[j] = -1
+		if sn.Kind == query.AvgAgg {
+			gs.avgIdx[j] = len(gs.avgFams)
+			gs.avgFams = append(gs.avgFams, j)
 		}
 	}
-	familyOf(gs, kinds, measures, cols)
 	return gs
-}
-
-// factorAccs offers an accumulator list to the grouped factoring; nil means
-// the shape is not a grouped decomposition and the per-snippet path runs.
-func factorAccs(accs []*accumulator) *groupedScan {
-	if len(accs) < 2 {
-		return nil
-	}
-	snips := make([]*query.Snippet, len(accs))
-	for i, a := range accs {
-		snips[i] = a.sn
-	}
-	pl := query.FactorGroups(snips)
-	if pl == nil {
-		return nil
-	}
-	return newGroupedScan(pl)
 }
 
 // groupedScratch is one worker's accumulator-bank state, reset per work unit.
@@ -150,11 +85,11 @@ type groupedScratch struct {
 	starts   []int32 // per slot: cursor into rowsBuf during the scatter
 	touched  []int32 // slots with counts>0 in the current block
 	active   []int32 // slots seen so far in this unit, first-sight order
-	slotsBuf []int32 // per selected row: its slot (-1 = unplanned group)
+	slotsBuf []int32 // per selected row: its slot
 	rowsBuf  []int32 // selected rows regrouped contiguously per slot
 	cols     [][]int32
 
-	// Discovery-mode slot allocation (per unit).
+	// Slot allocation (per unit).
 	dense   []int32          // 1 grouping column: code -> slot, -1 free
 	packed  map[uint64]int32 // >1 grouping column: packed key -> slot
 	codesOf [][]int32        // slot -> its code tuple
@@ -173,28 +108,11 @@ func (s *blockScanner) ensureGrouped(gs *groupedScan, data *storage.Table) *grou
 		sc = &groupedScratch{}
 		s.g = sc
 		sc.avg = make([][]mathx.Moments, len(gs.avgFams))
-		if gs.discover {
-			if len(gs.groupCols) == 1 {
-				size := data.DictOf(gs.groupCols[0]).Size()
-				sc.dense = make([]int32, size)
-				for i := range sc.dense {
-					sc.dense[i] = -1
-				}
-			} else {
-				sc.packed = make(map[uint64]int32)
-			}
-		} else {
-			n := gs.nGroups
-			sc.freq = make([]mathx.Moments, n)
-			sc.seen = make([]bool, n)
-			sc.counts = make([]int32, n)
-			sc.starts = make([]int32, n)
-			for k := range sc.avg {
-				sc.avg[k] = make([]mathx.Moments, n)
-			}
+		if len(gs.groupCols) > 1 {
+			sc.packed = make(map[uint64]int32)
 		}
 	}
-	if sc.dense != nil {
+	if len(gs.groupCols) == 1 {
 		for size := data.DictOf(gs.groupCols[0]).Size(); len(sc.dense) < size; {
 			sc.dense = append(sc.dense, -1)
 		}
@@ -234,13 +152,10 @@ func (s *blockScanner) resetGrouped(gs *groupedScan) {
 			sc.avg[k][slot] = mathx.Moments{}
 		}
 		sc.seen[slot] = false
-		if gs.discover {
-			tuple := sc.codesOf[slot]
-			if sc.dense != nil {
-				sc.dense[tuple[0]] = -1
-			} else {
-				delete(sc.packed, query.PackKey(tuple, gs.shifts))
-			}
+		if tuple := sc.codesOf[slot]; sc.packed == nil {
+			sc.dense[tuple[0]] = -1
+		} else {
+			delete(sc.packed, query.PackKey(tuple, gs.shifts))
 		}
 	}
 	sc.active = sc.active[:0]
@@ -311,33 +226,19 @@ func (s *blockScanner) runGroupedUnit(data *storage.Table, gs *groupedScan, b0, 
 		touched := sc.touched
 		if len(gs.groupCols) == 1 {
 			codes0 := sc.cols[0]
-			if gs.discover {
-				for k, r := range sel {
-					c := codes0[r]
-					slot := sc.dense[c]
-					if slot < 0 {
-						tuple[0] = c
-						slot = sc.allocSlot(len(gs.avgFams), tuple[:1])
-						sc.dense[c] = slot
-					}
-					slotsBuf[k] = slot
-					if sc.counts[slot] == 0 {
-						touched = append(touched, slot)
-					}
-					sc.counts[slot]++
+			for k, r := range sel {
+				c := codes0[r]
+				slot := sc.dense[c]
+				if slot < 0 {
+					tuple[0] = c
+					slot = sc.allocSlot(len(gs.avgFams), tuple[:1])
+					sc.dense[c] = slot
 				}
-			} else {
-				dense := gs.slots.Dense
-				for k, r := range sel {
-					slot := dense[codes0[r]]
-					slotsBuf[k] = slot
-					if slot >= 0 {
-						if sc.counts[slot] == 0 {
-							touched = append(touched, slot)
-						}
-						sc.counts[slot]++
-					}
+				slotsBuf[k] = slot
+				if sc.counts[slot] == 0 {
+					touched = append(touched, slot)
 				}
+				sc.counts[slot]++
 			}
 		} else {
 			for k, r := range sel {
@@ -345,28 +246,20 @@ func (s *blockScanner) runGroupedUnit(data *storage.Table, gs *groupedScan, b0, 
 				for j := range sc.cols {
 					key = key<<gs.shifts[j] | uint64(uint32(sc.cols[j][r]))
 				}
-				var slot int32
-				if gs.discover {
-					var ok bool
-					slot, ok = sc.packed[key]
-					if !ok {
-						tup := tuple[:0]
-						for j := range sc.cols {
-							tup = append(tup, sc.cols[j][r])
-						}
-						slot = sc.allocSlot(len(gs.avgFams), tup)
-						sc.packed[key] = slot
+				slot, ok := sc.packed[key]
+				if !ok {
+					tup := tuple[:0]
+					for j := range sc.cols {
+						tup = append(tup, sc.cols[j][r])
 					}
-				} else {
-					slot = gs.slots.Slot(key)
+					slot = sc.allocSlot(len(gs.avgFams), tup)
+					sc.packed[key] = slot
 				}
 				slotsBuf[k] = slot
-				if slot >= 0 {
-					if sc.counts[slot] == 0 {
-						touched = append(touched, slot)
-					}
-					sc.counts[slot]++
+				if sc.counts[slot] == 0 {
+					touched = append(touched, slot)
 				}
+				sc.counts[slot]++
 			}
 		}
 		// Register first-sighted groups: their pre-discovery FREQ history is
@@ -386,25 +279,28 @@ func (s *blockScanner) runGroupedUnit(data *storage.Table, gs *groupedScan, b0, 
 			sc.freq[slot].AddZeros(int64(rows) - c)
 		}
 		// Scatter pass 2 (AVG only): stable counting sort of the selection
-		// vector by slot, so each group's rows stay ascending, then one
-		// AddSlice per (AVG family, touched group).
+		// vector by slot, so each group's rows stay ascending — a block one
+		// group fills is its own segment already — then one AddSlice per
+		// (AVG family, touched group).
 		if len(gs.avgFams) > 0 {
-			pos := int32(0)
-			for _, slot := range touched {
-				sc.starts[slot] = pos
-				pos += sc.counts[slot]
-			}
-			if cap(sc.rowsBuf) < match {
-				sc.rowsBuf = make([]int32, match)
-			}
-			rowsBuf := sc.rowsBuf[:match]
-			for k, r := range sel {
-				slot := slotsBuf[k]
-				if slot < 0 {
-					continue
+			rowsBuf := sel
+			if len(touched) == 1 {
+				sc.starts[touched[0]] = int32(match)
+			} else {
+				pos := int32(0)
+				for _, slot := range touched {
+					sc.starts[slot] = pos
+					pos += sc.counts[slot]
 				}
-				rowsBuf[sc.starts[slot]] = r
-				sc.starts[slot]++
+				if cap(sc.rowsBuf) < match {
+					sc.rowsBuf = make([]int32, match)
+				}
+				rowsBuf = sc.rowsBuf[:match]
+				for k, r := range sel {
+					slot := slotsBuf[k]
+					rowsBuf[sc.starts[slot]] = r
+					sc.starts[slot]++
+				}
 			}
 			vals := s.vals
 			for fi, j := range gs.avgFams {
@@ -442,35 +338,6 @@ func (s *blockScanner) runGroupedUnit(data *storage.Table, gs *groupedScan, b0, 
 	return scanned
 }
 
-// scanRangeGrouped runs the static grouped kernel over one work unit and
-// expands the banks into the per-snippet partial layout scanUnits/merge
-// expect: snippet i is group i/stride, family slot i%stride. A group unseen
-// in this unit matched nothing: its FREQ partial is the pure count
-// {scanned,0,0} and its AVG partial is empty — exactly what the per-snippet
-// kernel would have produced.
-func (s *blockScanner) scanRangeGrouped(data *storage.Table, gs *groupedScan, b0, b1, start, end int) []partial {
-	scanned := s.runGroupedUnit(data, gs, b0, b1, start, end)
-	sc := s.g
-	parts := make([]partial, gs.nGroups*gs.stride)
-	for i := range parts {
-		slot := i / gs.stride
-		j := i % gs.stride
-		p := &parts[i]
-		p.scanned = scanned
-		if k := gs.avgIdx[j]; k >= 0 {
-			if sc.seen[slot] {
-				p.moments = sc.avg[k][slot]
-			}
-		} else if sc.seen[slot] {
-			p.moments = sc.freq[slot]
-		} else {
-			p.moments.AddZeros(int64(scanned))
-		}
-	}
-	s.resetGrouped(gs)
-	return parts
-}
-
 // groupedPartial is one discovered group's moments for one work unit.
 type groupedPartial struct {
 	codes []int32
@@ -506,10 +373,11 @@ func (s *blockScanner) scanRangeDiscover(gs *groupedScan, un unit) groupedUnit {
 }
 
 // discoverUnits runs the discovery kernel over every unit, fanned out like
-// scanUnits; results come back in unit order.
-func discoverUnits(gs *groupedScan, units []unit) []groupedUnit {
+// the flat scan across at most maxWorkers workers; results come back in
+// unit order.
+func discoverUnits(gs *groupedScan, units []unit, maxWorkers int) []groupedUnit {
 	parts := make([]groupedUnit, len(units))
-	runUnits(units, 0, func(sc *blockScanner, i int, u unit) {
+	runUnits(units, maxWorkers, func(sc *blockScanner, i int, u unit) {
 		parts[i] = sc.scanRangeDiscover(gs, u)
 	})
 	return parts
@@ -525,9 +393,8 @@ type groupMaster struct {
 
 // GroupedResult is the outcome of a discovery-scan execution.
 type GroupedResult struct {
-	// Groups holds the discovered group values in the same deterministic
-	// order GroupRows would have returned (sorted composite string keys),
-	// truncated to nmax.
+	// Groups holds the discovered group values in the order groupOrder
+	// gives, truncated to nmax: the answer set.
 	Groups [][]query.GroupValue
 	// Truncated reports that more than nmax groups were discovered and the
 	// tail was dropped — the silent Decompose cap, surfaced.
@@ -538,6 +405,10 @@ type GroupedResult struct {
 	// it matches the single nil-group (ungrouped) decomposition Decompose
 	// falls back to.
 	Update Increment
+
+	// codes holds each answer-set group's code tuple, in Groups order: what
+	// a progressive scan of the same view expands its prefixes onto.
+	codes [][]int32
 }
 
 // groupedFold is the cross-unit master state of a discovery scan: the
@@ -633,87 +504,73 @@ func (f *groupedFold) pseudoUnit() groupedUnit {
 	return u
 }
 
-// result orders, truncates and estimates the folded masters into a
-// GroupedResult. It only reads the fold, which can keep extending after.
-func (f *groupedFold) result(v *View, gs *groupedScan, spec *query.GroupedSpec, nmax int) *GroupedResult {
-	data := v.Sample.Data
-	masters := f.masters
-	total := f.scanned
-
-	// Order groups exactly as GroupRows would: by the "|"-joined composite
-	// string key. Dictionaries are shared between base and sample, so the
-	// decoded strings match the row-sourced ones.
-	order := make([]int, len(masters))
-	keys := make([]string, len(masters))
-	for i, m := range masters {
-		var sb strings.Builder
+// answerSet orders the folded groups as groupOrder does and
+// truncates them to nmax: the answer set, without estimates. Dictionaries
+// are shared between base and sample, so the decoded strings are the ones
+// Decompose looks the codes up by.
+func (f *groupedFold) answerSet(v *View, spec *query.GroupedSpec, nmax int) *GroupedResult {
+	t := v.Sample.Data
+	groups := make([][]query.GroupValue, len(f.masters))
+	for i, m := range f.masters {
+		groups[i] = make([]query.GroupValue, len(spec.GroupCols))
 		for j, col := range spec.GroupCols {
-			sb.WriteByte('|')
-			sb.WriteString(data.DictOf(col).Value(m.codes[j]))
+			groups[i][j] = query.GroupValue{Col: col, Str: t.DictOf(col).Value(m.codes[j])}
 		}
-		keys[i] = sb.String()
-		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	truncated := len(order) > nmax
-	if truncated {
+	order := groupOrder(t.Schema(), groups)
+	res := &GroupedResult{Truncated: len(order) > nmax}
+	if res.Truncated {
 		order = order[:nmax]
 	}
-
-	res := &GroupedResult{Truncated: truncated}
 	res.Groups = make([][]query.GroupValue, len(order))
+	res.codes = make([][]int32, len(order))
 	for i, mi := range order {
-		m := masters[mi]
-		gvs := make([]query.GroupValue, len(spec.GroupCols))
-		for j, col := range spec.GroupCols {
-			gvs[j] = query.GroupValue{Col: col, Str: data.DictOf(col).Value(m.codes[j])}
-		}
-		res.Groups[i] = gvs
+		res.Groups[i], res.codes[i] = groups[mi], f.masters[mi].codes
 	}
+	return res
+}
 
+// expand estimates the fold — the sample prefix [0, rows) — onto an answer
+// set's groups (codes), in Decompose order. A group the fold has not met
+// matched none of its rows: its FREQ cell is the pure count {rows,0,0} and
+// its AVG cells are empty, exactly what the per-snippet kernel holds for
+// it. An empty answer set is Decompose's single ungrouped decomposition over
+// the base region, which no row matched either.
+func (f *groupedFold) expand(v *View, gs *groupedScan, spec *query.GroupedSpec, codes [][]int32, rows int) Increment {
 	stride := len(spec.Family)
-	nOut := len(order)
-	if nOut == 0 {
-		// Zero matching groups: Decompose falls back to one ungrouped
-		// decomposition over the base region. Synthesize its accumulators —
-		// FREQ saw total zeros, AVG saw nothing.
-		nOut = 1
-	}
+	nOut := max(len(codes), 1)
 	cells := make([]accumulator, nOut*stride)
 	accs := make([]*accumulator, len(cells))
 	for g := 0; g < nOut; g++ {
 		var m *groupMaster
-		if len(order) > 0 {
-			m = masters[order[g]]
+		if g < len(codes) {
+			if idx, ok := f.lookup[query.PackKey(codes[g], gs.shifts)]; ok {
+				m = f.masters[idx]
+			}
 		}
 		for j := 0; j < stride; j++ {
 			acc := &cells[g*stride+j]
-			*acc = accumulator{sn: spec.Family[j], scanned: total, baseRows: v.Sample.BaseRows}
-			if m != nil {
-				if k := gs.avgIdx[j]; k >= 0 {
-					acc.moments = m.avg[k]
-				} else {
-					acc.moments = m.freq
-				}
-			} else if gs.avgIdx[j] < 0 {
-				acc.moments.AddZeros(int64(total))
+			*acc = accumulator{sn: spec.Family[j], scanned: f.scanned, baseRows: v.Sample.BaseRows}
+			k := gs.avgIdx[j]
+			switch {
+			case m != nil && k >= 0:
+				acc.moments = m.avg[k]
+			case m != nil:
+				acc.moments = m.freq
+			case k < 0:
+				acc.moments.AddZeros(int64(f.scanned))
 			}
 			accs[g*stride+j] = acc
 		}
 	}
-	res.Update = v.increment(accs, total)
-	return res
+	return v.increment(accs, rows)
 }
 
 // GroupedRunToCompletion executes a grouped query in one pass over the
 // sample: the discovery kernel aggregates and discovers groups block by
 // block, on the same merge tree as RunToCompletion, so the estimates are
-// bit-identical to decomposing after a GroupRows pass and folding the
-// snippets.
+// bit-identical to decomposing the answer set and folding the snippets.
 func (v *View) GroupedRunToCompletion(spec *query.GroupedSpec, nmax int) *GroupedResult {
-	if v.stages != nil {
-		defer v.ObserveScan(obs.ModeOneShot, true, time.Now())
-	}
 	if nmax <= 0 {
 		nmax = query.DefaultNmax
 	}
@@ -721,19 +578,28 @@ func (v *View) GroupedRunToCompletion(spec *query.GroupedSpec, nmax int) *Groupe
 	return res
 }
 
-// groupedPass takes discovery banks to the whole sample — one discovery
-// fold per piece — and merges the piece folds, in piece order, into a fresh
-// fold, each piece entering as one pseudo-unit of its codes, moments and
-// rows. That merge's first-sight and absent-group backfills are the pure
-// counts the per-snippet banks of the other pieces hold, so the result is
-// the per-snippet piece-order merge bit for bit. It returns the rows read.
+// groupedPass takes discovery banks to the whole sample and returns the
+// answer set with its estimates, and the rows read.
 func (v *View) groupedPass(banks []*bank[*groupedFold], spec *query.GroupedSpec, nmax int) (*GroupedResult, int) {
 	// Compiled against this spec each pass: the result's estimates must
 	// reference the caller's plan.
 	gs := newDiscoverScan(spec)
-	targets := v.pieceTargets(v.SampleRows)
+	f, scanned := v.foldGrouped(banks, gs, v.pieceTargets(v.SampleRows), 0)
+	res := f.answerSet(v, spec, nmax)
+	res.Update = f.expand(v, gs, spec, res.codes, v.SampleRows)
+	return res, scanned
+}
+
+// foldGrouped takes discovery banks to their targets (pieceTargets of a
+// prefix) — one discovery fold per piece — and merges the piece folds, in
+// piece order, into a fresh fold, each piece entering as one pseudo-unit of
+// its codes, moments and rows. That merge's first-sight and absent-group
+// backfills are the pure counts the per-snippet banks of the other pieces
+// hold, so the result is the per-snippet piece-order merge bit for bit. It
+// returns the merged fold and the rows read.
+func (v *View) foldGrouped(banks []*bank[*groupedFold], gs *groupedScan, targets []int, workers int) (*groupedFold, int) {
 	cur, scanned := foldBanks(banks, v.Sample.Pieces(), targets, bankOps[*groupedFold, groupedUnit]{
-		scan:  func(units []unit) []groupedUnit { return discoverUnits(gs, units) },
+		scan:  func(units []unit) []groupedUnit { return discoverUnits(gs, units, workers) },
 		merge: func(f *groupedFold, parts []groupedUnit) { f.merge(gs, parts) },
 		clone: (*groupedFold).clone,
 	})
@@ -743,5 +609,5 @@ func (v *View) groupedPass(banks []*bank[*groupedFold], spec *query.GroupedSpec,
 			emit.merge(gs, []groupedUnit{f.pseudoUnit()})
 		}
 	}
-	return emit.result(v, gs, spec, nmax), scanned
+	return emit, scanned
 }

@@ -49,7 +49,7 @@ func buildGroupedTable(t testing.TB, rows, nGroups int, clustered bool) *storage
 }
 
 // groupedSnips decomposes sql against tb with sample-discovered groups,
-// mirroring what core's legacy plan does.
+// as the two-pass plan does (GroupRows, then Decompose).
 func groupedSnips(t testing.TB, v *View, tb *storage.Table, sql string) []*query.Snippet {
 	t.Helper()
 	stmt, err := sqlparse.Parse(sql)
@@ -91,11 +91,10 @@ var groupedEquivalenceSQL = []string{
 	"SELECT cat, AVG(val * val) FROM t GROUP BY cat", // compound measure
 }
 
-// TestGroupedScanMatchesPerSnippet: the one-scan grouped paths — the
-// static kernel over a decomposed snippet list and the discovery scan —
-// must be FLOAT-IDENTICAL (bit-equal estimates, not merely close) to the
-// per-snippet reference fold, on clustered, shuffled and stratified
-// layouts. The stratified one has 400 groups over 56 strata, so groups are
+// TestGroupedScanMatchesPerSnippet: the discovery scan, and the banked
+// per-snippet fold of the decomposed snippet list, must be FLOAT-IDENTICAL
+// (bit-equal estimates, not merely close) to the per-snippet reference fold
+// written without banks, on clustered, shuffled and stratified layouts. The stratified one has 400 groups over 56 strata, so groups are
 // missing from whole strata and first seen in a later one: the discovery
 // scan's per-piece backfills.
 func TestGroupedScanMatchesPerSnippet(t *testing.T) {
@@ -123,51 +122,105 @@ func TestGroupedScanMatchesPerSnippet(t *testing.T) {
 			for _, sql := range groupedEquivalenceSQL {
 				snips := groupedSnips(t, gv, tb, sql)
 				up := perSnippetRunToCompletion(gv, snips)
-				requireSameBits(t, sql+" static", gv.RunToCompletion(snips), up)
+				requireSameBits(t, sql+" per-snippet", gv.RunToCompletion(snips), up)
 				requireSameBits(t, sql+" discovery", gv.GroupedRunToCompletion(specFor(t, tb, sql), 0).Update, up)
 			}
 		})
 	}
 }
 
-// TestGroupedProgressiveBitIdentical: under the grouped kernel, progressive
-// increments must stay bit-identical to a fresh EvalPrefix replay of the same
-// prefix, for any worker cap — the bank kernel yields the same per-unit
-// partials the carry logic was built on.
+// TestGroupedProgressiveBitIdentical: a grouped ProgressiveScan — the
+// discovery kernel expanded onto the statement's answer set — must equal
+// the per-snippet oracle EvalPrefix of the decomposed answer set bit for
+// bit at every default-schedule prefix and an unaligned one, resumed or
+// not, on a flat and a 4-partition layout at GOMAXPROCS 1, 2 and 4: with
+// a group the early prefixes have not met, under Nmax truncation, and with
+// no group at all.
 func TestGroupedProgressiveBitIdentical(t *testing.T) {
-	tb := buildGroupedTable(t, 4*storage.BlockSize+321, 9, false)
-	sample, err := BuildSample(tb, 1.0, 0, 11)
+	for _, parts := range []int{0, 4} {
+		for _, procs := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("parts=%d/procs=%d", parts, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				tb := buildGroupedTable(t, 4*storage.BlockSize+321, 9, false)
+				// Two rows of a tenth group at the very end of the table,
+				// which the flat sample below keeps in table order.
+				for i := 0; i < 2; i++ {
+					if err := tb.AppendRow([]storage.Value{
+						storage.Num(99.5), storage.Str("late"), storage.Str("a"), storage.Num(50),
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sample := &Sample{Data: tb, Fraction: 1, BatchSize: tb.Rows(), BaseRows: tb.Rows()}
+				e := NewEngine(tb, sample, CachedCost)
+				if parts > 0 {
+					if err := e.SetSampleLayout(partitionedLayout(tb, parts)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				v := e.Acquire()
+				for _, sql := range groupedEquivalenceSQL {
+					requireGroupedPrefixes(t, sql, v, sql, 0)
+				}
+				const sql = "SELECT cat, AVG(val), COUNT(*) FROM t GROUP BY cat"
+				set := requireGroupedPrefixes(t, "late group", v, sql, 0)
+				late := -1
+				for g, gv := range set.Groups {
+					if gv[0].Str == "late" {
+						late = g
+					}
+				}
+				first := v.GroupedProgressive(specFor(t, tb, sql), set).Step(PrefixSchedule(v.SampleRows, 0)[0])
+				if late < 0 || first.Estimates[2*late+1].Value != 0 {
+					t.Fatal("fixture: the first prefix already holds the late group")
+				}
+				if set := requireGroupedPrefixes(t, "nmax 3", v, sql, 3); !set.Truncated || len(set.Groups) != 3 {
+					t.Fatalf("nmax 3: %d groups, truncated %v", len(set.Groups), set.Truncated)
+				}
+				if set := requireGroupedPrefixes(t, "no group", v, "SELECT cat, AVG(val), COUNT(*) FROM t WHERE week > 1000 GROUP BY cat", 0); len(set.Groups) != 0 {
+					t.Fatalf("no group: %d groups", len(set.Groups))
+				}
+			})
+		}
+	}
+}
+
+// requireGroupedPrefixes takes sql's answer set on v — a full discovery fold
+// truncated to nmax — and steps a grouped ProgressiveScan through every
+// default-schedule prefix and one unaligned prefix, and a second one resumed
+// at the unaligned prefix through the rest, each increment equal bit for bit
+// to EvalPrefix of the decomposed answer set. It returns the answer set.
+func requireGroupedPrefixes(t *testing.T, label string, v *View, sql string, nmax int) *GroupedResult {
+	t.Helper()
+	spec := specFor(t, v.Base, sql)
+	set := v.GroupedRunToCompletion(spec, nmax)
+	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(tb, sample, CachedCost)
-	v := e.Acquire()
-	snips := groupedSnips(t, v, tb, "SELECT cat, AVG(val), COUNT(*) FROM t WHERE week < 80 GROUP BY cat")
+	decs, err := query.Decompose(stmt, v.Base, set.Groups, nmax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snips []*query.Snippet
+	for _, d := range decs {
+		snips = append(snips, d.Snippets...)
+	}
 	sched := PrefixSchedule(v.SampleRows, 0)
-	var baseline []Increment
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		ps := v.ProgressiveFrom(snips, 0, -1, workers)
-		for k, prefix := range sched {
-			inc := ps.Step(prefix)
-			if workers == 1 {
-				baseline = append(baseline, inc)
-				fresh := v.EvalPrefix(snips, prefix)
-				for i := range snips {
-					if inc.Estimates[i] != fresh.Estimates[i] || inc.Valid[i] != fresh.Valid[i] {
-						t.Fatalf("prefix %d snippet %d: increment %+v, fresh replay %+v",
-							prefix, i, inc.Estimates[i], fresh.Estimates[i])
-					}
-				}
-				continue
-			}
-			for i := range snips {
-				if inc.Estimates[i] != baseline[k].Estimates[i] {
-					t.Fatalf("workers=%d prefix %d snippet %d: %+v vs %+v",
-						workers, prefix, i, inc.Estimates[i], baseline[k].Estimates[i])
-				}
-			}
+	if len(sched) < 2 {
+		t.Fatal("fixture: the sample is one prefix")
+	}
+	prefixes := append([]int{sched[0], sched[0] + 777}, sched[1:]...)
+	ps := v.GroupedProgressive(spec, set).From(0, -1, 0)
+	resumed := v.GroupedProgressive(spec, set).From(prefixes[1], 1, 1)
+	for k, prefix := range prefixes {
+		want := v.EvalPrefix(snips, prefix)
+		requireSameBits(t, fmt.Sprintf("%s prefix %d", label, prefix), ps.Step(prefix), want)
+		if k > 1 {
+			requireSameBits(t, fmt.Sprintf("%s resumed, prefix %d", label, prefix), resumed.Step(prefix), want)
 		}
 	}
+	return set
 }
 
 // specFor builds the discovery spec for a grouped statement.
@@ -194,7 +247,7 @@ func specFor(t testing.TB, tb *storage.Table, sql string) *query.GroupedSpec {
 
 // TestGroupedDiscoverMatchesTwoPass: the one-pass discovery scan must return
 // the same groups, in the same order, with bit-identical estimates as the
-// legacy GroupRows + Decompose + RunToCompletion two-pass execution.
+// two-pass GroupRows + Decompose + RunToCompletion execution.
 func TestGroupedDiscoverMatchesTwoPass(t *testing.T) {
 	tb := buildGroupedTable(t, 3*storage.BlockSize+555, 10, false)
 	sample, err := BuildSample(tb, 0.8, 0, 13)
@@ -304,31 +357,18 @@ func TestGroupedDiscoverEdges(t *testing.T) {
 	}
 }
 
-// TestGroupedFactoringAfterRebuild: the static factored kernel must stay
-// float-identical to the per-snippet reference fold across a mid-stream
-// sample rebuild — new generation, new row layout, same bit-for-bit
-// agreement.
+// TestGroupedFactoringAfterRebuild: the grouped ProgressiveScan must stay
+// float-identical to the per-snippet oracle across a sample rebuild — new
+// generation, new row layout, same bit-for-bit agreement at every prefix.
 func TestGroupedFactoringAfterRebuild(t *testing.T) {
 	tb := buildGroupedTable(t, 2*storage.BlockSize+987, 7, false)
 	sample, err := BuildSample(tb, 0.7, 0, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sql := "SELECT cat, AVG(val), COUNT(*) FROM t WHERE week < 60 GROUP BY cat"
+	const sql = "SELECT cat, AVG(val), COUNT(*) FROM t WHERE week < 60 GROUP BY cat"
 	e := NewEngine(tb, sample, CachedCost)
-
-	check := func(label string) {
-		gv := e.Acquire()
-		snips := groupedSnips(t, gv, tb, sql)
-		ug := gv.RunToCompletion(snips)
-		up := perSnippetRunToCompletion(gv, snips)
-		for i := range snips {
-			if ug.Estimates[i] != up.Estimates[i] {
-				t.Fatalf("%s snippet %d: %+v vs %+v", label, i, ug.Estimates[i], up.Estimates[i])
-			}
-		}
-	}
-	check("before rebuild")
+	requireGroupedPrefixes(t, "before rebuild", e.Acquire(), sql, 0)
 	e.RebuildSample(777, DefaultRebuildOptions())
-	check("after rebuild")
+	requireGroupedPrefixes(t, "after rebuild", e.Acquire(), sql, 0)
 }

@@ -13,8 +13,9 @@ import (
 // TestVectorizedMatchesRowAtATime runs the same snippet sets through the
 // engine's scan and the row-at-a-time reference and requires the estimates
 // to agree to floating-point noise (the accumulation orders differ, so
-// bit-equality is not expected). The grouped snippet lists run the
-// accumulator-bank kernel, on clustered and shuffled layouts.
+// bit-equality is not expected). The grouped statements run the discovery
+// kernel and their decomposed snippet lists the per-snippet one, on
+// clustered and shuffled layouts.
 func TestVectorizedMatchesRowAtATime(t *testing.T) {
 	tb := buildTable(t, 3*storage.BlockSize+123)
 	sample, err := BuildSample(tb, 0.8, 0, 17)
@@ -32,7 +33,8 @@ func TestVectorizedMatchesRowAtATime(t *testing.T) {
 		snippetFor(t, tb, "SELECT AVG(val) FROM t"),
 		snippetFor(t, tb, "SELECT AVG(val * val) FROM t WHERE week >= 40"), // non-column measure
 	)
-	requireMatchesRowRef(t, "flat", NewEngine(tb, sample, CachedCost).Acquire(), snips)
+	v := NewEngine(tb, sample, CachedCost).Acquire()
+	requireMatchesRowRef(t, "flat", v, snips, v.RunToCompletion(snips))
 
 	for _, clustered := range []bool{true, false} {
 		tb := buildGroupedTable(t, 3*storage.BlockSize+777, 12, clustered)
@@ -43,19 +45,17 @@ func TestVectorizedMatchesRowAtATime(t *testing.T) {
 		v := NewEngine(tb, sample, CachedCost).Acquire()
 		for _, sql := range groupedEquivalenceSQL {
 			snips := groupedSnips(t, v, tb, sql)
-			if factorAccs(newAccs(v, snips)) == nil {
-				t.Fatalf("%s: not factored into the grouped kernel", sql)
-			}
-			requireMatchesRowRef(t, fmt.Sprintf("clustered=%v %s", clustered, sql), v, snips)
+			label := fmt.Sprintf("clustered=%v %s", clustered, sql)
+			requireMatchesRowRef(t, label+" per-snippet", v, snips, v.RunToCompletion(snips))
+			requireMatchesRowRef(t, label+" discovery", v, snips, v.GroupedRunToCompletion(specFor(t, tb, sql), 0).Update)
 		}
 	}
 }
 
-// requireMatchesRowRef compares v.RunToCompletion(snips) with the row
-// reference to floating-point noise.
-func requireMatchesRowRef(t *testing.T, label string, v *View, snips []*query.Snippet) {
+// requireMatchesRowRef compares uv, a scan's answer for snips on v, with
+// the row reference to floating-point noise.
+func requireMatchesRowRef(t *testing.T, label string, v *View, snips []*query.Snippet, uv Increment) {
 	t.Helper()
-	uv := v.RunToCompletion(snips)
 	ur := rowRunToCompletion(v, snips)
 	if uv.Rows != ur.Rows {
 		t.Fatalf("%s: rows scanned: vectorized %d, row %d", label, uv.Rows, ur.Rows)

@@ -8,12 +8,11 @@ import (
 	"repro/internal/storage"
 )
 
-// Reference scans. The engine runs one scan, the vectorized block pipeline
-// (scan.go), which factors grouped snippet lists into the accumulator-bank
-// kernel. The references below are what it is checked and benchmarked
-// against: the row-at-a-time loop (per-row predicate dispatch, parallel
-// across snippets only) and the per-snippet fold (the block pipeline with
-// grouped factoring turned off).
+// Reference scans. The engine runs the vectorized block pipeline (scan.go)
+// and, for grouped statements, the discovery kernel (scan_grouped.go). The
+// references below are what they are checked and benchmarked against: the
+// row-at-a-time loop (per-row predicate dispatch, parallel across snippets
+// only) and the per-snippet fold written without banks.
 
 // parallelThreshold is the snippet count past which scanRows fans out
 // across goroutines. Snippets are independent (each owns its accumulator),
@@ -79,10 +78,9 @@ func rowRunToCompletion(v *View, snips []*query.Snippet) Increment {
 }
 
 // perSnippetRunToCompletion is v.RunToCompletion(snips) written without
-// banks and with grouped factoring off: each piece folded on its own, every
-// snippet evaluating its own region per block (gs = nil), units merged in
-// order, then the pieces merged in piece order — the merge tree every scan
-// must reproduce.
+// banks: each piece folded on its own, every snippet evaluating its own
+// region per block, units merged in order, then the pieces merged in piece
+// order — the merge tree every scan must reproduce.
 func perSnippetRunToCompletion(v *View, snips []*query.Snippet) Increment {
 	accs := newAccs(v, snips)
 	for _, tbl := range v.Sample.Pieces() {
@@ -90,7 +88,7 @@ func perSnippetRunToCompletion(v *View, snips []*query.Snippet) Increment {
 			continue
 		}
 		bank := newAccs(v, snips)
-		for _, p := range scanUnits(metaOf(bank), nil, appendUnits(nil, tbl, 0, tbl.Rows()), 0) {
+		for _, p := range scanUnits(metaOf(bank), appendUnits(nil, tbl, 0, tbl.Rows()), 0) {
 			merge(bank, p)
 		}
 		mergeAccs(accs, bank)

@@ -2,7 +2,9 @@ package aqp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -53,9 +55,9 @@ type View struct {
 }
 
 // ObserveScan reports one scan-stage duration to the view's stage timer; a
-// nil timer (every replay view) costs one branch. The scans here report
-// themselves; callers outside the package use it for a scan stage they
-// served without scanning (a memoized progressive increment).
+// nil timer (every replay view) costs one branch. A timed CarriedFold
+// reports its own Runs; the serving layer above times every other scan it
+// serves — a stream's steps, memoized or scanned, and a time-bound prefix.
 func (v *View) ObserveScan(mode string, grouped bool, start time.Time) {
 	if v.stages != nil {
 		v.stages.ObserveStage(obs.Stage{Name: obs.StageScan, Mode: mode, Grouped: grouped}, time.Since(start))
@@ -70,9 +72,6 @@ func (v *View) QueryTime(rows int) time.Duration { return v.cost.QueryTime(rows)
 // increment: EvalPrefix at SampleRows, the last increment a progressive scan
 // of the view emits.
 func (v *View) RunToCompletion(snips []*query.Snippet) Increment {
-	if v.stages != nil {
-		defer v.ObserveScan(obs.ModeOneShot, false, time.Now())
-	}
 	return v.EvalPrefix(snips, v.SampleRows)
 }
 
@@ -103,14 +102,14 @@ func (v *View) increment(accs []*accumulator, rows int) Increment {
 	return inc
 }
 
-// TimeBound evaluates the snippets within a simulated time budget,
-// predicting the largest scannable prefix from the cost model (§7,
-// deployment scenario 2, and Appendix C.2's NoLearn).
+// RowsWithin is the largest sample prefix the view's cost model predicts
+// can be scanned within a simulated time budget (§7, deployment scenario 2,
+// and Appendix C.2's NoLearn).
+func (v *View) RowsWithin(budget time.Duration) int { return v.cost.RowsWithin(budget) }
+
+// TimeBound evaluates the snippets over the prefix RowsWithin(budget).
 func (v *View) TimeBound(snips []*query.Snippet, budget time.Duration) Increment {
-	if v.stages != nil {
-		defer v.ObserveScan(obs.ModeOneShot, false, time.Now())
-	}
-	return v.EvalPrefix(snips, v.cost.RowsWithin(budget))
+	return v.EvalPrefix(snips, v.RowsWithin(budget))
 }
 
 // Exact computes the snippet's exact answer on the view's base relation —
@@ -120,34 +119,33 @@ func (v *View) Exact(sn *query.Snippet) float64 {
 		return 0
 	}
 	accs := []*accumulator{{sn: sn}}
-	for _, p := range scanUnits(metaOf(accs), nil, appendUnits(nil, v.Base, 0, v.Base.Rows()), 0) {
+	for _, p := range scanUnits(metaOf(accs), appendUnits(nil, v.Base, 0, v.Base.Rows()), 0) {
 		merge(accs, p)
 	}
 	return accs[0].moments.Mean()
 }
 
 // GroupRows discovers the distinct group values of a grouped statement by
-// scanning the sample (ordered for determinism). It returns one empty group
-// for ungrouped statements.
+// scanning the sample row by row, in the order groupOrder gives. It
+// returns one empty group for ungrouped statements. Grouped serving paths
+// discover their groups in the discovery kernel instead; this pass remains
+// for groupings that kernel cannot pack (numeric grouping columns).
 func (v *View) GroupRows(groupCols []int, region *query.Region) ([][]query.GroupValue, error) {
 	if len(groupCols) == 0 {
 		return [][]query.GroupValue{nil}, nil
 	}
-	seen := map[string][]query.GroupValue{}
-	var keys []string
+	seen := map[string]bool{}
+	var groups [][]query.GroupValue
+	gvs := make([]query.GroupValue, len(groupCols))
+	var id []byte
 	for _, t := range v.Sample.Pieces() {
 		for row := 0; row < t.Rows(); row++ {
 			if region != nil && !region.Matches(t, row) {
 				continue
 			}
-			key := ""
-			gvs := make([]query.GroupValue, len(groupCols))
 			for i, col := range groupCols {
-				def := t.Schema().Col(col)
-				if def.Kind == storage.Categorical {
-					s := t.StrAt(row, col)
-					gvs[i] = query.GroupValue{Col: col, Str: s}
-					key += "|" + s
+				if t.Schema().Col(col).Kind == storage.Categorical {
+					gvs[i] = query.GroupValue{Col: col, Str: t.StrAt(row, col)}
 				} else {
 					n := t.NumAt(row, col)
 					if n == 0 {
@@ -156,21 +154,52 @@ func (v *View) GroupRows(groupCols []int, region *query.Region) ([][]query.Group
 						n = 0
 					}
 					gvs[i] = query.GroupValue{Col: col, Num: n}
-					key += "|" + fmt.Sprintf("%g", n)
 				}
 			}
-			if _, ok := seen[key]; !ok {
-				seen[key] = gvs
-				keys = append(keys, key)
+			if id = query.AppendGroupID(id[:0], gvs); !seen[string(id)] {
+				seen[string(id)] = true
+				groups = append(groups, slices.Clone(gvs))
 			}
 		}
 	}
-	sort.Strings(keys)
-	out := make([][]query.GroupValue, len(keys))
-	for i, k := range keys {
-		out[i] = seen[k]
+	out := make([][]query.GroupValue, len(groups))
+	for i, g := range groupOrder(v.Sample.Data.Schema(), groups) {
+		out[i] = groups[g]
 	}
 	return out, nil
+}
+
+// groupOrder returns the order in which an answer set's group rows are
+// reported: by the "|"-joined text of their values (a categorical value's
+// string, a numeric one in %g), and a tie between distinct rows whose
+// joined texts collide — ("a|b", "c") and ("a", "b|c") — broken value by
+// value. GroupRows and the discovery scan both order their answer sets
+// with it, so every path reports the same rows in the same order.
+func groupOrder(s *storage.Schema, groups [][]query.GroupValue) []int {
+	joined := make([]string, len(groups))
+	texts := make([][]string, len(groups))
+	order := make([]int, len(groups))
+	for i, g := range groups {
+		texts[i] = make([]string, len(g))
+		var sb strings.Builder
+		for j, v := range g {
+			texts[i][j] = v.Str
+			if s.Col(v.Col).Kind != storage.Categorical {
+				texts[i][j] = fmt.Sprintf("%g", v.Num)
+			}
+			sb.WriteByte('|')
+			sb.WriteString(texts[i][j])
+		}
+		joined[i], order[i] = sb.String(), i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		x, y := order[a], order[b]
+		if joined[x] != joined[y] {
+			return joined[x] < joined[y]
+		}
+		return slices.Compare(texts[x], texts[y]) < 0
+	})
+	return order
 }
 
 // Acquire returns the current published view, rebuilding it only when an

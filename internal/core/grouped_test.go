@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/aqp"
 	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/randx"
 	"repro/internal/storage"
 )
@@ -87,9 +88,26 @@ var groupedSystemSQL = []string{
 func twoPassExecute(t *testing.T, s *System, sql string) *Result {
 	t.Helper()
 	view := s.engine.Acquire()
-	pl, res, err := s.plan(view, sql, obs.ModeOneShot, false, false)
-	if err != nil || pl == nil {
-		t.Fatalf("%s: plan %v, %v", sql, pl, err)
+	planned, res, err := s.plan(view, sql, obs.ModeOneShot, false)
+	if err != nil || planned == nil {
+		t.Fatalf("%s: plan %v, %v", sql, planned, err)
+	}
+	pl := &queryPlan{view: view, stmt: planned.stmt}
+	var groupCols []int
+	for _, g := range pl.stmt.GroupBy {
+		col, _ := view.Base.Schema().Lookup(g.Name)
+		groupCols = append(groupCols, col)
+	}
+	region, err := query.BindRegion(pl.stmt.Where, view.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, err := view.GroupRows(groupCols, region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.decompose(groups, s.nmax()); err != nil {
+		t.Fatal(err)
 	}
 	upd := view.RunToCompletion(pl.snips)
 	improved, usedModel, _ := inferAll(s.Verdict().SnapshotFor(pl.snips), pl.snips, upd.Estimates)

@@ -22,7 +22,7 @@ import (
 // interval. The raw side of each increment is replayable bit-for-bit
 // afterwards via Engine.ViewAtGen + ExecuteViewPrefix, and a dropped stream
 // is resumable mid-sample via ExecuteProgressiveFrom: the cursor prefix is
-// folded once (aqp.ProgressiveFrom), so the resumed stream's remaining
+// folded once (aqp.ProgressiveScan.From), so the resumed stream's remaining
 // increments are bit-identical to the ones the uninterrupted stream would
 // have emitted.
 
@@ -142,9 +142,15 @@ func (s *System) ExecuteProgressiveFrom(ctx context.Context, sql string, opts Pr
 // the view's pin.
 func (s *System) runProgressive(ctx context.Context, sql string, opts ProgressiveOptions, view *aqp.View, epoch uint64, startRows, startSeq int, resumed bool, yield func(*Result, Progress) bool) (*Result, error) {
 	verdict := s.Verdict()
-	pl, res, err := s.plan(view, sql, obs.ModeProgressive, !resumed, false)
+	pl, res, err := s.plan(view, sql, obs.ModeProgressive, !resumed)
 	if err != nil || pl == nil {
 		return res, err
+	}
+	if err := s.answerSet(pl, obs.ModeProgressive, !resumed); err != nil {
+		return nil, err
+	}
+	if !resumed {
+		s.bumpStats(func(st *SystemStats) { st.Snippets += len(pl.snips) })
 	}
 	sched := opts.Schedule
 	if len(sched) == 0 {
@@ -212,20 +218,20 @@ func (s *System) runProgressive(ctx context.Context, sql string, opts Progressiv
 				SimTime: view.QueryTime(rows),
 				Seq:     seq + 1, Final: rows >= view.SampleRows,
 			}
-			// The lookup is this increment's scan stage, as a reused one-shot
-			// fold's is.
-			view.ObserveScan(obs.ModeProgressive, grouped, tScan)
 		} else {
 			if ps == nil {
 				// The workers cap goes in up front so the entry fold — the
 				// O(rows) scan a resume or a late miss pays — honors it too.
-				ps = view.ProgressiveFrom(pl.snips, pos, seq, opts.Workers)
+				ps = pl.progressive(pos, seq, opts.Workers)
 			}
 			inc = ps.Step(rows)
 			inc.Seq = seq + 1 // ps skipped the increments served from the memo
 			memo.streamStore(view, keys, inc)
 			missed = true
 		}
+		// A memo lookup is this increment's scan stage, as a reused one-shot
+		// fold's is.
+		view.ObserveScan(obs.ModeProgressive, grouped, tScan)
 		pos, seq = inc.Rows, inc.Seq
 		t0 := time.Now()
 		improved, usedModel, improvedCount := inferAll(snap, pl.snips, inc.Estimates)
@@ -310,12 +316,15 @@ func (s *System) targetMet(rows []ResultRow, opts ProgressiveOptions) bool {
 // to the streamed increment; improved answers reflect the synopsis at
 // replay time, which has typically learned more since.
 func (s *System) ExecuteViewPrefix(view *aqp.View, sql string, rows int) (*Result, error) {
-	pl, res, err := s.plan(view, sql, obs.ModeProgressive, false, false)
+	pl, res, err := s.plan(view, sql, obs.ModeProgressive, false)
 	if err != nil || pl == nil {
 		return res, err
 	}
+	if err := s.answerSet(pl, obs.ModeProgressive, false); err != nil {
+		return nil, err
+	}
 	res.GroupsTruncated = pl.truncated
-	inc := view.EvalPrefix(pl.snips, rows)
+	inc := pl.progressive(0, -1, 0).Step(rows)
 	improved, usedModel, _ := inferAll(s.Verdict().SnapshotFor(pl.snips), pl.snips, inc.Estimates)
 	if res.Rows, err = composeRows(pl, inc.Estimates, improved, usedModel); err != nil {
 		return nil, err

@@ -6,8 +6,11 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/aqp"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/randx"
+	"repro/internal/storage"
 )
 
 func relDiff(a, b float64) float64 {
@@ -292,7 +295,7 @@ func TestInferSnapshotPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := s.Engine().Acquire()
-	pl, _, err := s.plan(view, "SELECT AVG(revenue) FROM sales WHERE week BETWEEN 11 AND 19", obs.ModeProgressive, false, false)
+	pl, _, err := s.plan(view, "SELECT AVG(revenue) FROM sales WHERE week BETWEEN 11 AND 19", obs.ModeProgressive, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,4 +327,45 @@ func itoa(n int) string {
 		return string(rune('0' + n))
 	}
 	return itoa(n/10) + string(rune('0'+n%10))
+}
+
+// TestTargetNotMetWithoutRows: a cell with no usable rows yet carries an
+// infinite raw error, sanitized to MaxFloat64, so a relative target is not
+// met by a vacuous 0 ± 0 at the first increment; the stream runs on until
+// the cell has rows enough, or the sample ends.
+func TestTargetNotMetWithoutRows(t *testing.T) {
+	tb := storage.NewTable("t", storage.MustSchema([]storage.ColumnDef{
+		{Name: "week", Kind: storage.Numeric, Role: storage.Dimension},
+		{Name: "v", Kind: storage.Numeric, Role: storage.Measure},
+	}))
+	rng := randx.New(5)
+	for i := 0; i < 100000; i++ {
+		if err := tb.AppendRow([]storage.Value{storage.Num(float64(i % 1000)), storage.Num(10 + rng.Normal(0, 1))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sample, err := aqp.BuildSample(tb, 1.0, 0, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSystem(aqp.NewEngine(tb, sample, aqp.CachedCost), Config{})
+	var first *Result
+	var steps []Progress
+	opts := ProgressiveOptions{FirstRows: 256, TargetCI: 0.02, TargetRelative: true}
+	if _, err := s.ExecuteProgressive(context.Background(), "SELECT AVG(v) FROM t WHERE week = 3", opts, func(r *Result, p Progress) bool {
+		if first == nil {
+			first = r
+		}
+		steps = append(steps, p)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cell := first.Rows[0].Cells[0]
+	if steps[0].TargetMet || cell.Raw.StdErr != math.MaxFloat64 || cell.Improved.StdErr != math.MaxFloat64 {
+		t.Fatalf("first increment (%d rows): target met %v, raw %+v, improved %+v", steps[0].Rows, steps[0].TargetMet, cell.Raw, cell.Improved)
+	}
+	if last := steps[len(steps)-1]; !last.TargetMet && !last.Final {
+		t.Fatalf("stream ended at %+v", last)
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/aqp"
 	"repro/internal/notify"
 	"repro/internal/obs"
+	"repro/internal/query"
 )
 
 // Continuous queries: a subscriber registers a SQL statement once and is
@@ -259,7 +260,7 @@ func (s *System) CloseSubscriptions(reason string) {
 // the plan's one full fold. Caller holds standing.mu.
 func (s *System) newStandingPlanLocked(sql string) (*standingPlan, error) {
 	view, release := s.engine.AcquirePinned()
-	pl, res, err := s.plan(view, sql, obs.ModeOneShot, false, true)
+	pl, res, err := s.plan(view, sql, obs.ModeOneShot, false)
 	if err != nil {
 		release()
 		return nil, err
@@ -324,7 +325,7 @@ func (s *System) notifyStanding(reason string) {
 // execution of the same view would plan. Caller holds standing.mu.
 func (s *System) refreshPlanLocked(p *standingPlan) error {
 	view, release := s.engine.AcquirePinned()
-	pl, _, err := s.plan(view, p.sql, obs.ModeOneShot, false, true)
+	pl, _, err := s.plan(view, p.sql, obs.ModeOneShot, false)
 	if err != nil || pl == nil {
 		release()
 		if err == nil {
@@ -451,8 +452,8 @@ func (sub *Subscription) recordCells(res *Result, alpha float64) {
 	sub.hasLast = true
 }
 
-// groupKeys projects a Result onto its per-row composite group keys (nil
-// for the single ungrouped row) — the row-set identity the structure
+// groupKeys projects a Result onto its per-row group identities (nil for
+// the single ungrouped row) — the row-set identity the structure
 // check compares.
 func groupKeys(res *Result) []string {
 	if len(res.Rows) == 1 && len(res.Rows[0].Group) == 0 {
@@ -460,28 +461,20 @@ func groupKeys(res *Result) []string {
 	}
 	out := make([]string, len(res.Rows))
 	for i, row := range res.Rows {
-		var sb strings.Builder
-		for _, g := range row.Group {
-			sb.WriteByte('|')
-			if g.Str != "" {
-				sb.WriteString(g.Str)
-			} else {
-				fmt.Fprintf(&sb, "%g", g.Num)
-			}
-		}
-		out[i] = sb.String()
+		out[i] = string(query.AppendGroupID(nil, row.Group))
 	}
 	return out
 }
 
 // flattenCells projects a Result onto the (estimate, CI half-width) pairs
 // the threshold check compares — the improved answer, like the pushed
-// chunk's headline fields.
+// chunk's headline fields. The half-width saturates like the chunk's, so
+// two cells with no usable rows compare equal rather than NaN.
 func flattenCells(res *Result, alpha float64) []pushedCell {
 	var out []pushedCell
 	for _, row := range res.Rows {
 		for _, c := range row.Cells {
-			out = append(out, pushedCell{est: c.Improved.Value, ci: alpha * c.Improved.StdErr})
+			out = append(out, pushedCell{est: c.Improved.Value, ci: query.Saturate(alpha * c.Improved.StdErr)})
 		}
 	}
 	return out

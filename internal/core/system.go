@@ -358,10 +358,11 @@ type queryPlan struct {
 	offsets []int
 	// truncated records that group discovery found more than Nmax groups.
 	truncated bool
-	// spec, when non-nil, defers group discovery into the scan itself: the
-	// plan has no decompositions yet, and execute materializes them from the
-	// discovery scan's result (View.GroupedRunToCompletion).
+	// spec, when non-nil, is a grouped plan for the discovery kernel: it has
+	// no decompositions until a discovery fold of the view reports its
+	// answer set (materialize), and set is that answer set.
 	spec *query.GroupedSpec
+	set  *aqp.GroupedResult
 }
 
 // nmax returns the configured group cap, defaulted.
@@ -372,28 +373,37 @@ func (s *System) nmax() int {
 	return DefaultNmax
 }
 
-// materialize fills a deferred grouped plan's decompositions from the
-// discovery scan's group list, so inference and recomposition run on the
-// identical per-snippet structures the legacy path builds.
-func (pl *queryPlan) materialize(gr *aqp.GroupedResult, nmax int) error {
-	decs, err := query.Decompose(pl.stmt, pl.view.Base, gr.Groups, nmax)
+// decompose fills the plan's decompositions for an answer set's groups, at
+// most nmax of them.
+func (pl *queryPlan) decompose(groups [][]query.GroupValue, nmax int) error {
+	decs, err := query.Decompose(pl.stmt, pl.view.Base, groups, nmax)
 	if err != nil {
 		return err
 	}
-	pl.decs = decs
-	pl.offsets = make([]int, len(decs))
+	pl.decs, pl.snips, pl.offsets = decs, nil, make([]int, len(decs))
 	for i, d := range decs {
 		pl.offsets[i] = len(pl.snips)
 		pl.snips = append(pl.snips, d.Snippets...)
 	}
-	pl.truncated = gr.Truncated
+	pl.truncated = len(groups) > nmax
+	return nil
+}
+
+// materialize fills a grouped plan's decompositions from a discovery fold's
+// answer set, so inference and recomposition run on the same per-snippet
+// structures as every other plan.
+func (pl *queryPlan) materialize(gr *aqp.GroupedResult, nmax int) error {
+	if err := pl.decompose(gr.Groups, nmax); err != nil {
+		return err
+	}
+	pl.set, pl.truncated = gr, gr.Truncated
 	return nil
 }
 
 // scanCarried drives the plan's full-sample scan through a carried fold —
 // bit-identical to the reference one-shot scan of pl.view — and, for a
-// deferred grouped plan, materializes the decompositions from the groups the
-// fold discovered.
+// grouped plan, materializes the decompositions from the groups the fold
+// discovered.
 func (pl *queryPlan) scanCarried(f *aqp.CarriedFold, nmax int) (aqp.FoldResult, error) {
 	fr := f.Run(pl.view, pl.snips, pl.spec, nmax)
 	if fr.Grouped == nil {
@@ -402,17 +412,48 @@ func (pl *queryPlan) scanCarried(f *aqp.CarriedFold, nmax int) (aqp.FoldResult, 
 	return fr, pl.materialize(fr.Grouped, nmax)
 }
 
-// plan parses, checks and decomposes sql against the view, bumping the
-// workload counters when record is set. On success the returned Result is
-// the pre-filled header (provenance, support verdict); a nil plan with a
-// nil error means the query is unsupported and the Result is terminal.
-// oneShot marks a run-to-completion execution: a grouped query then defers
-// group discovery into the aggregation scan itself (queryPlan.spec) instead
-// of paying a separate GroupRows pass, when the statement shape allows it.
-// mode labels stage-latency observations (obs.ModeOneShot
-// or obs.ModeProgressive); stages are observed only when record is set, so
-// replays and resumes never re-count a query they didn't plan.
-func (s *System) plan(view *aqp.View, sql, mode string, record, oneShot bool) (*queryPlan, *Result, error) {
+// answerSet gives a grouped plan the answer set a prefix scan — a stream,
+// a resume, a prefix replay, a time-bound query — expands its increments
+// onto: one full discovery fold of the plan's view, outside the scan memo.
+// It is planning, not the query's scan, so a timed call is observed as a
+// prune-stage span. A flat plan already has its snippets.
+func (s *System) answerSet(pl *queryPlan, mode string, timed bool) error {
+	if pl.spec == nil {
+		return nil
+	}
+	start := time.Now()
+	if err := pl.materialize(pl.view.GroupedRunToCompletion(pl.spec, s.nmax()), s.nmax()); err != nil {
+		return err
+	}
+	if timed && s.cfg.Stages != nil {
+		s.observeStage(obs.StagePrune, mode, true, start)
+	}
+	return nil
+}
+
+// progressive starts the plan's progressive scan at the prefix [0, rows)
+// emitted as increment seq (aqp.ProgressiveScan.From): the discovery
+// kernel expanded onto the answer set for a grouped plan, the per-snippet
+// kernel otherwise.
+func (pl *queryPlan) progressive(rows, seq, workers int) *aqp.ProgressiveScan {
+	if pl.spec != nil {
+		return pl.view.GroupedProgressive(pl.spec, pl.set).From(rows, seq, workers)
+	}
+	return pl.view.Progressive(pl.snips).From(rows, seq, workers)
+}
+
+// plan parses, checks and plans sql against the view, bumping the workload
+// counters when record is set. On success the returned Result is the
+// pre-filled header (provenance, support verdict); a nil plan with a nil
+// error means the query is unsupported and the Result is terminal. A
+// GROUP BY over categorical columns becomes a grouped plan (queryPlan.spec)
+// whose groups the discovery kernel finds; any other statement is
+// decomposed here, its groups — numeric grouping columns, or codes too wide
+// to pack — found by a GroupRows pass. mode labels stage-latency
+// observations (obs.ModeOneShot or obs.ModeProgressive); stages are
+// observed only when record is set, so replays and resumes never re-count
+// a query they didn't plan.
+func (s *System) plan(view *aqp.View, sql, mode string, record bool) (*queryPlan, *Result, error) {
 	timed := record && s.cfg.Stages != nil
 	var tParse time.Time
 	if timed {
@@ -456,14 +497,12 @@ func (s *System) plan(view *aqp.View, sql, mode string, record, oneShot bool) (*
 	}
 
 	// The prune stage is everything that decides what to scan: group-column
-	// resolution, region binding, group discovery and decomposition (or, on
-	// the deferred path, building the grouped spec the scan discovers with).
+	// resolution, region binding, and either the grouped spec or group
+	// discovery and decomposition.
 	var tPrune time.Time
 	if timed {
 		tPrune = time.Now()
 	}
-
-	// Discover the answer set's groups from the sample.
 	var groupCols []int
 	for _, g := range stmt.GroupBy {
 		col, ok := table.Schema().Lookup(g.Name)
@@ -472,47 +511,25 @@ func (s *System) plan(view *aqp.View, sql, mode string, record, oneShot bool) (*
 		}
 		groupCols = append(groupCols, col)
 	}
-	// One-shot grouped executions fold group discovery into the aggregation
-	// scan: no GroupRows pass, no decomposition until the scan reports the
-	// groups it found. Falls through to the two-pass plan whenever the shape
-	// is outside the foldable form (numeric group columns, decompose errors —
-	// re-raised with context below).
-	if oneShot && len(groupCols) > 0 {
-		if spec := query.GroupedSpecOf(stmt, table, groupCols); spec != nil {
-			if timed {
-				s.observeStage(obs.StagePrune, mode, true, tPrune)
-			}
-			return &queryPlan{view: view, stmt: stmt, spec: spec}, res, nil
+	pl := &queryPlan{view: view, stmt: stmt}
+	// GroupedSpecOf is nil outside the discovery kernel's shape; a decompose
+	// error is then re-raised with context by Decompose below.
+	if pl.spec = query.GroupedSpecOf(stmt, table, groupCols); pl.spec == nil {
+		baseRegion, err := query.BindRegion(stmt.Where, table)
+		if err != nil {
+			return nil, nil, err
 		}
-	}
-
-	baseRegion, err := query.BindRegion(stmt.Where, table)
-	if err != nil {
-		return nil, nil, err
-	}
-	groups, err := view.GroupRows(groupCols, baseRegion)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	decs, err := query.Decompose(stmt, table, groups, s.cfg.Nmax)
-	if err != nil {
-		return nil, nil, err
-	}
-	var snips []*query.Snippet
-	offsets := make([]int, len(decs))
-	for i, d := range decs {
-		offsets[i] = len(snips)
-		snips = append(snips, d.Snippets...)
-	}
-	if record {
-		s.bumpStats(func(st *SystemStats) { st.Snippets += len(snips) })
+		groups, err := view.GroupRows(groupCols, baseRegion)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := pl.decompose(groups, s.nmax()); err != nil {
+			return nil, nil, err
+		}
 	}
 	if timed {
 		s.observeStage(obs.StagePrune, mode, len(groupCols) > 0, tPrune)
 	}
-	pl := &queryPlan{view: view, stmt: stmt, decs: decs, snips: snips, offsets: offsets}
-	pl.truncated = len(groups) > s.nmax()
 	return pl, res, nil
 }
 
@@ -546,7 +563,7 @@ func composeRows(pl *queryPlan, raw, improved []query.ScalarEstimate, usedModel 
 
 func (s *System) execute(view *aqp.View, sql string, budget time.Duration, record bool) (*Result, error) {
 	verdict := s.Verdict()
-	pl, res, err := s.plan(view, sql, obs.ModeOneShot, record, budget == 0)
+	pl, res, err := s.plan(view, sql, obs.ModeOneShot, record)
 	if err != nil || pl == nil {
 		return res, err
 	}
@@ -555,7 +572,13 @@ func (s *System) execute(view *aqp.View, sql string, budget time.Duration, recor
 	var upd aqp.Increment
 	switch {
 	case budget > 0:
-		upd = view.TimeBound(pl.snips, budget)
+		// A time-bound query is one prefix of a progressive scan.
+		if err := s.answerSet(pl, obs.ModeOneShot, record); err != nil {
+			return nil, err
+		}
+		tScan := time.Now()
+		upd = pl.progressive(0, -1, 0).Step(view.RowsWithin(budget))
+		view.ObserveScan(obs.ModeOneShot, grouped, tScan)
 	case record:
 		// A recorded one-shot query extends the fold the statement's last
 		// execution left in the scan memo; replays below keep to the
@@ -566,9 +589,8 @@ func (s *System) execute(view *aqp.View, sql string, budget time.Duration, recor
 		}
 		upd = fr.Update
 	case grouped:
-		// One-pass grouped execution: the scan discovered the groups and
-		// produced their estimates; materialize the matching decompositions
-		// so inference and recomposition proceed unchanged.
+		// The scan discovered the groups and produced their estimates;
+		// materialize the matching decompositions.
 		gr := view.GroupedRunToCompletion(pl.spec, s.nmax())
 		if err := pl.materialize(gr, s.nmax()); err != nil {
 			return nil, err
@@ -577,7 +599,7 @@ func (s *System) execute(view *aqp.View, sql string, budget time.Duration, recor
 	default:
 		upd = view.RunToCompletion(pl.snips)
 	}
-	if record && grouped {
+	if record {
 		s.bumpStats(func(st *SystemStats) { st.Snippets += len(pl.snips) })
 	}
 	res.SimTime = upd.SimTime

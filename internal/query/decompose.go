@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
@@ -19,6 +20,20 @@ type GroupValue struct {
 	// Str/Num carry the value according to the column kind.
 	Str string
 	Num float64
+}
+
+// AppendGroupID appends an unambiguous identity for a group row to dst:
+// equal identities mean equal values in every grouping column, whatever
+// separators the values contain (each string is length-prefixed).
+func AppendGroupID(dst []byte, g []GroupValue) []byte {
+	for _, v := range g {
+		dst = strconv.AppendInt(dst, int64(len(v.Str)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, v.Str...)
+		dst = strconv.AppendFloat(dst, v.Num, 'g', -1, 64)
+		dst = append(dst, '|')
+	}
+	return dst
 }
 
 // UserAggregate describes one user-facing aggregate of a query after
@@ -168,19 +183,25 @@ func ComposeAggregate(agg sqlparse.AggFunc, avg, freq ScalarEstimate, tableRows 
 	case sqlparse.AggCount:
 		return ScalarEstimate{
 			Value:  roundNonNeg(freq.Value * n),
-			StdErr: freq.StdErr * n,
+			StdErr: Saturate(freq.StdErr * n),
 		}, nil
 	case sqlparse.AggSum:
 		cnt := freq.Value * n
-		cntErr := freq.StdErr * n
+		cntErr := Saturate(freq.StdErr * n)
 		val := avg.Value * cnt
 		// Var(X·Y) ≈ Y²Var(X) + X²Var(Y) for weakly dependent X, Y.
 		variance := cnt*cnt*avg.StdErr*avg.StdErr + avg.Value*avg.Value*cntErr*cntErr
-		return ScalarEstimate{Value: val, StdErr: sqrtNonNeg(variance)}, nil
+		return ScalarEstimate{Value: val, StdErr: Saturate(sqrtNonNeg(variance))}, nil
 	default:
 		return ScalarEstimate{}, fmt.Errorf("%w: aggregate %s not composable", ErrUnsupported, agg)
 	}
 }
+
+// Saturate caps an error at math.MaxFloat64, the error a sanitized
+// estimate with no usable rows carries: scaling it — a COUNT's ×|r|, a
+// confidence half-width's ×α — must not overflow to +Inf, which JSON cannot
+// carry and whose differences are NaN.
+func Saturate(err float64) float64 { return math.Min(err, math.MaxFloat64) }
 
 func roundNonNeg(v float64) float64 {
 	if v < 0 {

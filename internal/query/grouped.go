@@ -2,7 +2,6 @@ package query
 
 import (
 	"math/bits"
-	"sort"
 
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
@@ -11,54 +10,12 @@ import (
 // Grouped-execution planning. The §2.3 decomposition of a GROUP BY query
 // emits one snippet per (aggregate, group value), every one a clone of the
 // query's base region constrained to a single dictionary code per grouping
-// column — so a G-group scan evaluates the shared base predicate G times per
-// block. FactorGroups recognizes that pattern after the fact and factors it
-// into a GroupedPlan: the base region evaluated once per block into a shared
-// selection vector, plus a code→slot table that scatters each matched row to
-// its group's accumulator bank. GroupedSpecOf produces the same factored
-// shape before the groups are known, so a one-shot execution can fold group
-// discovery into the very same scan instead of a separate GroupRows pass.
-// The scan kernels driving either live in internal/aqp (scan_grouped.go).
-
-// FamilySlot describes one snippet of the per-group snippet family — the
-// (aggregate kind, measure) signature every group repeats, in the snippet
-// order Decompose emits.
-type FamilySlot struct {
-	// Kind is the internal aggregate (AVG or FREQ).
-	Kind AggKind
-	// MeasureKey canonically identifies the measure (empty for FREQ).
-	MeasureKey string
-	// Measure evaluates the measure for a row (nil for FREQ). All groups'
-	// snippets compile to behaviorally identical measure closures, so any
-	// group's instance serves the shared scan.
-	Measure func(*storage.Table, int) float64
-	// MeasureCol is the bare numeric column index of the measure, or -1 when
-	// the measure is a compound expression (gathered via Measure instead).
-	MeasureCol int
-}
-
-// SlotTable maps the group columns' dictionary codes to accumulator slots.
-// Exactly one of Dense/Packed is set: a single grouping column uses a dense
-// code-indexed array (Dense[code] is the slot, -1 for codes that are not a
-// planned group), multiple columns pack their codes into a uint64 key
-// (PackShift bit widths, most-significant column first) probed in Packed.
-type SlotTable struct {
-	Dense  []int32
-	Packed map[uint64]int32
-	// Shifts holds the per-column bit widths of the packed key, in group
-	// column order. Populated in both layouts (single-column packing is the
-	// identity), so discovery-mode kernels can reuse it.
-	Shifts []uint
-}
-
-// Slot resolves a packed key to its slot, returning -1 when the codes name
-// no planned group. Single-column tables should index Dense directly.
-func (st *SlotTable) Slot(key uint64) int32 {
-	if s, ok := st.Packed[key]; ok {
-		return s
-	}
-	return -1
-}
+// column. GroupedSpecOf describes that family before the groups are known —
+// the base region, the grouping columns and the per-group snippet family —
+// so the discovery kernel in internal/aqp (scan_grouped.go) can evaluate the
+// base region once per block, scatter each matched row to its group's
+// accumulator bank by its packed code tuple, and find the groups in the
+// same pass that aggregates them.
 
 // PackKey packs one code tuple (group column order) into the probe key.
 func PackKey(codes []int32, shifts []uint) uint64 {
@@ -90,241 +47,12 @@ func packShifts(t *storage.Table, groupCols []int) (shifts []uint, ok bool) {
 	return shifts, true
 }
 
-// GroupedPlan is the factored form of a grouped snippet list: one shared
-// base region plus a per-group slot mapping, ready for the one-pass
-// accumulator-bank kernel. Snippet i of the original flat list belongs to
-// group i/Stride and family slot i%Stride, which is how the kernel's bank
-// expands back into the per-snippet partials the rest of the pipeline
-// (merge order, inference, recording) consumes unchanged.
-type GroupedPlan struct {
-	// Table is the bound relation all snippets share.
-	Table *storage.Table
-	// GroupCols are the grouping columns (all categorical), ascending.
-	GroupCols []int
-	// Groups holds each group's code tuple in GroupCols order, one entry per
-	// decomposition group, in snippet (= group) order.
-	Groups [][]int32
-	// Base is the shared selection region: the common constraints of every
-	// per-group region, with each grouping column constrained to the union
-	// of the groups' codes. Rows matching Base but mapping to no slot (a
-	// code combination outside Groups) contribute nothing, exactly like the
-	// per-snippet path.
-	Base *Region
-	// Stride is the number of snippets per group.
-	Stride int
-	// Family is the per-group snippet signature sequence (length Stride).
-	Family []FamilySlot
-	// Slots maps group codes to bank slots (slot g holds group g's moments).
-	Slots *SlotTable
-}
-
-// FactorGroups factors a flat snippet list into a GroupedPlan when it has
-// the shape Decompose gives grouped queries: per-group runs of snippets
-// sharing one Region instance, identical (kind, measure) signatures across
-// runs, and regions differing only on categorical columns where every run
-// holds exactly one code. Returns nil — caller falls back to the per-snippet
-// scan — for any other shape, including fewer than two groups (nothing to
-// factor) and group-code tuples that cannot be packed into 64 bits.
-func FactorGroups(snips []*Snippet) *GroupedPlan {
-	if len(snips) < 2 {
-		return nil
-	}
-	t := snips[0].Table
-	if t == nil {
-		return nil
-	}
-	// Partition into per-group runs: Decompose gives all snippets of one
-	// group the same Region instance, so pointer changes delimit groups.
-	stride := 0
-	for i, sn := range snips {
-		if sn.Table != t || sn.Region == nil {
-			return nil
-		}
-		if i > 0 && sn.Region != snips[i-1].Region {
-			stride = i
-			break
-		}
-	}
-	if stride == 0 || len(snips)%stride != 0 {
-		return nil
-	}
-	nGroups := len(snips) / stride
-	if nGroups < 2 {
-		return nil
-	}
-	regions := make([]*Region, nGroups)
-	for g := 0; g < nGroups; g++ {
-		regions[g] = snips[g*stride].Region
-		for j := 0; j < stride; j++ {
-			if snips[g*stride+j].Region != regions[g] {
-				return nil
-			}
-		}
-	}
-	// Family signature: every group must repeat group 0's sequence.
-	family := make([]FamilySlot, stride)
-	for j := 0; j < stride; j++ {
-		sn := snips[j]
-		family[j] = FamilySlot{Kind: sn.Kind, MeasureKey: sn.MeasureKey, Measure: sn.Measure, MeasureCol: -1}
-		if col, ok := sn.MeasureColumn(); ok {
-			family[j].MeasureCol = col
-		}
-	}
-	for g := 1; g < nGroups; g++ {
-		for j := 0; j < stride; j++ {
-			sn := snips[g*stride+j]
-			if sn.Kind != family[j].Kind || sn.MeasureKey != family[j].MeasureKey {
-				return nil
-			}
-		}
-	}
-	// Diff the regions: numeric constraints must agree exactly; categorical
-	// constraints either agree (common) or vary with exactly one code per
-	// group (a grouping column).
-	r0 := regions[0]
-	for _, r := range regions[1:] {
-		if len(r.num) != len(r0.num) || len(r.cat) != len(r0.cat) {
-			return nil
-		}
-		for col, nr := range r0.num {
-			if o, ok := r.num[col]; !ok || o != nr {
-				return nil
-			}
-		}
-		for col := range r0.cat {
-			if _, ok := r.cat[col]; !ok {
-				return nil
-			}
-		}
-	}
-	var groupCols []int
-	commonCat := map[int]CatSet{}
-	for col, s0 := range r0.cat {
-		same := true
-		for _, r := range regions[1:] {
-			if !equalCodes(r.cat[col].Codes, s0.Codes) {
-				same = false
-				break
-			}
-		}
-		if same {
-			commonCat[col] = s0
-			continue
-		}
-		for _, r := range regions {
-			if len(r.cat[col].Codes) != 1 {
-				return nil
-			}
-		}
-		groupCols = append(groupCols, col)
-	}
-	if len(groupCols) == 0 {
-		return nil
-	}
-	sort.Ints(groupCols)
-
-	groups := make([][]int32, nGroups)
-	for g, r := range regions {
-		tuple := make([]int32, len(groupCols))
-		for j, col := range groupCols {
-			tuple[j] = r.cat[col].Codes[0]
-		}
-		groups[g] = tuple
-	}
-	slots := buildSlots(t, groupCols, groups)
-	if slots == nil {
-		return nil
-	}
-
-	// The factored base: common constraints plus the union of group codes on
-	// each grouping column.
-	base := NewRegion(t.Schema())
-	for col, nr := range r0.num {
-		base.num[col] = nr
-	}
-	for col, s := range commonCat {
-		base.cat[col] = s
-	}
-	for j, col := range groupCols {
-		union := make([]int32, 0, nGroups)
-		for _, g := range groups {
-			union = append(union, g[j])
-		}
-		sort.Slice(union, func(a, b int) bool { return union[a] < union[b] })
-		dedup := union[:0]
-		for i, c := range union {
-			if i == 0 || c != union[i-1] {
-				dedup = append(dedup, c)
-			}
-		}
-		base.cat[col] = CatSet{Codes: dedup}
-	}
-
-	return &GroupedPlan{
-		Table:     t,
-		GroupCols: groupCols,
-		Groups:    groups,
-		Base:      base,
-		Stride:    stride,
-		Family:    family,
-		Slots:     slots,
-	}
-}
-
-// buildSlots constructs the code→slot mapping, or nil when the tuples are
-// not distinct or cannot be packed.
-func buildSlots(t *storage.Table, groupCols []int, groups [][]int32) *SlotTable {
-	shifts, ok := packShifts(t, groupCols)
-	if !ok {
-		return nil
-	}
-	st := &SlotTable{Shifts: shifts}
-	if len(groupCols) == 1 {
-		size := t.DictOf(groupCols[0]).Size()
-		dense := make([]int32, size)
-		for i := range dense {
-			dense[i] = -1
-		}
-		for g, tuple := range groups {
-			c := tuple[0]
-			if c < 0 || int(c) >= size || dense[c] != -1 {
-				return nil
-			}
-			dense[c] = int32(g)
-		}
-		st.Dense = dense
-		return st
-	}
-	packed := make(map[uint64]int32, len(groups))
-	for g, tuple := range groups {
-		key := PackKey(tuple, shifts)
-		if _, dup := packed[key]; dup {
-			return nil
-		}
-		packed[key] = int32(g)
-	}
-	st.Packed = packed
-	return st
-}
-
-func equalCodes(a, b []int32) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // GroupedSpec describes a grouped query before its groups are known: the
 // shared base region, the grouping columns, and the snippet family one group
-// will instantiate. A one-shot execution hands it to the discovery scan
-// (aqp.View.GroupedRunToCompletion), which allocates accumulator slots for
-// group code tuples as rows reveal them — the same pass that aggregates, so
-// the separate GroupRows rescan disappears.
+// will instantiate. Every scan of a grouped statement — one-shot, carried,
+// progressive — hands it to the discovery kernel (internal/aqp), which
+// allocates accumulator slots for group code tuples as rows reveal them in
+// the same pass that aggregates.
 type GroupedSpec struct {
 	// Table is the bound base relation.
 	Table *storage.Table
@@ -337,8 +65,6 @@ type GroupedSpec struct {
 	// decomposition (region = Base); their kinds drive estimation and their
 	// order matches what Decompose will emit per discovered group.
 	Family []*Snippet
-	// Aggregates maps user aggregates onto family snippet indexes.
-	Aggregates []UserAggregate
 	// Shifts are the code-packing bit widths for GroupCols (see PackKey).
 	Shifts []uint
 }
@@ -367,11 +93,10 @@ func GroupedSpecOf(stmt *sqlparse.SelectStmt, t *storage.Table, groupCols []int)
 	}
 	d := decs[0]
 	return &GroupedSpec{
-		Table:      t,
-		GroupCols:  groupCols,
-		Base:       d.Snippets[0].Region,
-		Family:     d.Snippets,
-		Aggregates: d.Aggregates,
-		Shifts:     shifts,
+		Table:     t,
+		GroupCols: groupCols,
+		Base:      d.Snippets[0].Region,
+		Family:    d.Snippets,
+		Shifts:    shifts,
 	}
 }

@@ -30,128 +30,6 @@ func groupedFixture(t *testing.T) *storage.Table {
 	return tb
 }
 
-func decomposeGrouped(t *testing.T, tb *storage.Table, sql string, groups [][]GroupValue) []*Snippet {
-	t.Helper()
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decs, err := Decompose(stmt, tb, groups, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snips []*Snippet
-	for _, d := range decs {
-		snips = append(snips, d.Snippets...)
-	}
-	return snips
-}
-
-func catGroups(tb *storage.Table, col string, values ...string) [][]GroupValue {
-	c, _ := tb.Schema().Lookup(col)
-	var out [][]GroupValue
-	for _, v := range values {
-		out = append(out, []GroupValue{{Col: c, Str: v}})
-	}
-	return out
-}
-
-// TestGroupedFactorGroups covers the happy path: a grouped decomposition
-// factors into one shared base with a correct code→slot mapping.
-func TestGroupedFactorGroups(t *testing.T) {
-	tb := groupedFixture(t)
-	snips := decomposeGrouped(t, tb,
-		"SELECT cat, AVG(val), COUNT(*) FROM t WHERE week < 30 GROUP BY cat",
-		catGroups(tb, "cat", "g0", "g1", "g2"))
-	pl := FactorGroups(snips)
-	if pl == nil {
-		t.Fatal("grouped decomposition did not factor")
-	}
-	if pl.Stride != 2 || len(pl.Groups) != 3 || len(pl.GroupCols) != 1 {
-		t.Fatalf("plan shape: stride=%d groups=%d cols=%v", pl.Stride, len(pl.Groups), pl.GroupCols)
-	}
-	if pl.Family[0].Kind != AvgAgg || pl.Family[1].Kind != FreqAgg {
-		t.Fatalf("family kinds: %v, %v", pl.Family[0].Kind, pl.Family[1].Kind)
-	}
-	catCol := pl.GroupCols[0]
-	dict := tb.DictOf(catCol)
-	if pl.Slots.Dense == nil {
-		t.Fatal("single-column plan must use the dense slot table")
-	}
-	for g, tuple := range pl.Groups {
-		if got := pl.Slots.Dense[tuple[0]]; got != int32(g) {
-			t.Fatalf("group %d (code %d=%q): slot %d", g, tuple[0], dict.Value(tuple[0]), got)
-		}
-	}
-	// The factored base must admit exactly the rows any group's region
-	// admits, modulo the group constraint: week<30 and cat ∈ {g0,g1,g2}.
-	for row := 0; row < tb.Rows(); row++ {
-		inAny := false
-		for _, sn := range []int{0, 2, 4} { // one snippet per group
-			if snips[sn].Region.Matches(tb, row) {
-				inAny = true
-			}
-		}
-		if pl.Base.Matches(tb, row) != inAny {
-			t.Fatalf("row %d: base=%v, union of groups=%v", row, pl.Base.Matches(tb, row), inAny)
-		}
-	}
-}
-
-// TestGroupedFactorGroupsMultiColumn exercises the packed multi-column slot
-// table.
-func TestGroupedFactorGroupsMultiColumn(t *testing.T) {
-	tb := groupedFixture(t)
-	catCol, _ := tb.Schema().Lookup("cat")
-	regCol, _ := tb.Schema().Lookup("region")
-	var groups [][]GroupValue
-	for _, c := range []string{"g0", "g1"} {
-		for _, r := range []string{"a", "b"} {
-			groups = append(groups, []GroupValue{{Col: catCol, Str: c}, {Col: regCol, Str: r}})
-		}
-	}
-	snips := decomposeGrouped(t, tb, "SELECT cat, region, COUNT(*) FROM t GROUP BY cat, region", groups)
-	pl := FactorGroups(snips)
-	if pl == nil {
-		t.Fatal("multi-column grouped decomposition did not factor")
-	}
-	if pl.Slots.Packed == nil || len(pl.GroupCols) != 2 {
-		t.Fatalf("plan shape: %+v", pl)
-	}
-	for g, tuple := range pl.Groups {
-		if got := pl.Slots.Slot(PackKey(tuple, pl.Slots.Shifts)); got != int32(g) {
-			t.Fatalf("group %d: slot %d", g, got)
-		}
-	}
-}
-
-// TestGroupedFactorGroupsFallbacks: shapes outside the grouped pattern must
-// return nil and fall back to the per-snippet scan.
-func TestGroupedFactorGroupsFallbacks(t *testing.T) {
-	tb := groupedFixture(t)
-	weekCol, _ := tb.Schema().Lookup("week")
-
-	ungrouped := decomposeGrouped(t, tb, "SELECT AVG(val), COUNT(*) FROM t WHERE week < 30", nil)
-	if FactorGroups(ungrouped) != nil {
-		t.Fatal("ungrouped decomposition must not factor")
-	}
-	single := decomposeGrouped(t, tb, "SELECT cat, COUNT(*) FROM t GROUP BY cat", catGroups(tb, "cat", "g0"))
-	if FactorGroups(single) != nil {
-		t.Fatal("one group has nothing to factor")
-	}
-	numeric := decomposeGrouped(t, tb, "SELECT week, COUNT(*) FROM t GROUP BY week",
-		[][]GroupValue{{{Col: weekCol, Num: 1}}, {{Col: weekCol, Num: 2}}})
-	if FactorGroups(numeric) != nil {
-		t.Fatal("numeric grouping must not factor (point ranges are not codes)")
-	}
-	// Unrelated snippet lists (distinct regions, no grouping structure).
-	mixed := append(decomposeGrouped(t, tb, "SELECT AVG(val) FROM t WHERE week < 10", nil),
-		decomposeGrouped(t, tb, "SELECT AVG(val) FROM t WHERE week < 20", nil)...)
-	if FactorGroups(mixed) != nil {
-		t.Fatal("unrelated snippets must not factor")
-	}
-}
-
 // TestGroupedSpecOf covers the discovery-spec construction and its
 // fallbacks.
 func TestGroupedSpecOf(t *testing.T) {

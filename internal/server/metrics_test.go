@@ -558,6 +558,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{"query missing sql", http.MethodPost, "/query", "{}", http.StatusBadRequest, "bad_request"},
 		{"query bad sql", http.MethodPost, "/query", `{"sql":"SELECT"}`, http.StatusBadRequest, "bad_request"},
 		{"stream negative min_rows", http.MethodPost, "/query/stream", `{"sql":"SELECT COUNT(*) FROM sales","min_rows":-1}`, http.StatusBadRequest, "bad_request"},
+		{"query negative budget_ms", http.MethodPost, "/query", `{"sql":"SELECT COUNT(*) FROM sales","budget_ms":-5}`, http.StatusBadRequest, "bad_request"},
 		{"append empty", http.MethodPost, "/append", "{}", http.StatusBadRequest, "bad_request"},
 		{"save unconfigured", http.MethodPost, "/save", "{}", http.StatusBadRequest, "bad_request"},
 		// A misspelled optional field is rejected, not dropped: the request

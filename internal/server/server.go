@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mathx"
 	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 )
@@ -371,6 +373,15 @@ func (s *Server) InFlight() int { return len(s.slots) }
 
 // ---- /query ----
 
+// millis converts a client's non-negative millisecond count to a Duration,
+// saturating at the largest Duration instead of wrapping.
+func millis(ms int64) time.Duration {
+	if ms > math.MaxInt64/int64(time.Millisecond) {
+		return math.MaxInt64
+	}
+	return time.Duration(ms) * time.Millisecond
+}
+
 type QueryRequest struct {
 	SQL     string `json:"sql"`
 	Session string `json:"session,omitempty"`
@@ -427,6 +438,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("missing sql"))
 		return
 	}
+	if req.BudgetMS < 0 {
+		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("budget_ms %d is negative", req.BudgetMS))
+		return
+	}
 	sess := s.sessions.get(req.Session, s.now())
 	sess.touch(s.now())
 	sess.queries.Add(1)
@@ -440,7 +455,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case req.Exact:
 		res, err = s.sys.ExecuteWithExact(req.SQL)
 	case req.BudgetMS > 0:
-		res, err = s.sys.ExecuteTimeBound(req.SQL, time.Duration(req.BudgetMS)*time.Millisecond)
+		res, err = s.sys.ExecuteTimeBound(req.SQL, millis(req.BudgetMS))
 	default:
 		res, err = s.sys.Execute(req.SQL)
 	}
@@ -487,7 +502,7 @@ func (s *Server) jsonRows(res *core.Result) []Row {
 				Agg:       c.Agg.String(),
 				Value:     c.Improved.Value,
 				StdErr:    c.Improved.StdErr,
-				ErrBound:  alpha * c.Improved.StdErr,
+				ErrBound:  query.Saturate(alpha * c.Improved.StdErr),
 				RawValue:  c.Raw.Value,
 				RawStdErr: c.Raw.StdErr,
 				UsedModel: c.UsedModel,

@@ -172,6 +172,21 @@ func TestServerErrorPaths(t *testing.T) {
 	if code := post(t, ts.URL+"/query", QueryRequest{SQL: "SELECT FROM FROM"}, nil); code != 400 {
 		t.Fatalf("parse error: %d", code)
 	}
+	if code := post(t, ts.URL+"/query", QueryRequest{SQL: "SELECT AVG(revenue) FROM sales", BudgetMS: -5}, nil); code != 400 {
+		t.Fatalf("negative budget_ms: %d", code)
+	}
+	// A budget past the largest Duration saturates: the whole sample, not
+	// the sub-millisecond budget a wrapped multiplication would leave.
+	var full, huge QueryResponse
+	if code := post(t, ts.URL+"/query", QueryRequest{SQL: "SELECT AVG(revenue) FROM sales"}, &full); code != 200 {
+		t.Fatalf("plain query: %d", code)
+	}
+	if code := post(t, ts.URL+"/query", QueryRequest{SQL: "SELECT AVG(revenue) FROM sales", BudgetMS: 18446744073710}, &huge); code != 200 {
+		t.Fatalf("huge budget_ms: %d", code)
+	}
+	if f, h := full.Rows[0].Cells[0], huge.Rows[0].Cells[0]; h.RawValue != f.RawValue || h.RawStdErr != f.RawStdErr || h.RawStdErr == 0 {
+		t.Fatalf("huge budget_ms: raw %v ± %v, whole sample %v ± %v", h.RawValue, h.RawStdErr, f.RawValue, f.RawStdErr)
+	}
 	if code := post(t, ts.URL+"/append", AppendRequest{}, nil); code != 400 {
 		t.Fatalf("empty append: %d", code)
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/aqp"
 	"repro/internal/core"
 	"repro/internal/mathx"
+	"repro/internal/query"
 )
 
 // POST /query/stream — the progressive (online-aggregation) query path.
@@ -221,10 +222,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	pace := time.Duration(req.PaceMS) * time.Millisecond
-	if pace > maxPaceMS*time.Millisecond {
-		pace = maxPaceMS * time.Millisecond
-	}
+	pace := min(millis(req.PaceMS), maxPaceMS*time.Millisecond)
 	ctx := r.Context()
 	enc := json.NewEncoder(w)
 	wrote := false
@@ -369,7 +367,7 @@ func (s *Server) chunkFrom(session string, res *core.Result, p core.Progress) St
 		first := c.Rows[0].Cells[0]
 		alpha, _ := mathx.ConfidenceMultiplier(0.95)
 		c.Estimate, c.CI = first.Value, first.ErrBound
-		c.RawEstimate, c.RawCI = first.RawValue, alpha*first.RawStdErr
+		c.RawEstimate, c.RawCI = first.RawValue, query.Saturate(alpha*first.RawStdErr)
 	}
 	return c
 }
