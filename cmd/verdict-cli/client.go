@@ -348,8 +348,8 @@ func printServerStats(st server.StatsResponse) {
 	fmt.Printf("appends: %d batches, %d rows\n", st.System.Appends, st.System.AppendRows)
 	fmt.Printf("synopsis: %d snippets across %d functions, ~%.1f KB\n",
 		st.Synopsis.Snippets, st.Synopsis.Functions, float64(st.Synopsis.FootprintBytes)/1024)
-	fmt.Printf("server: %d sessions, %d served, %d shed, up %.0fs\n",
-		st.Server.Sessions, st.Server.Served, st.Server.Rejected, float64(st.Server.UptimeMS)/1000)
+	fmt.Printf("server: %d served, %d shed, up %.0fs\n",
+		st.Server.Served, st.Server.Rejected, float64(st.Server.UptimeMS)/1000)
 	if m := st.Metrics; m != nil {
 		fmt.Printf("metrics: %d requests, latency p50=%.2fms p95=%.2fms p99=%.2fms, %d shed (full catalog: GET /metrics)\n",
 			m.TotalRequests, m.RequestP50MS, m.RequestP95MS, m.RequestP99MS, m.Shed)
@@ -364,9 +364,6 @@ func printServerStats(st server.StatsResponse) {
 			fmt.Printf("  partition %d: %d rows, %d strata, gen %d, zone selectivity %.3f\n",
 				p.Partition, p.Rows, p.Strata, p.Generation, p.ZoneSelectivity)
 		}
-	}
-	for _, s := range st.Sessions {
-		fmt.Printf("  session %-12s queries=%-5d appends=%d\n", s.ID, s.Queries, s.Appends)
 	}
 }
 

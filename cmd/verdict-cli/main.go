@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/aqp"
 	"repro/internal/core"
-	"repro/internal/mathx"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -212,7 +211,7 @@ func runQuery(sys *core.System, sql string, exact bool) {
 		fmt.Printf("unsupported query (bypassing learning): %s\n", strings.Join(res.Reasons, "; "))
 		return
 	}
-	alpha, _ := mathx.ConfidenceMultiplier(0.95)
+	alpha := core.Alpha95
 	for _, row := range res.Rows {
 		var parts []string
 		for _, g := range row.Group {

@@ -1,5 +1,5 @@
 // Command verdict-server runs the concurrent serving layer: a long-running
-// multi-session SQL service over one shared Verdict pipeline. N clients
+// concurrent SQL service over one shared Verdict pipeline. N clients
 // query and stream appends against a single synopsis, so the system gets
 // smarter with every query any of them issues.
 //

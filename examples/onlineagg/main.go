@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/aqp"
 	"repro/internal/core"
-	"repro/internal/mathx"
 	"repro/internal/query"
 	"repro/internal/sqlparse"
 	"repro/internal/workload"
@@ -74,7 +73,7 @@ func main() {
 	}
 	sn := snips[0]
 	exact := engine.Exact(sn)
-	alpha, _ := mathx.ConfidenceMultiplier(0.95)
+	alpha := core.Alpha95
 
 	fmt.Println("sample rows  sim-time   raw answer (±bound)        improved answer (±bound)")
 	var rawDone, impDone bool

@@ -16,22 +16,11 @@ type Config struct {
 	// SynopsisCap is C_g, the per-aggregate-function snippet quota with
 	// LRU replacement (§2.3; default 2,000).
 	SynopsisCap int
-	// Confidence δ is the probability used for reported error bounds
-	// (default 0.95).
-	Confidence float64
-	// ValidationConfidence δ_v is the likely-region probability of the
-	// model validation step (Appendix B; default 0.99).
-	ValidationConfidence float64
 	// LearnCap bounds how many recent snippets the likelihood optimization
 	// of Appendix A consumes; the full synopsis still participates in
 	// inference. Default 150 (the O(n³)-per-evaluation likelihood makes
 	// unbounded learning impractical; the paper likewise trains offline).
 	LearnCap int
-	// MultiStarts > 0 makes the learner polish the coordinate-descent
-	// optimum with one Nelder–Mead pass started from it (default 3; a
-	// negative value turns the polish off). Only the sign matters: no
-	// random restarts are run, so 1 and 3 learn identical parameters.
-	MultiStarts int
 	// DisableValidation turns off Appendix B's model validation — ONLY for
 	// the ablation of Figure 9, which demonstrates why validation matters.
 	// Production configurations must leave it false: Theorem 1's guarantee
@@ -77,13 +66,27 @@ type Config struct {
 
 // Defaults per the paper.
 const (
-	DefaultNmax                 = 1000
-	DefaultSynopsisCap          = 2000
-	DefaultConfidence           = 0.95
-	DefaultValidationConfidence = 0.99
-	DefaultLearnCap             = 150
-	DefaultMultiStarts          = 3
+	DefaultNmax        = 1000
+	DefaultSynopsisCap = 2000
+	DefaultLearnCap    = 150
 )
+
+// Alpha95 is α_δ at δ = 0.95: the half-width multiplier of every reported
+// error bound — a served cell's err_bound, a stream's target_ci stop and a
+// standing query's delta_ci threshold.
+var Alpha95 = multiplier(0.95)
+
+// alpha99 is α at δ_v = 0.99, the likely region of Appendix B's model
+// validation.
+var alpha99 = multiplier(0.99)
+
+func multiplier(delta float64) float64 {
+	a, err := mathx.ConfidenceMultiplier(delta)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
 
 func (c Config) withDefaults() Config {
 	if c.Nmax <= 0 {
@@ -92,19 +95,8 @@ func (c Config) withDefaults() Config {
 	if c.SynopsisCap <= 0 {
 		c.SynopsisCap = DefaultSynopsisCap
 	}
-	if c.Confidence <= 0 || c.Confidence >= 1 {
-		c.Confidence = DefaultConfidence
-	}
-	if c.ValidationConfidence <= 0 || c.ValidationConfidence >= 1 {
-		c.ValidationConfidence = DefaultValidationConfidence
-	}
 	if c.LearnCap <= 0 {
 		c.LearnCap = DefaultLearnCap
-	}
-	if c.MultiStarts < 0 {
-		c.MultiStarts = 0
-	} else if c.MultiStarts == 0 {
-		c.MultiStarts = DefaultMultiStarts
 	}
 	if c.MaxRetainedGens < 0 {
 		c.MaxRetainedGens = 0
@@ -113,22 +105,4 @@ func (c Config) withDefaults() Config {
 		c.Now = time.Now
 	}
 	return c
-}
-
-// confidenceMultiplier returns α_δ for the configured reporting confidence.
-func (c Config) confidenceMultiplier() float64 {
-	a, err := mathx.ConfidenceMultiplier(c.Confidence)
-	if err != nil {
-		panic(err) // withDefaults guarantees a valid probability
-	}
-	return a
-}
-
-// validationMultiplier returns α for the validation likely-region.
-func (c Config) validationMultiplier() float64 {
-	a, err := mathx.ConfidenceMultiplier(c.ValidationConfidence)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }

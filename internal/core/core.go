@@ -20,9 +20,9 @@
 //   - Infer and SnapshotFor load the model's published *inferState
 //     atomically, taking its mu only when nothing is published; the O(n²)
 //     inference itself is lock-free.
-//   - The registry (functions to models, their global creation order and
-//     the learning-seed counter) has its own mutex, Verdict.mu, held only
-//     to look up or insert a model — never together with a model's mu.
+//   - The registry (functions to models and their global creation order)
+//     has its own mutex, Verdict.mu, held only to look up or insert a
+//     model — never together with a model's mu.
 //   - System guards its workload counters with statsMu (read via
 //     StatsSnapshot), the live Verdict pointer with vmu (swapped by
 //     LoadSynopsis), and serializes Append/RebuildSample end-to-end with
@@ -71,6 +71,5 @@
 // from scratch, re-estimating σ², once per builtAt edits. See model.record
 // and ARCHITECTURE.md "Synopsis maintenance" for the cost of each case.
 // Results do not depend on how writers of different functions interleave:
-// models are independent and Train assigns seeds in global creation order
-// before fanning out across models.
+// models are independent and share no learning state.
 package core

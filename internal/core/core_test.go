@@ -340,7 +340,7 @@ func TestLearningRecoversPlantedLengthScale(t *testing.T) {
 	const planted = 15.0
 	tb, field := smoothTable(t, 4000, planted, 9, 0.0, 12)
 	rng := randx.New(3)
-	v := New(tb, Config{LearnCap: 60, MultiStarts: 2})
+	v := New(tb, Config{LearnCap: 60})
 	for i := 0; i < 60; i++ {
 		lo := rng.Uniform(0, 92)
 		hi := lo + rng.Uniform(2, 8)
@@ -501,14 +501,13 @@ func TestOnAppendEndToEnd(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Nmax != 1000 || c.SynopsisCap != 2000 || c.Confidence != 0.95 ||
-		c.ValidationConfidence != 0.99 || c.LearnCap != 150 || c.MultiStarts != 3 {
+	if c.Nmax != 1000 || c.SynopsisCap != 2000 || c.LearnCap != 150 {
 		t.Fatalf("defaults: %+v", c)
 	}
-	if math.Abs(c.confidenceMultiplier()-1.96) > 0.01 {
-		t.Fatalf("alpha=%v", c.confidenceMultiplier())
+	if math.Abs(Alpha95-1.96) > 0.01 {
+		t.Fatalf("alpha=%v", Alpha95)
 	}
-	if c.validationMultiplier() <= c.confidenceMultiplier() {
+	if alpha99 <= Alpha95 {
 		t.Fatal("validation multiplier must exceed reporting multiplier")
 	}
 }

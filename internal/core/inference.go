@@ -115,7 +115,7 @@ func inferOnMemo(st *inferState, sn *query.Snippet, raw query.ScalarEstimate, cf
 		out.ModelErr = math.Sqrt(beta2 * gamma2 / denom)
 	}
 
-	if cfg.DisableValidation || validate(sn, raw, out, cfg) {
+	if cfg.DisableValidation || validate(sn, raw, out) {
 		out.Answer = out.ModelAnswer
 		out.Err = out.ModelErr
 		out.UsedModel = true
@@ -126,7 +126,7 @@ func inferOnMemo(st *inferState, sn *query.Snippet, raw query.ScalarEstimate, cf
 // validate implements Appendix B: reject negative FREQ estimates, and
 // reject models whose likely region (θ̈ ± α_{δv}·β_raw) excludes the raw
 // answer.
-func validate(sn *query.Snippet, raw query.ScalarEstimate, res Improved, cfg Config) bool {
+func validate(sn *query.Snippet, raw query.ScalarEstimate, res Improved) bool {
 	if sn.Kind == query.FreqAgg && res.ModelAnswer < 0 {
 		return false
 	}
@@ -139,6 +139,6 @@ func validate(sn *query.Snippet, raw query.ScalarEstimate, res Improved, cfg Con
 		// Eq. 12 already returns the raw answer, so accept.
 		return true
 	}
-	t := cfg.validationMultiplier() * raw.StdErr
+	t := alpha99 * raw.StdErr
 	return math.Abs(raw.Value-res.ModelAnswer) <= t
 }

@@ -20,7 +20,7 @@ import (
 // starting point l_{g,k} = max(A_k) − min(A_k). Every candidate is
 // evaluated against one kernel.Factors of the learning set, so it costs the
 // integrals of the dimensions whose ℓ it moved, not n(n+1)/2 covariances.
-func (m *model) learn(seed int64) {
+func (m *model) learn() {
 	if m.paramsFixed || len(m.entries) < 3 {
 		return
 	}
@@ -77,15 +77,12 @@ func (m *model) learn(seed int64) {
 		hi[i] = math.Log(widths[i] * 1e2)
 	}
 	// Coordinate-wise golden-section identifies each dimension's
-	// length-scale reliably; a short simplex pass then polishes joint
-	// interactions (the paper's fminunc plays the same local-refinement
-	// role). Any MultiStarts > 0 enables that one polish, started from the
-	// coordinate-descent optimum; no random restarts are added.
+	// length-scale reliably; a short simplex pass started from its optimum
+	// then polishes joint interactions (the paper's fminunc plays the same
+	// local-refinement role). No random restarts are added.
 	res := optimize.CoordinateDescent(negLogLik, start, lo, hi, 2, 25)
-	if m.cfg.MultiStarts > 0 {
-		if nm, err := optimize.MultiStart(negLogLik, [][]float64{res.X}, 0, seed, optimize.Options{MaxIter: 80}); err == nil && nm.F < res.F {
-			res = nm
-		}
+	if nm := optimize.NelderMead(negLogLik, res.X, optimize.Options{MaxIter: 80}); nm.F < res.F {
+		res = nm
 	}
 	if math.IsInf(res.F, 1) {
 		return

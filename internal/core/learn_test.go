@@ -16,7 +16,7 @@ import (
 // learnPerPair is the reference learner: learn as it was before the factor
 // cache, every candidate's Σ rebuilt pair by pair through
 // kernel.Covariance. TestLearnCacheEqualsPerPair holds learn to its bits.
-func learnPerPair(m *model, seed int64) {
+func learnPerPair(m *model) {
 	if m.paramsFixed || len(m.entries) < 3 {
 		return
 	}
@@ -89,10 +89,8 @@ func learnPerPair(m *model, seed int64) {
 		hi[i] = math.Log(widths[i] * 1e2)
 	}
 	res := optimize.CoordinateDescent(negLogLik, start, lo, hi, 2, 25)
-	if m.cfg.MultiStarts > 0 {
-		if nm, err := optimize.MultiStart(negLogLik, [][]float64{res.X}, 0, seed, optimize.Options{MaxIter: 80}); err == nil && nm.F < res.F {
-			res = nm
-		}
+	if nm := optimize.NelderMead(negLogLik, res.X, optimize.Options{MaxIter: 80}); nm.F < res.F {
+		res = nm
 	}
 	if math.IsInf(res.F, 1) {
 		return
@@ -214,11 +212,10 @@ func TestLearnCacheEqualsPerPair(t *testing.T) {
 			m := v.modelOf(id)
 			before := m.params.Clone()
 
-			const seed = 11
-			learnPerPair(m, seed)
+			learnPerPair(m)
 			want := m.params.Clone()
 			m.params = before.Clone()
-			m.learn(seed)
+			m.learn()
 			got := m.params.Clone()
 
 			moved := want.Sigma2 != before.Sigma2
@@ -263,40 +260,5 @@ func TestLearnCacheEqualsPerPair(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestLearnMultiStartsSignOnly pins what MultiStarts means: any positive
-// value enables the one Nelder–Mead polish from the coordinate-descent
-// optimum, so 1 and 3 learn bit-identical parameters.
-func TestLearnMultiStartsSignOnly(t *testing.T) {
-	events, err := workload.GenerateCustomer1(3000, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var params []kernel.Params
-	for _, starts := range []int{1, 3} {
-		rng := randx.New(9)
-		v := New(events, Config{MultiStarts: starts})
-		var id query.FuncID
-		for k := 0; k < 40; k++ {
-			sn := learnSnippet(events, query.AvgAgg, rng)
-			id = sn.Func()
-			v.Record(sn, learnAnswer(sn, rng))
-		}
-		if err := v.Train(); err != nil {
-			t.Fatal(err)
-		}
-		p, _ := v.Params(id)
-		params = append(params, p)
-	}
-	a, b := params[0], params[1]
-	if math.Float64bits(a.Sigma2) != math.Float64bits(b.Sigma2) || len(a.Ells) != len(b.Ells) {
-		t.Fatalf("MultiStarts 1 learned %+v, 3 learned %+v", a, b)
-	}
-	for col, ell := range a.Ells {
-		if math.Float64bits(ell) != math.Float64bits(b.Ells[col]) {
-			t.Fatalf("MultiStarts 1 learned ell[%d] = %v, 3 learned %v", col, ell, b.Ells[col])
-		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -120,11 +121,17 @@ func (v *Verdict) Save(w io.Writer) error {
 }
 
 // Load reconstructs a Verdict instance from a snapshot against the given
-// (current) base relation, then rebuilds all covariance factorizations.
+// (current) base relation, then rebuilds all covariance factorizations. The
+// reader must hold one snapshot object and nothing after it but white
+// space.
 func Load(r io.Reader, table *storage.Table, cfg Config) (*Verdict, error) {
 	var snap snapshotJSON
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&snap); err != nil {
 		return nil, fmt.Errorf("core: decoding snapshot: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("core: content after the snapshot object (%v)", err)
 	}
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("core: snapshot version %d, want %d", snap.Version, snapshotVersion)
@@ -172,6 +179,11 @@ func Load(r io.Reader, table *storage.Table, cfg Config) (*Verdict, error) {
 		m.paramsFixed = mj.ParamsFixed
 
 		for _, ej := range mj.Entries {
+			// Save writes standard errors, never negative ones; a sign
+			// flip would square away unnoticed in Σ.
+			if !(ej.Beta >= 0) || !(ej.Nugget >= 0) {
+				return nil, fmt.Errorf("core: snapshot entry with negative error (beta %v, nugget %v)", ej.Beta, ej.Nugget)
+			}
 			region := query.NewRegion(schema)
 			for name, rr := range ej.Num {
 				col, ok := schema.Lookup(name)

@@ -193,6 +193,17 @@ func TestLoadRejectsBadSnapshots(t *testing.T) {
 	if cuts < 100 {
 		t.Fatalf("only %d cuts of a %d-byte snapshot", cuts, len(snap))
 	}
+	// Whole snapshots that are still wrong: content after the object, and
+	// an entry's standard error or nugget flipped negative (Save writes
+	// neither).
+	for name, bad := range badSnapshots(t, snap) {
+		if err := sys.LoadSynopsis(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("snapshot with %s loaded", name)
+		}
+		if got := sys.Verdict().SnippetCount(); got != count {
+			t.Fatalf("failed load of the snapshot with %s changed the synopsis: %d snippets, want %d", name, got, count)
+		}
+	}
 	probe := "SELECT AVG(revenue) FROM sales WHERE week BETWEEN 12 AND 18"
 	got, err := sys.Execute(probe)
 	if err != nil {
@@ -204,6 +215,27 @@ func TestLoadRejectsBadSnapshots(t *testing.T) {
 	}
 	if g, w := got.Rows[0].Cells[0], want.Rows[0].Cells[0]; g.Improved != w.Improved || g.Raw != w.Raw {
 		t.Fatalf("answer after failed loads %+v/%+v, want %+v/%+v", g.Improved, g.Raw, w.Improved, w.Raw)
+	}
+}
+
+// badSnapshots derives from a saved snapshot the whole-object edits Load
+// must refuse: trailing content, and the first entry's beta and nugget
+// made negative.
+func badSnapshots(t testing.TB, snap []byte) map[string][]byte {
+	t.Helper()
+	negate := func(field string) []byte {
+		key := []byte(`"` + field + `": `)
+		i := bytes.Index(snap, key)
+		if i < 0 {
+			t.Fatalf("snapshot has no %s field", field)
+		}
+		i += len(key)
+		return append(append(append([]byte(nil), snap[:i]...), '-'), snap[i:]...)
+	}
+	return map[string][]byte{
+		"trailing content":  append(append([]byte(nil), snap...), `{"garbage": 1}`...),
+		"a negative beta":   negate("beta"),
+		"a negative nugget": negate("nugget"),
 	}
 }
 
@@ -307,4 +339,67 @@ func TestLoadShardedSnapshot(t *testing.T) {
 			t.Fatalf("%s re-save differs from the fixture minus its shards line", name)
 		}
 	}
+}
+
+// FuzzLoad feeds LoadSynopsis mutated snapshots (the checked-in corpus is a
+// saved two-model snapshot and the edits of badSnapshots). Nothing may
+// panic; a failed load leaves the live synopsis as it was — its snippet
+// count and the bits of a fixed probe's answer — and a successful one
+// answers the probe with no NaN and an error no larger than the raw one
+// (Theorem 1).
+func FuzzLoad(f *testing.F) {
+	sys := systemFixture(f, 4000, 0.5)
+	for _, sql := range []string{
+		"SELECT AVG(revenue) FROM sales WHERE week BETWEEN 10 AND 20",
+		"SELECT AVG(revenue) FROM sales WHERE week BETWEEN 30 AND 40",
+		"SELECT COUNT(*) FROM sales WHERE week < 26",
+	} {
+		if _, err := sys.Execute(sql); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := sys.SaveSynopsis(&buf); err != nil {
+		f.Fatal(err)
+	}
+	orig := buf.Bytes()
+	// The baseline is the saved snapshot as loaded: every successful fuzz
+	// load is rolled back to it.
+	if err := sys.LoadSynopsis(bytes.NewReader(orig)); err != nil {
+		f.Fatal(err)
+	}
+	tb := sys.Engine().Base()
+	measure, key, err := recompileMeasure("revenue", tb)
+	if err != nil {
+		f.Fatal(err)
+	}
+	week, _ := tb.Schema().Lookup("week")
+	region := query.NewRegion(tb.Schema())
+	region.ConstrainNum(week, query.NumRange{Lo: 12, Hi: 18})
+	probe := &query.Snippet{Kind: query.AvgAgg, MeasureKey: key, Measure: measure, Region: region, Table: tb}
+	raw := query.ScalarEstimate{Value: 85, StdErr: 3}
+	count, want := sys.Verdict().SnippetCount(), sys.Verdict().Infer(probe, raw)
+	if !want.UsedModel {
+		f.Fatal("the probe ignores the synopsis: a changed synopsis would not show")
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := sys.LoadSynopsis(bytes.NewReader(data)); err != nil {
+			got := sys.Verdict().Infer(probe, raw)
+			if n := sys.Verdict().SnippetCount(); n != count ||
+				math.Float64bits(got.Answer) != math.Float64bits(want.Answer) ||
+				math.Float64bits(got.Err) != math.Float64bits(want.Err) {
+				t.Fatalf("failed load (%v) changed the synopsis: %d snippets, probe %v ± %v; want %d, %v ± %v",
+					err, n, got.Answer, got.Err, count, want.Answer, want.Err)
+			}
+			return
+		}
+		got := sys.Verdict().Infer(probe, raw)
+		if math.IsNaN(got.Answer) || !(got.Err <= raw.StdErr) {
+			t.Fatalf("loaded snapshot answers the probe %v ± %v, raw %v ± %v", got.Answer, got.Err, raw.Value, raw.StdErr)
+		}
+		if err := sys.LoadSynopsis(bytes.NewReader(orig)); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -54,8 +54,7 @@ type ProgressiveOptions struct {
 	Workers int
 	// TargetCI, when positive, is the server-side stop condition of online
 	// aggregation: the stream ends at the first increment whose raw
-	// confidence half-width — at the system's configured reporting
-	// confidence, default 95% (Config.Confidence) — is <= TargetCI for
+	// 95% confidence half-width (Alpha95 standard errors) is <= TargetCI for
 	// every result cell (absolute by default; relative to each cell's raw
 	// estimate when TargetRelative is set). A target stop is not sample
 	// exhaustion, so nothing is recorded into the synopsis.
@@ -293,10 +292,9 @@ func (s *System) targetMet(rows []ResultRow, opts ProgressiveOptions) bool {
 	if opts.TargetCI <= 0 || len(rows) == 0 {
 		return false
 	}
-	alpha := s.cfg.confidenceMultiplier()
 	for _, row := range rows {
 		for _, cell := range row.Cells {
-			ci := alpha * cell.Raw.StdErr
+			ci := Alpha95 * cell.Raw.StdErr
 			bound := opts.TargetCI
 			if opts.TargetRelative {
 				bound *= math.Abs(cell.Raw.Value)

@@ -131,7 +131,7 @@ func TestExecuteProgressiveTargetStop(t *testing.T) {
 	const sql = "SELECT AVG(revenue) FROM sales WHERE week < 30"
 	opts := ProgressiveOptions{FirstRows: 256}
 	ref := systemFixture(t, 20000, 0.25)
-	alpha := ref.cfg.confidenceMultiplier()
+	alpha := Alpha95
 	want := runStream(t, ref, sql, opts, 0)
 	ciAt := func(i int) float64 { return alpha * want[i].res.Rows[0].Cells[0].Raw.StdErr }
 	for i := 1; i < len(want); i++ {

@@ -373,7 +373,7 @@ func (s *System) maybePushLocked(sub *Subscription, res *Result, reason string, 
 		s.bumpStats(func(ss *SystemStats) { ss.NotifyDebounced++ })
 		return
 	}
-	if !sub.moved(res, s.cfg.confidenceMultiplier()) {
+	if !sub.moved(res) {
 		return
 	}
 	s.pushLocked(sub, res, reason, now)
@@ -389,7 +389,7 @@ func (s *System) pushLocked(sub *Subscription, res *Result, reason string, now t
 	}
 	sub.seq++
 	sub.lastPush = now
-	sub.recordCells(res, s.cfg.confidenceMultiplier())
+	sub.recordCells(res)
 	s.bumpStats(func(ss *SystemStats) {
 		ss.NotifyPushes++
 		if coalesced {
@@ -404,7 +404,7 @@ func (s *System) pushLocked(sub *Subscription, res *Result, reason string, now t
 // truncation flag flipped, or the cell count moved — because per-cell
 // deltas are meaningless across different row sets. With both thresholds
 // zero every batch pushes.
-func (sub *Subscription) moved(res *Result, alpha float64) bool {
+func (sub *Subscription) moved(res *Result) bool {
 	if !sub.hasLast {
 		return true
 	}
@@ -423,7 +423,7 @@ func (sub *Subscription) moved(res *Result, alpha float64) bool {
 	if sub.opts.DeltaCI <= 0 && sub.opts.DeltaRel <= 0 {
 		return true
 	}
-	cells := flattenCells(res, alpha)
+	cells := flattenCells(res)
 	if len(cells) != len(sub.lastCells) {
 		return true
 	}
@@ -445,8 +445,8 @@ func (sub *Subscription) moved(res *Result, alpha float64) bool {
 	return false
 }
 
-func (sub *Subscription) recordCells(res *Result, alpha float64) {
-	sub.lastCells = flattenCells(res, alpha)
+func (sub *Subscription) recordCells(res *Result) {
+	sub.lastCells = flattenCells(res)
 	sub.lastKeys = groupKeys(res)
 	sub.lastTrunc = res.GroupsTruncated
 	sub.hasLast = true
@@ -470,11 +470,11 @@ func groupKeys(res *Result) []string {
 // the threshold check compares — the improved answer, like the pushed
 // chunk's headline fields. The half-width saturates like the chunk's, so
 // two cells with no usable rows compare equal rather than NaN.
-func flattenCells(res *Result, alpha float64) []pushedCell {
+func flattenCells(res *Result) []pushedCell {
 	var out []pushedCell
 	for _, row := range res.Rows {
 		for _, c := range row.Cells {
-			out = append(out, pushedCell{est: c.Improved.Value, ci: query.Saturate(alpha * c.Improved.StdErr)})
+			out = append(out, pushedCell{est: c.Improved.Value, ci: query.Saturate(Alpha95 * c.Improved.StdErr)})
 		}
 	}
 	return out

@@ -240,7 +240,7 @@ func TestSynopsisMaintainedEqualsOracle(t *testing.T) {
 func runOracleSequence(t *testing.T, seed int64, quota int, withSetParams bool, kinds *oracleKinds) {
 	rng := randx.New(seed)
 	tb := oracleTable(t, seed)
-	cfg := Config{SynopsisCap: quota, LearnCap: 8, MultiStarts: -1}
+	cfg := Config{SynopsisCap: quota, LearnCap: 8}
 	v := New(tb, cfg)
 	cfg = v.Config()
 

@@ -23,24 +23,21 @@ import (
 // runs against the model's immutable published snapshot (a registry lookup
 // plus one atomic load, then lock-free O(n²) inference), so N serving
 // sessions improve one shared synopsis without ever blocking each other's
-// inference on a writer's O(n²) maintenance.
-//
-// Learning seeds are assigned in global creation order (see Train), so
-// every result — learned parameters, inferred answers, persisted snapshots
-// — is the same however writers of different functions interleave.
+// inference on a writer's O(n²) maintenance. Models share no learning
+// state, so every result — learned parameters, inferred answers, persisted
+// snapshots — is the same however writers of different functions
+// interleave.
 type Verdict struct {
 	table *storage.Table
 	cfg   Config
 	ctr   counters
 
-	// mu guards the registry: the models, their global creation order and
-	// the deterministic learning-seed counter. It is held only to look up
-	// or insert a model, never across model work and never together with
-	// a model's mu.
+	// mu guards the registry: the models and their global creation order.
+	// It is held only to look up or insert a model, never across model
+	// work and never together with a model's mu.
 	mu     sync.RWMutex
 	models map[query.FuncID]*model
 	order  []query.FuncID
-	seed   int64
 }
 
 // New creates a Verdict instance over the given base relation.
@@ -49,7 +46,6 @@ func New(table *storage.Table, cfg Config) *Verdict {
 		table:  table,
 		cfg:    cfg.withDefaults(),
 		models: make(map[query.FuncID]*model),
-		seed:   1,
 	}
 }
 
@@ -134,23 +130,19 @@ func (v *Verdict) Record(sn *query.Snippet, raw query.ScalarEstimate) {
 
 // Train runs the offline process of Algorithm 1 for every aggregate
 // function: learn correlation parameters from the synopsis, then
-// precompute the covariance factorizations. Models train in parallel;
-// learning seeds are assigned in global creation order first, so the
-// result is identical to a serial run.
+// precompute the covariance factorizations. Models train in parallel and
+// share nothing, so the result is identical to a serial run.
 func (v *Verdict) Train() error {
 	v.mu.Lock()
 	ms := make([]*model, len(v.order))
-	seeds := make([]int64, len(v.order))
 	for i, id := range v.order {
 		ms[i] = v.models[id]
-		v.seed++
-		seeds[i] = v.seed
 	}
 	v.mu.Unlock()
 
 	errs := make([]error, len(ms))
 	forEachModelParallel(ms, func(i int, m *model) {
-		m.learn(seeds[i])
+		m.learn()
 		m.mutated()
 		errs[i] = m.rebuild()
 		v.ctr.trains.Add(1)
@@ -166,7 +158,7 @@ func (v *Verdict) Train() error {
 // forEachModelParallel runs fn for every model of ms (in global creation
 // order) on up to GOMAXPROCS goroutines — one per model when there are
 // fewer — holding each model's mu while fn runs on it. fn receives the
-// model's index in ms so callers can keep order-dependent state (seeds,
+// model's index in ms so callers can keep order-dependent state (the
 // first-error selection) deterministic regardless of scheduling.
 func forEachModelParallel(ms []*model, fn func(i int, m *model)) {
 	var next atomic.Int64

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/aqp"
 	"repro/internal/core"
-	"repro/internal/mathx"
 	"repro/internal/query"
 )
 
@@ -39,10 +38,6 @@ func AblationDesignChoices(o Options) (*Report, error) {
 		{"no validation", core.Config{DisableValidation: true}, false},
 		{"no nugget", core.Config{}, true},
 		{"no validation, no nugget", core.Config{DisableValidation: true}, true},
-	}
-	alpha, err := mathx.ConfidenceMultiplier(0.95)
-	if err != nil {
-		return nil, err
 	}
 
 	for _, variant := range variants {
@@ -87,7 +82,7 @@ func AblationDesignChoices(o Options) (*Report, error) {
 				inf := v.Infer(sn, raw)
 				rawErr += math.Abs(raw.Value-exact) / den
 				impErr += math.Abs(inf.Answer-exact) / den
-				if math.Abs(inf.Answer-exact) <= alpha*inf.Err {
+				if math.Abs(inf.Answer-exact) <= core.Alpha95*inf.Err {
 					covered++
 				}
 				n++

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/aqp"
 	"repro/internal/core"
-	"repro/internal/mathx"
 	"repro/internal/query"
 )
 
@@ -24,10 +23,7 @@ func Figure11TimeBound(o Options) (*Report, error) {
 			"Verdict bound", "Reduction"},
 	}
 	_, _, train, test := sizing(o)
-	alpha, err := mathx.ConfidenceMultiplier(0.95)
-	if err != nil {
-		return nil, err
-	}
+	alpha := core.Alpha95
 	for _, c := range table4Configs {
 		f, err := buildFixture(o, c)
 		if err != nil {

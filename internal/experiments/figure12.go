@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/mathx"
 	"repro/internal/query"
 	"repro/internal/randx"
 	"repro/internal/storage"
@@ -35,10 +34,6 @@ func Figure12DataAppend(o Options) (*Report, error) {
 	fractions := []float64{0.05, 0.10, 0.15, 0.20}
 	if o.Scale == Small {
 		fractions = []float64{0.05, 0.20}
-	}
-	alpha, err := mathx.ConfidenceMultiplier(0.95)
-	if err != nil {
-		return nil, err
 	}
 	id := query.FuncID{Kind: query.AvgAgg, MeasureKey: "y"}
 
@@ -104,7 +99,7 @@ func Figure12DataAppend(o Options) (*Report, error) {
 				raw := query.ScalarEstimate{Value: exactNew + rng.Normal(0, 0.6), StdErr: 0.6, PopErr: 0.05}
 				sn := avgSnippetOn(updated, lo, hi)
 				inf := v.Infer(sn, raw)
-				b := alpha * inf.Err
+				b := core.Alpha95 * inf.Err
 				a := math.Abs(inf.Answer - exactNew)
 				den := math.Abs(exactNew)
 				if den < 1e-9 {

@@ -27,7 +27,7 @@ func Figure5ConfidenceIntervals(o Options) (*Report, error) {
 		return nil, err
 	}
 	_, _, train, test := sizing(o)
-	curves, _, err := runComparison(f, core.Config{Confidence: 0.95}, train, test)
+	curves, _, err := runComparison(f, core.Config{}, train, test)
 	if err != nil {
 		return nil, err
 	}

@@ -36,7 +36,7 @@ func Figure7ParameterLearning(o Options) (*Report, error) {
 		xcol, _ := tb.Schema().Lookup("x")
 		for _, n := range counts {
 			rng := randx.New(o.Seed + int64(ell) + int64(n))
-			v := core.New(tb, core.Config{LearnCap: n, MultiStarts: 2})
+			v := core.New(tb, core.Config{LearnCap: n})
 			for i := 0; i < n; i++ {
 				lo := rng.Uniform(0, 94)
 				hi := lo + rng.Uniform(2, 6)

@@ -40,10 +40,6 @@ func Figure9ModelValidation(o Options) (*Report, error) {
 		scales = []float64{0.1, 1.0, 10.0}
 		trials = 30
 	}
-	alpha, err := mathx.ConfidenceMultiplier(0.95)
-	if err != nil {
-		return nil, err
-	}
 
 	for _, scale := range scales {
 		params := kernel.Params{Sigma2: sigma2, Ells: map[int]float64{xcol: trueEll * scale}}
@@ -73,7 +69,7 @@ func Figure9ModelValidation(o Options) (*Report, error) {
 				// vacuous and no system could reject anything).
 				raw := query.ScalarEstimate{Value: exact + rng.Normal(0, 0.05), StdErr: 0.05}
 				inf := v.Infer(avgSnippetOn(tb, lo, hi), raw)
-				bound := alpha * inf.Err
+				bound := core.Alpha95 * inf.Err
 				if bound <= 0 {
 					continue
 				}

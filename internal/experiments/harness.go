@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/aqp"
 	"repro/internal/core"
-	"repro/internal/mathx"
 	"repro/internal/query"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
@@ -183,10 +182,7 @@ func runOnlineQuery(v *core.Verdict, engine *aqp.Engine, sql string, record bool
 			keep[i] = math.Abs(exact[i]) > 1e-9
 		}
 	}
-	alpha, err := mathx.ConfidenceMultiplier(v.Config().Confidence)
-	if err != nil {
-		return nil, err
-	}
+	alpha := core.Alpha95
 
 	snap := v.SnapshotFor(snips)
 	ps := view.Progressive(snips)

@@ -1,38 +1,30 @@
 // Package optimize provides the derivative-free nonlinear optimization used
 // by Verdict's offline correlation-parameter learning (Appendix A). The
 // paper maximizes the non-convex Gaussian log-likelihood of past snippet
-// answers (Eq. 13) with Matlab's fminunc *without explicit gradients*; the
-// equivalent here is a Nelder–Mead simplex refined by coordinate-wise golden
-// section, wrapped in a deterministic multi-start driver that keeps the best
-// local optimum — the "multiple random starting points" strategy the paper
-// describes.
+// answers (Eq. 13) with Matlab's fminunc *without explicit gradients*. What
+// runs here is coordinate-wise golden-section descent from the paper's
+// starting point, then one Nelder–Mead simplex started from its optimum and
+// finished by a golden-section polish. The paper's "multiple random
+// starting points" are not reproduced: the learner is a single local
+// search, and its optimum can sit on a knife edge — last-bit changes in the
+// recorded answers can move the learned parameters far (CHANGES.md records
+// the case found in Figure 6b).
 package optimize
 
-import (
-	"errors"
-	"math"
-
-	"repro/internal/randx"
-)
+import "math"
 
 // Objective is a function to be minimized.
 type Objective func(x []float64) float64
 
-// ErrNoStart is returned when Minimize is called without starting points.
-var ErrNoStart = errors.New("optimize: no starting points")
-
 // Options configures the optimizer. Zero values select sensible defaults.
 type Options struct {
-	// MaxIter bounds Nelder–Mead iterations per start (default 400).
+	// MaxIter bounds Nelder–Mead iterations (default 400).
 	MaxIter int
 	// Tol is the simplex-spread convergence tolerance (default 1e-8).
 	Tol float64
 	// InitialStep scales the initial simplex (default 0.5 per coordinate,
 	// relative to |x|+1).
 	InitialStep float64
-	// Polish enables a coordinate-wise golden-section pass after the
-	// simplex converges (default on; set PolishOff to disable).
-	PolishOff bool
 }
 
 func (o Options) withDefaults() Options {
@@ -56,7 +48,8 @@ type Result struct {
 }
 
 // NelderMead minimizes f starting from x0 with the standard
-// reflection/expansion/contraction/shrink simplex updates.
+// reflection/expansion/contraction/shrink simplex updates, then polishes
+// the best vertex with one coordinate-wise golden-section sweep.
 func NelderMead(f Objective, x0 []float64, opts Options) Result {
 	opts = opts.withDefaults()
 	n := len(x0)
@@ -166,13 +159,9 @@ func NelderMead(f Objective, x0 []float64, opts Options) Result {
 		if v < vals[best] {
 			best = i
 		}
-		_ = v
 	}
-	res := Result{X: append([]float64(nil), pts[best]...), F: vals[best], Evals: evals}
-	if !opts.PolishOff {
-		res = polish(f, res, &evals)
-		res.Evals = evals
-	}
+	res := polish(f, Result{X: append([]float64(nil), pts[best]...), F: vals[best]}, &evals)
+	res.Evals = evals
 	return res
 }
 
@@ -269,41 +258,4 @@ func CoordinateDescent(f Objective, x0, lo, hi []float64, rounds, iters int) Res
 		}
 	}
 	return Result{X: x, F: fx, Evals: evals}
-}
-
-// MultiStart runs NelderMead from each starting point plus `extra` random
-// perturbations of the first, returning the best result. This mirrors the
-// paper's conventional strategy of "solving the same problem with multiple
-// random starting points" and keeping the highest-likelihood optimum.
-func MultiStart(f Objective, starts [][]float64, extra int, seed int64, opts Options) (Result, error) {
-	if len(starts) == 0 {
-		return Result{}, ErrNoStart
-	}
-	rng := randx.New(seed)
-	all := make([][]float64, 0, len(starts)+extra)
-	all = append(all, starts...)
-	for i := 0; i < extra; i++ {
-		p := append([]float64(nil), starts[0]...)
-		for k := range p {
-			// Mix multiplicative spread (natural for scale parameters such
-			// as kernel length-scales) with additive jumps so perturbed
-			// starts can change sign and escape the starting basin.
-			p[k] = p[k]*math.Exp(rng.Normal(0, 0.7)) +
-				rng.Normal(0, math.Abs(p[k])+1)
-		}
-		all = append(all, p)
-	}
-	var best Result
-	bestSet := false
-	totalEvals := 0
-	for _, s := range all {
-		r := NelderMead(f, s, opts)
-		totalEvals += r.Evals
-		if !bestSet || r.F < best.F {
-			best = r
-			bestSet = true
-		}
-	}
-	best.Evals = totalEvals
-	return best, nil
 }

@@ -79,34 +79,6 @@ func TestNelderMeadHandlesNaN(t *testing.T) {
 	}
 }
 
-func TestMultiStartEscapesLocalMinimum(t *testing.T) {
-	// Double well: local min near x=-1 (f=0.5), global near x=2 (f=0).
-	obj := func(x []float64) float64 {
-		v := x[0]
-		a := (v + 1) * (v + 1)
-		b := (v - 2) * (v - 2)
-		return math.Min(a+0.5, b)
-	}
-	// Single start from the wrong basin gets stuck.
-	single := NelderMead(obj, []float64{-1.4}, Options{})
-	if single.F < 0.4 {
-		t.Skipf("single start unexpectedly escaped (f=%v)", single.F)
-	}
-	multi, err := MultiStart(obj, [][]float64{{-1.4}}, 20, 7, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if multi.F > 1e-4 {
-		t.Fatalf("multi-start failed to find global optimum: f=%v x=%v", multi.F, multi.X)
-	}
-}
-
-func TestMultiStartNoStarts(t *testing.T) {
-	if _, err := MultiStart(sphere, nil, 3, 1, Options{}); err == nil {
-		t.Fatal("expected error with no starts")
-	}
-}
-
 // gradient estimates ∇f at x with central differences, to check the
 // stationarity of a solution.
 func gradient(f Objective, x []float64, h float64) []float64 {

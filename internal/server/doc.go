@@ -1,8 +1,8 @@
 // Package server is the concurrent serving layer: it exposes the Verdict
-// pipeline (internal/core) as a long-running multi-session HTTP/JSON
-// service. N clients share one System — and therefore one synopsis, which
-// is the whole point of database learning: every client's queries make the
-// next client's answers better.
+// pipeline (internal/core) as a long-running HTTP/JSON service. N clients
+// share one System — and therefore one synopsis, which is the whole point
+// of database learning: every client's queries make the next client's
+// answers better.
 //
 // Endpoints: POST /query, /query/stream (progressive online aggregation as
 // chunked NDJSON), /append, /train, /rebuild (all behind admission
@@ -38,8 +38,9 @@
 //   - Graceful drain: BeginDrain sheds all new admitted work with 503
 //     while in-flight handlers (streams included) finish; Drain waits for
 //     them under the caller's deadline. /stats is never shed.
-//   - Counters (served, rejected, pendingRows, lastActivity) are atomics;
-//     the session registry has its own mutex and is LRU-capped.
+//   - Counters (served, rejected, pendingRows, lastActivity) are atomics.
+//     A request's optional session is a log label (at most 64 bytes), not
+//     state: the server keeps nothing per client.
 //   - The auto-rebuild goroutine (armed by RebuildAfterRows, stopped by
 //     Close) only ever calls System.RebuildSample, which serializes with
 //     appends; "quiet" is defined as no admitted request activity for

@@ -68,9 +68,6 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		m.notifyFanout.Observe(d.Seconds())
 	})
 
-	reg.GaugeFunc("verdict_sessions",
-		"Live sessions in the registry.",
-		func() float64 { return float64(s.sessions.len()) })
 	reg.GaugeFunc("verdict_pending_rows",
 		"Rows appended since the last sample rebuild.",
 		func() float64 { return float64(s.pendingRows.Load()) })

@@ -516,6 +516,53 @@ func TestRequestIDPropagation(t *testing.T) {
 	if id2 := r2.Header.Get("X-Request-ID"); id2 == id {
 		t.Fatalf("request ID %q repeated", id)
 	}
+
+	// A body's session label is written to the request's log line. Served
+	// synchronously, so the line is complete when ServeHTTP returns.
+	var logBuf bytes.Buffer
+	logger, err := obs.NewLogger(&logBuf, "json", "info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsrv, lsys, _ := fixture(t, 2000, Config{Logger: logger})
+	serve := func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		lsrv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec
+	}
+	if rec := serve("/query", `{"sql":"SELECT COUNT(*) FROM sales","session":"alice"}`); rec.Code != http.StatusOK {
+		t.Fatalf("labelled query status %d: %s", rec.Code, rec.Body)
+	}
+	if !strings.Contains(logBuf.String(), `"session":"alice"`) {
+		t.Fatalf("session label missing from the request log: %s", logBuf.String())
+	}
+
+	// A label longer than a client request ID may be is a 400 on every
+	// endpoint that takes one, and nothing runs.
+	long := strings.Repeat("s", maxClientRequestID+1)
+	before := lsys.StatsSnapshot()
+	for path, body := range map[string]string{
+		"/query":        `{"sql":"SELECT COUNT(*) FROM sales","session":"` + long + `"}`,
+		"/query/stream": `{"sql":"SELECT COUNT(*) FROM sales","session":"` + long + `"}`,
+		"/subscribe":    `{"sql":"SELECT COUNT(*) FROM sales","session":"` + long + `"}`,
+		"/append":       `{"generate":10,"session":"` + long + `"}`,
+	} {
+		rec := serve(path, body)
+		var env struct {
+			Code string `json:"code"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatalf("%s: %v (%s)", path, err, rec.Body)
+		}
+		if rec.Code != http.StatusBadRequest || env.Code != codeBadRequest {
+			t.Fatalf("%s with a %d-byte session: status %d code %q, want 400 %s",
+				path, len(long), rec.Code, env.Code, codeBadRequest)
+		}
+	}
+	if after := lsys.StatsSnapshot(); after.Total != before.Total || after.Appends != before.Appends {
+		t.Fatalf("oversized labels ran work: total %d -> %d, appends %d -> %d",
+			before.Total, after.Total, before.Appends, after.Appends)
+	}
 }
 
 // TestErrorEnvelope table-tests the 4xx/5xx contract: every error path

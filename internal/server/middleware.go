@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -14,8 +15,8 @@ import (
 // assigns (or honors) a request ID, echoes it as X-Request-ID, captures the
 // response status, and — when a logger or registry is configured — emits
 // one structured request log line and the per-endpoint latency/status
-// metrics. Handlers annotate the request with their resolved session
-// (noteSession) so the log line can carry both IDs.
+// metrics. Handlers annotate the request with the client's optional session
+// label (noteSession) so the log line can carry both IDs.
 
 // reqMeta is the per-request context payload. One goroutine owns a request
 // end to end, so plain fields suffice: handlers write session before the
@@ -36,16 +37,23 @@ func requestID(r *http.Request) string {
 	return ""
 }
 
-// noteSession records the session a handler resolved, for the request log.
-func noteSession(r *http.Request, session string) {
+// maxClientRequestID bounds how long a client-supplied X-Request-ID may be
+// before the server mints its own instead, and how long a session label may
+// be at all (log lines stay bounded).
+const maxClientRequestID = 64
+
+// noteSession records the request body's optional session label for the
+// request log. The label is opaque: nothing else reads it. One longer than
+// maxClientRequestID is an error, which handlers answer with a 400.
+func noteSession(r *http.Request, session string) error {
+	if len(session) > maxClientRequestID {
+		return fmt.Errorf("session label is %d bytes; the limit is %d", len(session), maxClientRequestID)
+	}
 	if m, ok := r.Context().Value(reqMetaKey{}).(*reqMeta); ok {
 		m.session = session
 	}
+	return nil
 }
-
-// maxClientRequestID bounds how long a client-supplied X-Request-ID may be
-// before the server mints its own instead (log lines stay bounded).
-const maxClientRequestID = 64
 
 // statusWriter captures the response status for metrics and logging. It
 // passes Flush through to the underlying writer — the NDJSON stream

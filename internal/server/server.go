@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/aqp"
 	"repro/internal/core"
-	"repro/internal/mathx"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/sqlparse"
@@ -102,14 +101,13 @@ func (c Config) withDefaults() Config {
 
 // Server serves one shared core.System to many concurrent sessions.
 type Server struct {
-	sys      *core.System
-	cfg      Config
-	mux      *http.ServeMux
-	slots    chan struct{} // worker-pool semaphore
-	sessions *sessionRegistry
-	start    time.Time
-	log      *slog.Logger   // nil disables request logging
-	metrics  *serverMetrics // nil disables serving-layer metrics
+	sys     *core.System
+	cfg     Config
+	mux     *http.ServeMux
+	slots   chan struct{} // worker-pool semaphore
+	start   time.Time
+	log     *slog.Logger   // nil disables request logging
+	metrics *serverMetrics // nil disables serving-layer metrics
 
 	served      atomic.Int64 // requests admitted and executed
 	rejected    atomic.Int64 // requests shed by admission control
@@ -143,13 +141,12 @@ type Server struct {
 func New(sys *core.System, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		sys:      sys,
-		cfg:      cfg,
-		mux:      http.NewServeMux(),
-		slots:    make(chan struct{}, cfg.MaxInFlight),
-		sessions: newSessionRegistry(),
-		start:    time.Now(),
-		stop:     make(chan struct{}),
+		sys:   sys,
+		cfg:   cfg,
+		mux:   http.NewServeMux(),
+		slots: make(chan struct{}, cfg.MaxInFlight),
+		start: time.Now(),
+		stop:  make(chan struct{}),
 	}
 	s.lastActivity.Store(s.now().UnixNano())
 	s.log = cfg.Logger
@@ -414,7 +411,6 @@ type Row struct {
 }
 
 type QueryResponse struct {
-	Session    string   `json:"session"`
 	Supported  bool     `json:"supported"`
 	Reasons    []string `json:"reasons,omitempty"`
 	Rows       []Row    `json:"rows,omitempty"`
@@ -442,10 +438,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("budget_ms %d is negative", req.BudgetMS))
 		return
 	}
-	sess := s.sessions.get(req.Session, s.now())
-	sess.touch(s.now())
-	sess.queries.Add(1)
-	noteSession(r, sess.ID)
+	if err := noteSession(r, req.Session); err != nil {
+		writeErr(w, r, http.StatusBadRequest, err)
+		return
+	}
 
 	var (
 		res *core.Result
@@ -464,7 +460,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := QueryResponse{
-		Session:    sess.ID,
 		Supported:  res.Supported,
 		Reasons:    res.Reasons,
 		Epoch:      res.Epoch,
@@ -483,7 +478,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // jsonRows converts a Result's group rows into their wire form (shared by
 // /query and each /query/stream chunk).
 func (s *Server) jsonRows(res *core.Result) []Row {
-	alpha, _ := mathx.ConfidenceMultiplier(0.95)
 	schema := s.sys.Engine().Base().Schema()
 	var rows []Row
 	for _, row := range res.Rows {
@@ -502,7 +496,7 @@ func (s *Server) jsonRows(res *core.Result) []Row {
 				Agg:       c.Agg.String(),
 				Value:     c.Improved.Value,
 				StdErr:    c.Improved.StdErr,
-				ErrBound:  query.Saturate(alpha * c.Improved.StdErr),
+				ErrBound:  query.Saturate(core.Alpha95 * c.Improved.StdErr),
 				RawValue:  c.Raw.Value,
 				RawStdErr: c.Raw.StdErr,
 				UsedModel: c.UsedModel,
@@ -531,7 +525,6 @@ type AppendRequest struct {
 }
 
 type AppendResponse struct {
-	Session    string `json:"session"`
 	Appended   int    `json:"appended"`
 	Sampled    int    `json:"sampled"`
 	BaseRows   int    `json:"base_rows"`
@@ -557,9 +550,10 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
-	sess := s.sessions.get(req.Session, s.now())
-	sess.touch(s.now())
-	noteSession(r, sess.ID)
+	if err := noteSession(r, req.Session); err != nil {
+		writeErr(w, r, http.StatusBadRequest, err)
+		return
+	}
 
 	batch := req.Batch
 	switch {
@@ -596,11 +590,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
-	sess.appends.Add(1)
 	s.pendingRows.Add(int64(appended))
 	view := s.sys.Engine().Acquire()
 	writeJSON(w, http.StatusOK, AppendResponse{
-		Session:    sess.ID,
 		Appended:   appended,
 		Sampled:    sampled,
 		BaseRows:   view.BaseRows,
@@ -760,7 +752,6 @@ type StatsResponse struct {
 		Partitions    []PartitionInfo `json:"partitions,omitempty"`
 	} `json:"sample"`
 	Server struct {
-		Sessions    int `json:"sessions"`
 		MaxInFlight int `json:"max_in_flight"`
 		// InFlight counts admitted requests currently holding worker slots;
 		// a slot is released when its response body is fully written or its
@@ -781,8 +772,7 @@ type StatsResponse struct {
 	} `json:"server"`
 	// Metrics digests the serving-layer metrics (request quantiles, shed
 	// count, uptime); absent when the server runs without a registry.
-	Metrics  *MetricsSummary `json:"metrics_summary,omitempty"`
-	Sessions []SessionInfo   `json:"sessions,omitempty"`
+	Metrics *MetricsSummary `json:"metrics_summary,omitempty"`
 }
 
 // PartitionInfo is one serving partition's digest in /stats (see
@@ -833,7 +823,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	resp.Server.Sessions = s.sessions.len()
 	resp.Server.MaxInFlight = s.cfg.MaxInFlight
 	resp.Server.InFlight = s.InFlight()
 	resp.Server.Served = s.served.Load()
@@ -844,7 +833,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Server.Draining = s.Draining()
 	resp.Server.UptimeMS = time.Since(s.start).Milliseconds()
 	resp.Metrics = s.metricsSummary()
-	resp.Sessions = s.sessions.snapshot()
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/aqp"
 	"repro/internal/core"
-	"repro/internal/mathx"
 	"repro/internal/query"
 )
 
@@ -86,7 +85,6 @@ const maxPaceMS = 1000
 
 // StreamChunk is one NDJSON line of a /query/stream response.
 type StreamChunk struct {
-	Session string `json:"session"`
 	// Seq is the 0-based increment index; RowsSeen is the sample prefix the
 	// estimates reflect, out of SampleRows.
 	Seq        int `json:"seq"`
@@ -209,10 +207,10 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusInternalServerError, fmt.Errorf("response writer cannot stream"))
 		return
 	}
-	sess := s.sessions.get(req.Session, s.now())
-	sess.touch(s.now())
-	sess.queries.Add(1)
-	noteSession(r, sess.ID)
+	if err := noteSession(r, req.Session); err != nil {
+		writeErr(w, r, http.StatusBadRequest, err)
+		return
+	}
 	s.streams.Add(1)
 	if s.metrics != nil {
 		s.metrics.activeStreams.Add(1)
@@ -256,7 +254,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	var faultErr error
 	yield := func(pres *core.Result, p core.Progress) bool {
-		c := s.chunkFrom(sess.ID, pres, p)
+		c := s.chunkFrom(pres, p)
 		c.Cursor = &StreamCursor{
 			SampleGen: pres.SampleGen, Epoch: pres.Epoch,
 			BaseRows: pres.BaseRows, SampleRows: pres.SampleRows,
@@ -310,7 +308,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			// silently truncated body.
 			if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 				writeChunk(StreamChunk{
-					Session: sess.ID, Supported: true,
+					Supported:  true,
 					StopReason: "error", Error: err.Error(),
 					RequestID: requestID(r),
 				})
@@ -342,7 +340,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	if res != nil && !res.Supported && !wrote {
 		// Unsupported queries terminate in one chunk, mirroring /query.
 		writeChunk(StreamChunk{
-			Session: sess.ID, Supported: false, Reasons: res.Reasons, Final: true,
+			Supported: false, Reasons: res.Reasons, Final: true,
 			Epoch: res.Epoch, SampleGen: res.SampleGen,
 			BaseRows: res.BaseRows, SampleRows: res.SampleRows,
 		})
@@ -350,9 +348,9 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // chunkFrom converts one progressive increment into its wire form.
-func (s *Server) chunkFrom(session string, res *core.Result, p core.Progress) StreamChunk {
+func (s *Server) chunkFrom(res *core.Result, p core.Progress) StreamChunk {
 	c := StreamChunk{
-		Session: session, Seq: p.Seq, RowsSeen: p.Rows, SampleRows: p.SampleRows,
+		Seq: p.Seq, RowsSeen: p.Rows, SampleRows: p.SampleRows,
 		SampleGen: res.SampleGen, Epoch: res.Epoch, BaseRows: res.BaseRows,
 		Rows: s.jsonRows(res), Supported: true, Final: p.Final,
 		SimTimeMS:  float64(res.SimTime) / float64(time.Millisecond),
@@ -365,9 +363,8 @@ func (s *Server) chunkFrom(session string, res *core.Result, p core.Progress) St
 	}
 	if len(c.Rows) > 0 && len(c.Rows[0].Cells) > 0 {
 		first := c.Rows[0].Cells[0]
-		alpha, _ := mathx.ConfidenceMultiplier(0.95)
 		c.Estimate, c.CI = first.Value, first.ErrBound
-		c.RawEstimate, c.RawCI = first.RawValue, query.Saturate(alpha*first.RawStdErr)
+		c.RawEstimate, c.RawCI = first.RawValue, query.Saturate(core.Alpha95*first.RawStdErr)
 	}
 	return c
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"repro/internal/core"
 )
@@ -73,6 +72,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
+	if err := noteSession(r, req.Session); err != nil {
+		writeErr(w, r, http.StatusBadRequest, err)
+		return
+	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeErr(w, r, http.StatusInternalServerError, fmt.Errorf("response writer cannot stream"))
@@ -95,16 +98,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.subscribers.Add(-1)
 
-	sess := s.sessions.get(req.Session, s.now())
-	sess.touch(s.now())
-	sess.queries.Add(1)
-	noteSession(r, sess.ID)
-
 	sub, err := s.sys.Subscribe(req.SQL, core.SubscribeOptions{
 		DeltaCI:         req.DeltaCI,
 		DeltaRel:        req.DeltaRel,
 		Queue:           req.Queue,
-		MinPushInterval: time.Duration(req.DebounceMS) * time.Millisecond,
+		MinPushInterval: millis(req.DebounceMS),
 	})
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, err)
@@ -132,13 +130,13 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			}
 			// Subscription closed server-side (drain): terminal chunk so the
 			// client can tell an orderly close from a dropped connection.
-			c := StreamChunk{Session: sess.ID, Supported: true, StopReason: sub.CloseReason()}
+			c := StreamChunk{Supported: true, StopReason: sub.CloseReason()}
 			if enc.Encode(c) == nil {
 				flusher.Flush()
 			}
 			return
 		}
-		if enc.Encode(s.subscribeChunk(sess.ID, upd)) != nil {
+		if enc.Encode(s.subscribeChunk(upd)) != nil {
 			return
 		}
 		flusher.Flush()
@@ -147,9 +145,9 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 // subscribeChunk converts one push into its wire form: a stream chunk at
 // the full sample prefix, with seq and push_reason from the subscription.
-func (s *Server) subscribeChunk(session string, upd core.PushUpdate) StreamChunk {
+func (s *Server) subscribeChunk(upd core.PushUpdate) StreamChunk {
 	res := upd.Result
-	c := s.chunkFrom(session, res, core.Progress{
+	c := s.chunkFrom(res, core.Progress{
 		Seq: upd.Seq, Rows: res.SampleRows, SampleRows: res.SampleRows,
 	})
 	c.PushReason = upd.Reason

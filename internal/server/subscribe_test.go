@@ -325,6 +325,39 @@ func TestServerSubscribeDrain(t *testing.T) {
 	}
 }
 
+// TestServerSubscribeDebounceSaturates: a debounce_ms too large for a
+// Duration saturates instead of wrapping to a negative interval, so an
+// append after the initial chunk is debounced and the next thing the
+// subscriber reads is the drain's terminal chunk, not a push.
+func TestServerSubscribeDebounceSaturates(t *testing.T) {
+	srv, sys, ts := fixture(t, 5000, Config{})
+	defer srv.Close()
+	st := openSubscribe(t, ts.URL, SubscribeRequest{
+		SQL: "SELECT AVG(revenue) FROM sales WHERE week < 26", DebounceMS: 9_223_372_036_855,
+	})
+	defer st.body.Close()
+	if c, ok := st.next(t); !ok || c.Seq != 0 {
+		t.Fatalf("initial chunk: ok=%v %+v", ok, c)
+	}
+	if code := post(t, ts.URL+"/append", AppendRequest{Generate: 200, Seed: 11}, nil); code != 200 {
+		t.Fatalf("append status %d", code)
+	}
+	if d := sys.StatsSnapshot().NotifyDebounced; d != 1 {
+		t.Fatalf("NotifyDebounced = %d after one append, want 1", d)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	drainErr := make(chan error, 1)
+	go func() { drainErr <- srv.Drain(ctx) }()
+	if c, ok := st.next(t); !ok || c.StopReason != "drain" {
+		t.Fatalf("chunk after seq 0: ok=%v seq=%d push_reason=%q stop_reason=%q, want the drain chunk",
+			ok, c.Seq, c.PushReason, c.StopReason)
+	}
+	if err := <-drainErr; err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+}
+
 // TestServerSubscribeValidation pins the request contract: malformed
 // bodies and unsupportable standing statements 400 (GROUP BY statements
 // stand since the grouped fold landed — see TestServerSubscribeStormGrouped),
