@@ -43,9 +43,11 @@
 // sample piece — each stratum, then the tail — folds into its own bank in
 // work units cut from the piece's row 0, and the banks merge in piece
 // order; units fan out across workers but merge in unit order. A replay of
-// the same view is therefore float-identical to the original run, and a
-// one-shot answer (RunToCompletion, GroupedRunToCompletion) is the final
-// increment of a progressive scan (EvalPrefix at SampleRows) bit for bit.
+// the same view is therefore float-identical to the original run, and every
+// full-sample answer — RunToCompletion, GroupedRunToCompletion, a
+// CarriedFold — is the final increment of a progressive scan (EvalPrefix
+// at SampleRows) bit for bit, which is the increment internal/core's
+// replays read.
 // There is one carried state, the banks — per-snippet moments, or the
 // discovery kernel's per-group folds for a grouped statement (one kernel
 // for every GROUP BY scan): ProgressiveScan carries them across the

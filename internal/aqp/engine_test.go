@@ -257,8 +257,11 @@ func TestTimeBound(t *testing.T) {
 	sn := snippetFor(t, tb, "SELECT AVG(val) FROM t")
 
 	view := e.Acquire()
-	short := view.TimeBound([]*query.Snippet{sn}, 600*time.Millisecond)
-	long := view.TimeBound([]*query.Snippet{sn}, 2*time.Second)
+	within := func(budget time.Duration) Increment {
+		return view.EvalPrefix([]*query.Snippet{sn}, view.RowsWithin(budget))
+	}
+	short := within(600 * time.Millisecond)
+	long := within(2 * time.Second)
 	if short.Rows >= long.Rows {
 		t.Fatalf("rows: short=%d long=%d", short.Rows, long.Rows)
 	}
@@ -272,7 +275,7 @@ func TestTimeBound(t *testing.T) {
 		t.Fatal("more time should reduce error")
 	}
 	// Budget below plan overhead scans nothing.
-	none := view.TimeBound([]*query.Snippet{sn}, 50*time.Millisecond)
+	none := within(50 * time.Millisecond)
 	if none.Rows != 0 || none.Valid[0] {
 		t.Fatalf("sub-overhead budget scanned %d rows", none.Rows)
 	}

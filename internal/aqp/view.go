@@ -107,11 +107,6 @@ func (v *View) increment(accs []*accumulator, rows int) Increment {
 // and Appendix C.2's NoLearn).
 func (v *View) RowsWithin(budget time.Duration) int { return v.cost.RowsWithin(budget) }
 
-// TimeBound evaluates the snippets over the prefix RowsWithin(budget).
-func (v *View) TimeBound(snips []*query.Snippet, budget time.Duration) Increment {
-	return v.EvalPrefix(snips, v.RowsWithin(budget))
-}
-
 // Exact computes the snippet's exact answer on the view's base relation —
 // the ground truth θ̄ experiments compare against.
 func (v *View) Exact(sn *query.Snippet) float64 {

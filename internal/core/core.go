@@ -46,7 +46,7 @@
 //
 // # Scan memo
 //
-// Every recorded one-shot query runs its scan stage through the carried
+// Every one-shot query runs its scan stage through the carried
 // fold its statement's last execution left behind (aqp.CarriedFold, keyed
 // by trimmed SQL, at most scanMemoCap statements, least recently asked
 // evicted): nothing is scanned when the sample has not changed, only the
@@ -54,9 +54,11 @@
 // domain-clipped bound moved. A progressive stream looks up the same entry
 // and re-emits the raw increments an earlier stream stored for the same
 // snapshot and snippet keys, scanning only the prefixes not stored. The
-// answer is bit-identical to the reference scan in every case; replays and
-// time-bound queries bypass the memo, so ExecuteView and ExecuteViewPrefix
-// audit it independently. See ARCHITECTURE.md "Scan memo".
+// answer is bit-identical to a fresh progressive scan's increment at the
+// same prefix in every case. Replays are that fresh scan — ExecuteView is
+// ExecuteViewPrefix at SampleRows — and time-bound queries scan one fresh
+// prefix too, so neither reads the memo and the replays audit it
+// independently. See ARCHITECTURE.md "Scan memo".
 //
 // # Synopsis maintenance
 //

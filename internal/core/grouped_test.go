@@ -110,11 +110,9 @@ func twoPassExecute(t *testing.T, s *System, sql string) *Result {
 		t.Fatal(err)
 	}
 	upd := view.RunToCompletion(pl.snips)
-	improved, usedModel, _ := inferAll(s.Verdict().SnapshotFor(pl.snips), pl.snips, upd.Estimates)
-	if res.Rows, err = composeRows(pl, upd.Estimates, improved, usedModel); err != nil {
+	if _, _, err := pl.answer(res, upd, s.Verdict().SnapshotFor(pl.snips).infer); err != nil {
 		t.Fatal(err)
 	}
-	res.GroupsTruncated = pl.truncated
 	return res
 }
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/aqp"
-	"repro/internal/query"
-)
+import "repro/internal/query"
 
 // InferSnapshot pins the published inference states of a set of aggregate
 // functions at one instant. A progressive query infers every increment
@@ -41,19 +38,7 @@ func (s *InferSnapshot) Infer(sn *query.Snippet, raw query.ScalarEstimate) Impro
 	return inferOn(s.states[sn.Func()], sn, raw, s.cfg)
 }
 
-// inferAll maps raw snippet estimates to improved ones against a pinned
-// snapshot, returning the improved estimates, the per-snippet used-model
-// flags and how many snippets the model improved.
-func inferAll(snap *InferSnapshot, snips []*query.Snippet, raw []query.ScalarEstimate) (improved []query.ScalarEstimate, usedModel []bool, count int) {
-	improved = make([]query.ScalarEstimate, len(snips))
-	usedModel = make([]bool, len(snips))
-	for i, sn := range snips {
-		inf := snap.Infer(sn, aqp.Sanitize(raw[i]))
-		improved[i] = query.ScalarEstimate{Value: inf.Answer, StdErr: inf.Err}
-		usedModel[i] = inf.UsedModel
-		if inf.UsedModel {
-			count++
-		}
-	}
-	return improved, usedModel, count
+// infer is Infer in the shape of the answer step's per-snippet function.
+func (s *InferSnapshot) infer(_ int, sn *query.Snippet, raw query.ScalarEstimate) Improved {
+	return s.Infer(sn, raw)
 }

@@ -81,7 +81,7 @@ func (m *model) learn() {
 	// then polishes joint interactions (the paper's fminunc plays the same
 	// local-refinement role). No random restarts are added.
 	res := optimize.CoordinateDescent(negLogLik, start, lo, hi, 2, 25)
-	if nm := optimize.NelderMead(negLogLik, res.X, optimize.Options{MaxIter: 80}); nm.F < res.F {
+	if nm := optimize.NelderMead(negLogLik, res.X, 80); nm.F < res.F {
 		res = nm
 	}
 	if math.IsInf(res.F, 1) {

@@ -89,7 +89,7 @@ func learnPerPair(m *model) {
 		hi[i] = math.Log(widths[i] * 1e2)
 	}
 	res := optimize.CoordinateDescent(negLogLik, start, lo, hi, 2, 25)
-	if nm := optimize.NelderMead(negLogLik, res.X, optimize.Options{MaxIter: 80}); nm.F < res.F {
+	if nm := optimize.NelderMead(negLogLik, res.X, 80); nm.F < res.F {
 		res = nm
 	}
 	if math.IsInf(res.F, 1) {

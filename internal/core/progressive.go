@@ -208,47 +208,35 @@ func (s *System) runProgressive(ctx context.Context, sql string, opts Progressiv
 		}
 		// ProgressiveScan.Step's clamp: never past the sample, never back.
 		rows := max(min(prefix, view.SampleRows), pos)
-		var inc aqp.Increment
 		tScan := time.Now()
-		if est, valid, ok := memo.streamLookup(view, keys, rows); ok {
-			inc = aqp.Increment{
-				Estimates: est, Valid: valid,
-				Rows: rows, Total: view.SampleRows,
-				SimTime: view.QueryTime(rows),
-				Seq:     seq + 1, Final: rows >= view.SampleRows,
-			}
-		} else {
+		inc, ok := memo.streamLookup(view, keys, rows)
+		if !ok {
 			if ps == nil {
 				// The workers cap goes in up front so the entry fold — the
 				// O(rows) scan a resume or a late miss pays — honors it too.
 				ps = pl.progressive(pos, seq, opts.Workers)
 			}
 			inc = ps.Step(rows)
-			inc.Seq = seq + 1 // ps skipped the increments served from the memo
 			memo.streamStore(view, keys, inc)
 			missed = true
 		}
+		// The stored increment carries the Seq of the stream that scanned
+		// it, and ps skipped the increments served from the memo.
+		inc.Seq = seq + 1
 		// A memo lookup is this increment's scan stage, as a reused one-shot
 		// fold's is.
 		view.ObserveScan(obs.ModeProgressive, grouped, tScan)
 		pos, seq = inc.Rows, inc.Seq
-		t0 := time.Now()
-		improved, usedModel, improvedCount := inferAll(snap, pl.snips, inc.Estimates)
-		inferNS += time.Since(t0).Nanoseconds()
-		if s.cfg.Stages != nil {
-			s.observeStage(obs.StageInfer, obs.ModeProgressive, grouped, t0)
-		}
-		r := &Result{
-			SQL: sql, Supported: true,
-			Epoch: epoch, SampleGen: view.SampleGen,
-			BaseRows: view.BaseRows, SampleRows: view.SampleRows,
-			SimTime:         inc.SimTime,
-			Overhead:        time.Duration(inferNS),
-			GroupsTruncated: pl.truncated,
-		}
-		if r.Rows, err = composeRows(pl, inc.Estimates, improved, usedModel); err != nil {
+		r := newResult(sql, view, epoch)
+		overhead, improvedCount, err := pl.answer(r, inc, snap.infer)
+		if err != nil {
 			return nil, err
 		}
+		inferNS += overhead.Nanoseconds()
+		if s.cfg.Stages != nil {
+			s.observeStage(obs.StageInfer, obs.ModeProgressive, grouped, overhead)
+		}
+		r.Overhead = time.Duration(inferNS)
 		emitted++
 		last = r
 		// Final means the sample really was exhausted (inc.Final), never
@@ -309,8 +297,10 @@ func (s *System) targetMet(rows []ResultRow, opts ProgressiveOptions) bool {
 
 // ExecuteViewPrefix replays the increment a progressive query emitted at a
 // given sample prefix: one fresh scan of [0, rows) against an explicit
-// (usually ViewAtGen-reconstructed) view. Replays are side-effect-free —
-// nothing is recorded and no counters move. Raw answers are float-identical
+// (usually ViewAtGen-reconstructed) view, inferred against one snapshot of
+// the published model states. Replays are side-effect-free — nothing is
+// recorded and no counters move — and read neither the scan memo nor a
+// standing plan's fold, so they audit both. Raw answers are float-identical
 // to the streamed increment; improved answers reflect the synopsis at
 // replay time, which has typically learned more since.
 func (s *System) ExecuteViewPrefix(view *aqp.View, sql string, rows int) (*Result, error) {
@@ -321,12 +311,9 @@ func (s *System) ExecuteViewPrefix(view *aqp.View, sql string, rows int) (*Resul
 	if err := s.answerSet(pl, obs.ModeProgressive, false); err != nil {
 		return nil, err
 	}
-	res.GroupsTruncated = pl.truncated
-	inc := pl.progressive(0, -1, 0).Step(rows)
-	improved, usedModel, _ := inferAll(s.Verdict().SnapshotFor(pl.snips), pl.snips, inc.Estimates)
-	if res.Rows, err = composeRows(pl, inc.Estimates, improved, usedModel); err != nil {
+	snap := s.Verdict().SnapshotFor(pl.snips)
+	if _, _, err := pl.answer(res, pl.progressive(0, -1, 0).Step(rows), snap.infer); err != nil {
 		return nil, err
 	}
-	res.SimTime = inc.SimTime
 	return res, nil
 }

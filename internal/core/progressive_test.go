@@ -149,10 +149,26 @@ func requireRawBits(t *testing.T, label string, got, want *Result) {
 	}
 }
 
+// requireImprovedBits requires two results with the same shape to have the
+// same improved cells, bit for bit, and the same used-model verdicts.
+func requireImprovedBits(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	for i, w := range want.Rows {
+		for j, wc := range w.Cells {
+			gc := got.Rows[i].Cells[j]
+			if !sameEstimateBits(gc.Improved, wc.Improved) || gc.UsedModel != wc.UsedModel {
+				t.Fatalf("%s row %d cell %d: improved %+v (model %v), want %+v (model %v)",
+					label, i, j, gc.Improved, gc.UsedModel, wc.Improved, wc.UsedModel)
+			}
+		}
+	}
+}
+
 // TestQueryEqualsFinalStreamIncrement: a one-shot answer and the final
 // increment of a stream on the same view fold the sample along one merge
 // tree, so their raw cells are equal bit for bit — replayed (ExecuteView
-// against ExecuteViewPrefix at SampleRows) and served (Execute through the
+// against ExecuteViewPrefix at SampleRows, which also agree on every
+// improved cell and used-model verdict) and served (Execute through the
 // scan memo against ExecuteProgressive's Final increment), for a flat and
 // a grouped statement, on a flat and a 4-partition layout, before and after
 // an append, and across a rebuild.
@@ -178,6 +194,7 @@ func TestQueryEqualsFinalStreamIncrement(t *testing.T) {
 						t.Fatal(err)
 					}
 					requireRawBits(t, label+" (replays)", final, oneShot)
+					requireImprovedBits(t, label+" (replays)", final, oneShot)
 					served, err := sys.Execute(sql)
 					if err != nil {
 						t.Fatal(err)

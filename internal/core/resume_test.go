@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/aqp"
+	"repro/internal/randx"
+	"repro/internal/storage"
 )
 
 // runStream collects every increment of an ExecuteProgressive stream,
@@ -249,4 +252,74 @@ func TestExecuteProgressiveFromCursorErrors(t *testing.T) {
 	}, func(r *Result, p Progress) bool { n++; return true }); err != nil || n == 0 {
 		t.Fatalf("live-generation resume: n=%d err=%v", n, err)
 	}
+}
+
+// FuzzStreamCursor resumes streams from cursors mutated from the chunks of
+// real streams — on a retained retired generation before and after an
+// append, and on the live one — so mutations also name evicted and
+// never-created generations, prefixes a generation never had, and
+// positions off the schedule. Nothing may panic; every error wraps
+// ErrCursorMismatch, aqp.ErrGenUnknown or aqp.ErrGenEvicted; every
+// increment a resume yields has the raw cells of an ExecuteViewPrefix
+// replay at its prefix, bit for bit; and no generation stays pinned.
+func FuzzStreamCursor(f *testing.F) {
+	sys := systemFixture(f, 4000, 0.5)
+	sys.Engine().SetMaxRetainedGens(1)
+	stmts := []string{
+		"SELECT AVG(revenue), COUNT(*) FROM sales WHERE week BETWEEN 10 AND 30",
+		"SELECT region, AVG(revenue), SUM(revenue) FROM sales WHERE week < 40 GROUP BY region",
+		"SELECT COUNT(*) FROM sales WHERE week = 1 OR week = 2", // unsupported
+	}
+	const firstRows = 256
+	seed := func() {
+		for i, sql := range stmts {
+			_, err := sys.ExecuteProgressive(context.Background(), sql, ProgressiveOptions{FirstRows: firstRows},
+				func(r *Result, p Progress) bool {
+					f.Add(uint8(i), firstRows, r.SampleGen, r.Epoch, r.BaseRows, r.SampleRows, p.Rows, p.Seq)
+					return true
+				})
+			if err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	// Generations 0 and 1 are evicted by the time the fuzzer runs; 2 is
+	// retained, with a prefix snapshot before the append, and 3 is live.
+	sys.RebuildSample()
+	sys.RebuildSample()
+	seed()
+	batch := storage.NewTable("sales_batch", sys.Engine().Base().Schema())
+	rng := randx.New(5)
+	for i := 0; i < 600; i++ {
+		w := rng.Uniform(0, 60)
+		if err := batch.AppendRow([]storage.Value{storage.Num(w), storage.Str("east"), storage.Num(50 + 2*w)}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, err := sys.Append(batch); err != nil {
+		f.Fatal(err)
+	}
+	seed()
+	sys.RebuildSample()
+	seed()
+
+	f.Fuzz(func(t *testing.T, stmt uint8, first int, gen, epoch uint64, baseRows, sampleRows, rowsSeen, seq int) {
+		sql := stmts[int(stmt)%len(stmts)]
+		cur := ProgressiveCursor{SampleGen: gen, Epoch: epoch, BaseRows: baseRows, SampleRows: sampleRows, RowsSeen: rowsSeen, Seq: seq}
+		_, err := sys.ExecuteProgressiveFrom(context.Background(), sql, ProgressiveOptions{FirstRows: first, Workers: 1}, cur,
+			func(r *Result, p Progress) bool {
+				replay, err := sys.ExecuteViewPrefix(sys.Engine().ViewAtGen(r.SampleGen, r.BaseRows, r.SampleRows), sql, p.Rows)
+				if err != nil {
+					t.Fatalf("cursor %+v, increment %d: replay: %v", cur, p.Seq, err)
+				}
+				requireRawBits(t, fmt.Sprintf("cursor %+v, increment %d", cur, p.Seq), r, replay)
+				return true
+			})
+		if err != nil && !errors.Is(err, ErrCursorMismatch) && !errors.Is(err, aqp.ErrGenUnknown) && !errors.Is(err, aqp.ErrGenEvicted) {
+			t.Fatalf("cursor %+v: unexpected error %v", cur, err)
+		}
+		if n := sys.Engine().PinnedGens(); n != 0 {
+			t.Fatalf("cursor %+v: %d generations pinned after the call", cur, n)
+		}
+	})
 }

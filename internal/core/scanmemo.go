@@ -5,28 +5,27 @@ import (
 	"sync"
 
 	"repro/internal/aqp"
-	"repro/internal/query"
 )
 
 // The scan memo: a repeated statement extends the fold its last execution
-// left behind instead of folding the sample again. Every recorded one-shot
-// query (Execute, ExecuteWithExact) looks its trimmed SQL up here and runs
+// left behind instead of folding the sample again. Every one-shot query
+// (Execute, ExecuteWithExact) looks its trimmed SQL up here and runs
 // its scan stage through the entry's aqp.CarriedFold, which returns the
 // last answer when the view is the same snapshot, folds only the appended
 // rows and the tail's partial work unit when the sample has grown, and folds
 // everything — replacing what it carried — when the generation, the bound
-// regions or the grouped spec moved. The fold is bit-identical to the
-// reference scan, and to a stream's final increment, in every case, so
-// a served raw cell stays a pure function of (SampleGen, BaseRows,
-// SampleRows, sql).
+// regions or the grouped spec moved. The fold is bit-identical to a
+// stream's final increment in every case, so a served raw cell stays a
+// pure function of (SampleGen, BaseRows, SampleRows, sql).
 //
 // Progressive streams (ExecuteProgressive, ExecuteProgressiveFrom) look up
 // the same entry and keep the raw increments their statement emitted on one
 // snapshot, keyed by prefix rows: an increment is a pure function of
 // (SampleGen, BaseRows, SampleRows, snippet keys, prefix), so a repeated
 // stream re-emits the stored estimates instead of re-scanning each prefix.
-// Replays (ExecuteView, ExecuteViewPrefix) and time-bound queries never come
-// here: what audits the memo does not read it.
+// Replays (ExecuteView, which is ExecuteViewPrefix at SampleRows) and
+// time-bound queries scan one fresh prefix and never come here: what audits
+// the memo does not read it.
 //
 // Nothing invalidates an entry from outside: appends, rebuilds and domain
 // growth are seen by the fold's own binding check, or the stored
@@ -63,24 +62,16 @@ type memoEntry struct {
 }
 
 // streamIncrements is the raw half of the increments the statement's
-// streams emitted on one snapshot: the snapshot, the snippet keys, and per
-// stored prefix the estimates and their validity. Only prefixes of the
-// default schedule are kept, so it holds at most
-// len(aqp.PrefixSchedule(sampleRows, 0)) of them whatever schedules clients
-// ask for.
+// streams emitted on one snapshot: the snapshot, the snippet keys, and the
+// stored increments, one per prefix. Only prefixes of the default schedule
+// are kept, so it holds at most len(aqp.PrefixSchedule(sampleRows, 0)) of
+// them whatever schedules clients ask for. A stored increment's slices are
+// shared with every stream that re-emits it: read-only.
 type streamIncrements struct {
 	gen                  uint64
 	baseRows, sampleRows int
 	keys                 []string
-	incs                 []storedIncrement
-}
-
-// storedIncrement is one stored prefix. Its slices are shared with every
-// stream that re-emits it: read-only.
-type storedIncrement struct {
-	rows      int
-	estimates []query.ScalarEstimate
-	valid     []bool
+	incs                 []aqp.Increment
 }
 
 // same reports whether the stored increments answer keys on v's snapshot.
@@ -96,20 +87,19 @@ func (si *streamIncrements) behind(v *aqp.View) bool {
 		(v.SampleGen == si.gen && (v.SampleRows < si.sampleRows || v.BaseRows < si.baseRows))
 }
 
-// streamLookup returns the estimates a stream on v's snapshot emitted at
-// prefix rows, if they are stored.
-func (e *memoEntry) streamLookup(v *aqp.View, keys []string, rows int) ([]query.ScalarEstimate, []bool, bool) {
+// streamLookup returns the increment a stream on v's snapshot emitted at
+// prefix rows, if it is stored.
+func (e *memoEntry) streamLookup(v *aqp.View, keys []string, rows int) (aqp.Increment, bool) {
 	e.smu.Lock()
 	defer e.smu.Unlock()
-	if !e.stream.same(v, keys) {
-		return nil, nil, false
-	}
-	for _, inc := range e.stream.incs {
-		if inc.rows == rows {
-			return inc.estimates, inc.valid, true
+	if e.stream.same(v, keys) {
+		for _, inc := range e.stream.incs {
+			if inc.Rows == rows {
+				return inc, true
+			}
 		}
 	}
-	return nil, nil, false
+	return aqp.Increment{}, false
 }
 
 // streamStore keeps a scanned increment for the next stream on v's
@@ -132,11 +122,11 @@ func (e *memoEntry) streamStore(v *aqp.View, keys []string, inc aqp.Increment) {
 		*si = streamIncrements{gen: v.SampleGen, baseRows: v.BaseRows, sampleRows: v.SampleRows, keys: keys}
 	}
 	for _, x := range si.incs {
-		if x.rows == inc.Rows {
+		if x.Rows == inc.Rows {
 			return
 		}
 	}
-	si.incs = append(si.incs, storedIncrement{rows: inc.Rows, estimates: inc.Estimates, valid: inc.Valid})
+	si.incs = append(si.incs, inc)
 }
 
 // entry returns sql's entry, creating it — and evicting the oldest at the

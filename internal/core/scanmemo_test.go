@@ -183,7 +183,7 @@ func runMemoSequence(t *testing.T, cfg Config, seed int64, ops int, flood bool) 
 	ask := func(what string, st *memoStmt, view *aqp.View, want ...aqp.FoldOutcome) {
 		t.Helper()
 		before := sys.StatsSnapshot()
-		res, err := sys.execute(view, st.sql, 0, true)
+		res, _, err := sys.execute(view, st.sql, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}

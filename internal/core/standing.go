@@ -128,7 +128,6 @@ type standingPlan struct {
 	pl      *queryPlan
 	fold    *aqp.CarriedFold
 	infer   planInfer
-	lastUpd aqp.Increment
 	lastRes *Result
 	subs    []*Subscription
 }
@@ -259,26 +258,9 @@ func (s *System) CloseSubscriptions(reason string) {
 // newStandingPlanLocked plans sql against a freshly pinned view and pays
 // the plan's one full fold. Caller holds standing.mu.
 func (s *System) newStandingPlanLocked(sql string) (*standingPlan, error) {
-	view, release := s.engine.AcquirePinned()
-	pl, res, err := s.plan(view, sql, obs.ModeOneShot, false)
-	if err != nil {
-		release()
-		return nil, err
-	}
-	if pl == nil {
-		release()
-		return nil, fmt.Errorf("core: unsupported query cannot stand: %s", strings.Join(res.Reasons, "; "))
-	}
-	p := &standingPlan{sql: sql, view: view, release: release, fold: aqp.NewCarriedFold(false)}
-	fr, err := pl.scanCarried(p.fold, s.nmax())
-	if err != nil {
-		release()
-		return nil, err
-	}
-	s.bumpStats(func(ss *SystemStats) { ss.NotifyScans++ })
-	p.pl, p.lastUpd = pl, fr.Update
-	if p.lastRes, err = s.composeStanding(p, fr.Update); err != nil {
-		release()
+	p := &standingPlan{sql: sql, release: func() {}, fold: aqp.NewCarriedFold(false)}
+	if err := s.refreshPlanLocked(p); err != nil {
+		p.release()
 		return nil, err
 	}
 	return p, nil
@@ -317,20 +299,21 @@ func (s *System) notifyStanding(reason string) {
 }
 
 // refreshPlanLocked advances one standing plan to the engine's current
-// state: re-pin, re-plan (region bindings can shift as domains grow),
-// extend the carried fold — which rebinds with one full fold when the
-// sample generation swapped or the plan shape changed — and recompose the
-// result. On the grouped path pl is materialized from the fold's discovered
-// groups, so its snippet list and truncation flag match what a one-shot
-// execution of the same view would plan. Caller holds standing.mu.
+// state — from nothing, for a new plan: re-pin, re-plan (region bindings
+// can shift as domains grow), extend the carried fold — which rebinds with
+// one full fold when the sample generation swapped or the plan shape
+// changed — and recompose the result. On the grouped path pl is
+// materialized from the fold's discovered groups, so its snippet list and
+// truncation flag match what a one-shot execution of the same view would
+// plan. Caller holds standing.mu.
 func (s *System) refreshPlanLocked(p *standingPlan) error {
 	view, release := s.engine.AcquirePinned()
-	pl, _, err := s.plan(view, p.sql, obs.ModeOneShot, false)
-	if err != nil || pl == nil {
+	pl, res, err := s.plan(view, p.sql, obs.ModeOneShot, false)
+	if err == nil && pl == nil {
+		err = fmt.Errorf("core: unsupported query cannot stand: %s", strings.Join(res.Reasons, "; "))
+	}
+	if err != nil {
 		release()
-		if err == nil {
-			err = fmt.Errorf("core: standing query became unsupported")
-		}
 		return err
 	}
 	fr, err := pl.scanCarried(p.fold, s.nmax())
@@ -340,28 +323,23 @@ func (s *System) refreshPlanLocked(p *standingPlan) error {
 	}
 	s.bumpStats(func(ss *SystemStats) { ss.NotifyScans++ })
 	p.release()
-	p.view, p.release, p.pl, p.lastUpd = view, release, pl, fr.Update
+	p.view, p.release, p.pl = view, release, pl
 	p.lastRes, err = s.composeStanding(p, fr.Update)
 	return err
 }
 
-// composeStanding turns a plan's final Increment into a full Result —
-// the same sanitize/infer/compose sequence execute runs, against a fresh
-// snapshot of the published model states, with the covariance integrals
-// served from the plan's carried signature-guarded memo (planInfer):
-// bit-identical to full re-inference, cheap on appends where no region
-// bound or length-scale moved.
+// composeStanding turns a plan's final Increment into a full Result — the
+// answer step against a fresh snapshot of the published model states, with
+// the covariance integrals served from the plan's carried signature-guarded
+// memo (planInfer): bit-identical to the snapshot inference a replay runs,
+// cheap on appends where no region bound or length-scale moved.
 func (s *System) composeStanding(p *standingPlan, upd aqp.Increment) (*Result, error) {
 	snap := s.Verdict().SnapshotFor(p.pl.snips)
-	improved, usedModel, _ := p.infer.inferAll(snap, p.pl.snips, upd.Estimates)
-	res := &Result{
-		SQL: p.sql, Supported: true,
-		Epoch: p.view.Epoch, SampleGen: p.view.SampleGen,
-		BaseRows: p.view.BaseRows, SampleRows: p.view.SampleRows,
-		SimTime: upd.SimTime, GroupsTruncated: p.pl.truncated,
-	}
-	var err error
-	res.Rows, err = composeRows(p.pl, upd.Estimates, improved, usedModel)
+	memos := p.infer.memosFor(p.pl.snips)
+	res := newResult(p.sql, p.view, p.view.Epoch)
+	_, _, err := p.pl.answer(res, upd, func(i int, sn *query.Snippet, raw query.ScalarEstimate) Improved {
+		return inferOnMemo(snap.states[sn.Func()], sn, raw, snap.cfg, memos[i])
+	})
 	return res, err
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/aqp"
 	"repro/internal/kernel"
 	"repro/internal/query"
 )
@@ -50,34 +49,19 @@ type planInfer struct {
 	memos map[string]*snippetMemo
 }
 
-// inferAll is inferAll against the plan's carried memos: same outputs,
-// bit-identical, with the covariance integrals skipped on signature hits.
-func (pi *planInfer) inferAll(snap *InferSnapshot, snips []*query.Snippet, raw []query.ScalarEstimate) (improved []query.ScalarEstimate, usedModel []bool, count int) {
-	if pi.memos == nil {
-		pi.memos = make(map[string]*snippetMemo, len(snips))
-	}
-	seen := make(map[string]struct{}, len(snips))
-	improved = make([]query.ScalarEstimate, len(snips))
-	usedModel = make([]bool, len(snips))
+// memosFor returns the memo of each of snips, creating missing ones, and
+// drops the memos of snippets the plan no longer has.
+func (pi *planInfer) memosFor(snips []*query.Snippet) []*snippetMemo {
+	live := make(map[string]*snippetMemo, len(snips))
+	out := make([]*snippetMemo, len(snips))
 	for i, sn := range snips {
 		key := sn.Key()
 		mem := pi.memos[key]
 		if mem == nil {
 			mem = &snippetMemo{}
-			pi.memos[key] = mem
 		}
-		seen[key] = struct{}{}
-		inf := inferOnMemo(snap.states[sn.Func()], sn, aqp.Sanitize(raw[i]), snap.cfg, mem)
-		improved[i] = query.ScalarEstimate{Value: inf.Answer, StdErr: inf.Err}
-		usedModel[i] = inf.UsedModel
-		if inf.UsedModel {
-			count++
-		}
+		live[key], out[i] = mem, mem
 	}
-	for key := range pi.memos {
-		if _, ok := seen[key]; !ok {
-			delete(pi.memos, key)
-		}
-	}
-	return improved, usedModel, count
+	pi.memos = live
+	return out
 }

@@ -92,12 +92,12 @@ func requireEntryBounded(t *testing.T, sys *System, label, sql string) {
 	sched := aqp.PrefixSchedule(e.stream.sampleRows, 0)
 	seen := map[int]bool{}
 	for _, inc := range e.stream.incs {
-		if !slices.Contains(sched, inc.rows) || seen[inc.rows] {
-			t.Fatalf("%s: entry stores prefix %d (schedule %v, stored before: %v)", label, inc.rows, sched, seen[inc.rows])
+		if !slices.Contains(sched, inc.Rows) || seen[inc.Rows] {
+			t.Fatalf("%s: entry stores prefix %d (schedule %v, stored before: %v)", label, inc.Rows, sched, seen[inc.Rows])
 		}
-		seen[inc.rows] = true
-		if len(inc.estimates) != len(e.stream.keys) || len(inc.valid) != len(e.stream.keys) {
-			t.Fatalf("%s: prefix %d stores %d estimates for %d keys", label, inc.rows, len(inc.estimates), len(e.stream.keys))
+		seen[inc.Rows] = true
+		if len(inc.Estimates) != len(e.stream.keys) || len(inc.Valid) != len(e.stream.keys) {
+			t.Fatalf("%s: prefix %d stores %d estimates for %d keys", label, inc.Rows, len(inc.Estimates), len(e.stream.keys))
 		}
 	}
 }

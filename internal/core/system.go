@@ -138,8 +138,8 @@ func applyEngineConfig(engine *aqp.Engine, cfg Config) {
 
 // observeStage reports one pipeline-stage duration to the configured timer;
 // with no timer wired (the default) the call sites reduce to one branch.
-func (s *System) observeStage(name, mode string, grouped bool, start time.Time) {
-	s.cfg.Stages.ObserveStage(obs.Stage{Name: name, Mode: mode, Grouped: grouped}, time.Since(start))
+func (s *System) observeStage(name, mode string, grouped bool, d time.Duration) {
+	s.cfg.Stages.ObserveStage(obs.Stage{Name: name, Mode: mode, Grouped: grouped}, d)
 }
 
 // Verdict exposes the learning layer (training, parameter control).
@@ -328,21 +328,37 @@ type Result struct {
 // Execute runs one SQL query through the full pipeline, consuming the
 // entire sample (online aggregation run to completion).
 func (s *System) Execute(sql string) (*Result, error) {
-	return s.execute(s.engine.Acquire(), sql, 0, true)
+	res, _, err := s.execute(s.engine.Acquire(), sql, 0)
+	return res, err
 }
 
 // ExecuteTimeBound runs one SQL query under a simulated time budget.
 func (s *System) ExecuteTimeBound(sql string, budget time.Duration) (*Result, error) {
-	return s.execute(s.engine.Acquire(), sql, budget, true)
+	res, _, err := s.execute(s.engine.Acquire(), sql, budget)
+	return res, err
 }
 
 // ExecuteView runs one SQL query against an explicit engine view — the
 // serial-replay entry point concurrency tests use to audit answers served
-// under streaming appends. Replays are side-effect-free: nothing is
-// recorded into the synopsis and no workload counters move, so auditing a
-// system does not change it.
+// under streaming appends: the prefix replay of the whole sample, which is
+// the final increment of a stream and, bit for bit, what Execute answered
+// on the same snapshot. Replays are side-effect-free: nothing is recorded
+// into the synopsis and no workload counters move, so auditing a system
+// does not change it.
 func (s *System) ExecuteView(view *aqp.View, sql string) (*Result, error) {
-	return s.execute(view, sql, 0, false)
+	return s.ExecuteViewPrefix(view, sql, view.SampleRows)
+}
+
+// newResult is the header every mode's Result starts from: the statement
+// and the replay coordinate of the view that served it. epoch is the
+// serving view's publication epoch — a resumed stream reports its original
+// stream's.
+func newResult(sql string, view *aqp.View, epoch uint64) *Result {
+	return &Result{
+		SQL: sql, Supported: true,
+		Epoch: epoch, SampleGen: view.SampleGen,
+		BaseRows: view.BaseRows, SampleRows: view.SampleRows,
+	}
 }
 
 // queryPlan is the parsed, checked, decomposed form of one SQL query
@@ -426,7 +442,7 @@ func (s *System) answerSet(pl *queryPlan, mode string, timed bool) error {
 		return err
 	}
 	if timed && s.cfg.Stages != nil {
-		s.observeStage(obs.StagePrune, mode, true, start)
+		s.observeStage(obs.StagePrune, mode, true, time.Since(start))
 	}
 	return nil
 }
@@ -465,7 +481,7 @@ func (s *System) plan(view *aqp.View, sql, mode string, record bool) (*queryPlan
 	}
 	sup := query.Check(stmt)
 	if timed {
-		s.observeStage(obs.StageParse, mode, len(stmt.GroupBy) > 0, tParse)
+		s.observeStage(obs.StageParse, mode, len(stmt.GroupBy) > 0, time.Since(tParse))
 	}
 	if record {
 		s.bumpStats(func(st *SystemStats) {
@@ -475,11 +491,8 @@ func (s *System) plan(view *aqp.View, sql, mode string, record bool) (*queryPlan
 			}
 		})
 	}
-	res := &Result{
-		SQL: sql, Supported: sup.OK, Reasons: sup.Reasons,
-		Epoch: view.Epoch, SampleGen: view.SampleGen,
-		BaseRows: view.BaseRows, SampleRows: view.SampleRows,
-	}
+	res := newResult(sql, view, view.Epoch)
+	res.Supported, res.Reasons = sup.OK, sup.Reasons
 	if !sup.OK {
 		// Unsupported: Verdict bypasses inference and returns raw answers
 		// untouched (§2.2); for this engine the raw path requires a
@@ -528,16 +541,38 @@ func (s *System) plan(view *aqp.View, sql, mode string, record bool) (*queryPlan
 		}
 	}
 	if timed {
-		s.observeStage(obs.StagePrune, mode, len(groupCols) > 0, tPrune)
+		s.observeStage(obs.StagePrune, mode, len(groupCols) > 0, time.Since(tPrune))
 	}
 	return pl, res, nil
 }
 
-// composeRows recomposes user aggregates per group row from per-snippet raw
-// and improved estimates.
-func composeRows(pl *queryPlan, raw, improved []query.ScalarEstimate, usedModel []bool) ([]ResultRow, error) {
+// answer is Algorithm 2's answer step, the last step of every mode: it
+// sanitizes each raw estimate of inc, improves snippet i's through infer in
+// snippet order — how a mode infers, against the live synopsis recording as
+// it goes or against one pinned InferSnapshot, is all its answer step
+// varies — recomposes the user aggregates per group row and fills res's
+// rows, simulated latency and truncation flag. It returns how long
+// inference took, composition excluded, and how many snippets the model
+// improved.
+func (pl *queryPlan) answer(res *Result, inc aqp.Increment, infer func(i int, sn *query.Snippet, raw query.ScalarEstimate) Improved) (time.Duration, int, error) {
+	t0 := time.Now()
+	raw := make([]query.ScalarEstimate, len(pl.snips))
+	improved := make([]query.ScalarEstimate, len(pl.snips))
+	usedModel := make([]bool, len(pl.snips))
+	improvedCount := 0
+	for i, sn := range pl.snips {
+		raw[i] = aqp.Sanitize(inc.Estimates[i])
+		inf := infer(i, sn, raw[i])
+		improved[i] = query.ScalarEstimate{Value: inf.Answer, StdErr: inf.Err}
+		usedModel[i] = inf.UsedModel
+		if inf.UsedModel {
+			improvedCount++
+		}
+	}
+	overhead := time.Since(t0)
+
+	res.SimTime, res.GroupsTruncated = inc.SimTime, pl.truncated
 	tableRows := pl.view.Base.Rows()
-	var out []ResultRow
 	for i, d := range pl.decs {
 		row := ResultRow{Group: d.Group}
 		for _, ua := range d.Aggregates {
@@ -545,133 +580,93 @@ func composeRows(pl *queryPlan, raw, improved []query.ScalarEstimate, usedModel 
 			rawAvg, rawFreq := pick(raw, pl.offsets[i], ua)
 			impAvg, impFreq := pick(improved, pl.offsets[i], ua)
 			var err error
-			cell.Raw, err = query.ComposeAggregate(ua.Agg, aqp.Sanitize(rawAvg), aqp.Sanitize(rawFreq), tableRows)
-			if err != nil {
-				return nil, err
+			if cell.Raw, err = query.ComposeAggregate(ua.Agg, rawAvg, rawFreq, tableRows); err != nil {
+				return overhead, improvedCount, err
 			}
-			cell.Improved, err = query.ComposeAggregate(ua.Agg, impAvg, impFreq, tableRows)
-			if err != nil {
-				return nil, err
+			if cell.Improved, err = query.ComposeAggregate(ua.Agg, impAvg, impFreq, tableRows); err != nil {
+				return overhead, improvedCount, err
 			}
 			cell.UsedModel = cellUsedModel(usedModel, pl.offsets[i], ua)
 			row.Cells = append(row.Cells, cell)
 		}
-		out = append(out, row)
+		res.Rows = append(res.Rows, row)
 	}
-	return out, nil
+	return overhead, improvedCount, nil
 }
 
-func (s *System) execute(view *aqp.View, sql string, budget time.Duration, record bool) (*Result, error) {
+// execute is a recorded /query on view: plan, one scan, and the answer step
+// with Infer and Record interleaved. It returns the executed plan beside
+// the Result (nil when the statement is unsupported).
+func (s *System) execute(view *aqp.View, sql string, budget time.Duration) (*Result, *queryPlan, error) {
 	verdict := s.Verdict()
-	pl, res, err := s.plan(view, sql, obs.ModeOneShot, record)
+	pl, res, err := s.plan(view, sql, obs.ModeOneShot, true)
 	if err != nil || pl == nil {
-		return res, err
+		return res, nil, err
 	}
 
-	grouped := pl.spec != nil
-	var upd aqp.Increment
-	switch {
-	case budget > 0:
+	var inc aqp.Increment
+	if budget > 0 {
 		// A time-bound query is one prefix of a progressive scan.
-		if err := s.answerSet(pl, obs.ModeOneShot, record); err != nil {
-			return nil, err
+		if err := s.answerSet(pl, obs.ModeOneShot, true); err != nil {
+			return nil, nil, err
 		}
 		tScan := time.Now()
-		upd = pl.progressive(0, -1, 0).Step(view.RowsWithin(budget))
-		view.ObserveScan(obs.ModeOneShot, grouped, tScan)
-	case record:
-		// A recorded one-shot query extends the fold the statement's last
-		// execution left in the scan memo; replays below keep to the
-		// reference scans, so the audit never reads what it audits.
+		inc = pl.progressive(0, -1, 0).Step(view.RowsWithin(budget))
+		view.ObserveScan(obs.ModeOneShot, pl.spec != nil, tScan)
+	} else {
+		// A one-shot query extends the fold the statement's last execution
+		// left in the scan memo; a grouped fold also materializes the plan.
 		fr, err := s.scanMemoized(strings.TrimSpace(sql), pl)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		upd = fr.Update
-	case grouped:
-		// The scan discovered the groups and produced their estimates;
-		// materialize the matching decompositions.
-		gr := view.GroupedRunToCompletion(pl.spec, s.nmax())
-		if err := pl.materialize(gr, s.nmax()); err != nil {
-			return nil, err
-		}
-		upd = gr.Update
-	default:
-		upd = view.RunToCompletion(pl.snips)
+		inc = fr.Update
 	}
-	if record {
-		s.bumpStats(func(st *SystemStats) { st.Snippets += len(pl.snips) })
-	}
-	res.SimTime = upd.SimTime
-	res.GroupsTruncated = pl.truncated
+	s.bumpStats(func(st *SystemStats) { st.Snippets += len(pl.snips) })
 
 	// Inference + synopsis updates (the Verdict overhead §8.5 measures).
 	// Infer and Record interleave deliberately: within one query, later
 	// snippets see the synopsis grown by earlier ones — progressive streams
 	// instead pin one InferSnapshot so their error bounds evolve coherently.
-	t0 := time.Now()
-	improved := make([]query.ScalarEstimate, len(pl.snips))
-	usedModel := make([]bool, len(pl.snips))
-	improvedCount := 0
-	for i, sn := range pl.snips {
-		raw := aqp.Sanitize(upd.Estimates[i])
+	overhead, improvedCount, err := pl.answer(res, inc, func(i int, sn *query.Snippet, raw query.ScalarEstimate) Improved {
 		inf := verdict.Infer(sn, raw)
-		improved[i] = query.ScalarEstimate{Value: inf.Answer, StdErr: inf.Err}
-		usedModel[i] = inf.UsedModel
-		if inf.UsedModel {
-			improvedCount++
-		}
-		if record && upd.Valid[i] {
+		if inc.Valid[i] {
 			verdict.Record(sn, raw)
 		}
-	}
-	overhead := time.Since(t0)
+		return inf
+	})
 	res.Overhead = overhead
-	if record && s.cfg.Stages != nil {
-		s.observeStage(obs.StageInfer, obs.ModeOneShot, len(pl.stmt.GroupBy) > 0, t0)
+	if s.cfg.Stages != nil {
+		s.observeStage(obs.StageInfer, obs.ModeOneShot, len(pl.stmt.GroupBy) > 0, overhead)
 	}
-	if record {
-		s.bumpStats(func(st *SystemStats) {
-			st.Improved += improvedCount
-			st.InferenceNS += overhead.Nanoseconds()
-		})
-	}
-
-	res.Rows, err = composeRows(pl, upd.Estimates, improved, usedModel)
+	s.bumpStats(func(st *SystemStats) {
+		st.Improved += improvedCount
+		st.InferenceNS += overhead.Nanoseconds()
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return res, nil
+	return res, pl, nil
 }
 
 // ExecuteWithExact runs Execute and fills each cell's Exact field from the
-// base relation — the oracle experiments compare against. The exact scan
-// runs on the same pinned view as the approximate one.
+// base relation — the oracle experiments compare against. The exact answers
+// are the executed plan's own snippets, evaluated on the same pinned view
+// and recomposed as the approximate cells were.
 func (s *System) ExecuteWithExact(sql string) (*Result, error) {
 	view := s.engine.Acquire()
-	res, err := s.execute(view, sql, 0, true)
-	if err != nil || !res.Supported {
+	res, pl, err := s.execute(view, sql, 0)
+	if err != nil || pl == nil {
 		return res, err
 	}
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
+	exact := make([]query.ScalarEstimate, len(pl.snips))
+	for i, sn := range pl.snips {
+		exact[i] = query.ScalarEstimate{Value: view.Exact(sn)}
 	}
-	table := view.Base
-	for ri := range res.Rows {
-		groups := [][]query.GroupValue{res.Rows[ri].Group}
-		decs, err := query.Decompose(stmt, table, groups, s.cfg.Nmax)
-		if err != nil {
-			return nil, err
-		}
-		d := decs[0]
-		exact := make([]query.ScalarEstimate, len(d.Snippets))
-		for i, sn := range d.Snippets {
-			exact[i] = query.ScalarEstimate{Value: view.Exact(sn)}
-		}
+	for ri, d := range pl.decs {
 		for ci, ua := range d.Aggregates {
-			av, fr := pick(exact, 0, ua)
-			cell, err := query.ComposeAggregate(ua.Agg, av, fr, table.Rows())
+			av, fr := pick(exact, pl.offsets[ri], ua)
+			cell, err := query.ComposeAggregate(ua.Agg, av, fr, view.Base.Rows())
 			if err != nil {
 				return nil, err
 			}

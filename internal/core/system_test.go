@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/aqp"
+	"repro/internal/query"
 	"repro/internal/randx"
+	"repro/internal/sqlparse"
 	"repro/internal/storage"
 )
 
@@ -92,6 +94,85 @@ func TestSystemGroupByAndCount(t *testing.T) {
 	if math.Abs(totalCount-10000) > 500 {
 		t.Fatalf("counts sum to %v", totalCount)
 	}
+}
+
+// exactOracle is the reference for ExecuteWithExact's exact cells: each
+// result row's group decomposed on its own, every snippet evaluated exactly
+// on the base relation of the view res names, and recomposed.
+func exactOracle(t *testing.T, s *System, sql string, res *Result) [][]float64 {
+	t.Helper()
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := s.Engine().ViewAtGen(res.SampleGen, res.BaseRows, res.SampleRows)
+	table := view.Base
+	out := make([][]float64, len(res.Rows))
+	for ri, row := range res.Rows {
+		decs, err := query.Decompose(stmt, table, [][]query.GroupValue{row.Group}, s.cfg.Nmax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := decs[0]
+		exact := make([]query.ScalarEstimate, len(d.Snippets))
+		for i, sn := range d.Snippets {
+			exact[i] = query.ScalarEstimate{Value: view.Exact(sn)}
+		}
+		for _, ua := range d.Aggregates {
+			av, fr := pick(exact, 0, ua)
+			cell, err := query.ComposeAggregate(ua.Agg, av, fr, table.Rows())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[ri] = append(out[ri], cell.Value)
+		}
+	}
+	return out
+}
+
+// TestExecuteWithExactMatchesOracle: ExecuteWithExact's exact cells equal
+// the per-row oracle's bit for bit — for a flat statement, a categorical
+// GROUP BY (discovery kernel), a numeric GROUP BY past the group cap
+// (GroupRows), and grouped statements no row matches (the single nil-group
+// decomposition) — on first sight and on a memo reuse, before and after an
+// append.
+func TestExecuteWithExactMatchesOracle(t *testing.T) {
+	sys := memoFixture(t, Config{})
+	stmts := []string{
+		"SELECT AVG(revenue), COUNT(*) FROM sales WHERE week BETWEEN 10 AND 20",
+		"SELECT region, AVG(revenue), COUNT(*), SUM(revenue) FROM sales WHERE week BETWEEN 5 AND 40 GROUP BY region",
+		"SELECT tier, AVG(revenue), SUM(revenue) FROM sales GROUP BY tier",
+		"SELECT region, COUNT(*), AVG(revenue) FROM sales WHERE week > 1000 GROUP BY region",
+		"SELECT tier, COUNT(*), SUM(revenue) FROM sales WHERE week > 1000 GROUP BY tier",
+	}
+	check := func(step string) {
+		t.Helper()
+		for _, sql := range stmts {
+			for _, pass := range []string{"first", "repeat"} {
+				label := step + " " + pass + ": " + sql
+				res, err := sys.ExecuteWithExact(sql)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				want := exactOracle(t, sys, sql, res)
+				for ri, row := range res.Rows {
+					if len(row.Cells) != len(want[ri]) {
+						t.Fatalf("%s row %d: %d cells, oracle %d", label, ri, len(row.Cells), len(want[ri]))
+					}
+					for ci, cell := range row.Cells {
+						if math.Float64bits(cell.Exact) != math.Float64bits(want[ri][ci]) {
+							t.Fatalf("%s row %d (%v) cell %d: exact %v, oracle %v", label, ri, row.Group, ci, cell.Exact, want[ri][ci])
+						}
+					}
+				}
+			}
+		}
+	}
+	check("boot")
+	if _, err := sys.Append(memoBatch(t, 1200, 9, 5, 45, []string{"east", "west"})); err != nil {
+		t.Fatal(err)
+	}
+	check("after an append")
 }
 
 func TestSystemUnsupportedBypass(t *testing.T) {

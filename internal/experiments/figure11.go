@@ -46,7 +46,8 @@ func Figure11TimeBound(o Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			upd := f.engine.Acquire().TimeBound(snips, budget)
+			view := f.engine.Acquire()
+			upd := view.EvalPrefix(snips, view.RowsWithin(budget))
 			for i, sn := range snips {
 				if !upd.Valid[i] {
 					continue

@@ -16,29 +16,12 @@ import "math"
 // Objective is a function to be minimized.
 type Objective func(x []float64) float64
 
-// Options configures the optimizer. Zero values select sensible defaults.
-type Options struct {
-	// MaxIter bounds Nelder–Mead iterations (default 400).
-	MaxIter int
-	// Tol is the simplex-spread convergence tolerance (default 1e-8).
-	Tol float64
-	// InitialStep scales the initial simplex (default 0.5 per coordinate,
-	// relative to |x|+1).
-	InitialStep float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxIter == 0 {
-		o.MaxIter = 400
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-8
-	}
-	if o.InitialStep == 0 {
-		o.InitialStep = 0.5
-	}
-	return o
-}
+// The simplex's convergence tolerance on the spread of its vertex values,
+// and the initial simplex's step per coordinate relative to |x|+1.
+const (
+	simplexTol  = 1e-8
+	initialStep = 0.5
+)
 
 // Result reports the best point found.
 type Result struct {
@@ -49,9 +32,10 @@ type Result struct {
 
 // NelderMead minimizes f starting from x0 with the standard
 // reflection/expansion/contraction/shrink simplex updates, then polishes
-// the best vertex with one coordinate-wise golden-section sweep.
-func NelderMead(f Objective, x0 []float64, opts Options) Result {
-	opts = opts.withDefaults()
+// the best vertex with one coordinate-wise golden-section sweep. It stops
+// after maxIter simplex iterations, or earlier once the vertex values agree
+// to simplexTol.
+func NelderMead(f Objective, x0 []float64, maxIter int) Result {
 	n := len(x0)
 	evals := 0
 	eval := func(x []float64) float64 {
@@ -69,7 +53,7 @@ func NelderMead(f Objective, x0 []float64, opts Options) Result {
 	for i := range pts {
 		p := append([]float64(nil), x0...)
 		if i > 0 {
-			step := opts.InitialStep * (math.Abs(p[i-1]) + 1)
+			step := initialStep * (math.Abs(p[i-1]) + 1)
 			p[i-1] += step
 		}
 		pts[i] = p
@@ -78,7 +62,7 @@ func NelderMead(f Objective, x0 []float64, opts Options) Result {
 
 	const alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
 	order := make([]int, n+1)
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		// Order vertices by value (selection sort on a tiny slice).
 		for i := range order {
 			order[i] = i
@@ -95,7 +79,7 @@ func NelderMead(f Objective, x0 []float64, opts Options) Result {
 		lo, hi, second := order[0], order[n], order[n-1]
 
 		// Convergence: spread of function values and simplex diameter.
-		if math.Abs(vals[hi]-vals[lo]) < opts.Tol*(1+math.Abs(vals[lo])) {
+		if math.Abs(vals[hi]-vals[lo]) < simplexTol*(1+math.Abs(vals[lo])) {
 			break
 		}
 

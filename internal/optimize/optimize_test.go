@@ -25,7 +25,7 @@ func rosenbrock(x []float64) float64 {
 }
 
 func TestNelderMeadSphere(t *testing.T) {
-	r := NelderMead(sphere, []float64{3, -2, 5}, Options{})
+	r := NelderMead(sphere, []float64{3, -2, 5}, 400)
 	if r.F > 1e-8 {
 		t.Fatalf("sphere minimum not found: f=%v x=%v", r.F, r.X)
 	}
@@ -37,7 +37,7 @@ func TestNelderMeadSphere(t *testing.T) {
 }
 
 func TestNelderMeadRosenbrock2D(t *testing.T) {
-	r := NelderMead(rosenbrock, []float64{-1.2, 1}, Options{MaxIter: 2000})
+	r := NelderMead(rosenbrock, []float64{-1.2, 1}, 2000)
 	if math.Abs(r.X[0]-1) > 0.02 || math.Abs(r.X[1]-1) > 0.02 {
 		t.Fatalf("rosenbrock optimum missed: %v (f=%v)", r.X, r.F)
 	}
@@ -54,7 +54,7 @@ func TestNelderMeadShiftedQuadratic(t *testing.T) {
 			dx, dy := x[0]-c[0], x[1]-c[1]
 			return dx*dx + 3*dy*dy + 1.5
 		}
-		r := NelderMead(obj, []float64{0, 0}, Options{MaxIter: 800})
+		r := NelderMead(obj, []float64{0, 0}, 800)
 		return math.Abs(r.X[0]-c[0]) < 1e-2 && math.Abs(r.X[1]-c[1]) < 1e-2 &&
 			math.Abs(r.F-1.5) < 1e-4
 	}
@@ -73,7 +73,7 @@ func TestNelderMeadHandlesNaN(t *testing.T) {
 		d := x[0] - 0.2
 		return d*d + x[1]*x[1]
 	}
-	r := NelderMead(obj, []float64{0, 0}, Options{})
+	r := NelderMead(obj, []float64{0, 0}, 400)
 	if math.Abs(r.X[0]-0.2) > 1e-3 || math.Abs(r.X[1]) > 1e-3 {
 		t.Fatalf("NaN-guarded optimum missed: %v", r.X)
 	}
@@ -107,7 +107,7 @@ func TestGradient(t *testing.T) {
 }
 
 func TestGradientNearZeroAtOptimum(t *testing.T) {
-	r := NelderMead(rosenbrock, []float64{-1.2, 1}, Options{MaxIter: 4000, Tol: 1e-12})
+	r := NelderMead(rosenbrock, []float64{-1.2, 1}, 4000)
 	g := gradient(rosenbrock, r.X, 0)
 	for _, v := range g {
 		if math.Abs(v) > 0.5 {
@@ -126,18 +126,6 @@ func TestGoldenSectionViaPolish(t *testing.T) {
 	}
 	if evals == 0 {
 		t.Fatal("polish did not evaluate")
-	}
-}
-
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.MaxIter != 400 || o.Tol != 1e-8 || o.InitialStep != 0.5 {
-		t.Fatalf("defaults wrong: %+v", o)
-	}
-	// Explicit values survive.
-	o2 := Options{MaxIter: 7, Tol: 1, InitialStep: 2}.withDefaults()
-	if o2.MaxIter != 7 || o2.Tol != 1 || o2.InitialStep != 2 {
-		t.Fatalf("explicit options overwritten: %+v", o2)
 	}
 }
 

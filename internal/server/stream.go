@@ -83,6 +83,10 @@ type StreamCursor struct {
 // maxPaceMS caps client-requested pacing per increment.
 const maxPaceMS = 1000
 
+// maxQueue caps a /subscribe client's update queue: a subscriber that
+// stops reading holds at most this many pushed Results.
+const maxQueue = 1024
+
 // StreamChunk is one NDJSON line of a /query/stream response.
 type StreamChunk struct {
 	// Seq is the 0-based increment index; RowsSeen is the sample prefix the

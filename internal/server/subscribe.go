@@ -36,8 +36,8 @@ type SubscribeRequest struct {
 	// magnitude. Both zero: every change pushes.
 	DeltaCI  float64 `json:"delta_ci,omitempty"`
 	DeltaRel float64 `json:"delta_rel,omitempty"`
-	// Queue bounds the subscriber's update queue (default 8); a full queue
-	// coalesces to the latest update.
+	// Queue bounds the subscriber's update queue (default 8, at most
+	// maxQueue); a full queue coalesces to the latest update.
 	Queue int `json:"queue,omitempty"`
 	// DebounceMS suppresses pushes for this many milliseconds after each
 	// delivered one (measured on the system clock).
@@ -54,8 +54,8 @@ func (req *SubscribeRequest) validate() error {
 	if req.DeltaRel < 0 {
 		return fmt.Errorf("delta_rel %v is negative", req.DeltaRel)
 	}
-	if req.Queue < 0 {
-		return fmt.Errorf("queue %d is negative", req.Queue)
+	if req.Queue < 0 || req.Queue > maxQueue {
+		return fmt.Errorf("queue %d is outside [0, %d]", req.Queue, maxQueue)
 	}
 	if req.DebounceMS < 0 {
 		return fmt.Errorf("debounce_ms %d is negative", req.DebounceMS)

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -388,6 +390,43 @@ func TestServerSubscribeValidation(t *testing.T) {
 	}
 	if srv.subscribers.Load() != 1 {
 		t.Fatalf("subscriber gauge %d after shed, want 1", srv.subscribers.Load())
+	}
+}
+
+// TestServerSubscribeQueueBound: a queue above maxQueue is refused with a
+// 400 that names the bound, so a subscriber that stops reading cannot make
+// the server hold an unbounded backlog of pushed Results; maxQueue itself
+// is accepted.
+func TestServerSubscribeQueueBound(t *testing.T) {
+	srv, _, ts := fixture(t, 5000, Config{})
+	defer srv.Close()
+	for _, q := range []int{maxQueue + 1, 1 << 40} {
+		body, err := json.Marshal(SubscribeRequest{SQL: "SELECT AVG(revenue) FROM sales", Queue: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/subscribe", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			// An accepted subscription streams until closed: do not read it.
+			resp.Body.Close()
+			t.Fatalf("subscribe with queue %d: status %d, want 400", q, resp.StatusCode)
+		}
+		msg, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(msg), strconv.Itoa(maxQueue)) {
+			t.Fatalf("queue %d refused with %s, which does not name the bound %d", q, msg, maxQueue)
+		}
+	}
+	st := openSubscribe(t, ts.URL, SubscribeRequest{SQL: "SELECT AVG(revenue) FROM sales", Queue: maxQueue})
+	defer st.body.Close()
+	if _, ok := st.next(t); !ok {
+		t.Fatal("no initial chunk at the queue bound")
 	}
 }
 
